@@ -1,0 +1,373 @@
+"""Round-structured solver driver.
+
+:func:`solve` runs the full pipeline on a loaded graph:
+
+1. discretize weights into geometric levels and index the constraint
+   system together with the small odd-set family;
+2. build a starting dual point from per-level maximal matchings
+   (counted as sampling rounds against the round ledger);
+3. repeat super-rounds until the dual coverage certifies or the round
+   budget is exhausted: snapshot the row multipliers, build deferred
+   per-level sparsifiers against them (one adaptive round of space),
+   harvest an integral matching from the stored edges, then run a
+   bounded number of multiplier refinements — each refinement reweighs
+   the stored edges, asks the penalized matching oracle for a step via
+   the penalty search, and either blends the step into the dual point
+   or raises the budget on a primal certificate;
+4. report the best integral matching found, in original units and in
+   level weights, together with the round/space ledger and traces.
+
+The number of refinements a single sketch build supports is limited by
+the multiplicative drift of the multipliers per accepted step; the
+promised-band check inside the sketch refinement enforces exactly that
+drift budget, so a violation is a bug, not an input condition.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .graph import Graph, discretize, enumerate_small_odd_sets
+from .mwu import lagrangian_search, packing_multipliers
+from .oracle import (
+    BMatching,
+    DualStep,
+    PrimalCertificate,
+    check_dual_step,
+    check_primal_certificate,
+    extract_integral,
+    initial_solution,
+    matching_oracle,
+)
+from .sketch import RoundLedger, build_deferred, refine_deferred, verify_switch
+from .system import SystemIndex
+
+__all__ = ["SolverConfig", "SolveReport", "solve", "round_cap_for", "space_cap_for"]
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Tunable parameters of :func:`solve`.
+
+    ``max_rounds`` defaults to the guaranteed round budget
+    ``8 * ceil(p / epsilon)``; passing a smaller value trades dual
+    certification for speed (the harvested matching is unaffected at
+    small scale, where the first round already stores every edge).
+    """
+
+    epsilon: float = 1.0 / 16.0
+    p: float = 2.0
+    seed: int = 0
+    max_rounds: int | None = None
+    space_mult: float = 16.0
+    assert_mode: bool = False
+    exact_threshold: int = 24
+    sketch_xi: float = 0.5
+    certificate_retries: int = 1000
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.epsilon <= 1.0 / 16.0:
+            raise ValueError("epsilon must be in (0, 1/16]")
+        if self.p < 1.0:
+            raise ValueError("p must be at least 1")
+
+
+def round_cap_for(p: float, epsilon: float) -> int:
+    """Guaranteed bound on adaptive sampling rounds."""
+    return 8 * math.ceil(p / epsilon)
+
+
+def space_cap_for(n: int, p: float, total_capacity: int, mult: float) -> float:
+    """Guaranteed bound on per-round stored items."""
+    return mult * n ** (1.0 + 1.0 / p) * math.log2(total_capacity + 2)
+
+
+@dataclass
+class SolveReport:
+    """Everything :func:`solve` learned, JSON-serializable via ``as_dict``."""
+
+    matching: tuple[tuple[int, int, int], ...]
+    weight: float
+    rescaled_weight: float
+    ratio_bound: float
+    rounds: int
+    peak_space: int
+    round_cap: int
+    space_cap: float
+    lambda_start: float
+    lambda_final: float
+    certified: bool
+    beta_final: float
+    steps: int
+    certificates: int
+    harvests: int
+    lambda_trace: list[float]
+    beta_trace: list[float]
+    round_spaces: list[int]
+    weight_vs_beta: float
+    config_echo: dict
+    n: int = 0
+    m: int = 0
+    levels: int = 0
+    scale: float = 0.0
+
+    def as_dict(self) -> dict:
+        return {
+            "matching": [list(e) for e in self.matching],
+            "weight": self.weight,
+            "rescaled_weight": self.rescaled_weight,
+            "ratio_bound": self.ratio_bound,
+            "round_spaces": self.round_spaces,
+            "weight_vs_beta": self.weight_vs_beta,
+            "rounds": self.rounds,
+            "peak_space": self.peak_space,
+            "round_cap": self.round_cap,
+            "space_cap": self.space_cap,
+            "lambda_start": self.lambda_start,
+            "lambda_final": self.lambda_final,
+            "certified": self.certified,
+            "beta_final": self.beta_final,
+            "steps": self.steps,
+            "certificates": self.certificates,
+            "harvests": self.harvests,
+            "lambda_trace": self.lambda_trace,
+            "beta_trace": self.beta_trace,
+            "config_echo": self.config_echo,
+            "n": self.n,
+            "m": self.m,
+            "levels": self.levels,
+            "scale": self.scale,
+        }
+
+
+class ContractViolation(RuntimeError):
+    """A solver-internal guarantee failed while assert mode was on."""
+
+
+def _original_weight(g: Graph, matching: BMatching) -> float:
+    w_of = {(i, j): w for (i, j, w) in g.edges}
+    return math.fsum(w_of[(i, j)] * m for (i, j, m) in matching.edges)
+
+
+def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
+    """Approximately solve maximum-weight degree-capped matching on ``g``."""
+    cfg = config or SolverConfig()
+    eps = cfg.epsilon
+    lv = discretize(g, eps)
+    odd = enumerate_small_odd_sets(g, eps)
+    index = SystemIndex(lv, eps, odd)
+    n = g.n
+    b = g.b
+    ledger = RoundLedger()
+    round_cap = cfg.max_rounds if cfg.max_rounds is not None else round_cap_for(cfg.p, eps)
+    space_cap = space_cap_for(n, cfg.p, g.B, cfg.space_mult)
+
+    it, beta0, lam0 = initial_solution(index, cfg.p, cfg.seed, ledger=ledger)
+    beta = beta0
+    c = index.cover_rhs
+    rows_m = len(c)
+    rho = 24.0 / eps + 24.0 / eps**2
+    target = 1.0 - 3.0 * eps
+    ax = index.cover_values(it)
+    pox = index.degree_values(it)
+    lam = lam0
+    lam_t = lam0
+    gamma_drift = max(n ** (1.0 / (2.0 * cfg.p)), 1.0 + eps)
+    inner_per_round = math.ceil(math.log(gamma_drift) / eps)
+    edge_pairs = [(i, j) for (i, j, _w) in g.edges]
+    row_of_edge = index.edge_row_of
+    q_outer = index.degree_rhs_outer
+    delta_pack = 1.0 / 6.0
+
+    best_matching = BMatching(edges=(), weight=0.0)
+    steps = 0
+    certificates = 0
+    harvests = 0
+    since_recompute = 0
+    lambda_trace = [lam0]
+    beta_trace = [beta0]
+    solve_round = 0
+
+    while lam < target and ledger.n_rounds < round_cap:
+        solve_round += 1
+        ledger.begin_round(f"solve-{solve_round}")
+        # Phase boundaries are frozen to round boundaries.
+        if lam >= min(2.0 * lam_t, target):
+            lam_t = lam
+        alpha = 4.0 * math.log(2.0 * rows_m / eps) / (lam_t * eps)
+        sigma = eps / (4.0 * alpha * rho)
+
+        # Snapshot multipliers; the snapshot's max is the round's
+        # normalization offset, shared by every refinement below so the
+        # promised drift band is exactly the per-step drift guarantee.
+        log_u = -alpha * (ax / c) - np.log(c)
+        offset = float(log_u.max())
+        u_build = np.exp(log_u - offset)
+
+        promise = np.zeros(len(g.edges))
+        for r, (e, _i, _j, _k) in enumerate(index.rows):
+            promise[e] = u_build[r]
+        sketches = {}
+        for k in sorted({int(t) for t in index.row_levels}):
+            mask = np.zeros(len(g.edges))
+            for r, (e, _i, _j, kk) in enumerate(index.rows):
+                if kk == k:
+                    mask[e] = promise[e]
+            level_seed = (cfg.seed * 1_000_003 + solve_round * 1009 + k) % (1 << 62)
+            sk = build_deferred(
+                n, edge_pairs, mask, gamma_drift, cfg.sketch_xi, level_seed
+            )
+            sketches[k] = sk
+            ledger.record_space(sk.space)
+
+        stored_ids = sorted({e for sk in sketches.values() for e in sk.stored_edge_ids()})
+        harvest = extract_integral(lv, stored_ids, exact_threshold=cfg.exact_threshold)
+        if harvest.weight > best_matching.weight:
+            best_matching = harvest
+        harvests += 1
+        # The harvested candidate set, the remembered matching, and the
+        # dual support are all held across the round; charge them too.
+        ledger.record_space(
+            len(harvest.edges)
+            + len(best_matching.edges)
+            + len(it.x_level)
+            + len(it.x_top)
+            + len(it.z)
+        )
+        if harvest.weight > beta * (1.0 - eps) / (1.0 + eps):
+            beta = harvest.weight * (1.0 + eps) / (1.0 - eps)
+            it.beta = beta
+
+        for _q in range(inner_per_round):
+            if lam >= target:
+                break
+            log_u_now = -alpha * (ax / c) - np.log(c)
+            u_now = np.exp(log_u_now - offset)
+            refined: dict[int, float] = {}
+            for k, sk in sketches.items():
+                vals = {
+                    e: u_now[row_of_edge[e]]
+                    for e in sk.stored_edge_ids()
+                    if index.rows[row_of_edge[e]][3] == k
+                }
+                refined.update(refine_deferred(sk, vals))
+            u_sparse = index.multiplier_vector(refined)
+
+            lam_pack = float((pox / q_outer).max())
+            if lam_pack <= 0.0:
+                zeta = np.ones(len(q_outer)) / len(q_outer)
+            else:
+                alpha_pack = (
+                    4.0
+                    * math.log(2.0 * len(q_outer) / delta_pack)
+                    / (lam_pack * delta_pack)
+                )
+                zeta, _ = packing_multipliers(pox, q_outer, alpha_pack)
+
+            retries = 0
+            while True:
+                out = lagrangian_search(
+                    index,
+                    lambda uu, zz, pp, bb: matching_oracle(
+                        index, uu, zz, pp, bb, strict=cfg.assert_mode
+                    ),
+                    u_sparse,
+                    zeta,
+                    beta,
+                )
+                if isinstance(out, PrimalCertificate):
+                    certificates += 1
+                    if cfg.assert_mode:
+                        ok, rep = check_primal_certificate(index, out)
+                        if not ok:
+                            raise ContractViolation(f"certificate check failed: {rep}")
+                    lifted = extract_integral(
+                        lv, sorted(out.y), exact_threshold=cfg.exact_threshold
+                    )
+                    if lifted.weight > best_matching.weight:
+                        best_matching = lifted
+                    beta *= 1.0 + eps
+                    it.beta = beta
+                    retries += 1
+                    if retries > cfg.certificate_retries:
+                        raise ContractViolation(
+                            "budget kept certifying without a dual step"
+                        )
+                    continue
+                break
+
+            step: DualStep = out
+            ay = index.cover_values(step.iterate)
+            if (ay < -1e-12).any() or (ay > rho * c * (1.0 + 1e-9)).any():
+                raise ContractViolation("oracle step violates the width bound")
+            if cfg.assert_mode:
+                ok, rep = check_dual_step(index, u_sparse, zeta, step)
+                if not ok:
+                    raise ContractViolation(f"dual step check failed: {rep}")
+                u_full_map = {
+                    e: float(u_now[r]) for (e, r) in row_of_edge.items() if u_now[r] > 0
+                }
+                switch = verify_switch(index, u_full_map, refined, step.iterate)
+                if not switch.ok:
+                    raise ContractViolation(f"multiplier switch failed: {switch}")
+            new_ax = (1.0 - sigma) * ax + sigma * ay
+            drift = alpha * float(np.abs((new_ax - ax) / c).max())
+            if drift > eps * (1.0 + 1e-9):
+                raise ContractViolation(f"multiplier drift {drift} exceeds eps")
+            it = it.blend(step.iterate, sigma)
+            it.beta = beta
+            ax = new_ax
+            pox = (1.0 - sigma) * pox + sigma * index.degree_values(step.iterate)
+            steps += 1
+            since_recompute += 1
+            if since_recompute >= 64:
+                exact_ax = index.cover_values(it)
+                if not np.allclose(exact_ax, ax, rtol=1e-6, atol=1e-9):
+                    raise ContractViolation("incremental row values drifted")
+                ax = exact_ax
+                pox = index.degree_values(it)
+                since_recompute = 0
+            lam = float((ax / c).min())
+        lambda_trace.append(lam)
+        beta_trace.append(beta)
+
+    weight = _original_weight(g, best_matching)
+    report = SolveReport(
+        matching=best_matching.edges,
+        weight=weight,
+        rescaled_weight=best_matching.weight,
+        ratio_bound=1.0 - 14.0 * eps,
+        rounds=ledger.n_rounds,
+        peak_space=ledger.peak_space,
+        round_cap=round_cap,
+        space_cap=space_cap,
+        lambda_start=lam0,
+        lambda_final=lam,
+        certified=lam >= target,
+        beta_final=beta,
+        steps=steps,
+        certificates=certificates,
+        harvests=harvests,
+        lambda_trace=lambda_trace,
+        beta_trace=beta_trace,
+        round_spaces=[r["space"] for r in ledger.as_dict()["rounds"]],
+        weight_vs_beta=best_matching.weight / beta if beta > 0 else 0.0,
+        config_echo={
+            "epsilon": eps,
+            "p": cfg.p,
+            "seed": cfg.seed,
+            "max_rounds": cfg.max_rounds,
+            "space_mult": cfg.space_mult,
+            "assert_mode": cfg.assert_mode,
+            "exact_threshold": cfg.exact_threshold,
+            "sketch_xi": cfg.sketch_xi,
+        },
+        n=n,
+        m=g.m,
+        levels=lv.L + 1,
+        scale=lv.scale,
+    )
+    return report

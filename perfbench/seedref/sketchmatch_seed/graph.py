@@ -1,0 +1,442 @@
+"""Graph model: b-capacities, geometric weight levels, and small odd sets.
+
+This module owns the input representation for the solver: a simple
+weighted graph with per-vertex integer capacities ``b_i``, the
+discretization of edge weights into geometric levels ``(1+eps)^k``
+after rescaling by ``eps * Wstar / B``, and enumeration of the family
+of "small" odd sets (vertex sets whose total capacity is odd and at
+most ``4/eps``) that drive the odd-set constraints of the matching LP.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Sequence
+
+__all__ = [
+    "Graph",
+    "GraphFormatError",
+    "LeveledGraph",
+    "OddSet",
+    "discretize",
+    "enumerate_small_odd_sets",
+    "find_max_weight",
+    "load_graph",
+]
+
+#: Relative tolerance for level-boundary comparisons.  An edge weight
+#: within this relative distance of an exact level boundary is treated
+#: as sitting on the boundary (and goes to the level whose closed left
+#: endpoint it is).
+REL_TOL = 1e-9
+
+
+class GraphFormatError(ValueError):
+    """Raised when graph or capacity input text is malformed."""
+
+
+@dataclass(frozen=True)
+class Graph:
+    """A simple undirected graph with positive edge weights and capacities.
+
+    Parameters
+    ----------
+    n:
+        Number of vertices, labeled ``0 .. n-1``.
+    edges:
+        Tuple of ``(i, j, w)`` with ``i < j`` and ``w > 0``.  At most one
+        edge per unordered pair; no self-loops.
+    b:
+        Per-vertex integer capacity, all ``>= 1``.
+    """
+
+    n: int
+    edges: tuple[tuple[int, int, float], ...]
+    b: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("graph needs at least one vertex")
+        if len(self.b) != self.n:
+            raise ValueError(f"expected {self.n} capacities, got {len(self.b)}")
+        for i, cap in enumerate(self.b):
+            if not isinstance(cap, int) or cap < 1:
+                raise ValueError(f"capacity of vertex {i} must be an integer >= 1, got {cap!r}")
+        seen: set[tuple[int, int]] = set()
+        for i, j, w in self.edges:
+            if i == j:
+                raise ValueError(f"self-loop at vertex {i}")
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+            if i > j:
+                raise ValueError(f"edge ({i}, {j}) must be stored with i < j")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate edge ({i}, {j})")
+            if not w > 0:
+                raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
+            seen.add((i, j))
+
+    @property
+    def B(self) -> int:
+        """Total capacity ``sum_i b_i``."""
+        return sum(self.b)
+
+    @property
+    def m(self) -> int:
+        """Number of edges."""
+        return len(self.edges)
+
+    def bnorm(self, members: Sequence[int]) -> int:
+        """Total capacity of a vertex set ``sum_{i in U} b_i``."""
+        return sum(self.b[i] for i in members)
+
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex tuple of ``(neighbor, edge_index)`` pairs."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for idx, (i, j, _w) in enumerate(self.edges):
+            adj[i].append((j, idx))
+            adj[j].append((i, idx))
+        return tuple(tuple(a) for a in adj)
+
+
+def _parse_edge_text(text: str) -> list[tuple[int, int, float]]:
+    edges: list[tuple[int, int, float]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: expected 'i j w', got {raw!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            w = float(parts[2])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from exc
+        if i == j:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {i}")
+        if not w > 0 or math.isinf(w) or math.isnan(w):
+            raise GraphFormatError(f"line {lineno}: weight must be positive and finite, got {w}")
+        if i < 0 or j < 0:
+            raise GraphFormatError(f"line {lineno}: negative vertex id")
+        if i > j:
+            i, j = j, i
+        edges.append((i, j, w))
+    return edges
+
+
+def _parse_b_text(text: str, n: int) -> list[int]:
+    b = [1] * n
+    assigned: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'i b_i', got {raw!r}")
+        try:
+            i, cap = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from exc
+        if not 0 <= i < n:
+            raise GraphFormatError(f"line {lineno}: vertex {i} out of range for n={n}")
+        if cap < 1:
+            raise GraphFormatError(f"line {lineno}: capacity of vertex {i} must be >= 1, got {cap}")
+        if i in assigned:
+            raise GraphFormatError(f"line {lineno}: duplicate capacity for vertex {i}")
+        assigned.add(i)
+        b[i] = cap
+    return b
+
+
+def load_graph(edge_list_text: str, b_values_text: str | None = None) -> Graph:
+    """Parse a graph from edge-list text and optional capacity text.
+
+    Parameters
+    ----------
+    edge_list_text:
+        One edge per line, ``"i j w"`` with 0-based vertex ids,
+        whitespace separated; ``#`` starts a comment.  Duplicate edges
+        (in either orientation) are rejected.
+    b_values_text:
+        Optional capacity lines ``"i b_i"``; vertices not mentioned
+        default to capacity 1.
+
+    Returns
+    -------
+    Graph
+        The validated graph; ``n`` is one plus the largest vertex id
+        seen in either input.
+
+    Raises
+    ------
+    GraphFormatError
+        On any malformed line, self-loop, nonpositive weight,
+        out-of-range capacity, or duplicate edge (with line number).
+    """
+    edges = _parse_edge_text(edge_list_text)
+    max_id = -1
+    for i, j, _ in edges:
+        max_id = max(max_id, j)
+    if b_values_text:
+        for raw in b_values_text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) == 2:
+                try:
+                    max_id = max(max_id, int(parts[0]))
+                except ValueError:
+                    pass
+    if max_id < 0:
+        raise GraphFormatError("no edges found in input")
+    n = max_id + 1
+    seen: set[tuple[int, int]] = set()
+    for i, j, _ in edges:
+        if (i, j) in seen:
+            raise GraphFormatError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+    b = _parse_b_text(b_values_text, n) if b_values_text else [1] * n
+    return Graph(n=n, edges=tuple(edges), b=tuple(b))
+
+
+def find_max_weight(g: Graph) -> tuple[tuple[int, int, float], float]:
+    """Return a maximum-weight edge and its weight ``Wstar``.
+
+    Ties are broken toward the lexicographically smallest ``(i, j)``.
+
+    Raises
+    ------
+    ValueError
+        If the graph has no edges.
+    """
+    if not g.edges:
+        raise ValueError("graph has no edges")
+    best = min(g.edges, key=lambda e: (-e[2], e[0], e[1]))
+    return best, best[2]
+
+
+def _weight_level(w: float, scale: float, eps: float) -> int:
+    """Level index of weight ``w``, or -1 if the edge is dropped.
+
+    Level ``k`` is the unique integer with
+    ``scale * (1+eps)^k <= w < scale * (1+eps)^(k+1)``; a weight within
+    relative tolerance of the left endpoint belongs to that level
+    (closed-left convention), so ``w == scale`` maps to level 0 and
+    ``w`` just below ``scale`` (beyond tolerance) is dropped.
+    """
+    r = w / scale
+    tol = 1.0 + REL_TOL
+    if r * tol < 1.0:
+        return -1
+    base = math.log1p(eps)
+    k = int(math.floor(math.log(max(r, 1.0)) / base))
+    # Float fixups around the log: nudge until the sandwich holds with
+    # the closed-left tolerance.
+    while (1.0 + eps) ** (k + 1) <= r * tol:
+        k += 1
+    while k > 0 and (1.0 + eps) ** k > r * tol:
+        k -= 1
+    if k == 0 and 1.0 > r * tol:
+        return -1
+    return k
+
+
+@dataclass(frozen=True)
+class LeveledGraph:
+    """A graph with edges bucketed into geometric weight levels.
+
+    Every retained edge ``(i, j)`` has a unique level ``k >= 0`` with
+    ``scale * (1+eps)^k <= w_ij < scale * (1+eps)^(k+1)`` where
+    ``scale = eps * Wstar / B``; edges below ``scale`` are dropped.
+    The level weight is ``(1+eps)^k`` in rescaled units.
+
+    Attributes
+    ----------
+    base:
+        The source graph.
+    epsilon:
+        The discretization parameter.
+    Wstar:
+        Maximum edge weight of ``base``.
+    scale:
+        ``epsilon * Wstar / B``; multiply rescaled values by this to
+        return to original weight units.
+    level_of:
+        Per source-edge level index; ``-1`` marks dropped edges.
+    levels:
+        Map ``k -> tuple of edge indices`` for populated levels only.
+    L:
+        Largest populated level index.
+    """
+
+    base: Graph
+    epsilon: float
+    Wstar: float
+    scale: float
+    level_of: tuple[int, ...]
+    levels: Mapping[int, tuple[int, ...]]
+    L: int
+    _adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, default=())
+
+    def level_weight(self, k: int) -> float:
+        """Rescaled weight ``(1+eps)^k`` of level ``k``."""
+        return (1.0 + self.epsilon) ** k
+
+    def to_original_units(self, rescaled_value: float) -> float:
+        """Convert a rescaled weight back to original units."""
+        return rescaled_value * self.scale
+
+    def retained(self) -> Iterator[tuple[int, int, int, int]]:
+        """Yield ``(edge_index, i, j, k)`` for retained edges in input order."""
+        for idx, k in enumerate(self.level_of):
+            if k >= 0:
+                i, j, _w = self.base.edges[idx]
+                yield idx, i, j, k
+
+    @property
+    def retained_count(self) -> int:
+        return sum(1 for k in self.level_of if k >= 0)
+
+    def vertex_rows(self) -> tuple[tuple[int, int], ...]:
+        """Sorted ``(i, k)`` pairs where vertex ``i`` has level-``k`` edges.
+
+        These index the per-vertex degree constraints: rows exist only
+        where a vertex actually has incident edges of that level.
+        """
+        rows: set[tuple[int, int]] = set()
+        for _idx, i, j, k in self.retained():
+            rows.add((i, k))
+            rows.add((j, k))
+        return tuple(sorted(rows))
+
+    def incident(self, vertex: int) -> tuple[tuple[int, int], ...]:
+        """``(neighbor, edge_index)`` pairs of ``vertex`` (retained or not)."""
+        return self._adjacency[vertex]
+
+
+def discretize(g: Graph, epsilon: float) -> LeveledGraph:
+    """Assign every sufficiently heavy edge to its geometric weight level.
+
+    Parameters
+    ----------
+    g:
+        Input graph.
+    epsilon:
+        Discretization parameter in ``(0, 1)``.  The solver restricts
+        itself to ``epsilon <= 1/16``; larger values are accepted here
+        for testing the discretization in isolation.
+
+    Returns
+    -------
+    LeveledGraph
+        Edges with ``w >= eps * Wstar / B`` carry a unique level
+        ``k >= 0``; lighter edges are dropped.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    _, wstar = find_max_weight(g)
+    scale = epsilon * wstar / g.B
+    level_of = tuple(_weight_level(w, scale, epsilon) for (_i, _j, w) in g.edges)
+    levels: dict[int, list[int]] = {}
+    for idx, k in enumerate(level_of):
+        if k >= 0:
+            levels.setdefault(k, []).append(idx)
+    max_level = max(levels) if levels else 0
+    bound = math.ceil(math.log(g.B / epsilon) / math.log1p(epsilon)) + 1
+    if max_level > bound:
+        raise AssertionError(f"level index {max_level} exceeds bound {bound}")
+    return LeveledGraph(
+        base=g,
+        epsilon=epsilon,
+        Wstar=wstar,
+        scale=scale,
+        level_of=level_of,
+        levels={k: tuple(v) for k, v in sorted(levels.items())},
+        L=max_level,
+        _adjacency=g.adjacency(),
+    )
+
+
+@dataclass(frozen=True, order=True)
+class OddSet:
+    """A vertex set with odd total capacity.
+
+    Attributes
+    ----------
+    members:
+        Sorted vertex tuple.
+    bnorm:
+        Total capacity ``sum_{i in U} b_i`` (odd).
+    mask:
+        Bitmask of the members, for fast intersection tests.
+    """
+
+    members: tuple[int, ...]
+    bnorm: int
+    mask: int
+
+    @staticmethod
+    def from_members(members: Sequence[int], b: Sequence[int]) -> "OddSet":
+        ms = tuple(sorted(members))
+        bn = sum(b[i] for i in ms)
+        mask = 0
+        for i in ms:
+            mask |= 1 << i
+        return OddSet(members=ms, bnorm=bn, mask=mask)
+
+    @property
+    def half_capacity(self) -> int:
+        """The odd-set constraint bound ``floor(bnorm / 2)``."""
+        return self.bnorm // 2
+
+    def intersects(self, other: "OddSet") -> bool:
+        return bool(self.mask & other.mask)
+
+
+def enumerate_small_odd_sets(
+    g: Graph,
+    epsilon: float,
+    *,
+    max_n: int = 20,
+    max_subsets: int = 1 << 20,
+) -> tuple[OddSet, ...]:
+    """Enumerate every vertex set with odd total capacity at most ``4/eps``.
+
+    This is the verification-scale path: all ``2^n`` subsets are
+    examined, guarded by ``max_n`` and ``max_subsets``.
+
+    Parameters
+    ----------
+    g, epsilon:
+        Graph and parameter; the capacity bound is ``4 / epsilon``.
+    max_n, max_subsets:
+        Work guards; exceeding either raises ``ValueError``.
+
+    Returns
+    -------
+    tuple of OddSet
+        In increasing bitmask order (deterministic).
+    """
+    if g.n > max_n:
+        raise ValueError(f"odd-set enumeration capped at n <= {max_n}, got n={g.n}")
+    total = 1 << g.n
+    if total > max_subsets:
+        raise ValueError(f"odd-set enumeration would examine {total} > {max_subsets} subsets")
+    bound = 4.0 / epsilon
+    out: list[OddSet] = []
+    b = g.b
+    for mask in range(1, total):
+        bn = 0
+        mm = mask
+        while mm:
+            low = mm & (-mm)
+            bn += b[low.bit_length() - 1]
+            mm ^= low
+        if bn % 2 == 1 and bn <= bound:
+            members = tuple(i for i in range(g.n) if mask >> i & 1)
+            out.append(OddSet(members=members, bnorm=bn, mask=mask))
+    return tuple(out)

@@ -1,0 +1,739 @@
+"""Matching oracle for the dual-primal solver loop.
+
+Given edge multipliers concentrated on under-covered constraint rows
+and degree multipliers with a penalty weight, :func:`matching_oracle`
+answers with one of:
+
+- a **vertex step**: per-vertex-per-level prices supported on vertices
+  whose positive multiplier surplus is large;
+- an **odd-set step**: odd-set prices supported on disjoint families of
+  dense small odd sets, one family per level;
+- a **primal certificate**: a fractional matching (with per-vertex
+  slacks) whose objective is at least ``(1 - eps)`` times the budget,
+  proving the budget can be raised.
+
+Both step kinds beat the penalized multiplier target; the certificate
+is returned exactly when neither surplus is large enough, which is the
+regime where the complementary fractional matching is big.
+
+The module also provides :func:`check_dual_step` and
+:func:`check_primal_certificate` (exhaustive validity checkers used in
+assert mode), maximal-matching based starting points, and small exact
+or greedy integral matchers for harvesting and output extraction.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .graph import LeveledGraph
+from .oddsets import collect_violated_sets
+from .sketch import prf_uniform
+from .system import DualIterate, SystemIndex, budget_value
+
+__all__ = [
+    "BMatching",
+    "DualStep",
+    "PrimalCertificate",
+    "check_dual_step",
+    "check_primal_certificate",
+    "extract_integral",
+    "initial_solution",
+    "matching_oracle",
+    "maximal_bmatching_rounds",
+    "offline_bmatching",
+]
+
+_REL = 1e-9
+
+
+@dataclass
+class DualStep:
+    """A dual-side oracle answer: an iterate plus its provenance."""
+
+    iterate: DualIterate
+    branch: str  # "zero" | "vertex" | "odd" | "mixed"
+    penalty: float
+    gamma: float
+
+    @staticmethod
+    def zeros(beta: float, penalty: float = 0.0, gamma: float = 0.0) -> "DualStep":
+        return DualStep(DualIterate.zeros(beta), "zero", penalty, gamma)
+
+    def mix(self, other: "DualStep", weight_other: float, beta: float) -> "DualStep":
+        """Convex combination ``(1 - w) self + w other`` as a mixed step."""
+        it = self.iterate.blend(other.iterate, weight_other)
+        it.beta = beta
+        return DualStep(it, "mixed", self.penalty, self.gamma)
+
+
+@dataclass
+class PrimalCertificate:
+    """A fractional matching certifying the budget is beatable.
+
+    ``y`` maps retained edge ids to fractional multiplicities, ``mu``
+    are per-vertex-per-level slacks, ``y_caps`` the induced per-vertex
+    level caps.  ``objective`` is the slack-discounted weight
+    ``sum_k w_k (sum y - 3 sum mu)``, guaranteed at least
+    ``(1 - eps) beta``.
+    """
+
+    y: dict[int, float]
+    mu: dict[tuple[int, int], float]
+    y_caps: dict[tuple[int, int], float]
+    objective: float
+    beta: float
+
+
+def _populated_segments(index: SystemIndex) -> list[tuple[int, int]]:
+    """Level ranges ``[lo, p]`` sharing the suffix mask ``k >= p``.
+
+    ``p`` runs over populated row levels in decreasing order; for every
+    level ``l`` in ``[lo, p]`` the populated levels ``>= l`` are exactly
+    those ``>= p``, so per-level quantities are constant on the range.
+    """
+    pop = np.unique(index.row_levels)[::-1]
+    out: list[tuple[int, int]] = []
+    for t, p in enumerate(pop):
+        lo = int(pop[t + 1]) + 1 if t + 1 < len(pop) else 0
+        out.append((lo, int(p)))
+    return out
+
+
+def matching_oracle(
+    index: SystemIndex,
+    u_sparse: np.ndarray,
+    zeta: np.ndarray,
+    penalty: float,
+    beta: float,
+    *,
+    strict: bool = True,
+) -> DualStep | PrimalCertificate:
+    """Answer a penalized multiplier query with a step or a certificate.
+
+    Parameters
+    ----------
+    index:
+        System index for the leveled graph and odd-set family.
+    u_sparse:
+        Nonnegative multipliers per cover row.
+    zeta:
+        Nonnegative multipliers per degree row.
+    penalty:
+        Positive weight coupling the degree load into the objective.
+    beta:
+        Current budget.
+    strict:
+        Run the expensive independent validity checks on the answer
+        (the cheap algebraic identities are always asserted).
+    """
+    if penalty <= 0.0:
+        raise ValueError("penalty must be positive")
+    eps = index.epsilon
+    lv = index.leveled
+    b = lv.base.b
+    n = lv.base.n
+    w_of = index.level_weights_all()
+    n_levels = len(w_of)
+    usc = index.multiplier_cover_target(u_sparse)
+    q_outer = index.degree_rhs_outer
+    gamma = usc - penalty * float(zeta @ q_outer)
+    if gamma <= 0.0:
+        return DualStep.zeros(beta, penalty, gamma)
+
+    rv = index.row_vrow_pairs()
+    n_vr = len(index.vrows)
+    edge_mass = np.zeros(n_vr)
+    np.add.at(edge_mass, rv[:, 0], u_sparse)
+    np.add.at(edge_mass, rv[:, 1], u_sparse)
+    surplus = edge_mass - 2.0 * penalty * zeta
+    surplus_pos = np.maximum(surplus, 0.0)
+    vv, vl = index.vrow_arrays()
+
+    # Per-vertex level profiles: delta[i, l] is the largest multiplier
+    # mass a price profile capped at level l can collect at vertex i.
+    smat = np.zeros((n, n_levels))
+    smat[vv, vl] = surplus_pos
+    prefix_weighted = np.cumsum(smat * w_of, axis=1)
+    prefix_plain = np.cumsum(smat, axis=1)
+    total = prefix_plain[:, -1:]
+    delta = prefix_weighted + w_of * (total - prefix_plain)
+    barr = np.asarray(b, dtype=float)
+    qualifies = delta > (gamma / beta) * np.outer(barr, w_of)
+    violated = qualifies.any(axis=1)
+    k_star = np.where(
+        violated, n_levels - 1 - qualifies[:, ::-1].argmax(axis=1), -1
+    )
+    viol_ids = np.nonzero(violated)[0]
+    gamma_v = float(delta[viol_ids, k_star[viol_ids]].sum()) if len(viol_ids) else 0.0
+
+    if gamma_v >= eps * gamma / 24.0:
+        it = DualIterate.zeros(beta)
+        for t in np.nonzero(surplus_pos > 0.0)[0]:
+            i = int(vv[t])
+            if not violated[i]:
+                continue
+            lev = int(vl[t])
+            it.x_level[(i, lev)] = gamma * w_of[min(lev, int(k_star[i]))] / gamma_v
+        for i in viol_ids:
+            it.x_top[int(i)] = gamma * w_of[int(k_star[i])] / gamma_v
+        lag = math.fsum(
+            v * surplus[index.vrow_of[key]] for key, v in it.x_level.items()
+        )
+        if not math.isclose(lag, gamma, rel_tol=_REL):
+            raise AssertionError("vertex step does not meet the penalized target")
+        budget = math.fsum(b[i] * v for i, v in it.x_top.items())
+        if budget > beta * (1.0 + _REL):
+            raise AssertionError("vertex step exceeds the budget")
+        cap = 24.0 / eps
+        for (_i, lev), v in it.x_level.items():
+            if v > cap * w_of[lev] * (1.0 + _REL):
+                raise AssertionError("vertex price exceeds its width cap")
+        return DualStep(it, "vertex", penalty, gamma)
+
+    # Raise the degree multipliers on the violated prefix; the target
+    # shrinks by at most 3/2 of the (small) vertex surplus.
+    zeta_bar = zeta.copy()
+    raise_mask = violated[vv] & (surplus > 0.0) & (vl <= k_star[vv])
+    zeta_bar[raise_mask] = edge_mass[raise_mask] / (2.0 * penalty)
+    gamma_p = usc - penalty * float(zeta_bar @ q_outer)
+    if gamma_p < gamma - 1.5 * gamma_v * (1.0 + _REL) - 1e-12:
+        raise AssertionError("raised multipliers overshoot the surplus accounting")
+    if gamma_p < (1.0 - eps / 16.0) * gamma * (1.0 - _REL):
+        raise AssertionError("raised-multiplier target lost too much mass")
+
+    # Dense odd sets per level, one disjoint family per populated
+    # segment (the geometry is constant across a segment).
+    coeff = (1.0 - eps / 4.0) * beta / gamma
+    segments: list[tuple[int, int, list[int], np.ndarray]] = []
+    gamma_o = 0.0
+    for lo, p in _populated_segments(index):
+        row_mask = index.row_levels >= p
+        q_rows = coeff * np.where(row_mask, u_sparse, 0.0)
+        vmask = vl >= p
+        zeta_suffix = np.zeros(n)
+        np.add.at(zeta_suffix, vv[vmask], zeta_bar[vmask])
+        q_hat = barr + 2.0 * coeff * penalty * zeta_suffix
+        selected, values = collect_violated_sets(index, q_rows, q_hat, strict=strict)
+        if selected:
+            dvals = values[np.array(selected)] / coeff
+            segments.append((lo, p, selected, dvals))
+            gamma_o += float(dvals.sum() * w_of[lo : p + 1].sum())
+
+    if gamma_o >= eps * gamma_p / 24.0:
+        it = DualIterate.zeros(beta)
+        for lo, p, selected, _dvals in segments:
+            for t in selected:
+                u_set = index.odd_sets[t]
+                for lev in range(lo, p + 1):
+                    it.z[(u_set, lev)] = gamma_p * w_of[lev] / gamma_o
+        lag_bar = math.fsum(
+            it.z[(index.odd_sets[t], lev)] * dv
+            for lo, p, selected, dvals in segments
+            for t, dv in zip(selected, dvals)
+            for lev in range(lo, p + 1)
+        )
+        if not math.isclose(lag_bar, gamma_p, rel_tol=1e-6):
+            raise AssertionError("odd-set step does not meet the raised target")
+        budget = budget_value(it, b)
+        if budget > (1.0 - eps / 4.0) * beta * (1.0 + _REL):
+            raise AssertionError("odd-set step exceeds the budget")
+        cap = 24.0 / eps
+        for (_u, lev), v in it.z.items():
+            if v > cap * w_of[lev] * (1.0 + _REL):
+                raise AssertionError("odd-set price exceeds its width cap")
+        if strict:
+            cov = index.cover_values(it)
+            deg = index.degree_values(it)
+            lag_full = index.lagrangian_value(cov, deg, u_sparse, zeta_bar, penalty)
+            if not math.isclose(lag_full, gamma_p, rel_tol=1e-6):
+                raise AssertionError("odd-set step row evaluation disagrees")
+            ok, worst = index.cut_balance_ok(u_sparse, it.z)
+            if not ok:
+                raise AssertionError(
+                    f"odd-set step support unbalanced by {worst} of degree mass"
+                )
+        return DualStep(it, "odd", penalty, gamma)
+
+    # Neither surplus is large: the complementary fractional matching
+    # is a certificate.  Bump the slack multipliers of every priced
+    # vertex so its whole level suffix nets out to zero.
+    bump_unit = gamma / (2.0 * penalty * beta)
+    zeta_hat = zeta_bar.copy()
+    extra: dict[tuple[int, int], float] = {}
+    for lo, p, selected, _dvals in segments:
+        for t in selected:
+            for i in index.odd_sets[t].members:
+                for lev in range(lo, p + 1):
+                    vr = index.vrow_of.get((i, lev))
+                    if vr is None:
+                        key = (i, lev)
+                        extra[key] = extra.get(key, 0.0) + bump_unit * b[i]
+                    else:
+                        zeta_hat[vr] += bump_unit * b[i]
+    scale = (1.0 - eps / 4.0) * beta / ((1.0 + eps / 2.0) * gamma)
+    y: dict[int, float] = {}
+    for r, (e, _i, _j, _k) in enumerate(index.rows):
+        if u_sparse[r] > 0.0:
+            y[e] = scale * u_sparse[r]
+    mu: dict[tuple[int, int], float] = {}
+    for t in range(n_vr):
+        if zeta_hat[t] > 0.0:
+            mu[index.vrows[t]] = scale * penalty * zeta_hat[t]
+    for key, v in extra.items():
+        mu[key] = mu.get(key, 0.0) + scale * penalty * v
+    y_mass = np.zeros(n_vr)
+    y_vec = scale * u_sparse
+    np.add.at(y_mass, rv[:, 0], y_vec)
+    np.add.at(y_mass, rv[:, 1], y_vec)
+    y_caps: dict[tuple[int, int], float] = {}
+    for t in range(n_vr):
+        val = y_mass[t] - 2.0 * mu.get(index.vrows[t], 0.0)
+        if val > 0.0:
+            y_caps[index.vrows[t]] = val
+    objective = math.fsum(
+        w_of[k] * y[e] for (e, _i, _j, k) in index.rows if e in y
+    ) - 3.0 * math.fsum(w_of[k] * v for (_i, k), v in mu.items())
+    cert = PrimalCertificate(y=y, mu=mu, y_caps=y_caps, objective=objective, beta=beta)
+    if objective < (1.0 - eps) * beta * (1.0 - _REL):
+        raise AssertionError(
+            f"certificate objective {objective} below (1 - eps) * {beta}"
+        )
+    if strict:
+        ok, report = check_primal_certificate(index, cert)
+        if not ok:
+            bad = [k for k, v in report.items() if v is False]
+            raise AssertionError(f"certificate failed checks: {bad}")
+    return cert
+
+
+# ---------------------------------------------------------------------------
+# Validity checkers
+# ---------------------------------------------------------------------------
+
+
+def check_dual_step(
+    index: SystemIndex,
+    u_sparse: np.ndarray,
+    zeta: np.ndarray,
+    step: DualStep,
+    *,
+    tol: float = 1e-9,
+) -> tuple[bool, dict[str, object]]:
+    """Verify a dual step against its full contract.
+
+    Checks, with the *original* degree multipliers throughout:
+
+    - the penalized target: direct steps beat
+      ``(1 - eps/16) (u.c - penalty * zeta.q)`` at their own penalty;
+      mixed steps cover ``(1 - eps/8) u.c`` while loading the degree
+      rows to at most ``13/12`` of their multiplier mass;
+    - support balance: internal mass at least boundary mass for every
+      priced odd set;
+    - budget, nonnegativity, price shape, and width caps;
+    - inner degree rows, including the cumulative odd-price caps;
+    - disjointness of the priced sets at every level.
+    """
+    eps = index.epsilon
+    b = index.leveled.base.b
+    w_of = index.level_weights_all()
+    it = step.iterate
+    report: dict[str, object] = {"branch": step.branch}
+    cov = index.cover_values(it)
+    deg = index.degree_values(it)
+    usc = index.multiplier_cover_target(u_sparse)
+    zq = index.zeta_degree_target(zeta)
+    if step.branch == "mixed":
+        cover = float(u_sparse @ cov)
+        load = float(zeta @ deg)
+        report["cover_margin"] = cover >= (1.0 - eps / 8.0) * usc * (1.0 - tol) - 1e-12
+        report["load_bound"] = load <= (13.0 / 12.0) * zq * (1.0 + 1e-6) + 1e-12
+    else:
+        lag = index.lagrangian_value(cov, deg, u_sparse, zeta, step.penalty)
+        target = (1.0 - eps / 16.0) * (usc - step.penalty * zq)
+        report["penalized_target"] = lag >= target * (1.0 - tol) - 1e-12
+    report["nonnegative"] = it.is_nonnegative(1e-12)
+    shape_ok = True
+    for (i, _k), v in it.x_level.items():
+        if it.x_top.get(i, 0.0) < v - 1e-12:
+            shape_ok = False
+    report["price_shape"] = shape_ok
+    report["budget"] = budget_value(it, b) <= it.beta * (1.0 + tol)
+    cap = 24.0 / eps
+    report["x_caps"] = all(
+        v <= cap * w_of[k] * (1.0 + tol) for (_i, k), v in it.x_level.items()
+    )
+    report["z_caps"] = all(
+        v <= cap * w_of[lev] * (1.0 + tol) for (_u, lev), v in it.z.items()
+    )
+    report["inner_rows"] = bool(
+        (deg <= index.degree_rhs_inner * (1.0 + tol) + 1e-12).all()
+    )
+    by_level: dict[int, list] = {}
+    for (u, lev), v in it.z.items():
+        if v > 0.0:
+            by_level.setdefault(lev, []).append(u)
+    disjoint = True
+    for lev, sets in by_level.items():
+        seen = 0
+        for u in sets:
+            if u.mask & seen:
+                disjoint = False
+            seen |= u.mask
+    report["level_disjoint"] = disjoint
+    balance_ok, worst = index.cut_balance_ok(u_sparse, it.z)
+    report["support_balance"] = balance_ok
+    report["support_balance_worst"] = worst
+    ok = all(v for k, v in report.items() if isinstance(v, bool))
+    return ok, report
+
+
+def check_primal_certificate(
+    index: SystemIndex,
+    cert: PrimalCertificate,
+    *,
+    tol: float = 1e-9,
+) -> tuple[bool, dict[str, object]]:
+    """Verify a certificate against the relaxed matching program.
+
+    Checks nonnegativity, the per-vertex level rows, the per-vertex
+    capacity rows, every odd-set row at every level (exhaustively over
+    the small odd-set family), and the stated objective value.
+    """
+    eps = index.epsilon
+    lv = index.leveled
+    b = lv.base.b
+    n = lv.base.n
+    w_of = index.level_weights_all()
+    n_levels = len(w_of)
+    report: dict[str, object] = {}
+    report["nonnegative"] = (
+        all(v >= -1e-12 for v in cert.y.values())
+        and all(v >= -1e-12 for v in cert.mu.values())
+        and all(v >= -1e-12 for v in cert.y_caps.values())
+    )
+    # Per-(vertex, level) edge mass of y.
+    y_row = np.zeros(len(index.rows))
+    for r, (e, _i, _j, _k) in enumerate(index.rows):
+        y_row[r] = cert.y.get(e, 0.0)
+    rv = index.row_vrow_pairs()
+    y_mass = np.zeros(len(index.vrows))
+    np.add.at(y_mass, rv[:, 0], y_row)
+    np.add.at(y_mass, rv[:, 1], y_row)
+    level_rows_ok = True
+    worst_level_row = 0.0
+    for t, key in enumerate(index.vrows):
+        slack = y_mass[t] - 2.0 * cert.mu.get(key, 0.0) - cert.y_caps.get(key, 0.0)
+        worst_level_row = max(worst_level_row, slack)
+        if slack > tol * max(1.0, y_mass[t]):
+            level_rows_ok = False
+    report["level_rows"] = level_rows_ok
+    per_vertex: dict[int, float] = {}
+    for (i, _k), v in cert.y_caps.items():
+        per_vertex[i] = per_vertex.get(i, 0.0) + v
+    report["capacity_rows"] = all(
+        total <= b[i] * (1.0 + tol) + 1e-12 for i, total in per_vertex.items()
+    )
+    # Odd-set rows, every set at every level, via suffix accumulations.
+    member_mat, internal_mat, bnorms = index.set_matrices()
+    y_by_level = np.zeros((len(index.odd_sets), n_levels))
+    for r, (_e, _i, _j, k) in enumerate(index.rows):
+        if y_row[r]:
+            y_by_level[:, k] += internal_mat[:, r] * y_row[r]
+    mu_by_level = np.zeros((n, n_levels))
+    for (i, k), v in cert.mu.items():
+        mu_by_level[i, k] += v
+    mu_sets = member_mat @ mu_by_level
+    inner = y_by_level - mu_sets
+    suffix = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
+    floors = np.floor(bnorms / 2.0)
+    odd_ok = bool((suffix <= floors[:, None] * (1.0 + tol) + 1e-9).all())
+    report["odd_set_rows"] = odd_ok
+    report["odd_set_worst"] = float(np.max(suffix - floors[:, None]))
+    objective = math.fsum(
+        w_of[k] * cert.y.get(e, 0.0) for (e, _i, _j, k) in index.rows
+    ) - 3.0 * math.fsum(w_of[k] * v for (_i, k), v in cert.mu.items())
+    report["objective_stated"] = math.isclose(
+        objective, cert.objective, rel_tol=1e-9, abs_tol=1e-12
+    )
+    report["objective_bound"] = objective >= (1.0 - eps) * cert.beta * (1.0 - tol)
+    ok = all(v for k, v in report.items() if isinstance(v, bool))
+    return ok, report
+
+
+# ---------------------------------------------------------------------------
+# Integral matchings: exact at small size, greedy with local search above
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BMatching:
+    """An integral degree-capped multigraph matching."""
+
+    edges: tuple[tuple[int, int, int], ...]  # (i, j, multiplicity)
+    weight: float
+
+
+def _exact_bmatching(
+    edges: Sequence[tuple[int, int, float]], b: Sequence[int]
+) -> BMatching:
+    order = sorted(range(len(edges)), key=lambda t: (-edges[t][2], edges[t][:2]))
+    seq = [edges[t] for t in order]
+    n_edges = len(seq)
+    rem = list(b)
+    best_weight = 0.0
+    best: dict[int, int] = {}
+    chosen: dict[int, int] = {}
+
+    def bound(idx: int) -> float:
+        return sum(
+            w * min(rem[i], rem[j]) for (i, j, w) in seq[idx:] if rem[i] and rem[j]
+        )
+
+    def walk(idx: int, weight: float) -> None:
+        nonlocal best_weight, best
+        if weight > best_weight:
+            best_weight = weight
+            best = dict(chosen)
+        if idx >= n_edges or weight + bound(idx) <= best_weight:
+            return
+        i, j, w = seq[idx]
+        top = min(rem[i], rem[j])
+        for mult in range(top, -1, -1):
+            if mult:
+                rem[i] -= mult
+                rem[j] -= mult
+                chosen[idx] = mult
+            walk(idx + 1, weight + w * mult)
+            if mult:
+                rem[i] += mult
+                rem[j] += mult
+                del chosen[idx]
+
+    walk(0, 0.0)
+    out = sorted((seq[t][0], seq[t][1], m) for t, m in best.items())
+    return BMatching(edges=tuple(out), weight=best_weight)
+
+
+def _greedy_bmatching(
+    edges: Sequence[tuple[int, int, float]], b: Sequence[int]
+) -> BMatching:
+    order = sorted(range(len(edges)), key=lambda t: (-edges[t][2], edges[t][:2]))
+    rem = list(b)
+    mult = [0] * len(edges)
+
+    def fill() -> None:
+        for t in order:
+            i, j, _w = edges[t]
+            take = min(rem[i], rem[j])
+            if take > 0:
+                mult[t] += take
+                rem[i] -= take
+                rem[j] -= take
+
+    fill()
+    # Local search: release one unit, refill greedily, keep improvements.
+    for _ in range(1000):
+        improved = False
+        for t in order:
+            if mult[t] == 0:
+                continue
+            i, j, w = edges[t]
+            mult[t] -= 1
+            rem[i] += 1
+            rem[j] += 1
+            gain = -w
+            added: list[int] = []
+            for s in order:
+                if s == t:
+                    continue
+                si, sj, sw = edges[s]
+                take = min(rem[si], rem[sj])
+                if take > 0:
+                    mult[s] += take
+                    rem[si] -= take
+                    rem[sj] -= take
+                    gain += sw * take
+                    added.extend([s] * take)
+            if gain > 1e-12:
+                improved = True
+            else:
+                for s in added:
+                    si, sj, _sw = edges[s]
+                    mult[s] -= 1
+                    rem[si] += 1
+                    rem[sj] += 1
+                mult[t] += 1
+                rem[i] -= 1
+                rem[j] -= 1
+        if not improved:
+            break
+    out = sorted(
+        (edges[t][0], edges[t][1], m) for t, m in enumerate(mult) if m > 0
+    )
+    weight = math.fsum(edges[t][2] * m for t, m in enumerate(mult))
+    return BMatching(edges=tuple(out), weight=weight)
+
+
+def offline_bmatching(
+    edges: Sequence[tuple[int, int, float]],
+    b: Sequence[int],
+    *,
+    exact_threshold: int = 24,
+) -> BMatching:
+    """Best-effort integral matching on an explicit edge list.
+
+    Exact branch-and-bound up to ``exact_threshold`` edges, greedy with
+    single-unit local search above.
+    """
+    if len(edges) <= exact_threshold:
+        return _exact_bmatching(edges, b)
+    return _greedy_bmatching(edges, b)
+
+
+def extract_integral(
+    leveled: LeveledGraph,
+    edge_ids: Sequence[int],
+    *,
+    exact_threshold: int = 24,
+) -> BMatching:
+    """Integral matching on a retained-edge support, in level weights."""
+    by_id = {e: (i, j, k) for (e, i, j, k) in leveled.retained()}
+    chosen = []
+    for e in sorted(set(edge_ids)):
+        if e in by_id:
+            i, j, k = by_id[e]
+            chosen.append((i, j, leveled.level_weight(k)))
+    return offline_bmatching(chosen, leveled.base.b, exact_threshold=exact_threshold)
+
+
+# ---------------------------------------------------------------------------
+# Starting point
+# ---------------------------------------------------------------------------
+
+
+def maximal_bmatching_rounds(
+    n: int,
+    edges: Sequence[tuple[int, int, int]],
+    b: Sequence[int],
+    p: float,
+    seed: int,
+    *,
+    salt: str = "",
+    c_sample: float = 4.0,
+    c_rounds: int = 8,
+    max_retries: int = 3,
+) -> tuple[dict[int, int], list[int]]:
+    """Build a maximal degree-capped matching by sampling rounds.
+
+    Each round samples the live edges at rate ``c_sample * n^(1+1/p) /
+    |live|`` (capped at 1) and takes each sampled edge with saturating
+    multiplicity; edges with a saturated endpoint die.  The expected
+    number of rounds is ``O(p)``; a run that exceeds ``c_rounds * p``
+    rounds is retried under a fresh sampling salt.
+
+    Returns the multiplicity map and the per-round sample counts (the
+    space the rounds consumed).
+    """
+    cap = math.ceil(c_rounds * p)
+    for attempt in range(max_retries + 1):
+        rem = list(b)
+        take: dict[int, int] = {}
+        live = list(edges)
+        samples: list[int] = []
+        for rnd in range(1, cap + 1):
+            if not live:
+                break
+            rate = min(1.0, c_sample * n ** (1.0 + 1.0 / p) / len(live))
+            sampled = [
+                t
+                for t in live
+                if prf_uniform(seed, "maximal", salt, attempt, rnd, t[0]) < rate
+            ]
+            samples.append(len(sampled))
+            for e, i, j in sampled:
+                m = min(rem[i], rem[j])
+                if m > 0:
+                    take[e] = take.get(e, 0) + m
+                    rem[i] -= m
+                    rem[j] -= m
+            live = [(e, i, j) for (e, i, j) in live if rem[i] > 0 and rem[j] > 0]
+        if not live:
+            return take, samples
+    raise RuntimeError("maximal matching did not finish within its round budget")
+
+
+def initial_solution(
+    index: SystemIndex,
+    p: float,
+    seed: int,
+    *,
+    rate: float | None = None,
+    ledger=None,
+    c_sample: float = 4.0,
+    c_rounds: int = 8,
+) -> tuple[DualIterate, float, float]:
+    """Starting prices from per-level maximal matchings.
+
+    For every populated level a maximal degree-capped matching is built
+    over that level's edges (all levels advance in lockstep, so the
+    per-round space ledger sees one global round at a time).  Saturated
+    vertices get price ``rate * w_k`` at level ``k`` (default rate
+    ``eps/256``), tops are the per-vertex maxima.  Every edge row is
+    then covered to at least ``rate`` of its target, and the budget of
+    the start is a bounded fraction of the bipartite relaxation.
+
+    Returns ``(iterate, start_budget, start_coverage)``.
+    """
+    lv = index.leveled
+    eps = index.epsilon
+    r = eps / 256.0 if rate is None else rate
+    b = lv.base.b
+    n = lv.base.n
+    by_level: dict[int, list[tuple[int, int, int]]] = {}
+    for e, i, j, k in lv.retained():
+        by_level.setdefault(k, []).append((e, i, j))
+    results: dict[int, tuple[dict[int, int], list[int]]] = {}
+    for k in sorted(by_level):
+        results[k] = maximal_bmatching_rounds(
+            n,
+            by_level[k],
+            b,
+            p,
+            seed,
+            salt=f"init-{k}",
+            c_sample=c_sample,
+            c_rounds=c_rounds,
+        )
+    if ledger is not None:
+        depth = max((len(s) for _t, s in results.values()), default=0)
+        for rnd in range(depth):
+            ledger.begin_round(f"init-{rnd}")
+            ledger.record_space(
+                sum(s[rnd] for _t, s in results.values() if rnd < len(s))
+            )
+    it = DualIterate.zeros(0.0)
+    for k, (take, _samples) in results.items():
+        ends = {e: (i, j) for (e, i, j) in by_level[k]}
+        used = [0] * n
+        for e, m in take.items():
+            i, j = ends[e]
+            used[i] += m
+            used[j] += m
+        wk = lv.level_weight(k)
+        for i in range(n):
+            if used[i] == b[i]:
+                it.x_level[(i, k)] = r * wk
+    for (i, _k), v in it.x_level.items():
+        it.x_top[i] = max(it.x_top.get(i, 0.0), v)
+    beta0 = math.fsum(b[i] * v for i, v in it.x_top.items())
+    it.beta = beta0
+    cov = index.cover_values(it)
+    lambda0, _arg = index.coverage_lambda(cov)
+    if lambda0 < r * (1.0 - _REL):
+        raise AssertionError("starting point fails to cover some row")
+    return it, beta0, lambda0

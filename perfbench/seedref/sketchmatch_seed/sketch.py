@@ -1,0 +1,687 @@
+"""Sketching layer: L0 samplers, cut sparsifiers, and the round ledger.
+
+All randomness is drawn from a keyed pseudorandom function (BLAKE2b
+with the seed as key), so every structure here is a deterministic
+function of its seed and its input stream — a requirement for
+reproducible solver reports.
+
+Two sparsifier flavors are provided:
+
+- :func:`build_streaming_sparsifier` reweights a subsample of the
+  edges so that every cut is preserved to a ``(1 +- xi)`` factor with
+  high probability (layered subsampling with union-find forest
+  packings deciding each edge's sampling depth);
+- :func:`build_deferred` runs the same machinery on *promised* weights
+  and postpones the reweighting: the stored sample can later be
+  refined against any weight vector within a ``chi`` factor of the
+  promise.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import struct
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .system import DualIterate, SystemIndex
+
+__all__ = [
+    "DeferredSketch",
+    "L0SampleError",
+    "L0Sketch",
+    "PromiseViolationError",
+    "RoundLedger",
+    "Sparsifier",
+    "SwitchReport",
+    "UnionFind",
+    "all_cut_values",
+    "build_deferred",
+    "build_streaming_sparsifier",
+    "forest_count",
+    "l0_sample",
+    "prf_u64",
+    "prf_uniform",
+    "refine_deferred",
+    "verify_switch",
+]
+
+_FP_PRIME = (1 << 61) - 1
+
+
+def prf_u64(seed: int, *parts: int | str) -> int:
+    """Keyed pseudorandom 64-bit value, stable across platforms.
+
+    ``seed`` keys a BLAKE2b instance; ``parts`` are domain-separation
+    tokens (ints are encoded fixed-width, strings as UTF-8 with a
+    length prefix).
+    """
+    key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
+    h = hashlib.blake2b(key=key, digest_size=8)
+    for part in parts:
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+            h.update(b"s")
+            h.update(struct.pack("<I", len(data)))
+            h.update(data)
+        else:
+            h.update(b"i")
+            h.update(struct.pack("<q", part))
+    return int.from_bytes(h.digest(), "little")
+
+
+def prf_uniform(seed: int, *parts: int | str) -> float:
+    """Uniform float in ``[0, 1)`` derived from :func:`prf_u64`."""
+    return prf_u64(seed, *parts) / 2.0**64
+
+
+class UnionFind:
+    """Union-find with path compression and union by size."""
+
+    __slots__ = ("parent", "size", "edge_count")
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.edge_count = 0
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def connected(self, a: int, b: int) -> bool:
+        return self.find(a) == self.find(b)
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.edge_count += 1
+        return True
+
+
+# ---------------------------------------------------------------------------
+# L0 sampling
+# ---------------------------------------------------------------------------
+
+
+class L0SampleError(RuntimeError):
+    """All repetitions of an L0 sampler failed to isolate a coordinate."""
+
+
+@dataclass
+class L0Sketch:
+    """Linear sketch that samples a (near-)uniform nonzero coordinate.
+
+    The sketch keeps, for several geometric subsampling levels and a
+    few independent repetitions, the running ``(count, id-sum,
+    fingerprint)`` of the coordinates hashed into that level.  It is
+    linear: updates with ``delta = -1`` cancel earlier insertions, so
+    the sketch of a difference of streams is the difference of
+    sketches.
+
+    Parameters
+    ----------
+    domain:
+        Coordinates are integers in ``[0, domain)``.
+    seed:
+        PRF key; two sketches with equal seed and domain are mergeable.
+    reps:
+        Independent repetitions (retries); a sample is drawn from the
+        first repetition that isolates a single coordinate.
+    """
+
+    domain: int
+    seed: int
+    reps: int = 3
+    levels: int = field(init=False)
+    count: np.ndarray = field(init=False)
+    idsum: np.ndarray = field(init=False)
+    fp: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.domain < 1:
+            raise ValueError("domain must be positive")
+        self.levels = max(self.domain - 1, 1).bit_length() + 2
+        self.count = np.zeros((self.reps, self.levels), dtype=np.int64)
+        self.idsum = np.zeros((self.reps, self.levels), dtype=np.int64)
+        self.fp = np.zeros((self.reps, self.levels), dtype=np.int64)
+
+    def _depth(self, rep: int, ident: int) -> int:
+        r = prf_u64(self.seed, "l0depth", rep, ident)
+        return min(64 - r.bit_length(), self.levels - 1)
+
+    def _fingerprint(self, rep: int, ident: int) -> int:
+        return prf_u64(self.seed, "l0fp", rep, ident) % _FP_PRIME
+
+    def update(self, ident: int, delta: int = 1) -> None:
+        """Add ``delta`` to coordinate ``ident``."""
+        if not 0 <= ident < self.domain:
+            raise ValueError(f"coordinate {ident} outside domain {self.domain}")
+        for rep in range(self.reps):
+            depth = self._depth(rep, ident)
+            sl = slice(0, depth + 1)
+            self.count[rep, sl] += delta
+            self.idsum[rep, sl] += delta * ident
+            self.fp[rep, sl] = (self.fp[rep, sl] + delta * self._fingerprint(rep, ident)) % _FP_PRIME
+
+    def merge(self, other: "L0Sketch") -> None:
+        """Add another sketch over the same domain and seed."""
+        if (self.domain, self.seed, self.reps) != (other.domain, other.seed, other.reps):
+            raise ValueError("sketches are not mergeable")
+        self.count += other.count
+        self.idsum += other.idsum
+        self.fp = (self.fp + other.fp) % _FP_PRIME
+
+    def sample(self) -> int:
+        """Return one nonzero coordinate, near-uniformly at random.
+
+        Raises
+        ------
+        L0SampleError
+            If every repetition fails (probability ``O(1/n^2)`` per
+            repetition for nonempty supports).
+        """
+        for rep in range(self.reps):
+            for level in range(self.levels):
+                if self.count[rep, level] == 1:
+                    ident = int(self.idsum[rep, level])
+                    if 0 <= ident < self.domain:
+                        if int(self.fp[rep, level]) == self._fingerprint(rep, ident):
+                            return ident
+        raise L0SampleError("no repetition isolated a single coordinate")
+
+    def is_empty(self) -> bool:
+        return bool((self.count[:, 0] == 0).all())
+
+
+def l0_sample(sketch: L0Sketch) -> int:
+    """Draw a near-uniform nonzero coordinate from an :class:`L0Sketch`."""
+    return sketch.sample()
+
+
+# ---------------------------------------------------------------------------
+# Cut values (vectorized; the pure-Python cross-check lives in exact.py)
+# ---------------------------------------------------------------------------
+
+
+def all_cut_values(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    weights: Sequence[float],
+    *,
+    max_n: int = 24,
+) -> np.ndarray:
+    """Weights of all ``2^(n-1) - 1`` nontrivial cuts.
+
+    Entry ``s - 1`` is the cut where vertex set ``{i < n-1 : s >> i & 1}``
+    is on one side and vertex ``n - 1`` on the other.
+    """
+    if n > max_n:
+        raise ValueError(f"cut enumeration capped at n <= {max_n}, got {n}")
+    if n < 2:
+        raise ValueError("need at least two vertices for a cut")
+    sides = np.arange(1, 1 << (n - 1), dtype=np.uint64)
+    out = np.zeros(len(sides))
+    for (i, j), w in zip(edges, weights):
+        bi = (sides >> np.uint64(i)) & np.uint64(1) if i < n - 1 else np.uint64(0)
+        bj = (sides >> np.uint64(j)) & np.uint64(1) if j < n - 1 else np.uint64(0)
+        out += float(w) * (bi != bj)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Sparsifiers
+# ---------------------------------------------------------------------------
+
+
+def forest_count(n: int, xi: float) -> int:
+    """Number of forest packings per subsampling layer: ``ceil(16 ln(n+1)^2 / xi^2)``."""
+    return math.ceil(16.0 * math.log(n + 1) ** 2 / xi**2)
+
+
+@dataclass(frozen=True)
+class Sparsifier:
+    """A reweighted subsample of edges preserving cuts to ``1 +- xi``.
+
+    Attributes
+    ----------
+    n, xi, seed, k:
+        Construction parameters (``k`` = forests per layer).
+    edge_ids:
+        Indices into the caller's edge list, in stream order.
+    endpoints:
+        ``(i, j)`` per kept edge.
+    weights:
+        Reweighted edge weights ``w_e * 2^depth(e)``.
+    depths:
+        Subsampling depth assigned to each kept edge.
+    stored_total:
+        Total entries held across all forests while streaming (space).
+    """
+
+    n: int
+    xi: float
+    seed: int
+    k: int
+    edge_ids: tuple[int, ...]
+    endpoints: tuple[tuple[int, int], ...]
+    weights: tuple[float, ...]
+    depths: tuple[int, ...]
+    stored_total: int
+
+
+def _value_class(w: float) -> int:
+    """Dyadic value class of a positive weight: ``floor(log2 w)``."""
+    if not w > 0:
+        raise ValueError(f"weight must be positive, got {w}")
+    _m, e = math.frexp(w)  # w = m * 2^e with m in [0.5, 1)
+    return e - 1
+
+
+class _LayeredForests:
+    """Per-class layered forest packings shared by both sparsifier builds.
+
+    Layer ``i`` sees each class edge independently with probability
+    ``2^-i`` (nested across layers via one PRF draw per edge); ``k``
+    union-find forests per layer store an edge iff some forest still
+    separates its endpoints.  An edge's *depth* is the smallest layer
+    whose final ``k``-th forest separates its endpoints (falling back
+    to the deepest layer).
+    """
+
+    def __init__(self, n: int, k: int, deepest: int) -> None:
+        self.n = n
+        self.k = k
+        self.deepest = deepest
+        self.forests: list[list[UnionFind]] = [[] for _ in range(deepest + 1)]
+        self.stored: list[list[tuple[int, int, int]]] = [[] for _ in range(deepest + 1)]
+        self.membership: dict[int, int] = {}  # edge id -> deepest layer it entered
+
+    def _forest(self, layer: int, j: int) -> UnionFind:
+        row = self.forests[layer]
+        while len(row) <= j:
+            row.append(UnionFind(self.n))
+        return row[j]
+
+    def insert(self, edge_id: int, i: int, j: int, membership_depth: int) -> int:
+        """Stream one edge; returns how many forest entries it consumed."""
+        depth = min(membership_depth, self.deepest)
+        self.membership[edge_id] = depth
+        used = 0
+        for layer in range(depth + 1):
+            for f_idx in range(self.k):
+                forest = self._forest(layer, f_idx)
+                if forest.union(i, j):
+                    self.stored[layer].append((edge_id, i, j))
+                    used += 1
+                    break
+        return used
+
+    def final_depth(self, i: int, j: int) -> int:
+        """Smallest layer whose last forest separates ``i`` and ``j``."""
+        for layer in range(self.deepest + 1):
+            row = self.forests[layer]
+            if len(row) < self.k:
+                # The k-th forest was never created: it is empty and
+                # separates every pair.
+                return layer
+            if not row[self.k - 1].connected(i, j):
+                return layer
+        return self.deepest
+
+    def stored_count(self) -> int:
+        return sum(len(s) for s in self.stored)
+
+    def stored_edge_ids(self) -> set[int]:
+        out: set[int] = set()
+        for layer in self.stored:
+            for edge_id, _i, _j in layer:
+                out.add(edge_id)
+        return out
+
+
+def _stream_classes(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    weights: Sequence[float],
+    xi: float,
+    seed: int,
+    salt: str,
+) -> tuple[dict[int, _LayeredForests], dict[int, int], int]:
+    """Run the layered forest construction per dyadic value class.
+
+    Returns ``(per-class forests, edge depth assignment, stored total)``.
+    """
+    k = forest_count(n, xi)
+    classes: dict[int, list[int]] = {}
+    for e, w in enumerate(weights):
+        classes.setdefault(_value_class(w), []).append(e)
+    forests: dict[int, _LayeredForests] = {}
+    for cls, members in classes.items():
+        deepest = int(math.floor(math.log2(len(members)))) if members else 0
+        forests[cls] = _LayeredForests(n, k, deepest)
+    for e, (i, j) in enumerate(edges):
+        cls = _value_class(weights[e])
+        r = prf_u64(seed, salt, "layer", e)
+        membership_depth = 64 - r.bit_length()  # leading zero bits
+        forests[cls].insert(e, i, j, membership_depth)
+    depth_of: dict[int, int] = {}
+    for cls, members in classes.items():
+        lf = forests[cls]
+        for e in members:
+            depth_of[e] = lf.final_depth(edges[e][0], edges[e][1])
+    stored_total = sum(lf.stored_count() for lf in forests.values())
+    # Structural space bound: each forest holds at most n-1 edges.
+    for cls, lf in forests.items():
+        bound = lf.k * (n - 1) * (lf.deepest + 1)
+        if lf.stored_count() > bound:
+            raise AssertionError(f"class {cls} stored {lf.stored_count()} > bound {bound}")
+    return forests, depth_of, stored_total
+
+
+def build_streaming_sparsifier(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    weights: Sequence[float],
+    xi: float,
+    seed: int,
+) -> Sparsifier:
+    """Build a cut sparsifier of a weighted graph in one pass.
+
+    Edges are bucketed by dyadic weight class; within a class, layer
+    ``i`` subsamples at rate ``2^-i`` and ``k = ceil(16 ln(n+1)^2/xi^2)``
+    union-find forests per layer retain connectivity witnesses.  A
+    retained edge whose subsampling survives its assigned depth is kept
+    with weight ``w_e * 2^depth``, which preserves every cut to a
+    ``(1 +- xi)`` factor with probability ``1 - O(1/n)``.
+    """
+    if not 0.0 < xi < 1.0:
+        raise ValueError(f"xi must be in (0, 1), got {xi}")
+    forests, depth_of, stored_total = _stream_classes(n, edges, weights, xi, seed, "plain")
+    kept_ids: list[int] = []
+    kept_endpoints: list[tuple[int, int]] = []
+    kept_weights: list[float] = []
+    kept_depths: list[int] = []
+    stored_ids: set[int] = set()
+    for lf in forests.values():
+        stored_ids |= lf.stored_edge_ids()
+    for e, (i, j) in enumerate(edges):
+        depth = depth_of[e]
+        r = prf_u64(seed, "plain", "layer", e)
+        membership_depth = 64 - r.bit_length()
+        if membership_depth >= depth and e in stored_ids:
+            kept_ids.append(e)
+            kept_endpoints.append((i, j))
+            kept_weights.append(weights[e] * float(2**depth))
+            kept_depths.append(depth)
+    k = forest_count(n, xi)
+    return Sparsifier(
+        n=n,
+        xi=xi,
+        seed=seed,
+        k=k,
+        edge_ids=tuple(kept_ids),
+        endpoints=tuple(kept_endpoints),
+        weights=tuple(kept_weights),
+        depths=tuple(kept_depths),
+        stored_total=stored_total,
+    )
+
+
+class PromiseViolationError(RuntimeError):
+    """A refined weight fell outside the promised ``chi`` band."""
+
+
+@dataclass(frozen=True)
+class DeferredSketch:
+    """A deferred sparsifier: sampled on promised weights, refined later.
+
+    Attributes
+    ----------
+    entries:
+        ``(edge_id, i, j, promise, keep_probability, depth)`` per
+        stored edge.
+    chi:
+        Refinement weights must lie in ``[promise/chi, promise*chi]``.
+    """
+
+    n: int
+    xi: float
+    chi: float
+    seed: int
+    k: int
+    entries: tuple[tuple[int, int, int, float, float, int], ...]
+    stored_total: int
+
+    @property
+    def space(self) -> int:
+        return len(self.entries) + self.stored_total
+
+    def stored_edge_ids(self) -> tuple[int, ...]:
+        return tuple(e for (e, _i, _j, _s, _p, _d) in self.entries)
+
+
+def build_deferred(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    promise: Sequence[float],
+    chi: float,
+    xi: float,
+    seed: int,
+) -> DeferredSketch:
+    """Sample a deferred sparsifier against promised weights.
+
+    Each edge's subsampling depth is decided by the layered forest
+    construction on the promise values; the edge is stored with
+    probability ``min(1, chi^2 * 2^-depth)``.  Any later weight vector
+    within a ``chi`` factor of the promise can be refined against the
+    stored sample (:func:`refine_deferred`), yielding a sparsifier for
+    those weights.
+
+    Edges with zero promise carry no multiplier mass and are skipped.
+    """
+    if not 0.0 < xi < 1.0:
+        raise ValueError(f"xi must be in (0, 1), got {xi}")
+    if chi < 1.0:
+        raise ValueError(f"chi must be >= 1, got {chi}")
+    live = [e for e, s in enumerate(promise) if s > 0.0]
+    live_edges = [edges[e] for e in live]
+    live_promise = [promise[e] for e in live]
+    forests, depth_of_live, stored_total = _stream_classes(
+        n, live_edges, live_promise, xi, seed, "deferred"
+    )
+    entries: list[tuple[int, int, int, float, float, int]] = []
+    for t, e in enumerate(live):
+        depth = depth_of_live[t]
+        p_keep = min(1.0, chi * chi * 2.0 ** (-depth))
+        if prf_uniform(seed, "deferred", "store", e) < p_keep:
+            i, j = edges[e]
+            entries.append((e, i, j, float(promise[e]), p_keep, depth))
+    k = forest_count(n, xi)
+    return DeferredSketch(
+        n=n,
+        xi=xi,
+        chi=chi,
+        seed=seed,
+        k=k,
+        entries=tuple(entries),
+        stored_total=stored_total,
+    )
+
+
+def refine_deferred(
+    sketch: DeferredSketch,
+    values: Mapping[int, float],
+    *,
+    tol: float = 1e-9,
+) -> dict[int, float]:
+    """Refine a deferred sketch against current weights.
+
+    Parameters
+    ----------
+    sketch:
+        Output of :func:`build_deferred`.
+    values:
+        ``edge_id -> current weight``.  A zero (or absent) value means
+        the edge has been deleted; positive values must lie within the
+        promised band ``[promise/chi, promise*chi]``.
+
+    Returns
+    -------
+    dict
+        ``edge_id -> reweighted value`` (``value / keep_probability``)
+        for the stored edges still alive.
+
+    Raises
+    ------
+    PromiseViolationError
+        If a positive value falls outside the promised band.
+    """
+    out: dict[int, float] = {}
+    chi = sketch.chi
+    for (e, _i, _j, sigma, p_keep, _depth) in sketch.entries:
+        v = values.get(e, 0.0)
+        if v == 0.0:
+            continue
+        lo = sigma / chi * (1.0 - tol)
+        hi = sigma * chi * (1.0 + tol)
+        if not lo <= v <= hi:
+            raise PromiseViolationError(
+                f"edge {e}: value {v} outside promised band [{sigma / chi}, {sigma * chi}]"
+            )
+        out[e] = v / p_keep
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Multiplier-switch verification
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SwitchReport:
+    """Outcome of :func:`verify_switch`.
+
+    The hypothesis fields describe the sparsified multipliers; the
+    conclusion fields describe the full multipliers.  ``ok`` is true
+    when the implication holds (hypothesis false, or conclusion true).
+    """
+
+    hypothesis_cover: bool
+    hypothesis_balance: bool
+    hypothesis_shape: bool
+    conclusion: bool
+    sparse_product: float
+    sparse_target: float
+    full_product: float
+    full_target: float
+    ok: bool
+
+
+def verify_switch(
+    index: SystemIndex,
+    u_full: Mapping[int, float],
+    u_sparse: Mapping[int, float],
+    it: DualIterate,
+    *,
+    tol: float = 1e-9,
+) -> SwitchReport:
+    """Check that sparsified multipliers can stand in for the full ones.
+
+    Hypothesis (on the sparsified multipliers ``u_sparse`` and iterate
+    ``x``): the cover product satisfies
+    ``u_s . (rows of x) >= (1 - eps/8) u_s . rhs``; every positively
+    priced odd set has internal multiplier mass at least its boundary
+    mass; and the iterate is shaped (``x_i >= x_i(k)``, nonnegative).
+
+    Conclusion (on the full multipliers): ``u . (rows of x) >= (1 -
+    eps/2) u . rhs``.
+
+    The cut accounting identity ``2*internal + boundary == degree`` is
+    asserted for every touched set as a side effect.
+    """
+    eps = index.epsilon
+    cover = index.cover_values(it)
+    us_vec = index.multiplier_vector(u_sparse)
+    u_vec = index.multiplier_vector(u_full)
+    sparse_product = float(us_vec @ cover)
+    sparse_target = index.multiplier_cover_target(us_vec)
+    full_product = float(u_vec @ cover)
+    full_target = index.multiplier_cover_target(u_vec)
+    hyp_cover = sparse_product >= (1.0 - eps / 8.0) * sparse_target - tol * max(1.0, abs(sparse_target))
+    balance_ok, _worst = index.cut_balance_ok(us_vec, it.z, tol=tol)
+    shape_ok = it.is_nonnegative(tol)
+    if shape_ok:
+        for (i, k), v in it.x_level.items():
+            if it.x_top.get(i, 0.0) < v - tol * max(1.0, abs(v)):
+                shape_ok = False
+                break
+    conclusion = full_product >= (1.0 - eps / 2.0) * full_target - tol * max(1.0, abs(full_target))
+    hypothesis = hyp_cover and balance_ok and shape_ok
+    return SwitchReport(
+        hypothesis_cover=hyp_cover,
+        hypothesis_balance=balance_ok,
+        hypothesis_shape=shape_ok,
+        conclusion=conclusion,
+        sparse_product=sparse_product,
+        sparse_target=sparse_target,
+        full_product=full_product,
+        full_target=full_target,
+        ok=(not hypothesis) or conclusion,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Round ledger
+# ---------------------------------------------------------------------------
+
+
+class RoundLedger:
+    """Tracks simulated adaptive rounds and the space used in each.
+
+    Every batch of sketches built against the *same* snapshot of the
+    evolving solution counts as one round; the peak recorded space over
+    all rounds is the memory figure reported by the solver.
+    """
+
+    def __init__(self) -> None:
+        self._rounds: list[dict] = []
+
+    def begin_round(self, label: str) -> int:
+        self._rounds.append({"label": label, "space": 0})
+        return len(self._rounds) - 1
+
+    def record_space(self, count: int) -> None:
+        if not self._rounds:
+            raise RuntimeError("record_space called before any round began")
+        if count < 0:
+            raise ValueError("space must be nonnegative")
+        self._rounds[-1]["space"] += int(count)
+
+    @property
+    def n_rounds(self) -> int:
+        return len(self._rounds)
+
+    @property
+    def peak_space(self) -> int:
+        return max((r["space"] for r in self._rounds), default=0)
+
+    def as_dict(self) -> dict:
+        return {
+            "rounds": [dict(r) for r in self._rounds],
+            "n_rounds": self.n_rounds,
+            "peak_space": self.peak_space,
+        }

@@ -1,0 +1,377 @@
+"""Level-indexed constraint system shared by the solver modules.
+
+The dual system the solver works with has three variable groups: a
+per-vertex-per-level price ``x_i(k)``, a per-vertex top price ``x_i``,
+and odd-set prices ``z_{U,l}`` indexed by a small odd set and a level.
+This module owns the container for such iterates and vectorized
+evaluation of the constraint rows:
+
+- cover rows, one per retained edge ``(i, j)`` at level ``k``:
+  ``x_i(k) + x_j(k) + sum_{l <= k} sum_{U containing i,j} z_{U,l}``
+  with right-hand side ``(1+eps)^k``;
+- degree rows, one per ``(i, k)`` with level-``k`` edges at ``i``:
+  ``2 x_i(k) + sum_{l <= k} sum_{U containing i} z_{U,l}`` with outer
+  bound ``3 (1+eps)^k`` and inner bound ``(24/eps + 24/eps^2) (1+eps)^k``;
+- shape rows ``x_i >= x_i(k)`` and nonnegativity.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .graph import LeveledGraph, OddSet
+
+__all__ = [
+    "DualIterate",
+    "SystemIndex",
+    "budget_value",
+    "convert_to_matching_dual",
+]
+
+
+@dataclass
+class DualIterate:
+    """A point of the level-indexed dual system.
+
+    Attributes
+    ----------
+    x_level:
+        ``(vertex, level) -> value`` for the per-level prices.
+    x_top:
+        ``vertex -> value`` for the top prices.
+    z:
+        ``(odd set, level) -> value`` for odd-set prices.
+    beta:
+        The budget this iterate is playing against.
+    """
+
+    x_level: dict[tuple[int, int], float]
+    x_top: dict[int, float]
+    z: dict[tuple[OddSet, int], float]
+    beta: float
+
+    @staticmethod
+    def zeros(beta: float) -> "DualIterate":
+        return DualIterate(x_level={}, x_top={}, z={}, beta=beta)
+
+    def copy(self) -> "DualIterate":
+        return DualIterate(
+            x_level=dict(self.x_level),
+            x_top=dict(self.x_top),
+            z=dict(self.z),
+            beta=self.beta,
+        )
+
+    def blend(self, other: "DualIterate", sigma: float) -> "DualIterate":
+        """Return ``(1 - sigma) * self + sigma * other`` (keeps ``self.beta``)."""
+        out = DualIterate(x_level={}, x_top={}, z={}, beta=self.beta)
+        keep = 1.0 - sigma
+        for key, v in self.x_level.items():
+            out.x_level[key] = keep * v
+        for key, v in other.x_level.items():
+            out.x_level[key] = out.x_level.get(key, 0.0) + sigma * v
+        for key, v in self.x_top.items():
+            out.x_top[key] = keep * v
+        for key, v in other.x_top.items():
+            out.x_top[key] = out.x_top.get(key, 0.0) + sigma * v
+        for key, v in self.z.items():
+            out.z[key] = keep * v
+        for key, v in other.z.items():
+            out.z[key] = out.z.get(key, 0.0) + sigma * v
+        return out
+
+    def is_nonnegative(self, tol: float = 0.0) -> bool:
+        return (
+            all(v >= -tol for v in self.x_level.values())
+            and all(v >= -tol for v in self.x_top.values())
+            and all(v >= -tol for v in self.z.values())
+        )
+
+
+def budget_value(it: DualIterate, b: Sequence[int]) -> float:
+    """Dual budget ``sum_i b_i x_i + sum_{U,l} floor(||U||_b/2) z_{U,l}``."""
+    total = math.fsum(b[i] * v for i, v in it.x_top.items())
+    total += math.fsum(u.half_capacity * v for (u, _l), v in it.z.items())
+    return total
+
+
+@dataclass
+class SystemIndex:
+    """Precomputed row indexing for one leveled graph and odd-set family.
+
+    Built once per solve; every evaluator below is deterministic given
+    the same iterate.
+    """
+
+    leveled: LeveledGraph
+    epsilon: float
+    odd_sets: tuple[OddSet, ...]
+    # cover rows, aligned with `rows` (edge order of leveled.retained())
+    rows: tuple[tuple[int, int, int, int], ...] = field(init=False)
+    cover_rhs: np.ndarray = field(init=False)
+    edge_row_of: dict[int, int] = field(init=False)
+    # degree rows, aligned with `vrows`
+    vrows: tuple[tuple[int, int], ...] = field(init=False)
+    vrow_of: dict[tuple[int, int], int] = field(init=False)
+    degree_rhs_outer: np.ndarray = field(init=False)
+    degree_rhs_inner: np.ndarray = field(init=False)
+    # odd-set geometry
+    set_index: dict[OddSet, int] = field(init=False)
+    internal_rows: tuple[np.ndarray, ...] = field(init=False)
+    boundary_rows: tuple[np.ndarray, ...] = field(init=False)
+    row_levels: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        lv = self.leveled
+        eps = self.epsilon
+        self.rows = tuple(lv.retained())
+        self.cover_rhs = np.array([lv.level_weight(k) for (_e, _i, _j, k) in self.rows])
+        self.edge_row_of = {e: r for r, (e, _i, _j, _k) in enumerate(self.rows)}
+        self.vrows = lv.vertex_rows()
+        self.vrow_of = {ik: t for t, ik in enumerate(self.vrows)}
+        vweights = np.array([lv.level_weight(k) for (_i, k) in self.vrows])
+        self.degree_rhs_outer = 3.0 * vweights
+        self.degree_rhs_inner = (24.0 / eps + 24.0 / eps**2) * vweights
+        self.set_index = {u: t for t, u in enumerate(self.odd_sets)}
+        self.row_levels = np.array([k for (_e, _i, _j, k) in self.rows], dtype=np.int64)
+        internal: list[np.ndarray] = []
+        boundary: list[np.ndarray] = []
+        for u in self.odd_sets:
+            ins: list[int] = []
+            bnd: list[int] = []
+            for r, (_e, i, j, _k) in enumerate(self.rows):
+                i_in = bool(u.mask >> i & 1)
+                j_in = bool(u.mask >> j & 1)
+                if i_in and j_in:
+                    ins.append(r)
+                elif i_in or j_in:
+                    bnd.append(r)
+            internal.append(np.array(ins, dtype=np.int64))
+            boundary.append(np.array(bnd, dtype=np.int64))
+        self.internal_rows = tuple(internal)
+        self.boundary_rows = tuple(boundary)
+
+    # -- row evaluation -----------------------------------------------------
+
+    def cover_values(self, it: DualIterate) -> np.ndarray:
+        """Cover-row left-hand sides for ``it`` (aligned with ``rows``)."""
+        out = np.zeros(len(self.rows))
+        for r, (_e, i, j, k) in enumerate(self.rows):
+            out[r] = it.x_level.get((i, k), 0.0) + it.x_level.get((j, k), 0.0)
+        for (u, lev), zv in it.z.items():
+            if zv == 0.0:
+                continue
+            s_idx = self.set_index[u]
+            rows = self.internal_rows[s_idx]
+            if len(rows):
+                sel = rows[self.row_levels[rows] >= lev]
+                out[sel] += zv
+        return out
+
+    def degree_values(self, it: DualIterate) -> np.ndarray:
+        """Degree-row left-hand sides for ``it`` (aligned with ``vrows``)."""
+        out = np.zeros(len(self.vrows))
+        for t, (i, k) in enumerate(self.vrows):
+            out[t] = 2.0 * it.x_level.get((i, k), 0.0)
+        for (u, lev), zv in it.z.items():
+            if zv == 0.0:
+                continue
+            for i in u.members:
+                for t in self._vrows_of_vertex(i):
+                    if self.vrows[t][1] >= lev:
+                        out[t] += zv
+        return out
+
+    def _vrows_of_vertex(self, i: int) -> tuple[int, ...]:
+        cache = getattr(self, "_vrow_cache", None)
+        if cache is None:
+            cache = {}
+            for t, (v, _k) in enumerate(self.vrows):
+                cache.setdefault(v, []).append(t)
+            cache = {v: tuple(ts) for v, ts in cache.items()}
+            object.__setattr__(self, "_vrow_cache", cache)
+        return cache.get(i, ())
+
+    def multiplier_vector(self, u: Mapping[int, float]) -> np.ndarray:
+        """Dense multiplier vector aligned with cover rows from an edge map."""
+        out = np.zeros(len(self.rows))
+        for e, val in u.items():
+            r = self.edge_row_of.get(e)
+            if r is None:
+                if val != 0.0:
+                    raise KeyError(f"multiplier on dropped edge {e}")
+                continue
+            out[r] = val
+        return out
+
+    def zeta_vector(self, zeta: Mapping[tuple[int, int], float]) -> np.ndarray:
+        """Dense degree-row vector from an ``(i, k) -> value`` map."""
+        out = np.zeros(len(self.vrows))
+        for ik, val in zeta.items():
+            out[self.vrow_of[ik]] = val
+        return out
+
+    # -- scalar functionals ---------------------------------------------------
+
+    def coverage_lambda(self, cover_vals: np.ndarray) -> tuple[float, int]:
+        """Minimum cover ratio and its first attaining row index."""
+        ratios = cover_vals / self.cover_rhs
+        arg = int(np.argmin(ratios))
+        return float(ratios[arg]), arg
+
+    def cut_mass(
+        self, u_vec: np.ndarray, set_idx: int, level: int
+    ) -> tuple[float, float, float]:
+        """Internal, boundary, and member-degree multiplier mass of a set.
+
+        Only edges at levels ``>= level`` count.  The returned triple
+        satisfies ``2 * internal + boundary == degree`` exactly; callers
+        may assert it.
+        """
+        ins = self.internal_rows[set_idx]
+        bnd = self.boundary_rows[set_idx]
+        ins = ins[self.row_levels[ins] >= level]
+        bnd = bnd[self.row_levels[bnd] >= level]
+        internal = math.fsum(u_vec[r] for r in ins)
+        boundary = math.fsum(u_vec[r] for r in bnd)
+        degree = math.fsum([2.0 * internal, boundary])
+        return internal, boundary, degree
+
+    def cut_balance_ok(
+        self, u_vec: np.ndarray, it_z: Mapping[tuple[OddSet, int], float], tol: float = 1e-9
+    ) -> tuple[bool, float]:
+        """Check internal mass >= boundary mass on the z-support of ``it``.
+
+        Returns ``(ok, worst_deficit)`` where deficit is measured
+        relative to the member degree mass of the set.
+        """
+        worst = 0.0
+        for (u, lev), zv in it_z.items():
+            if zv <= 0.0:
+                continue
+            s_idx = self.set_index[u]
+            internal, boundary, degree = self.cut_mass(u_vec, s_idx, lev)
+            if not math.isclose(2.0 * internal + boundary, degree, rel_tol=1e-9, abs_tol=1e-12):
+                raise AssertionError("cut accounting identity violated")
+            scale = max(degree, 1e-300)
+            worst = max(worst, (boundary - internal) / scale)
+        return worst <= tol, worst
+
+    def lagrangian_value(
+        self,
+        cover_vals: np.ndarray,
+        degree_vals: np.ndarray,
+        u_vec: np.ndarray,
+        zeta_vec: np.ndarray,
+        penalty: float,
+    ) -> float:
+        """``u . (cover rows) - penalty * zeta . (degree rows)``."""
+        return float(u_vec @ cover_vals - penalty * (zeta_vec @ degree_vals))
+
+    def multiplier_cover_target(self, u_vec: np.ndarray) -> float:
+        """``u . c`` where ``c`` is the cover right-hand side."""
+        return float(u_vec @ self.cover_rhs)
+
+    def set_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense odd-set geometry: (member, internal, capacity) arrays.
+
+        ``member`` is ``(n_sets, n)`` 0/1, ``internal`` is ``(n_sets,
+        n_rows)`` 0/1 over cover rows, ``capacity`` is the odd total
+        capacity per set.  Built lazily and cached; guarded against
+        blowup.
+        """
+        cached = getattr(self, "_set_matrices", None)
+        if cached is not None:
+            return cached
+        n_sets = len(self.odd_sets)
+        n = self.leveled.base.n
+        n_rows = len(self.rows)
+        if n_sets * max(n_rows, n) > 1 << 24:
+            raise ValueError("odd-set matrices would be too large; reduce the family")
+        member = np.zeros((n_sets, n))
+        internal = np.zeros((n_sets, n_rows))
+        bnorms = np.zeros(n_sets)
+        for t, u in enumerate(self.odd_sets):
+            for i in u.members:
+                member[t, i] = 1.0
+            internal[t, self.internal_rows[t]] = 1.0
+            bnorms[t] = float(u.bnorm)
+        self._set_matrices = (member, internal, bnorms)
+        return self._set_matrices
+
+    def vertex_row_incidence(self) -> np.ndarray:
+        """``(n, n_rows)`` 0/1: vertex ``i`` is an endpoint of cover row ``r``."""
+        cached = getattr(self, "_incidence", None)
+        if cached is not None:
+            return cached
+        inc = np.zeros((self.leveled.base.n, len(self.rows)))
+        for r, (_e, i, j, _k) in enumerate(self.rows):
+            inc[i, r] = 1.0
+            inc[j, r] = 1.0
+        self._incidence = inc
+        return inc
+
+    def zeta_degree_target(self, zeta_vec: np.ndarray) -> float:
+        """``zeta . q`` where ``q`` is the outer degree right-hand side."""
+        return float(zeta_vec @ self.degree_rhs_outer)
+
+    def row_vrow_pairs(self) -> np.ndarray:
+        """``(n_rows, 2)``: each cover row's two degree-row indices."""
+        cached = getattr(self, "_row_vrow", None)
+        if cached is not None:
+            return cached
+        out = np.empty((len(self.rows), 2), dtype=np.int64)
+        for r, (_e, i, j, k) in enumerate(self.rows):
+            out[r, 0] = self.vrow_of[(i, k)]
+            out[r, 1] = self.vrow_of[(j, k)]
+        self._row_vrow = out
+        return out
+
+    def vrow_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Degree rows split into aligned (vertex, level) int arrays."""
+        cached = getattr(self, "_vrow_arrays", None)
+        if cached is not None:
+            return cached
+        vertex = np.array([i for (i, _k) in self.vrows], dtype=np.int64)
+        level = np.array([k for (_i, k) in self.vrows], dtype=np.int64)
+        self._vrow_arrays = (vertex, level)
+        return self._vrow_arrays
+
+    def level_weights_all(self) -> np.ndarray:
+        """``(1+eps)^k`` for every level ``k`` in ``0..L``."""
+        cached = getattr(self, "_level_weights", None)
+        if cached is not None:
+            return cached
+        lv = self.leveled
+        self._level_weights = np.array(
+            [lv.level_weight(k) for k in range(lv.L + 1)]
+        )
+        return self._level_weights
+
+
+def convert_to_matching_dual(
+    index: SystemIndex, it: DualIterate
+) -> tuple[dict[int, float], dict[OddSet, float]]:
+    """Flatten a layered iterate into a matching dual on ``(x_i, z_U)``.
+
+    With ``eps`` the system parameter, ``x_i = max_l x_i(l) / (1 - 3 eps)``
+    and ``z_U = sum_l z_{U,l} / (1 - 3 eps)`` is feasible for the
+    odd-set dual on the leveled edges whenever the layered iterate
+    covers every edge row to ``(1 - 3 eps)``.
+    """
+    eps = index.epsilon
+    denom = 1.0 - 3.0 * eps
+    x: dict[int, float] = {}
+    for (i, _k), v in it.x_level.items():
+        x[i] = max(x.get(i, 0.0), v / denom)
+    for i, v in it.x_top.items():
+        x[i] = max(x.get(i, 0.0), v / denom)
+    z: dict[OddSet, float] = {}
+    for (u, _l), v in it.z.items():
+        if v != 0.0:
+            z[u] = z.get(u, 0.0) + v / denom
+    return x, z
