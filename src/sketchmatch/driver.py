@@ -73,6 +73,14 @@ class SolverConfig:
             raise ValueError("epsilon must be in (0, 1/16]")
         if self.p < 1.0:
             raise ValueError("p must be at least 1")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1")
+        if not self.space_mult > 0.0:
+            raise ValueError("space_mult must be positive")
+        if self.certificate_retries < 0:
+            raise ValueError("certificate_retries must be nonnegative")
+        if not 0.0 < self.sketch_xi < 1.0:
+            raise ValueError("sketch_xi must be in (0, 1)")
 
 
 def round_cap_for(p: float, epsilon: float) -> int:
@@ -147,13 +155,26 @@ class ContractViolation(RuntimeError):
     """A solver-internal guarantee failed while assert mode was on."""
 
 
+def _check_space_cap(ledger: RoundLedger, space_cap: float) -> None:
+    """Raise once a recorded round holds more than ``space_cap`` items."""
+    if ledger.peak_space > space_cap:
+        raise ContractViolation(
+            f"round space {ledger.peak_space} exceeds the space cap {space_cap:.6g}"
+        )
+
+
 def _original_weight(g: Graph, matching: BMatching) -> float:
     w_of = {(i, j): w for (i, j, w) in g.edges}
     return math.fsum(w_of[(i, j)] * m for (i, j, m) in matching.edges)
 
 
 def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
-    """Approximately solve maximum-weight degree-capped matching on ``g``."""
+    """Approximately solve maximum-weight degree-capped matching on ``g``.
+
+    Raises ``ValueError`` when the round cap leaves no round after the
+    initial solution.  In assert mode, raises ``ContractViolation`` as
+    soon as a recorded round holds more than the space cap.
+    """
     cfg = config or SolverConfig()
     eps = cfg.epsilon
     lv = discretize(g, eps)
@@ -166,6 +187,13 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     space_cap = space_cap_for(n, cfg.p, g.B, cfg.space_mult)
 
     it, beta0, lam0 = initial_solution(index, cfg.p, cfg.seed, ledger=ledger)
+    if ledger.n_rounds >= round_cap:
+        raise ValueError(
+            f"a cap of {round_cap} rounds leaves no solve round after the "
+            f"{ledger.n_rounds} rounds of the initial solution"
+        )
+    if cfg.assert_mode:
+        _check_space_cap(ledger, space_cap)
     beta = beta0
     c = index.cover_rhs
     rows_m = len(c)
@@ -222,6 +250,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             )
             sketches[k] = sk
             ledger.record_space(sk.space)
+            if cfg.assert_mode:
+                _check_space_cap(ledger, space_cap)
 
         stored_ids = sorted({e for sk in sketches.values() for e in sk.stored_edge_ids()})
         harvest = extract_integral(lv, stored_ids, exact_threshold=cfg.exact_threshold)
@@ -237,6 +267,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             + len(it.x_top)
             + len(it.z)
         )
+        if cfg.assert_mode:
+            _check_space_cap(ledger, space_cap)
         if harvest.weight > beta * (1.0 - eps) / (1.0 + eps):
             beta = harvest.weight * (1.0 + eps) / (1.0 - eps)
             it.beta = beta

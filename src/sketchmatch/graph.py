@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "GraphFormatError",
@@ -361,7 +363,7 @@ def discretize(g: Graph, epsilon: float) -> LeveledGraph:
     )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class OddSet:
     """A vertex set with odd total capacity.
 
@@ -409,6 +411,19 @@ def enumerate_small_odd_sets(
     This is the verification-scale path: all ``2^n`` subsets are
     examined, guarded by ``max_n`` and ``max_subsets``.
 
+    The capacity of every mask is computed with numpy, one pass per
+    vertex ``i``: masks ``[2^i, 2^(i+1))`` are masks ``[0, 2^i)`` plus
+    ``b_i``.  Capacities above the bound are clipped to
+    ``floor(4/eps) + 1`` first, so a set holding such a vertex stays over
+    the bound and the sums stay exact in int64.  The member tuple of each
+    kept mask is joined from two lookup tables, one for the low and one
+    for the high half of its bits.
+
+    Memory: the int64 capacity array takes ``8 * 2^n`` bytes (8 MiB at
+    ``n = 20``) and the lookup tables ``O(2^(n/2))`` tuples, all freed on
+    return.  What stays is the returned family, about 200 bytes per set
+    at ``n = 18``.
+
     Parameters
     ----------
     g, epsilon:
@@ -426,17 +441,21 @@ def enumerate_small_odd_sets(
     total = 1 << g.n
     if total > max_subsets:
         raise ValueError(f"odd-set enumeration would examine {total} > {max_subsets} subsets")
-    bound = 4.0 / epsilon
-    out: list[OddSet] = []
-    b = g.b
-    for mask in range(1, total):
-        bn = 0
-        mm = mask
-        while mm:
-            low = mm & (-mm)
-            bn += b[low.bit_length() - 1]
-            mm ^= low
-        if bn % 2 == 1 and bn <= bound:
-            members = tuple(i for i in range(g.n) if mask >> i & 1)
-            out.append(OddSet(members=members, bnorm=bn, mask=mask))
-    return tuple(out)
+    limit = math.floor(4.0 / epsilon)
+    clipped = [min(bi, limit + 1) for bi in g.b]
+    if sum(clipped) >= 1 << 63:
+        raise ValueError("capacities overflow the 64-bit odd-set enumeration")
+    cap = np.zeros(total, dtype=np.int64)
+    for i, bi in enumerate(clipped):
+        cap[1 << i : 2 << i] = cap[: 1 << i] + bi
+    masks = np.flatnonzero(((cap & 1) == 1) & (cap <= min(limit, sum(clipped))))
+    half = g.n // 2
+    low = [tuple(i for i in range(half) if m >> i & 1) for m in range(1 << half)]
+    high = [
+        tuple(i for i in range(half, g.n) if m >> i & 1) for m in range(0, total, 1 << half)
+    ]
+    low_bits = (1 << half) - 1
+    return tuple(
+        OddSet(members=low[mask & low_bits] + high[mask >> half], bnorm=bn, mask=mask)
+        for mask, bn in zip(masks.tolist(), cap[masks].tolist())
+    )

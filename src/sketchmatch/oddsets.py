@@ -423,11 +423,11 @@ def collect_violated_sets(
         # Exhaustive exclusion check over the whole small-odd-set
         # family: any set disjoint from the selection must sit at or
         # below the bar (it would have been selected otherwise).
-        for t, u in enumerate(index.odd_sets):
-            if u.mask & used_mask:
-                continue
-            if values[t] > u.bnorm // 2 + eps / 2.0 + 1e-12:
-                raise AssertionError(
-                    f"untouched odd set {u.members} exceeds the exclusion bar"
-                )
+        untouched = ~index.member[:, index.member[selected].any(axis=0)].any(axis=1)
+        ceiling = np.floor(bnorms / 2.0) + eps / 2.0 + 1e-12
+        over = np.flatnonzero(untouched & (values > ceiling))
+        if over.size:
+            raise AssertionError(
+                f"untouched odd set {index.odd_sets[over[0]].members} exceeds the exclusion bar"
+            )
     return selected, values

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -119,10 +120,14 @@ class SystemIndex:
     vrow_of: dict[tuple[int, int], int] = field(init=False)
     degree_rhs_outer: np.ndarray = field(init=False)
     degree_rhs_inner: np.ndarray = field(init=False)
-    # odd-set geometry
-    set_index: dict[OddSet, int] = field(init=False)
-    internal_rows: tuple[np.ndarray, ...] = field(init=False)
-    boundary_rows: tuple[np.ndarray, ...] = field(init=False)
+    # odd-set geometry: `set_index` maps a set's mask to its position in
+    # `odd_sets`; the boolean matrices have one row per set: its member
+    # vertices, the cover rows with both ends in it (internal), and the
+    # cover rows with exactly one end in it (boundary)
+    set_index: dict[int, int] = field(init=False)
+    member: np.ndarray = field(init=False)
+    internal: np.ndarray = field(init=False)
+    boundary: np.ndarray = field(init=False)
     row_levels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -136,24 +141,26 @@ class SystemIndex:
         vweights = np.array([lv.level_weight(k) for (_i, k) in self.vrows])
         self.degree_rhs_outer = 3.0 * vweights
         self.degree_rhs_inner = (24.0 / eps + 24.0 / eps**2) * vweights
-        self.set_index = {u: t for t, u in enumerate(self.odd_sets)}
+        self.set_index = {u.mask: t for t, u in enumerate(self.odd_sets)}
         self.row_levels = np.array([k for (_e, _i, _j, k) in self.rows], dtype=np.int64)
-        internal: list[np.ndarray] = []
-        boundary: list[np.ndarray] = []
-        for u in self.odd_sets:
-            ins: list[int] = []
-            bnd: list[int] = []
-            for r, (_e, i, j, _k) in enumerate(self.rows):
-                i_in = bool(u.mask >> i & 1)
-                j_in = bool(u.mask >> j & 1)
-                if i_in and j_in:
-                    ins.append(r)
-                elif i_in or j_in:
-                    bnd.append(r)
-            internal.append(np.array(ins, dtype=np.int64))
-            boundary.append(np.array(bnd, dtype=np.int64))
-        self.internal_rows = tuple(internal)
-        self.boundary_rows = tuple(boundary)
+        n_sets = len(self.odd_sets)
+        sizes = np.fromiter((len(u.members) for u in self.odd_sets), np.int64, n_sets)
+        members = chain.from_iterable(u.members for u in self.odd_sets)
+        self.member = np.zeros((n_sets, lv.base.n), dtype=bool)
+        self.member[
+            np.repeat(np.arange(n_sets), sizes),
+            np.fromiter(members, np.int64, int(sizes.sum())),
+        ] = True
+        i_end = np.array([i for (_e, i, _j, _k) in self.rows], dtype=np.int64)
+        j_end = np.array([j for (_e, _i, j, _k) in self.rows], dtype=np.int64)
+        # `take` gives row-major results (fancy indexing on axis 1 gives
+        # column-major ones).  The float copies in `set_matrices` inherit
+        # the layout, and the order in which BLAS sums a product depends
+        # on it.
+        i_in = self.member.take(i_end, axis=1)
+        j_in = self.member.take(j_end, axis=1)
+        self.internal = i_in & j_in
+        self.boundary = np.logical_xor(i_in, j_in, out=i_in)
 
     # -- row evaluation -----------------------------------------------------
 
@@ -162,14 +169,11 @@ class SystemIndex:
         out = np.zeros(len(self.rows))
         for r, (_e, i, j, k) in enumerate(self.rows):
             out[r] = it.x_level.get((i, k), 0.0) + it.x_level.get((j, k), 0.0)
-        for (u, lev), zv in it.z.items():
-            if zv == 0.0:
-                continue
-            s_idx = self.set_index[u]
-            rows = self.internal_rows[s_idx]
-            if len(rows):
-                sel = rows[self.row_levels[rows] >= lev]
-                out[sel] += zv
+        if it.z:
+            sets, levels, values = self._priced(it.z)
+            hit = self.internal[sets] & (self.row_levels >= levels[:, None])
+            priced, rows = np.nonzero(hit)
+            np.add.at(out, rows, values[priced])
         return out
 
     def degree_values(self, it: DualIterate) -> np.ndarray:
@@ -177,24 +181,27 @@ class SystemIndex:
         out = np.zeros(len(self.vrows))
         for t, (i, k) in enumerate(self.vrows):
             out[t] = 2.0 * it.x_level.get((i, k), 0.0)
-        for (u, lev), zv in it.z.items():
-            if zv == 0.0:
-                continue
-            for i in u.members:
-                for t in self._vrows_of_vertex(i):
-                    if self.vrows[t][1] >= lev:
-                        out[t] += zv
+        if it.z:
+            sets, levels, values = self._priced(it.z)
+            vertex, level = self.vrow_arrays()
+            hit = self.member[sets][:, vertex] & (level >= levels[:, None])
+            priced, vrows = np.nonzero(hit)
+            np.add.at(out, vrows, values[priced])
         return out
 
-    def _vrows_of_vertex(self, i: int) -> tuple[int, ...]:
-        cache = getattr(self, "_vrow_cache", None)
-        if cache is None:
-            cache = {}
-            for t, (v, _k) in enumerate(self.vrows):
-                cache.setdefault(v, []).append(t)
-            cache = {v: tuple(ts) for v, ts in cache.items()}
-            object.__setattr__(self, "_vrow_cache", cache)
-        return cache.get(i, ())
+    def _priced(
+        self, z: Mapping[tuple[OddSet, int], float]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Set indices, levels and values of the nonzero prices, in ``z`` order.
+
+        ``np.add.at`` adds unbuffered in index order, so every row sums
+        its prices in ``z`` order.
+        """
+        priced = [(self.set_index[u.mask], lev, v) for (u, lev), v in z.items() if v != 0.0]
+        sets = np.array([t for t, _lev, _v in priced], dtype=np.int64)
+        levels = np.array([lev for _t, lev, _v in priced], dtype=np.int64)
+        values = np.array([v for _t, _lev, v in priced], dtype=float)
+        return sets, levels, values
 
     def multiplier_vector(self, u: Mapping[int, float]) -> np.ndarray:
         """Dense multiplier vector aligned with cover rows from an edge map."""
@@ -232,12 +239,9 @@ class SystemIndex:
         satisfies ``2 * internal + boundary == degree`` exactly; callers
         may assert it.
         """
-        ins = self.internal_rows[set_idx]
-        bnd = self.boundary_rows[set_idx]
-        ins = ins[self.row_levels[ins] >= level]
-        bnd = bnd[self.row_levels[bnd] >= level]
-        internal = math.fsum(u_vec[r] for r in ins)
-        boundary = math.fsum(u_vec[r] for r in bnd)
+        at_level = self.row_levels >= level
+        internal = math.fsum(u_vec[self.internal[set_idx] & at_level])
+        boundary = math.fsum(u_vec[self.boundary[set_idx] & at_level])
         degree = math.fsum([2.0 * internal, boundary])
         return internal, boundary, degree
 
@@ -253,7 +257,7 @@ class SystemIndex:
         for (u, lev), zv in it_z.items():
             if zv <= 0.0:
                 continue
-            s_idx = self.set_index[u]
+            s_idx = self.set_index[u.mask]
             internal, boundary, degree = self.cut_mass(u_vec, s_idx, lev)
             if not math.isclose(2.0 * internal + boundary, degree, rel_tol=1e-9, abs_tol=1e-12):
                 raise AssertionError("cut accounting identity violated")
@@ -292,15 +296,8 @@ class SystemIndex:
         n_rows = len(self.rows)
         if n_sets * max(n_rows, n) > 1 << 24:
             raise ValueError("odd-set matrices would be too large; reduce the family")
-        member = np.zeros((n_sets, n))
-        internal = np.zeros((n_sets, n_rows))
-        bnorms = np.zeros(n_sets)
-        for t, u in enumerate(self.odd_sets):
-            for i in u.members:
-                member[t, i] = 1.0
-            internal[t, self.internal_rows[t]] = 1.0
-            bnorms[t] = float(u.bnorm)
-        self._set_matrices = (member, internal, bnorms)
+        bnorms = np.fromiter((float(u.bnorm) for u in self.odd_sets), float, n_sets)
+        self._set_matrices = (self.member.astype(float), self.internal.astype(float), bnorms)
         return self._set_matrices
 
     def vertex_row_incidence(self) -> np.ndarray:

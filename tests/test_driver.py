@@ -9,6 +9,7 @@ import pytest
 
 import sketchmatch as sm
 from sketchmatch.cli import main
+from sketchmatch.driver import ContractViolation
 
 from conftest import EPS, random_instance, triangle_paper
 
@@ -97,6 +98,32 @@ class TestSolve:
             sm.SolverConfig(epsilon=0.2)
         with pytest.raises(ValueError):
             sm.SolverConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_rounds": 0},
+            {"max_rounds": -1},
+            {"max_rounds": 1},  # the initial solution uses the only round
+            {"space_mult": 0.0},
+            {"space_mult": -1.0},
+            {"certificate_retries": -1},
+            {"sketch_xi": 0.0},
+            {"sketch_xi": 1.0},
+            {"sketch_xi": 1.5},
+        ],
+    )
+    def test_unworkable_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            sm.solve(random_instance(1000), sm.SolverConfig(**kwargs))
+
+    def test_assert_mode_enforces_space_cap(self):
+        g = random_instance(1000)
+        cfg = dict(space_mult=1e-3, max_rounds=4)
+        plain = sm.solve(g, sm.SolverConfig(**cfg))
+        assert plain.peak_space > plain.space_cap > 0.0
+        with pytest.raises(ContractViolation, match="space cap"):
+            sm.solve(g, sm.SolverConfig(assert_mode=True, **cfg))
 
     def test_caps_formulas(self):
         assert sm.round_cap_for(2.0, EPS) == 8 * 32

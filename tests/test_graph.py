@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -116,6 +117,22 @@ class TestDiscretize:
                 assert w >= lv.scale * (1 - 1e-9)
 
 
+def _loop_family(g: sm.Graph, epsilon: float) -> tuple[sm.OddSet, ...]:
+    """Reference: the small odd-set family by a Python loop over masks."""
+    out = []
+    for mask in range(1, 1 << g.n):
+        bn = 0
+        mm = mask
+        while mm:
+            low = mm & (-mm)
+            bn += g.b[low.bit_length() - 1]
+            mm ^= low
+        if bn % 2 == 1 and bn <= 4.0 / epsilon:
+            members = tuple(i for i in range(g.n) if mask >> i & 1)
+            out.append(sm.OddSet(members=members, bnorm=bn, mask=mask))
+    return tuple(out)
+
+
 class TestEnumerateSmallOddSets:
     def test_unit_triangle(self):
         g = sm.Graph(n=3, edges=(), b=(1, 1, 1))
@@ -136,11 +153,17 @@ class TestEnumerateSmallOddSets:
         members = sorted(u.members for u in sets)
         assert members == [(0, 1), (0, 2), (1,), (2,)]
 
-    @given(st.integers(0, 10_000))
-    def test_family_is_exactly_odd_and_small(self, seed):
+    @given(st.integers(0, 10_000), st.sampled_from(("suite", "bound_bites", "huge")))
+    def test_family_is_exactly_odd_and_small(self, seed, capacities):
         g = random_instance(seed % 30)
-        if g.n > 12:
-            return
+        if capacities != "suite":
+            # b_i in 5..40 makes the 4/eps = 64 bound cut most odd sets;
+            # one b_i = 10**30 must be clipped, not overflow int64.
+            rng = random.Random(seed)
+            b = [rng.randint(5, 40) if capacities == "bound_bites" else bi for bi in g.b]
+            if capacities == "huge":
+                b[rng.randrange(g.n)] = 10**30
+            g = sm.Graph(n=g.n, edges=g.edges, b=tuple(b))
         sets = sm.enumerate_small_odd_sets(g, EPS)
         seen = set()
         for u in sets:
@@ -149,13 +172,8 @@ class TestEnumerateSmallOddSets:
             assert u.bnorm == sum(g.b[i] for i in u.members)
             assert u.members not in seen
             seen.add(u.members)
-        # completeness: every odd small subset appears
-        expected = 0
-        for mask in range(1, 1 << g.n):
-            mass = sum(g.b[i] for i in range(g.n) if mask >> i & 1)
-            if mass % 2 == 1 and mass <= 4.0 / EPS:
-                expected += 1
-        assert len(sets) == expected
+        # the same sets, in the same order, as the per-mask loop
+        assert sets == _loop_family(g, EPS)
 
     def test_half_capacity(self):
         g = sm.Graph(n=3, edges=(), b=(2, 1, 1))

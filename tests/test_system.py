@@ -1,0 +1,249 @@
+"""Odd-set geometry of ``SystemIndex`` and its evaluators.
+
+The geometry and every evaluator that reads it are checked against the
+per-set Python loops they replaced, kept here as the reference.  The
+comparisons are exact: ``math.fsum`` is correctly rounded whatever the
+order, and the vectorized row sums add the prices in the order of
+``it.z``, as the loops do.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+import sketchmatch as sm
+from sketchmatch.graph import OddSet
+from sketchmatch.oddsets import collect_violated_sets
+
+from conftest import EPS, random_instance
+
+# -- reference loops --------------------------------------------------------
+
+
+def loop_geometry(index):
+    """Per-set internal and boundary cover rows, one loop over (set, row)."""
+    internal, boundary = [], []
+    for u in index.odd_sets:
+        ins, bnd = [], []
+        for r, (_e, i, j, _k) in enumerate(index.rows):
+            i_in = bool(u.mask >> i & 1)
+            j_in = bool(u.mask >> j & 1)
+            if i_in and j_in:
+                ins.append(r)
+            elif i_in or j_in:
+                bnd.append(r)
+        internal.append(np.array(ins, dtype=np.int64))
+        boundary.append(np.array(bnd, dtype=np.int64))
+    return internal, boundary
+
+
+def loop_cover_values(index, geo, it):
+    out = np.zeros(len(index.rows))
+    for r, (_e, i, j, k) in enumerate(index.rows):
+        out[r] = it.x_level.get((i, k), 0.0) + it.x_level.get((j, k), 0.0)
+    position = {u: t for t, u in enumerate(index.odd_sets)}
+    for (u, lev), zv in it.z.items():
+        if zv == 0.0:
+            continue
+        rows = geo[0][position[u]]
+        if len(rows):
+            out[rows[index.row_levels[rows] >= lev]] += zv
+    return out
+
+
+def loop_degree_values(index, it):
+    out = np.zeros(len(index.vrows))
+    for t, (i, k) in enumerate(index.vrows):
+        out[t] = 2.0 * it.x_level.get((i, k), 0.0)
+    for (u, lev), zv in it.z.items():
+        if zv == 0.0:
+            continue
+        for i in u.members:
+            for t, (v, k) in enumerate(index.vrows):
+                if v == i and k >= lev:
+                    out[t] += zv
+    return out
+
+
+def loop_cut_mass(index, geo, u_vec, set_idx, level):
+    ins, bnd = geo[0][set_idx], geo[1][set_idx]
+    ins = ins[index.row_levels[ins] >= level]
+    bnd = bnd[index.row_levels[bnd] >= level]
+    internal = math.fsum(u_vec[r] for r in ins)
+    boundary = math.fsum(u_vec[r] for r in bnd)
+    return internal, boundary, math.fsum([2.0 * internal, boundary])
+
+
+def loop_cut_balance(index, geo, u_vec, z):
+    position = {u: t for t, u in enumerate(index.odd_sets)}
+    worst = 0.0
+    for (u, lev), zv in z.items():
+        if zv <= 0.0:
+            continue
+        internal, boundary, degree = loop_cut_mass(index, geo, u_vec, position[u], lev)
+        worst = max(worst, (boundary - internal) / max(degree, 1e-300))
+    return worst <= 1e-9, worst
+
+
+def loop_set_matrices(index, geo):
+    n_sets = len(index.odd_sets)
+    member = np.zeros((n_sets, index.leveled.base.n))
+    internal = np.zeros((n_sets, len(index.rows)))
+    bnorms = np.zeros(n_sets)
+    for t, u in enumerate(index.odd_sets):
+        for i in u.members:
+            member[t, i] = 1.0
+        internal[t, geo[0][t]] = 1.0
+        bnorms[t] = float(u.bnorm)
+    return member, internal, bnorms
+
+
+def loop_collect_violated_sets(index, geo, q_rows, q_hat):
+    """``collect_violated_sets(strict=True)`` with its per-set exclusion loop."""
+    eps = index.epsilon
+    member_mat, internal_mat, bnorms = loop_set_matrices(index, geo)
+    internal = internal_mat @ q_rows
+    allowance = member_mat @ q_hat
+    values = internal - 0.5 * (allowance - bnorms)
+    bars = 0.5 * (allowance - (1.0 - eps))
+    cand = np.nonzero(internal > bars + 1e-12)[0]
+    order = sorted(
+        (int(t) for t in cand),
+        key=lambda t: (
+            float(allowance[t] - 2.0 * internal[t]),
+            index.odd_sets[t].members[0],
+            index.odd_sets[t].members,
+        ),
+    )
+    selected, used_mask = [], 0
+    for t in order:
+        u = index.odd_sets[t]
+        if u.mask & used_mask:
+            continue
+        selected.append(t)
+        used_mask |= u.mask
+        assert u.bnorm >= 3
+        assert values[t] > u.bnorm // 2 + eps / 2.0 - 1e-12
+    for t, u in enumerate(index.odd_sets):
+        if not u.mask & used_mask:
+            assert values[t] <= u.bnorm // 2 + eps / 2.0 + 1e-12
+    return selected, values
+
+
+# -- instances --------------------------------------------------------------
+
+
+def light_edge_graph(seed: int) -> sm.Graph:
+    """A suite instance with some weights cut far below ``eps * W* / B``."""
+    g = random_instance(seed)
+    rng = random.Random(seed)
+    light = set(rng.sample(range(g.m), max(1, g.m // 4)))
+    edges = tuple(
+        (i, j, w * 1e-4 if e in light else w) for e, (i, j, w) in enumerate(g.edges)
+    )
+    return sm.Graph(n=g.n, edges=edges, b=g.b)
+
+
+def path70():
+    """A 70-vertex path with a hand-built family; masks need 70 bits."""
+    n = 70
+    g = sm.Graph(
+        n=n, edges=tuple((i, i + 1, float(1 + i % 3)) for i in range(n - 1)), b=(1,) * n
+    )
+    groups = (
+        [0], [0, 1, 2], [1, 2, 3], [33, 34, 35], [64, 65, 66, 67, 68],
+        [66, 67, 68], [67, 68, 69], [0, 35, 69], list(range(50, 69)), [69],
+    )
+    family = tuple(OddSet.from_members(ms, g.b) for ms in groups)
+    return g, family
+
+
+def case(name: str):
+    if name == "path70":
+        g, family = path70()
+    else:
+        g = light_edge_graph(int(name.split("-")[1]))
+        family = sm.enumerate_small_odd_sets(g, EPS)
+    lv = sm.discretize(g, EPS)
+    return g, lv, sm.SystemIndex(lv, EPS, family)
+
+
+def priced_iterate(index, seed: int) -> sm.DualIterate:
+    """Nonzero x and z prices; sets repeat across levels and overlap."""
+    rng = random.Random(seed)
+    it = sm.DualIterate.zeros(beta=1.0)
+    for i, k in index.vrows:
+        if rng.random() < 0.6:
+            it.x_level[(i, k)] = rng.uniform(0.1, 3.0)
+            it.x_top[i] = max(it.x_top.get(i, 0.0), it.x_level[(i, k)])
+    levels = sorted({int(k) for k in index.row_levels})
+    for t in rng.sample(range(len(index.odd_sets)), min(12, len(index.odd_sets))):
+        for lev in rng.sample(levels, min(2, len(levels))):
+            it.z[(index.odd_sets[t], lev)] = rng.uniform(0.01, 2.0)
+    it.z[(index.odd_sets[0], levels[0])] = 0.0
+    return it
+
+
+CASES = ["light-1003", "light-1017", "light-1042", "path70"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_geometry_matches_row_loop(name):
+    g, lv, index = case(name)
+    if name != "path70":
+        assert -1 in lv.level_of  # some light edges were dropped
+    else:
+        assert max(u.mask for u in index.odd_sets) >= 1 << 63
+    internal, boundary = loop_geometry(index)
+    shape = (len(index.odd_sets), len(index.rows))
+    assert index.internal.shape == index.boundary.shape == shape
+    for t, u in enumerate(index.odd_sets):
+        assert np.array_equal(np.flatnonzero(index.internal[t]), internal[t])
+        assert np.array_equal(np.flatnonzero(index.boundary[t]), boundary[t])
+        assert tuple(np.flatnonzero(index.member[t])) == u.members
+        assert index.set_index[u.mask] == t
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_odd_set_evaluators_match_loops(name):
+    _g, _lv, index = case(name)
+    geo = loop_geometry(index)
+    it = priced_iterate(index, seed=len(name))
+    assert any(v > 0.0 for v in it.z.values())
+    assert np.array_equal(index.cover_values(it), loop_cover_values(index, geo, it))
+    assert np.array_equal(index.degree_values(it), loop_degree_values(index, it))
+    rng = np.random.default_rng(7)
+    u_vec = rng.random(len(index.rows))
+    for t in range(len(index.odd_sets)):
+        for level in (0, int(index.row_levels.max())):
+            want = loop_cut_mass(index, geo, u_vec, t, level)
+            assert index.cut_mass(u_vec, t, level) == want
+    assert index.cut_balance_ok(u_vec, it.z) == loop_cut_balance(index, geo, u_vec, it.z)
+    for got, want in zip(index.set_matrices(), loop_set_matrices(index, geo)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_strict_collect_violated_sets_matches_loop(name):
+    g, _lv, index = case(name)
+    geo = loop_geometry(index)
+    rng = np.random.default_rng(11)
+    picked = []
+    n_rows = len(index.rows)
+    for _trial in range(20):
+        q_rows = np.where(rng.random(n_rows) < 0.6, 2.0 * rng.random(n_rows), 0.0)
+        load = np.zeros(g.n)
+        for r, (_e, i, j, _k) in enumerate(index.rows):
+            load[i] += q_rows[r]
+            load[j] += q_rows[r]
+        q_hat = np.maximum(np.asarray(g.b, dtype=float), load)
+        selected, values = collect_violated_sets(index, q_rows, q_hat, strict=True)
+        want_selected, want_values = loop_collect_violated_sets(index, geo, q_rows, q_hat)
+        assert selected == want_selected
+        assert np.array_equal(values, want_values)
+        picked += selected
+    assert picked  # the draws select some sets, so the scan has work to do
