@@ -22,16 +22,17 @@ import sketchmatch as sm
 
 
 def random_instance(seed: int) -> sm.Graph:
+    """One suite instance: n in [6,12], m <= 40, w in [1,100], b_i in {1,2}."""
     rng = random.Random(seed)
     n = rng.randint(6, 12)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
     m = min(len(pairs), 40, rng.randint(n - 1, 3 * n))
-    edges = sorted(pairs[:m])
-    text = "\n".join(f"{i} {j} {float(rng.randint(1, 100))}" for i, j in edges)
-    b_val = rng.choice((1, 2))
-    btext = "\n".join(f"{i} {b_val}" for i in range(n))
-    return sm.load_graph(text + "\n", btext)
+    edges = tuple(
+        (i, j, float(rng.randint(1, 100))) for (i, j) in sorted(pairs[:m])
+    )
+    b = tuple(rng.choice((1, 2)) for _ in range(n))
+    return sm.Graph(n=n, edges=edges, b=b)
 
 
 def main(argv: list[str] | None = None) -> int:

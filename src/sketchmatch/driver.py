@@ -17,6 +17,11 @@
 4. report the best integral matching found, in original units and in
    level weights, together with the round/space ledger and traces.
 
+The dual coverage rows step through :class:`sketchmatch.mwu.CoveringState`,
+the same step rule :func:`sketchmatch.mwu.solve_covering` uses: phases
+are retuned once per super-round, and every accepted step is checked
+for width and drift and periodically recomputed exactly.
+
 The number of refinements a single sketch build supports is limited by
 the multiplicative drift of the multipliers per accepted step; the
 promised-band check inside the sketch refinement enforces exactly that
@@ -31,7 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, discretize, enumerate_small_odd_sets
-from .mwu import lagrangian_search, packing_multipliers
+from .mwu import (
+    CoveringState,
+    covering_multipliers,
+    lagrangian_search,
+    packing_multipliers,
+)
 from .oracle import (
     BMatching,
     DualStep,
@@ -46,6 +56,11 @@ from .sketch import RoundLedger, build_deferred, refine_deferred, verify_switch
 from .system import SystemIndex
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "round_cap_for", "space_cap_for"]
+
+# Cut-approximation parameter of the per-level deferred sketches.
+SKETCH_XI = 0.5
+# Primal certificates one refinement may answer before the solve fails.
+CERTIFICATE_RETRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -64,9 +79,6 @@ class SolverConfig:
     max_rounds: int | None = None
     space_mult: float = 16.0
     assert_mode: bool = False
-    exact_threshold: int = 24
-    sketch_xi: float = 0.5
-    certificate_retries: int = 1000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 1.0 / 16.0:
@@ -77,10 +89,6 @@ class SolverConfig:
             raise ValueError("max_rounds must be at least 1")
         if not self.space_mult > 0.0:
             raise ValueError("space_mult must be positive")
-        if self.certificate_retries < 0:
-            raise ValueError("certificate_retries must be nonnegative")
-        if not 0.0 < self.sketch_xi < 1.0:
-            raise ValueError("sketch_xi must be in (0, 1)")
 
 
 def round_cap_for(p: float, epsilon: float) -> int:
@@ -196,65 +204,54 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         _check_space_cap(ledger, space_cap)
     beta = beta0
     c = index.cover_rhs
-    rows_m = len(c)
-    rho = 24.0 / eps + 24.0 / eps**2
-    target = 1.0 - 3.0 * eps
-    ax = index.cover_values(it)
+    state = CoveringState(
+        c=c, rho=24.0 / eps + 24.0 / eps**2, eps=eps, ax=index.cover_values(it)
+    )
     pox = index.degree_values(it)
-    lam = lam0
-    lam_t = lam0
     gamma_drift = max(n ** (1.0 / (2.0 * cfg.p)), 1.0 + eps)
     inner_per_round = math.ceil(math.log(gamma_drift) / eps)
     edge_pairs = [(i, j) for (i, j, _w) in g.edges]
     row_of_edge = index.edge_row_of
+    row_levels = index.row_levels
+    row_edges = np.array([e for (e, _i, _j, _k) in index.rows], dtype=np.int64)
+    level_rows = {
+        k: np.flatnonzero(row_levels == k) for k in sorted(set(row_levels.tolist()))
+    }
     q_outer = index.degree_rhs_outer
     delta_pack = 1.0 / 6.0
 
     best_matching = BMatching(edges=(), weight=0.0)
-    steps = 0
     certificates = 0
     harvests = 0
-    since_recompute = 0
     lambda_trace = [lam0]
     beta_trace = [beta0]
     solve_round = 0
 
-    while lam < target and ledger.n_rounds < round_cap:
+    while state.lam < state.target and ledger.n_rounds < round_cap:
         solve_round += 1
         ledger.begin_round(f"solve-{solve_round}")
         # Phase boundaries are frozen to round boundaries.
-        if lam >= min(2.0 * lam_t, target):
-            lam_t = lam
-        alpha = 4.0 * math.log(2.0 * rows_m / eps) / (lam_t * eps)
-        sigma = eps / (4.0 * alpha * rho)
+        state.retune()
 
         # Snapshot multipliers; the snapshot's max is the round's
         # normalization offset, shared by every refinement below so the
         # promised drift band is exactly the per-step drift guarantee.
-        log_u = -alpha * (ax / c) - np.log(c)
+        u_build, log_u = covering_multipliers(state.ax, c, state.alpha)
         offset = float(log_u.max())
-        u_build = np.exp(log_u - offset)
 
-        promise = np.zeros(len(g.edges))
-        for r, (e, _i, _j, _k) in enumerate(index.rows):
-            promise[e] = u_build[r]
         sketches = {}
-        for k in sorted({int(t) for t in index.row_levels}):
+        for k, at_k in level_rows.items():
             mask = np.zeros(len(g.edges))
-            for r, (e, _i, _j, kk) in enumerate(index.rows):
-                if kk == k:
-                    mask[e] = promise[e]
+            mask[row_edges[at_k]] = u_build[at_k]
             level_seed = (cfg.seed * 1_000_003 + solve_round * 1009 + k) % (1 << 62)
-            sk = build_deferred(
-                n, edge_pairs, mask, gamma_drift, cfg.sketch_xi, level_seed
-            )
+            sk = build_deferred(n, edge_pairs, mask, gamma_drift, SKETCH_XI, level_seed)
             sketches[k] = sk
             ledger.record_space(sk.space)
             if cfg.assert_mode:
                 _check_space_cap(ledger, space_cap)
 
         stored_ids = sorted({e for sk in sketches.values() for e in sk.stored_edge_ids()})
-        harvest = extract_integral(lv, stored_ids, exact_threshold=cfg.exact_threshold)
+        harvest = extract_integral(lv, stored_ids)
         if harvest.weight > best_matching.weight:
             best_matching = harvest
         harvests += 1
@@ -274,16 +271,15 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             it.beta = beta
 
         for _q in range(inner_per_round):
-            if lam >= target:
+            if state.lam >= state.target:
                 break
-            log_u_now = -alpha * (ax / c) - np.log(c)
-            u_now = np.exp(log_u_now - offset)
+            u_now = np.exp(covering_multipliers(state.ax, c, state.alpha)[1] - offset)
             refined: dict[int, float] = {}
             for k, sk in sketches.items():
                 vals = {
                     e: u_now[row_of_edge[e]]
                     for e in sk.stored_edge_ids()
-                    if index.rows[row_of_edge[e]][3] == k
+                    if row_levels[row_of_edge[e]] == k
                 }
                 refined.update(refine_deferred(sk, vals))
             u_sparse = index.multiplier_vector(refined)
@@ -316,15 +312,13 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                         ok, rep = check_primal_certificate(index, out)
                         if not ok:
                             raise ContractViolation(f"certificate check failed: {rep}")
-                    lifted = extract_integral(
-                        lv, sorted(out.y), exact_threshold=cfg.exact_threshold
-                    )
+                    lifted = extract_integral(lv, sorted(out.y))
                     if lifted.weight > best_matching.weight:
                         best_matching = lifted
                     beta *= 1.0 + eps
                     it.beta = beta
                     retries += 1
-                    if retries > cfg.certificate_retries:
+                    if retries > CERTIFICATE_RETRIES:
                         raise ContractViolation(
                             "budget kept certifying without a dual step"
                         )
@@ -332,9 +326,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 break
 
             step: DualStep = out
-            ay = index.cover_values(step.iterate)
-            if (ay < -1e-12).any() or (ay > rho * c * (1.0 + 1e-9)).any():
-                raise ContractViolation("oracle step violates the width bound")
+            due = state.advance(index.cover_values(step.iterate))
             if cfg.assert_mode:
                 ok, rep = check_dual_step(index, u_sparse, zeta, step)
                 if not ok:
@@ -345,25 +337,14 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 switch = verify_switch(index, u_full_map, refined, step.iterate)
                 if not switch.ok:
                     raise ContractViolation(f"multiplier switch failed: {switch}")
-            new_ax = (1.0 - sigma) * ax + sigma * ay
-            drift = alpha * float(np.abs((new_ax - ax) / c).max())
-            if drift > eps * (1.0 + 1e-9):
-                raise ContractViolation(f"multiplier drift {drift} exceeds eps")
+            sigma = state.sigma
             it = it.blend(step.iterate, sigma)
             it.beta = beta
-            ax = new_ax
             pox = (1.0 - sigma) * pox + sigma * index.degree_values(step.iterate)
-            steps += 1
-            since_recompute += 1
-            if since_recompute >= 64:
-                exact_ax = index.cover_values(it)
-                if not np.allclose(exact_ax, ax, rtol=1e-6, atol=1e-9):
-                    raise ContractViolation("incremental row values drifted")
-                ax = exact_ax
+            if due:
+                state.resync(index.cover_values(it))
                 pox = index.degree_values(it)
-                since_recompute = 0
-            lam = float((ax / c).min())
-        lambda_trace.append(lam)
+        lambda_trace.append(state.lam)
         beta_trace.append(beta)
 
     weight = _original_weight(g, best_matching)
@@ -377,10 +358,10 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         round_cap=round_cap,
         space_cap=space_cap,
         lambda_start=lam0,
-        lambda_final=lam,
-        certified=lam >= target,
+        lambda_final=state.lam,
+        certified=state.lam >= state.target,
         beta_final=beta,
-        steps=steps,
+        steps=state.steps,
         certificates=certificates,
         harvests=harvests,
         lambda_trace=lambda_trace,
@@ -394,8 +375,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             "max_rounds": cfg.max_rounds,
             "space_mult": cfg.space_mult,
             "assert_mode": cfg.assert_mode,
-            "exact_threshold": cfg.exact_threshold,
-            "sketch_xi": cfg.sketch_xi,
         },
         n=n,
         m=g.m,

@@ -288,10 +288,6 @@ class LeveledGraph:
         """Rescaled weight ``(1+eps)^k`` of level ``k``."""
         return (1.0 + self.epsilon) ** k
 
-    def to_original_units(self, rescaled_value: float) -> float:
-        """Convert a rescaled weight back to original units."""
-        return rescaled_value * self.scale
-
     def retained(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield ``(edge_index, i, j, k)`` for retained edges in input order."""
         for idx, k in enumerate(self.level_of):
@@ -394,9 +390,6 @@ class OddSet:
     def half_capacity(self) -> int:
         """The odd-set constraint bound ``floor(bnorm / 2)``."""
         return self.bnorm // 2
-
-    def intersects(self, other: "OddSet") -> bool:
-        return bool(self.mask & other.mask)
 
 
 def enumerate_small_odd_sets(

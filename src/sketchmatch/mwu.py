@@ -1,4 +1,11 @@
-"""Multiplicative-weights engines for covering and packing programs.
+"""Multiplicative-weights covering engine, its step rule, and the penalty search.
+
+:class:`CoveringState` owns the row values of a covering run ``A x >= c``
+and the step rule that moves them: the phase rule that sets the step
+size, the width and drift checks on every accepted step, and the
+periodic recompute of the row values.  :func:`solve_covering` and the
+round-structured loop of :func:`sketchmatch.driver.solve` both step
+through it, so the rule exists once.
 
 :func:`solve_covering` drives an abstract covering feasibility problem
 ``A x >= c`` over a convex set accessed only through an oracle: given
@@ -9,7 +16,8 @@ Phases tighten the step size as the worst coverage ratio grows;
 termination is at coverage ``1 - 3 eps`` or with the multipliers as an
 infeasibility certificate.
 
-:func:`solve_packing` is the mirror image for ``A x <= d``.
+:func:`packing_multipliers` prices packing rows ``A x <= d``; the driver
+uses it for its degree rows.
 
 :func:`lagrangian_search` wraps a two-sided oracle (one that may also
 return a primal certificate) in a binary search over a penalty weight,
@@ -35,20 +43,23 @@ __all__ = [
     "CoveringProblem",
     "CoveringState",
     "OracleContractError",
-    "PackingOutcome",
-    "PackingProblem",
-    "PackingState",
     "covering_multipliers",
     "covering_step_budget",
     "lagrangian_search",
     "packing_multipliers",
-    "packing_step_budget",
     "solve_covering",
-    "solve_packing",
 ]
 
 C_ALPHA = 4.0
 C_T = 64.0
+# Accepted steps between exact recomputes of the incremental row values.
+RECOMPUTE_EVERY = 64
+# Relative slack on the per-step drift bound ``eps``.
+DRIFT_TOL = 1e-9
+# Penalty-search limits: oracle probes per search, and the tolerance of
+# the mixed step's load against its bar.
+MAX_PROBES = 64
+MIX_TOL = 1e-6
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,13 +101,6 @@ def covering_step_budget(rho: float, eps: float, m: int, lambda0: float) -> int:
     )
 
 
-def packing_step_budget(rho: float, delta: float, m: int, lambda0: float) -> int:
-    """Guaranteed accepted-step budget for :func:`solve_packing`."""
-    return math.ceil(
-        C_T * rho * (delta**-2 + max(math.log2(lambda0), 0.0)) * math.log(2.0 * m)
-    )
-
-
 @dataclass
 class CoveringProblem:
     """An abstract covering feasibility problem ``A x >= c`` over a set.
@@ -130,18 +134,85 @@ class CoveringProblem:
 
 @dataclass
 class CoveringState:
-    """Mutable engine state exposed to the oracle on each call."""
+    """Row values of a covering run and the step rule that moves them.
 
-    x: Any
+    Holds the row values ``ax = A x`` of the running iterate, the
+    coverage ``lam = min(ax / c)``, the coverage ``lam_t`` at the start
+    of the current phase, and the multiplier exponent ``alpha`` and step
+    size ``sigma`` set from ``lam_t``.  The caller keeps the iterate
+    itself and blends every accepted answer into it with ``sigma``.
+    """
+
+    c: np.ndarray
+    rho: float
+    eps: float
     ax: np.ndarray
-    lam: float
-    lam_t: float
-    alpha: float
-    sigma: float
+    lam: float = field(init=False)
+    lam_t: float = field(init=False)
+    alpha: float = field(init=False)
+    sigma: float = field(init=False)
     steps: int = 0
-    phases: int = 0
-    u: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    log_u: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    phases: int = 1
+    since_recompute: int = 0
+
+    def __post_init__(self) -> None:
+        self.lam = float((self.ax / self.c).min())
+        self.lam_t = self.lam
+        self._tune()
+
+    @property
+    def target(self) -> float:
+        """The coverage ``1 - 3 eps`` at which the run is done."""
+        return 1.0 - 3.0 * self.eps
+
+    def _tune(self) -> None:
+        m = len(self.c)
+        self.alpha = C_ALPHA * math.log(2.0 * m / self.eps) / (self.lam_t * self.eps)
+        self.sigma = self.eps / (4.0 * self.alpha * self.rho)
+
+    def retune(self) -> None:
+        """Start a new phase once the coverage doubled or reached the target."""
+        if self.lam >= min(2.0 * self.lam_t, self.target):
+            self.lam_t = self.lam
+            self.phases += 1
+            self._tune()
+
+    def advance(self, ay: np.ndarray) -> bool:
+        """Move the row values a ``sigma`` step toward an answer's ``ay``.
+
+        Returns ``True`` when an exact recompute is due: the caller then
+        hands the row values of its blended iterate to :meth:`resync`.
+
+        Raises
+        ------
+        OracleContractError
+            If ``ay`` leaves ``[0, rho c]``.
+        AssertionError
+            If the step moves some multiplier by more than ``e^eps``.
+        """
+        c = self.c
+        if (ay < -1e-12).any() or (ay > self.rho * c * (1.0 + 1e-9)).any():
+            raise OracleContractError("oracle answer violates the width bound")
+        new_ax = (1.0 - self.sigma) * self.ax + self.sigma * ay
+        drift = self.alpha * float(np.abs((new_ax - self.ax) / c).max())
+        if drift > self.eps * (1.0 + DRIFT_TOL):
+            raise AssertionError(f"multiplier drift {drift} exceeds eps per step")
+        self.ax = new_ax
+        self.lam = float((new_ax / c).min())
+        self.steps += 1
+        self.since_recompute += 1
+        return self.since_recompute >= RECOMPUTE_EVERY
+
+    def resync(self, exact_ax: np.ndarray) -> None:
+        """Replace the incremental row values by the exact ones.
+
+        Raises ``AssertionError`` if the two disagree.
+        """
+        if not np.allclose(exact_ax, self.ax, rtol=1e-6, atol=1e-9):
+            raise AssertionError("incremental row values drifted from recompute")
+        self.ax = exact_ax
+        self.lam = float((exact_ax / self.c).min())
+        self.since_recompute = 0
 
 
 @dataclass
@@ -163,28 +234,19 @@ class CoveringOutcome:
     infeasible_u: np.ndarray | None
 
 
-def solve_covering(
-    problem: CoveringProblem,
-    eps: float,
-    *,
-    max_steps: int | None = None,
-    recompute_every: int = 64,
-    drift_tol: float = 1e-9,
-) -> CoveringOutcome:
+def solve_covering(problem: CoveringProblem, eps: float) -> CoveringOutcome:
     """Run the covering engine to coverage ``1 - 3 eps`` or infeasibility.
 
     Raises
     ------
     BudgetExceededError
-        If the number of accepted steps passes the guaranteed budget
-        (or ``max_steps`` when given).
+        If the number of accepted steps passes the guaranteed budget.
     OracleContractError
         If an oracle answer breaks the width or margin contract.
     """
     c = np.asarray(problem.c, dtype=float)
     if not (c > 0).all():
         raise ValueError("covering targets must be positive")
-    m = len(c)
     rho = float(problem.rho)
     x = problem.x0
     ax = np.asarray(problem.matvec(x), dtype=float)
@@ -192,237 +254,52 @@ def solve_covering(
         raise ValueError("starting point must cover every row positively")
     if (ax > rho * c * (1.0 + 1e-9)).any():
         raise ValueError("starting point exceeds the width bound")
-    lam0 = float((ax / c).min())
-    lam_t = lam0
-    budget = covering_step_budget(rho, eps, m, lam0)
-    if max_steps is not None:
-        budget = min(budget, max_steps)
-    target = 1.0 - 3.0 * eps
+    state = CoveringState(c=c, rho=rho, eps=eps, ax=ax)
+    budget = covering_step_budget(rho, eps, len(c), state.lam)
 
-    def params(lam_t_val: float) -> tuple[float, float]:
-        alpha = C_ALPHA * math.log(2.0 * m / eps) / (lam_t_val * eps)
-        sigma = eps / (4.0 * alpha * rho)
-        return alpha, sigma
+    def outcome(infeasible_u: np.ndarray | None) -> CoveringOutcome:
+        return CoveringOutcome(
+            feasible=infeasible_u is None,
+            x=x,
+            ax=state.ax,
+            lam=state.lam,
+            steps=state.steps,
+            phases=state.phases,
+            budget=budget,
+            infeasible_u=infeasible_u,
+        )
 
-    alpha, sigma = params(lam_t)
-    ratios = ax / c
-    arg = int(np.argmin(ratios))
-    state = CoveringState(
-        x=x, ax=ax, lam=float(ratios[arg]), lam_t=lam_t, alpha=alpha, sigma=sigma
-    )
-    state.phases = 1
-    since_recompute = 0
-    while state.lam < target:
-        # Phase boundary: the coverage ratio doubled (or crossed the
-        # finish line); retune the step size to the new scale.
-        if state.lam >= min(2.0 * state.lam_t, target):
-            state.lam_t = state.lam
-            state.alpha, state.sigma = params(state.lam_t)
-            state.phases += 1
-        state.u, state.log_u = covering_multipliers(state.ax, c, state.alpha)
-        nz = state.u[state.u > 0.0]
+    while state.lam < state.target:
+        state.retune()
+        u, _log_u = covering_multipliers(state.ax, c, state.alpha)
+        nz = u[u > 0.0]
         floor = math.exp(-state.alpha * rho) * (c.min() / c.max())
         if nz.size and nz.min() < floor * (1.0 - 1e-9):
             raise AssertionError("multiplier fell below its guaranteed range")
-        answer = problem.oracle(state.u, state)
+        answer = problem.oracle(u, state)
         if answer is None:
-            return CoveringOutcome(
-                feasible=False,
-                x=state.x,
-                ax=state.ax,
-                lam=state.lam,
-                steps=state.steps,
-                phases=state.phases,
-                budget=budget,
-                infeasible_u=state.u.copy(),
-            )
+            return outcome(u.copy())
         ay = np.asarray(problem.matvec(answer), dtype=float)
-        if (ay < -1e-12).any() or (ay > rho * c * (1.0 + 1e-9)).any():
-            raise OracleContractError("oracle answer violates the width bound")
-        margin = float(state.u @ ay)
-        need = (1.0 - eps / 2.0) * float(state.u @ c)
+        margin = float(u @ ay)
+        need = (1.0 - eps / 2.0) * float(u @ c)
         if margin < need * (1.0 - 1e-9) - 1e-12:
             raise OracleContractError(
                 f"oracle margin {margin} below target {need}"
             )
-        if state.lam < target:
-            # The step's gain: the oracle's coverage beats the current
-            # iterate's by a fixed fraction of the target.
-            implied = (1.0 + eps / 2.0) * float(state.u @ state.ax) + 0.5 * eps * float(
-                state.u @ c
-            )
-            if not (1.0 - eps / 2.0) * margin >= implied * (1.0 - 1e-9) - 1e-12:
-                raise AssertionError("step-gain inequality failed at an accepted step")
-        new_ax = (1.0 - state.sigma) * state.ax + state.sigma * ay
-        drift = state.alpha * float(np.abs((new_ax - state.ax) / c).max())
-        if drift > eps * (1.0 + drift_tol):
-            raise AssertionError(f"multiplier drift {drift} exceeds eps per step")
-        state.x = problem.combine(state.x, answer, state.sigma)
-        state.ax = new_ax
-        state.steps += 1
-        since_recompute += 1
-        if since_recompute >= recompute_every:
-            exact = np.asarray(problem.matvec(state.x), dtype=float)
-            if not np.allclose(exact, state.ax, rtol=1e-6, atol=1e-9):
-                raise AssertionError("incremental row values drifted from recompute")
-            state.ax = exact
-            since_recompute = 0
-        ratios = state.ax / c
-        state.lam = float(ratios.min())
+        # The step's gain: the oracle's coverage beats the current
+        # iterate's by a fixed fraction of the target.
+        implied = (1.0 + eps / 2.0) * float(u @ state.ax) + 0.5 * eps * float(u @ c)
+        if not (1.0 - eps / 2.0) * margin >= implied * (1.0 - 1e-9) - 1e-12:
+            raise AssertionError("step-gain inequality failed at an accepted step")
+        due = state.advance(ay)
+        x = problem.combine(x, answer, state.sigma)
+        if due:
+            state.resync(np.asarray(problem.matvec(x), dtype=float))
         if state.steps > budget:
             raise BudgetExceededError(
                 f"covering did not converge within {budget} accepted steps"
             )
-    return CoveringOutcome(
-        feasible=True,
-        x=state.x,
-        ax=state.ax,
-        lam=state.lam,
-        steps=state.steps,
-        phases=state.phases,
-        budget=budget,
-        infeasible_u=None,
-    )
-
-
-@dataclass
-class PackingProblem:
-    """An abstract packing feasibility problem ``A x <= d`` over a set."""
-
-    d: np.ndarray
-    rho: float
-    x0: Any
-    matvec: Callable[[Any], np.ndarray]
-    combine: Callable[[Any, Any, float], Any]
-    oracle: Callable[[np.ndarray, "PackingState"], Any | None]
-
-
-@dataclass
-class PackingState:
-    """Mutable packing-engine state exposed to the oracle."""
-
-    x: Any
-    ax: np.ndarray
-    lam: float
-    lam_t: float
-    alpha: float
-    sigma: float
-    steps: int = 0
-    failed_probes: int = 0
-    phases: int = 0
-    z: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-@dataclass
-class PackingOutcome:
-    feasible: bool
-    x: Any
-    ax: np.ndarray
-    lam: float
-    steps: int
-    phases: int
-    budget: int
-    infeasible_z: np.ndarray | None
-
-
-def solve_packing(
-    problem: PackingProblem,
-    delta: float,
-    *,
-    max_steps: int | None = None,
-    recompute_every: int = 64,
-) -> PackingOutcome:
-    """Drive the packing ratio down to ``1 + 6 delta`` or certify failure.
-
-    The mirror of :func:`solve_covering`: multipliers concentrate on the
-    most violated rows, the oracle must return candidates whose
-    multiplier-weighted load is below ``(1 + delta/2)`` times the
-    target, and phases halve the violation ratio.  The starting point
-    is checked first — if it already packs, no oracle call is made.
-    """
-    d = np.asarray(problem.d, dtype=float)
-    if not (d > 0).all():
-        raise ValueError("packing targets must be positive")
-    m = len(d)
-    rho = float(problem.rho)
-    x = problem.x0
-    ax = np.asarray(problem.matvec(x), dtype=float)
-    lam0 = float((ax / d).max())
-    target = 1.0 + 6.0 * delta
-    budget = packing_step_budget(rho, delta, m, max(lam0 / 1.0, 1.0))
-    if max_steps is not None:
-        budget = min(budget, max_steps)
-    if lam0 <= target:
-        return PackingOutcome(
-            feasible=True, x=x, ax=ax, lam=lam0, steps=0, phases=0,
-            budget=budget, infeasible_z=None,
-        )
-    lam_t = lam0
-
-    def params(lam_t_val: float) -> tuple[float, float]:
-        alpha = C_ALPHA * math.log(2.0 * m / delta) / (lam_t_val * delta)
-        sigma = delta / (4.0 * alpha * rho)
-        return alpha, sigma
-
-    alpha, sigma = params(lam_t)
-    state = PackingState(x=x, ax=ax, lam=lam0, lam_t=lam_t, alpha=alpha, sigma=sigma)
-    state.phases = 1
-    since_recompute = 0
-    while state.lam > target:
-        if state.lam <= max(state.lam_t / 2.0, target):
-            state.lam_t = state.lam
-            state.alpha, state.sigma = params(state.lam_t)
-            state.phases += 1
-        state.z, _log_z = packing_multipliers(state.ax, d, state.alpha)
-        answer = problem.oracle(state.z, state)
-        if answer is None:
-            return PackingOutcome(
-                feasible=False,
-                x=state.x,
-                ax=state.ax,
-                lam=state.lam,
-                steps=state.steps,
-                phases=state.phases,
-                budget=budget,
-                infeasible_z=state.z.copy(),
-            )
-        ay = np.asarray(problem.matvec(answer), dtype=float)
-        if (ay < -1e-12).any() or (ay > rho * d * (1.0 + 1e-9)).any():
-            raise OracleContractError("packing answer violates the width bound")
-        margin = float(state.z @ ay)
-        cap = (1.0 + delta / 2.0) * float(state.z @ d)
-        if margin > cap * (1.0 + 1e-9) + 1e-12:
-            state.failed_probes += 1
-            raise OracleContractError(f"packing margin {margin} above cap {cap}")
-        new_ax = (1.0 - state.sigma) * state.ax + state.sigma * ay
-        drift = state.alpha * float(np.abs((new_ax - state.ax) / d).max())
-        if drift > delta * (1.0 + 1e-9):
-            raise AssertionError(f"multiplier drift {drift} exceeds delta per step")
-        state.x = problem.combine(state.x, answer, state.sigma)
-        state.ax = new_ax
-        state.steps += 1
-        since_recompute += 1
-        if since_recompute >= recompute_every:
-            exact = np.asarray(problem.matvec(state.x), dtype=float)
-            if not np.allclose(exact, state.ax, rtol=1e-6, atol=1e-9):
-                raise AssertionError("incremental row values drifted from recompute")
-            state.ax = exact
-            since_recompute = 0
-        state.lam = float((state.ax / d).max())
-        if state.steps > budget:
-            raise BudgetExceededError(
-                f"packing did not converge within {budget} accepted steps"
-            )
-    return PackingOutcome(
-        feasible=True,
-        x=state.x,
-        ax=state.ax,
-        lam=state.lam,
-        steps=state.steps,
-        phases=state.phases,
-        budget=budget,
-        infeasible_z=None,
-    )
+    return outcome(None)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +313,6 @@ def lagrangian_search(
     u_sparse: np.ndarray,
     zeta: np.ndarray,
     beta: float,
-    *,
-    tol: float = 1e-6,
-    max_probes: int = 64,
 ) -> DualStep | PrimalCertificate:
     """Binary-search the penalty weight coupling coverage and row load.
 
@@ -485,7 +359,7 @@ def lagrangian_search(
     probes = 0
     while hi_pen - lo_pen > eps * penalty_hi / 16.0:
         probes += 1
-        if probes > max_probes:
+        if probes > MAX_PROBES:
             raise AssertionError("penalty search failed to narrow its bracket")
         mid = math.sqrt(lo_pen * hi_pen)
         out = oracle(u_sparse, zeta, mid, beta)
@@ -503,7 +377,7 @@ def lagrangian_search(
     s_hi = (load_lo - upsilon_bar) / (load_lo - load_hi)
     mixed = lo_step.mix(hi_step, s_hi, beta)
     mixed_load = load_of(mixed)
-    if not math.isclose(mixed_load, upsilon_bar, rel_tol=tol, abs_tol=tol):
+    if not math.isclose(mixed_load, upsilon_bar, rel_tol=MIX_TOL, abs_tol=MIX_TOL):
         raise AssertionError(
             f"mixed step load {mixed_load} misses the bar {upsilon_bar}"
         )

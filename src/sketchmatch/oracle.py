@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _REL = 1e-9
+# Largest edge list :func:`offline_bmatching` solves exactly.
+EXACT_THRESHOLD = 24
 
 
 @dataclass
@@ -580,27 +582,19 @@ def _greedy_bmatching(
 
 
 def offline_bmatching(
-    edges: Sequence[tuple[int, int, float]],
-    b: Sequence[int],
-    *,
-    exact_threshold: int = 24,
+    edges: Sequence[tuple[int, int, float]], b: Sequence[int]
 ) -> BMatching:
     """Best-effort integral matching on an explicit edge list.
 
-    Exact branch-and-bound up to ``exact_threshold`` edges, greedy with
+    Exact branch-and-bound up to ``EXACT_THRESHOLD`` edges, greedy with
     single-unit local search above.
     """
-    if len(edges) <= exact_threshold:
+    if len(edges) <= EXACT_THRESHOLD:
         return _exact_bmatching(edges, b)
     return _greedy_bmatching(edges, b)
 
 
-def extract_integral(
-    leveled: LeveledGraph,
-    edge_ids: Sequence[int],
-    *,
-    exact_threshold: int = 24,
-) -> BMatching:
+def extract_integral(leveled: LeveledGraph, edge_ids: Sequence[int]) -> BMatching:
     """Integral matching on a retained-edge support, in level weights."""
     by_id = {e: (i, j, k) for (e, i, j, k) in leveled.retained()}
     chosen = []
@@ -608,7 +602,7 @@ def extract_integral(
         if e in by_id:
             i, j, k = by_id[e]
             chosen.append((i, j, leveled.level_weight(k)))
-    return offline_bmatching(chosen, leveled.base.b, exact_threshold=exact_threshold)
+    return offline_bmatching(chosen, leveled.base.b)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "build_deferred",
     "build_streaming_sparsifier",
     "forest_count",
-    "l0_sample",
     "prf_u64",
     "prf_uniform",
     "refine_deferred",
@@ -202,14 +201,6 @@ class L0Sketch:
                         if int(self.fp[rep, level]) == self._fingerprint(rep, ident):
                             return ident
         raise L0SampleError("no repetition isolated a single coordinate")
-
-    def is_empty(self) -> bool:
-        return bool((self.count[:, 0] == 0).all())
-
-
-def l0_sample(sketch: L0Sketch) -> int:
-    """Draw a near-uniform nonzero coordinate from an :class:`L0Sketch`."""
-    return sketch.sample()
 
 
 # ---------------------------------------------------------------------------

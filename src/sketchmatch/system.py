@@ -215,13 +215,6 @@ class SystemIndex:
             out[r] = val
         return out
 
-    def zeta_vector(self, zeta: Mapping[tuple[int, int], float]) -> np.ndarray:
-        """Dense degree-row vector from an ``(i, k) -> value`` map."""
-        out = np.zeros(len(self.vrows))
-        for ik, val in zeta.items():
-            out[self.vrow_of[ik]] = val
-        return out
-
     # -- scalar functionals ---------------------------------------------------
 
     def coverage_lambda(self, cover_vals: np.ndarray) -> tuple[float, int]:
@@ -299,18 +292,6 @@ class SystemIndex:
         bnorms = np.fromiter((float(u.bnorm) for u in self.odd_sets), float, n_sets)
         self._set_matrices = (self.member.astype(float), self.internal.astype(float), bnorms)
         return self._set_matrices
-
-    def vertex_row_incidence(self) -> np.ndarray:
-        """``(n, n_rows)`` 0/1: vertex ``i`` is an endpoint of cover row ``r``."""
-        cached = getattr(self, "_incidence", None)
-        if cached is not None:
-            return cached
-        inc = np.zeros((self.leveled.base.n, len(self.rows)))
-        for r, (_e, i, j, _k) in enumerate(self.rows):
-            inc[i, r] = 1.0
-            inc[j, r] = 1.0
-        self._incidence = inc
-        return inc
 
     def zeta_degree_target(self, zeta_vec: np.ndarray) -> float:
         """``zeta . q`` where ``q`` is the outer degree right-hand side."""

@@ -107,10 +107,6 @@ class TestSolve:
             {"max_rounds": 1},  # the initial solution uses the only round
             {"space_mult": 0.0},
             {"space_mult": -1.0},
-            {"certificate_retries": -1},
-            {"sketch_xi": 0.0},
-            {"sketch_xi": 1.0},
-            {"sketch_xi": 1.5},
         ],
     )
     def test_unworkable_config_rejected(self, kwargs):
@@ -124,6 +120,37 @@ class TestSolve:
         assert plain.peak_space > plain.space_cap > 0.0
         with pytest.raises(ContractViolation, match="space cap"):
             sm.solve(g, sm.SolverConfig(assert_mode=True, **cfg))
+
+    def test_first_round_sketch_masks_match_row_loop(self, monkeypatch):
+        from sketchmatch import driver
+        from sketchmatch.mwu import CoveringState, covering_multipliers
+        from sketchmatch.oracle import initial_solution
+
+        g = random_instance(1003)
+        calls = []
+        real = driver.build_deferred
+        monkeypatch.setattr(
+            driver, "build_deferred", lambda *args: calls.append(args) or real(*args)
+        )
+        sm.solve(g, sm.SolverConfig())
+        # reference: the first round's snapshot multipliers, copied per row
+        index = sm.SystemIndex(
+            sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS)
+        )
+        it, _beta, _lam = initial_solution(index, 2.0, 0)
+        c = index.cover_rhs
+        state = CoveringState(
+            c=c, rho=24.0 / EPS + 24.0 / EPS**2, eps=EPS, ax=index.cover_values(it)
+        )
+        u, _log_u = covering_multipliers(state.ax, c, state.alpha)
+        levels = sorted({k for (_e, _i, _j, k) in index.rows})
+        assert len(levels) > 1
+        for k, args in zip(levels, calls):
+            want = np.zeros(g.m)
+            for r, (e, _i, _j, kk) in enumerate(index.rows):
+                if kk == k:
+                    want[e] = u[r]
+            assert np.array_equal(args[2], want)
 
     def test_caps_formulas(self):
         assert sm.round_cap_for(2.0, EPS) == 8 * 32

@@ -9,16 +9,15 @@ import pytest
 
 import sketchmatch as sm
 from sketchmatch.mwu import (
+    RECOMPUTE_EVERY,
     CoveringProblem,
+    CoveringState,
     OracleContractError,
-    PackingProblem,
     covering_multipliers,
     covering_step_budget,
     lagrangian_search,
     packing_multipliers,
-    packing_step_budget,
     solve_covering,
-    solve_packing,
 )
 from sketchmatch.oracle import DualStep, PrimalCertificate, matching_oracle
 
@@ -57,14 +56,6 @@ class TestStepBudgets:
         got = covering_step_budget(2.0, 0.5, 1, 0.25)
         assert got == math.ceil(64.0 * 2.0 * (4.0 + 2.0) * math.log(2.0 * 1 / 0.5))
 
-    def test_packing_formula(self):
-        # delta = 1/6 and a start ratio of 2 gives the 2 * (36 + 1) shape
-        got = packing_step_budget(2.0, 1.0 / 6.0, 5, 2.0)
-        assert got == math.ceil(64.0 * 2.0 * 37.0 * math.log(10.0))
-
-    def test_packing_start_below_one_drops_log_term(self):
-        got = packing_step_budget(2.0, 0.5, 5, 0.5)
-        assert got == math.ceil(64.0 * 2.0 * 4.0 * math.log(10.0))
 
 
 def _segment_problem(upper: float, rho: float = 2.0):
@@ -151,77 +142,92 @@ class TestSolveCovering:
             solve_covering(problem, 0.1)
 
 
-class TestSolvePacking:
-    def test_packed_start_returns_without_oracle(self):
-        def oracle(z, state):  # pragma: no cover - must not run
-            raise AssertionError("oracle called on an already packed start")
+def _state(eps: float = 0.1, rho: float = 4.0) -> CoveringState:
+    """Two rows at coverage 0.5 and 1 against unit targets."""
+    return CoveringState(c=np.ones(2), rho=rho, eps=eps, ax=np.array([0.5, 1.0]))
 
-        problem = PackingProblem(
-            d=np.ones(1),
-            rho=2.0,
-            x0=0.5,
-            matvec=lambda x: np.array([float(x)]),
-            combine=lambda x, y, s: (1.0 - s) * x + s * y,
-            oracle=oracle,
-        )
-        out = solve_packing(problem, 1.0 / 6.0)
-        assert out.feasible
-        assert out.steps == 0
-        assert out.lam == pytest.approx(0.5)
 
-    def test_balances_two_rows(self):
-        # points x1 + x2 = 1 loading rows (2 x1, 2 x2) against d = 1
-        a = np.array([[2.0, 0.0], [0.0, 2.0]])
+class TestCoveringState:
+    def test_start_sets_phase_parameters(self):
+        st = _state()
+        assert st.lam == st.lam_t == 0.5
+        assert st.alpha == pytest.approx(4.0 * math.log(2.0 * 2 / 0.1) / (0.5 * 0.1))
+        assert st.sigma == pytest.approx(0.1 / (4.0 * st.alpha * 4.0))
+        assert (st.steps, st.phases, st.since_recompute) == (0, 1, 0)
 
-        def oracle(z, state):
-            costs = a.T @ z
-            y = np.zeros(2)
-            y[int(np.argmin(costs))] = 1.0
-            return y
+    def test_advance_moves_rows_and_coverage(self):
+        st = _state()
+        ay = np.array([2.0, 0.0])
+        due = st.advance(ay)
+        s = st.sigma
+        assert not due
+        assert st.ax == pytest.approx([(1 - s) * 0.5 + s * 2.0, 1.0 - s])
+        assert st.lam == pytest.approx(min(st.ax))
+        assert (st.steps, st.since_recompute) == (1, 1)
 
-        problem = PackingProblem(
-            d=np.ones(2),
-            rho=2.0,
-            x0=np.array([1.0, 0.0]),
-            matvec=lambda x: a @ x,
-            combine=lambda x, y, s: (1.0 - s) * x + s * y,
-            oracle=oracle,
-        )
-        delta = 0.05
-        out = solve_packing(problem, delta)
-        assert out.feasible
-        assert out.lam <= 1.0 + 6.0 * delta
-        assert out.steps <= out.budget
-        assert out.x.sum() == pytest.approx(1.0)
+    @pytest.mark.parametrize("ay", [[4.0 * 1.01, 1.0], [0.5, -1e-6]])
+    def test_advance_rejects_width_violation(self, ay):
+        st = _state()
+        with pytest.raises(OracleContractError, match="width"):
+            st.advance(np.array(ay))
+        assert st.steps == 0
+        assert st.ax.tolist() == [0.5, 1.0]
 
-    def test_infeasible_returns_witness(self):
-        # the same segment against d = 0.4: best ratio is 1 / 0.4 = 2.5
-        a = np.array([[2.0, 0.0], [0.0, 2.0]])
-        d = np.full(2, 0.4)
-        delta = 0.05
+    def test_advance_rejects_drift_over_eps(self):
+        st = _state()
+        ay = np.array([4.0, 1.0])
+        # alpha * sigma * |ay - ax| is twice eps on the first row
+        st.sigma = 2.0 * st.eps / (st.alpha * 3.5)
+        with pytest.raises(AssertionError, match="drift"):
+            st.advance(ay)
+        assert st.steps == 0
+        assert st.ax.tolist() == [0.5, 1.0]
 
-        def oracle(z, state):
-            costs = a.T @ z
-            y = np.zeros(2)
-            y[int(np.argmin(costs))] = 1.0
-            if float(z @ (a @ y)) > (1.0 + delta / 2.0) * float(z @ d):
-                return None
-            return y
+    def test_recompute_due_every_fixed_number_of_steps(self):
+        st = _state()
+        ay = st.ax.copy()
+        due = [st.advance(ay) for _ in range(RECOMPUTE_EVERY)]
+        assert due == [False] * (RECOMPUTE_EVERY - 1) + [True]
+        st.resync(st.ax.copy())
+        assert st.since_recompute == 0
+        assert st.steps == RECOMPUTE_EVERY
+        assert not st.advance(ay)
 
-        problem = PackingProblem(
-            d=d,
-            rho=10.0,
-            x0=np.array([1.0, 0.0]),
-            matvec=lambda x: a @ x,
-            combine=lambda x, y, s: (1.0 - s) * x + s * y,
-            oracle=oracle,
-        )
-        out = solve_packing(problem, delta)
-        assert not out.feasible
-        z = out.infeasible_z
-        assert z is not None
-        for vertex in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-            assert float(z @ (a @ vertex)) > (1.0 + delta / 2.0) * float(z @ d)
+    def test_resync_takes_exact_values(self):
+        st = _state()
+        exact = st.ax * (1.0 + 1e-9)
+        st.resync(exact)
+        assert st.ax is exact
+        assert st.lam == float(exact.min())
+
+    def test_resync_rejects_drifted_values(self):
+        st = _state()
+        st.advance(np.array([2.0, 0.0]))
+        with pytest.raises(AssertionError, match="drifted"):
+            st.resync(st.ax * 1.01)
+        assert st.since_recompute == 1
+
+    def test_retune_starts_phase_at_doubled_coverage(self):
+        # coverage 0.25: the doubled coverage 0.5 lies below the target 0.7
+        st = CoveringState(c=np.ones(2), rho=4.0, eps=0.1, ax=np.array([0.25, 1.0]))
+        alpha = st.alpha
+        st.lam = np.nextafter(0.5, 0.0)
+        st.retune()
+        assert (st.phases, st.lam_t, st.alpha) == (1, 0.25, alpha)
+        st.lam = 0.5
+        st.retune()
+        assert (st.phases, st.lam_t) == (2, 0.5)
+        assert st.alpha == pytest.approx(alpha / 2.0)
+        assert st.sigma == pytest.approx(st.eps / (4.0 * st.alpha * st.rho))
+
+    def test_retune_starts_phase_at_target(self):
+        st = _state()  # the doubled coverage 1.0 lies above the target 0.7
+        st.lam = np.nextafter(st.target, 0.0)
+        st.retune()
+        assert st.phases == 1
+        st.lam = st.target
+        st.retune()
+        assert (st.phases, st.lam_t) == (2, st.target)
 
 
 def _triangle_index(eps: float = EPS):

@@ -16,7 +16,6 @@ from sketchmatch.sketch import (
     PromiseViolationError,
     all_cut_values,
     forest_count,
-    l0_sample,
     prf_u64,
     prf_uniform,
 )
@@ -42,7 +41,7 @@ class TestL0:
     def test_single_coordinate(self):
         sk = L0Sketch(domain=8, seed=3)
         sk.update(5, 1)
-        assert l0_sample(sk) == 5
+        assert sk.sample() == 5
 
     def test_two_coordinate_frequencies(self):
         hits = {2: 0, 6: 0}
@@ -51,7 +50,7 @@ class TestL0:
             sk.update(2, 1)
             sk.update(6, 1)
             try:
-                hits[l0_sample(sk)] += 1
+                hits[sk.sample()] += 1
             except L0SampleError:
                 pass
         total = hits[2] + hits[6]
@@ -64,14 +63,14 @@ class TestL0:
     def test_empty_signals(self):
         sk = L0Sketch(domain=8, seed=3)
         with pytest.raises(L0SampleError):
-            l0_sample(sk)
+            sk.sample()
 
     def test_linearity_deletion(self):
         sk = L0Sketch(domain=8, seed=11)
         sk.update(1, 1)
         sk.update(4, 1)
         sk.update(1, -1)
-        assert l0_sample(sk) == 4
+        assert sk.sample() == 4
 
     def test_merge_equals_union(self):
         a = L0Sketch(domain=16, seed=9)
