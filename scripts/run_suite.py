@@ -4,6 +4,9 @@ Generates seeded random graphs in the same family the test suite uses,
 solves each with the round-structured solver, brute-forces the exact
 optimum, and prints per-instance ratios plus a summary row.  With
 ``--assert`` every run verifies its own dual steps and certificates.
+Each ``--json`` row carries ``report_sha256``, the sha256 of the
+report's sorted-key JSON, so two commits' reports compare with a diff
+of their outputs.
 
 Example
 -------
@@ -13,6 +16,7 @@ Example
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -33,6 +37,11 @@ def random_instance(seed: int) -> sm.Graph:
     )
     b = tuple(rng.choice((1, 2)) for _ in range(n))
     return sm.Graph(n=n, edges=edges, b=b)
+
+
+def report_sha256(rep: sm.SolveReport) -> str:
+    """sha256 of the report's canonical JSON: equal digests, byte-identical reports."""
+    return hashlib.sha256(json.dumps(rep.as_dict(), sort_keys=True).encode()).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,6 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                 "ratio": ratio,
                 "rounds": rep.rounds,
                 "peak_space": rep.peak_space,
+                "report_sha256": report_sha256(rep),
             }
         )
         if not args.json:

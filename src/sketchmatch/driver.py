@@ -9,11 +9,14 @@
 3. repeat super-rounds until the dual coverage certifies or the round
    budget is exhausted: snapshot the row multipliers, build deferred
    per-level sparsifiers against them (one adaptive round of space),
-   harvest an integral matching from the stored edges, then run a
-   bounded number of multiplier refinements — each refinement reweighs
-   the stored edges, asks the penalized matching oracle for a step via
-   the penalty search, and either blends the step into the dual point
-   or raises the budget on a primal certificate;
+   harvest an integral matching from the stored edges (computed once
+   per distinct stored support and reused by later rounds and
+   certificate lifts on the same support), then run a bounded number
+   of multiplier refinements — each refinement reweighs the stored
+   edges at their cover rows, listed once per round, asks the
+   penalized matching oracle for a step via the penalty search, and
+   either blends the step into the dual point or raises the budget on
+   a primal certificate;
 4. report the best integral matching found, in original units and in
    level weights, together with the round/space ledger and traces.
 
@@ -220,6 +223,15 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     q_outer = index.degree_rhs_outer
     delta_pack = 1.0 / 6.0
 
+    # The integral matching of each distinct support, harvested once per
+    # solve: at desk scale every round stores the same support.
+    harvested: dict[tuple[int, ...], BMatching] = {}
+
+    def harvest_of(support: tuple[int, ...]) -> BMatching:
+        if support not in harvested:
+            harvested[support] = extract_integral(lv, support)
+        return harvested[support]
+
     best_matching = BMatching(edges=(), weight=0.0)
     certificates = 0
     harvests = 0
@@ -250,8 +262,16 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             if cfg.assert_mode:
                 _check_space_cap(ledger, space_cap)
 
+        # Each level's stored ids and their cover rows are fixed for the
+        # round; every refinement below reads the multipliers at them.
+        level_stored = []
+        for k, sk in sketches.items():
+            ids = [e for e in sk.stored_edge_ids() if row_levels[row_of_edge[e]] == k]
+            rows = np.array([row_of_edge[e] for e in ids], dtype=np.int64)
+            level_stored.append((sk, ids, rows))
+
         stored_ids = sorted({e for sk in sketches.values() for e in sk.stored_edge_ids()})
-        harvest = extract_integral(lv, stored_ids)
+        harvest = harvest_of(tuple(stored_ids))
         if harvest.weight > best_matching.weight:
             best_matching = harvest
         harvests += 1
@@ -275,13 +295,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 break
             u_now = np.exp(covering_multipliers(state.ax, c, state.alpha)[1] - offset)
             refined: dict[int, float] = {}
-            for k, sk in sketches.items():
-                vals = {
-                    e: u_now[row_of_edge[e]]
-                    for e in sk.stored_edge_ids()
-                    if row_levels[row_of_edge[e]] == k
-                }
-                refined.update(refine_deferred(sk, vals))
+            for sk, ids, rows in level_stored:
+                refined.update(refine_deferred(sk, dict(zip(ids, u_now[rows].tolist()))))
             u_sparse = index.multiplier_vector(refined)
 
             lam_pack = float((pox / q_outer).max())
@@ -312,7 +327,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                         ok, rep = check_primal_certificate(index, out)
                         if not ok:
                             raise ContractViolation(f"certificate check failed: {rep}")
-                    lifted = extract_integral(lv, sorted(out.y))
+                    lifted = harvest_of(tuple(sorted(out.y)))
                     if lifted.weight > best_matching.weight:
                         best_matching = lifted
                     beta *= 1.0 + eps

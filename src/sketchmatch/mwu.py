@@ -151,6 +151,7 @@ class CoveringState:
     lam_t: float = field(init=False)
     alpha: float = field(init=False)
     sigma: float = field(init=False)
+    width: np.ndarray = field(init=False, repr=False)
     steps: int = 0
     phases: int = 1
     since_recompute: int = 0
@@ -158,6 +159,8 @@ class CoveringState:
     def __post_init__(self) -> None:
         self.lam = float((self.ax / self.c).min())
         self.lam_t = self.lam
+        # Highest row value an answer may have: ``rho c`` and a rounding slack.
+        self.width = self.rho * self.c * (1.0 + 1e-9)
         self._tune()
 
     @property
@@ -191,7 +194,7 @@ class CoveringState:
             If the step moves some multiplier by more than ``e^eps``.
         """
         c = self.c
-        if (ay < -1e-12).any() or (ay > self.rho * c * (1.0 + 1e-9)).any():
+        if (ay < -1e-12).any() or (ay > self.width).any():
             raise OracleContractError("oracle answer violates the width bound")
         new_ax = (1.0 - self.sigma) * self.ax + self.sigma * ay
         drift = self.alpha * float(np.abs((new_ax - self.ax) / c).max())

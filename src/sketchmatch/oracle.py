@@ -164,8 +164,8 @@ def matching_oracle(
     prefix_plain = np.cumsum(smat, axis=1)
     total = prefix_plain[:, -1:]
     delta = prefix_weighted + w_of * (total - prefix_plain)
-    barr = np.asarray(b, dtype=float)
-    qualifies = delta > (gamma / beta) * np.outer(barr, w_of)
+    barr, b_w = index.capacity_arrays()
+    qualifies = delta > (gamma / beta) * b_w
     violated = qualifies.any(axis=1)
     k_star = np.where(
         violated, n_levels - 1 - qualifies[:, ::-1].argmax(axis=1), -1

@@ -166,9 +166,9 @@ class SystemIndex:
 
     def cover_values(self, it: DualIterate) -> np.ndarray:
         """Cover-row left-hand sides for ``it`` (aligned with ``rows``)."""
-        out = np.zeros(len(self.rows))
-        for r, (_e, i, j, k) in enumerate(self.rows):
-            out[r] = it.x_level.get((i, k), 0.0) + it.x_level.get((j, k), 0.0)
+        xv = self._level_prices(it)
+        rv = self.row_vrow_pairs()
+        out = xv[rv[:, 0]] + xv[rv[:, 1]]
         if it.z:
             sets, levels, values = self._priced(it.z)
             hit = self.internal[sets] & (self.row_levels >= levels[:, None])
@@ -178,15 +178,26 @@ class SystemIndex:
 
     def degree_values(self, it: DualIterate) -> np.ndarray:
         """Degree-row left-hand sides for ``it`` (aligned with ``vrows``)."""
-        out = np.zeros(len(self.vrows))
-        for t, (i, k) in enumerate(self.vrows):
-            out[t] = 2.0 * it.x_level.get((i, k), 0.0)
+        out = 2.0 * self._level_prices(it)
         if it.z:
             sets, levels, values = self._priced(it.z)
             vertex, level = self.vrow_arrays()
             hit = self.member[sets][:, vertex] & (level >= levels[:, None])
             priced, vrows = np.nonzero(hit)
             np.add.at(out, vrows, values[priced])
+        return out
+
+    def _level_prices(self, it: DualIterate) -> np.ndarray:
+        """``it.x_level`` as a dense vector aligned with ``vrows``.
+
+        Keys that are not degree rows are ignored, and absent rows read 0.
+        """
+        out = np.zeros(len(self.vrows))
+        vrow_of = self.vrow_of
+        for key, v in it.x_level.items():
+            t = vrow_of.get(key)
+            if t is not None:
+                out[t] = v
         return out
 
     def _priced(
@@ -329,6 +340,15 @@ class SystemIndex:
             [lv.level_weight(k) for k in range(lv.L + 1)]
         )
         return self._level_weights
+
+    def capacity_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Capacities ``b`` as floats, and ``b_i (1+eps)^k`` per vertex and level."""
+        cached = getattr(self, "_capacity_arrays", None)
+        if cached is not None:
+            return cached
+        barr = np.asarray(self.leveled.base.b, dtype=float)
+        self._capacity_arrays = (barr, np.outer(barr, self.level_weights_all()))
+        return self._capacity_arrays
 
 
 def convert_to_matching_dual(

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sketchmatch as sm
 from sketchmatch.cli import main
@@ -152,11 +155,142 @@ class TestSolve:
                     want[e] = u[r]
             assert np.array_equal(args[2], want)
 
+    def test_harvest_runs_once_per_distinct_support(self, monkeypatch):
+        from sketchmatch import driver
+        from sketchmatch.oracle import BMatching, extract_integral
+
+        g = random_instance(1003)
+        supports, built = [], []
+        monkeypatch.setattr(
+            driver,
+            "extract_integral",
+            lambda lv, ids: supports.append(tuple(ids)) or extract_integral(lv, ids),
+        )
+        real_build = driver.build_deferred
+        monkeypatch.setattr(
+            driver,
+            "build_deferred",
+            lambda *args: built.append(real_build(*args)) or built[-1],
+        )
+        rep = sm.solve(g, sm.SolverConfig())
+        solve_rounds = len(rep.lambda_trace) - 1
+        assert rep.harvests == solve_rounds > 1
+        assert len(supports) == len(set(supports)) >= 1
+        # reference: harvest every round's support afresh, as an
+        # unmemoized solve does, and keep the first best matching
+        assert rep.certificates == 0  # so rounds are the only harvests
+        lv = sm.discretize(g, EPS)
+        n_levels = len(set(lv.level_of) - {-1})
+        assert len(built) == n_levels * solve_rounds
+        best = BMatching(edges=(), weight=0.0)
+        for r in range(solve_rounds):
+            sketches = built[r * n_levels : (r + 1) * n_levels]
+            ids = sorted({e for sk in sketches for e in sk.stored_edge_ids()})
+            assert tuple(ids) in supports
+            harvest = extract_integral(lv, ids)
+            if harvest.weight > best.weight:
+                best = harvest
+        assert rep.matching == best.edges
+        assert rep.rescaled_weight == best.weight
+
+    def test_refined_multipliers_match_row_loop(self, monkeypatch):
+        from sketchmatch import driver
+        from sketchmatch.mwu import CoveringState, covering_multipliers
+        from sketchmatch.oracle import initial_solution
+        from sketchmatch.sketch import refine_deferred
+
+        g = random_instance(1003)
+        built, searched = [], []
+        real_build = driver.build_deferred
+        monkeypatch.setattr(
+            driver,
+            "build_deferred",
+            lambda *args: built.append(real_build(*args)) or built[-1],
+        )
+        real_search = driver.lagrangian_search
+        monkeypatch.setattr(
+            driver,
+            "lagrangian_search",
+            lambda *args: searched.append(args[2].copy()) or real_search(*args),
+        )
+        sm.solve(g, sm.SolverConfig(max_rounds=8))
+        # reference: the first refinement's multipliers through the
+        # per-row dict the refinement loop used to build
+        index = sm.SystemIndex(
+            sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS)
+        )
+        it, _beta, _lam = initial_solution(index, 2.0, 0)
+        c = index.cover_rhs
+        state = CoveringState(
+            c=c, rho=24.0 / EPS + 24.0 / EPS**2, eps=EPS, ax=index.cover_values(it)
+        )
+        _u, log_u = covering_multipliers(state.ax, c, state.alpha)
+        u_now = np.exp(log_u - float(log_u.max()))
+        levels = sorted({k for (_e, _i, _j, k) in index.rows})
+        assert len(levels) > 1
+        refined = {}
+        for k, sk in zip(levels, built):
+            vals = {
+                e: u_now[index.edge_row_of[e]]
+                for e in sk.stored_edge_ids()
+                if index.row_levels[index.edge_row_of[e]] == k
+            }
+            refined.update(refine_deferred(sk, vals))
+        want = index.multiplier_vector(refined)
+        assert np.count_nonzero(want) > 0
+        assert np.array_equal(searched[0], want)
+
     def test_caps_formulas(self):
         assert sm.round_cap_for(2.0, EPS) == 8 * 32
         got = sm.space_cap_for(10, 2.0, 20, 16.0)
         want = 16.0 * 10 ** 1.5 * np.log2(22.0)
         assert got == pytest.approx(want)
+
+
+@st.composite
+def edge_case_texts(draw):
+    """Edge-list and capacity text: n <= 7, isolated vertices, large b and weight ratios.
+
+    Vertices at or above ``n_used`` touch no edge and exist only through
+    their capacity lines.  Weights in ``[1, 10**6]`` make ``discretize``
+    drop the light edges of many draws.  Capacities up to ``10**6`` go
+    to the isolated vertices and to one edge vertex, the hub; the other
+    edge vertices get 1 to 3.  The exact harvest tries every
+    multiplicity of every edge, so two adjacent large capacities make it
+    run for minutes.
+    """
+    n = draw(st.integers(2, 7))
+    n_used = draw(st.integers(2, n))
+    pairs = [(i, j) for i in range(n_used) for j in range(i + 1, n_used)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weights = draw(st.lists(st.floats(1.0, 1e6), min_size=len(edges), max_size=len(edges)))
+    hub = draw(st.integers(0, n_used - 1))
+    caps = [
+        draw(st.integers(1, 10**6) if i == hub or i >= n_used else st.integers(1, 3))
+        for i in range(n)
+    ]
+    edge_text = "".join(f"{i} {j} {w!r}\n" for (i, j), w in zip(edges, weights))
+    b_text = "".join(f"{i} {b}\n" for i, b in enumerate(caps))
+    return edge_text, b_text
+
+
+class TestSolveEdgeCases:
+    @settings(max_examples=25, deadline=None)
+    @given(edge_case_texts())
+    def test_loaded_graph_solves_within_caps(self, texts):
+        g = sm.load_graph(*texts)
+        rep = sm.solve(g, sm.SolverConfig(max_rounds=24))
+        w_of = {(i, j): w for (i, j, w) in g.edges}
+        load = [0] * g.n
+        for i, j, mult in rep.matching:
+            assert (i, j) in w_of and mult >= 1
+            load[i] += mult
+            load[j] += mult
+        assert all(load[i] <= g.b[i] for i in range(g.n))
+        assert rep.weight == math.fsum(w_of[(i, j)] * mult for (i, j, mult) in rep.matching)
+        if g.B <= 24:
+            opt, _ = sm.brute_force_bmatching(g)
+            assert rep.weight >= (1.0 - 14.0 * EPS) * opt - 1e-9
 
 
 class TestCoverageExamples:

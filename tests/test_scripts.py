@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
+
+import sketchmatch as sm
 
 from conftest import random_instance
 
@@ -21,3 +25,14 @@ def test_run_suite_draws_the_test_suite_family():
     run_suite = _load("run_suite")
     for seed in range(1000, 1100):
         assert run_suite.random_instance(seed) == random_instance(seed), seed
+
+
+def test_run_suite_rows_carry_report_digests(capsys):
+    run_suite = _load("run_suite")
+    assert run_suite.main(["--count", "2", "--base-seed", "1003", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["instances"]
+    assert [r["seed"] for r in rows] == [1003, 1004]
+    for row in rows:
+        report = sm.solve(random_instance(row["seed"]), sm.SolverConfig())
+        text = json.dumps(report.as_dict(), sort_keys=True)
+        assert row["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()

@@ -227,6 +227,33 @@ def test_odd_set_evaluators_match_loops(name):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def dense_iterate(index, seed: int, with_z: bool) -> sm.DualIterate:
+    """A price on every degree row, plus ``x_level`` keys that are not rows."""
+    rng = random.Random(seed)
+    it = sm.DualIterate.zeros(beta=1.0)
+    for i, k in rng.sample(index.vrows, len(index.vrows)):
+        it.x_level[(i, k)] = rng.uniform(0.0, 5.0)
+    n = index.leveled.base.n
+    top = int(index.row_levels.max())
+    for key in ((0, top + 1), (n, 0), (n + 3, top), (-1, 0)):
+        assert key not in index.vrow_of
+        it.x_level[key] = rng.uniform(1.0, 9.0)
+    if with_z:
+        it.z = priced_iterate(index, seed).z
+    return it
+
+
+@pytest.mark.parametrize("with_z", [False, True])
+@pytest.mark.parametrize("name", CASES)
+def test_dense_level_prices_match_loops(name, with_z):
+    _g, _lv, index = case(name)
+    geo = loop_geometry(index)
+    for seed in range(3):
+        it = dense_iterate(index, seed, with_z)
+        assert np.array_equal(index.cover_values(it), loop_cover_values(index, geo, it))
+        assert np.array_equal(index.degree_values(it), loop_degree_values(index, it))
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_strict_collect_violated_sets_matches_loop(name):
     g, _lv, index = case(name)
