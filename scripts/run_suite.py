@@ -58,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON summary")
     args = parser.parse_args(argv)
+    if args.count < 1:
+        parser.error("--count must be at least 1")
 
     cfg = sm.SolverConfig(
         epsilon=args.epsilon, p=args.p, assert_mode=args.assert_mode

@@ -276,12 +276,13 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             best_matching = harvest
         harvests += 1
         # The harvested candidate set, the remembered matching, and the
-        # dual support are all held across the round; charge them too.
+        # dual support (its nonzero prices) are all held across the
+        # round; charge them too.
         ledger.record_space(
             len(harvest.edges)
             + len(best_matching.edges)
-            + len(it.x_level)
-            + len(it.x_top)
+            + np.count_nonzero(it.x_level)
+            + np.count_nonzero(it.x_top)
             + len(it.z)
         )
         if cfg.assert_mode:

@@ -337,7 +337,7 @@ def lagrangian_search(
     eps = index.epsilon
     usc = index.multiplier_cover_target(u_sparse)
     if usc <= 0.0:
-        return DualStep.zeros(beta)
+        return DualStep.zeros(index, beta)
     zq = index.zeta_degree_target(zeta)
     if zq <= 0.0:
         raise ValueError("degree multipliers carry no mass")
@@ -358,7 +358,7 @@ def lagrangian_search(
 
     penalty_hi = 12.0 * usc / (13.0 * zq)
     lo_pen, lo_step = penalty_init, first
-    hi_pen, hi_step = penalty_hi, DualStep.zeros(beta)
+    hi_pen, hi_step = penalty_hi, DualStep.zeros(index, beta)
     probes = 0
     while hi_pen - lo_pen > eps * penalty_hi / 16.0:
         probes += 1

@@ -51,6 +51,14 @@ __all__ = [
 _REL = 1e-9
 # Largest edge list :func:`offline_bmatching` solves exactly.
 EXACT_THRESHOLD = 24
+# Maximal matching rounds: a round samples the live edges at rate
+# ``SAMPLE_RATE_MULT * n^(1+1/p) / |live|``; a run that needs more than
+# ``ROUNDS_MULT * p`` rounds is retried, at most ``MAX_RETRIES`` times.
+SAMPLE_RATE_MULT = 4.0
+ROUNDS_MULT = 8
+MAX_RETRIES = 3
+# Start prices are ``eps / START_RATE_DIVISOR * w_k`` at saturated vertices.
+START_RATE_DIVISOR = 256.0
 
 
 @dataclass
@@ -63,8 +71,10 @@ class DualStep:
     gamma: float
 
     @staticmethod
-    def zeros(beta: float, penalty: float = 0.0, gamma: float = 0.0) -> "DualStep":
-        return DualStep(DualIterate.zeros(beta), "zero", penalty, gamma)
+    def zeros(
+        index: SystemIndex, beta: float, penalty: float = 0.0, gamma: float = 0.0
+    ) -> "DualStep":
+        return DualStep(DualIterate.zeros(index, beta), "zero", penalty, gamma)
 
     def mix(self, other: "DualStep", weight_other: float, beta: float) -> "DualStep":
         """Convex combination ``(1 - w) self + w other`` as a mixed step."""
@@ -145,13 +155,10 @@ def matching_oracle(
     q_outer = index.degree_rhs_outer
     gamma = usc - penalty * float(zeta @ q_outer)
     if gamma <= 0.0:
-        return DualStep.zeros(beta, penalty, gamma)
+        return DualStep.zeros(index, beta, penalty, gamma)
 
-    rv = index.row_vrow_pairs()
     n_vr = len(index.vrows)
-    edge_mass = np.zeros(n_vr)
-    np.add.at(edge_mass, rv[:, 0], u_sparse)
-    np.add.at(edge_mass, rv[:, 1], u_sparse)
+    edge_mass = index.vrow_mass(u_sparse)
     surplus = edge_mass - 2.0 * penalty * zeta
     surplus_pos = np.maximum(surplus, 0.0)
     vv, vl = index.vrow_arrays()
@@ -174,27 +181,18 @@ def matching_oracle(
     gamma_v = float(delta[viol_ids, k_star[viol_ids]].sum()) if len(viol_ids) else 0.0
 
     if gamma_v >= eps * gamma / 24.0:
-        it = DualIterate.zeros(beta)
-        for t in np.nonzero(surplus_pos > 0.0)[0]:
-            i = int(vv[t])
-            if not violated[i]:
-                continue
-            lev = int(vl[t])
-            it.x_level[(i, lev)] = gamma * w_of[min(lev, int(k_star[i]))] / gamma_v
-        for i in viol_ids:
-            it.x_top[int(i)] = gamma * w_of[int(k_star[i])] / gamma_v
-        lag = math.fsum(
-            v * surplus[index.vrow_of[key]] for key, v in it.x_level.items()
-        )
+        it = DualIterate.zeros(index, beta)
+        priced = (surplus_pos > 0.0) & violated[vv]
+        prices = gamma * w_of[np.minimum(vl, k_star[vv])[priced]] / gamma_v
+        it.x_level[priced] = prices
+        it.x_top[viol_ids] = gamma * w_of[k_star[viol_ids]] / gamma_v
+        lag = math.fsum((prices * surplus[priced]).tolist())
         if not math.isclose(lag, gamma, rel_tol=_REL):
             raise AssertionError("vertex step does not meet the penalized target")
-        budget = math.fsum(b[i] * v for i, v in it.x_top.items())
-        if budget > beta * (1.0 + _REL):
+        if budget_value(it, barr) > beta * (1.0 + _REL):
             raise AssertionError("vertex step exceeds the budget")
-        cap = 24.0 / eps
-        for (_i, lev), v in it.x_level.items():
-            if v > cap * w_of[lev] * (1.0 + _REL):
-                raise AssertionError("vertex price exceeds its width cap")
+        if (prices > (24.0 / eps) * w_of[vl[priced]] * (1.0 + _REL)).any():
+            raise AssertionError("vertex price exceeds its width cap")
         return DualStep(it, "vertex", penalty, gamma)
 
     # Raise the degree multipliers on the violated prefix; the target
@@ -227,7 +225,7 @@ def matching_oracle(
             gamma_o += float(dvals.sum() * w_of[lo : p + 1].sum())
 
     if gamma_o >= eps * gamma_p / 24.0:
-        it = DualIterate.zeros(beta)
+        it = DualIterate.zeros(index, beta)
         for lo, p, selected, _dvals in segments:
             for t in selected:
                 u_set = index.odd_sets[t]
@@ -288,10 +286,7 @@ def matching_oracle(
             mu[index.vrows[t]] = scale * penalty * zeta_hat[t]
     for key, v in extra.items():
         mu[key] = mu.get(key, 0.0) + scale * penalty * v
-    y_mass = np.zeros(n_vr)
-    y_vec = scale * u_sparse
-    np.add.at(y_mass, rv[:, 0], y_vec)
-    np.add.at(y_mass, rv[:, 1], y_vec)
+    y_mass = index.vrow_mass(scale * u_sparse)
     y_caps: dict[tuple[int, int], float] = {}
     for t in range(n_vr):
         val = y_mass[t] - 2.0 * mu.get(index.vrows[t], 0.0)
@@ -359,16 +354,11 @@ def check_dual_step(
         target = (1.0 - eps / 16.0) * (usc - step.penalty * zq)
         report["penalized_target"] = lag >= target * (1.0 - tol) - 1e-12
     report["nonnegative"] = it.is_nonnegative(1e-12)
-    shape_ok = True
-    for (i, _k), v in it.x_level.items():
-        if it.x_top.get(i, 0.0) < v - 1e-12:
-            shape_ok = False
-    report["price_shape"] = shape_ok
+    report["price_shape"] = index.is_shaped(it, atol=1e-12)
     report["budget"] = budget_value(it, b) <= it.beta * (1.0 + tol)
     cap = 24.0 / eps
-    report["x_caps"] = all(
-        v <= cap * w_of[k] * (1.0 + tol) for (_i, k), v in it.x_level.items()
-    )
+    _vertex, level = index.vrow_arrays()
+    report["x_caps"] = bool((it.x_level <= cap * w_of[level] * (1.0 + tol)).all())
     report["z_caps"] = all(
         v <= cap * w_of[lev] * (1.0 + tol) for (_u, lev), v in it.z.items()
     )
@@ -422,10 +412,7 @@ def check_primal_certificate(
     y_row = np.zeros(len(index.rows))
     for r, (e, _i, _j, _k) in enumerate(index.rows):
         y_row[r] = cert.y.get(e, 0.0)
-    rv = index.row_vrow_pairs()
-    y_mass = np.zeros(len(index.vrows))
-    np.add.at(y_mass, rv[:, 0], y_row)
-    np.add.at(y_mass, rv[:, 1], y_row)
+    y_mass = index.vrow_mass(y_row)
     level_rows_ok = True
     worst_level_row = 0.0
     for t, key in enumerate(index.vrows):
@@ -618,23 +605,20 @@ def maximal_bmatching_rounds(
     seed: int,
     *,
     salt: str = "",
-    c_sample: float = 4.0,
-    c_rounds: int = 8,
-    max_retries: int = 3,
 ) -> tuple[dict[int, int], list[int]]:
     """Build a maximal degree-capped matching by sampling rounds.
 
-    Each round samples the live edges at rate ``c_sample * n^(1+1/p) /
-    |live|`` (capped at 1) and takes each sampled edge with saturating
-    multiplicity; edges with a saturated endpoint die.  The expected
-    number of rounds is ``O(p)``; a run that exceeds ``c_rounds * p``
-    rounds is retried under a fresh sampling salt.
+    Each round samples the live edges at rate ``SAMPLE_RATE_MULT *
+    n^(1+1/p) / |live|`` (capped at 1) and takes each sampled edge with
+    saturating multiplicity; edges with a saturated endpoint die.  The
+    expected number of rounds is ``O(p)``; a run that exceeds
+    ``ROUNDS_MULT * p`` rounds is retried under a fresh sampling salt.
 
     Returns the multiplicity map and the per-round sample counts (the
     space the rounds consumed).
     """
-    cap = math.ceil(c_rounds * p)
-    for attempt in range(max_retries + 1):
+    cap = math.ceil(ROUNDS_MULT * p)
+    for attempt in range(MAX_RETRIES + 1):
         rem = list(b)
         take: dict[int, int] = {}
         live = list(edges)
@@ -642,7 +626,7 @@ def maximal_bmatching_rounds(
         for rnd in range(1, cap + 1):
             if not live:
                 break
-            rate = min(1.0, c_sample * n ** (1.0 + 1.0 / p) / len(live))
+            rate = min(1.0, SAMPLE_RATE_MULT * n ** (1.0 + 1.0 / p) / len(live))
             sampled = [
                 t
                 for t in live
@@ -666,26 +650,23 @@ def initial_solution(
     p: float,
     seed: int,
     *,
-    rate: float | None = None,
     ledger=None,
-    c_sample: float = 4.0,
-    c_rounds: int = 8,
 ) -> tuple[DualIterate, float, float]:
     """Starting prices from per-level maximal matchings.
 
     For every populated level a maximal degree-capped matching is built
     over that level's edges (all levels advance in lockstep, so the
     per-round space ledger sees one global round at a time).  Saturated
-    vertices get price ``rate * w_k`` at level ``k`` (default rate
-    ``eps/256``), tops are the per-vertex maxima.  Every edge row is
-    then covered to at least ``rate`` of its target, and the budget of
-    the start is a bounded fraction of the bipartite relaxation.
+    vertices get price ``rate * w_k`` at level ``k``, with ``rate =
+    eps / START_RATE_DIVISOR``; tops are the per-vertex maxima.  Every
+    edge row is then covered to at least ``rate`` of its target, and the
+    budget of the start is a bounded fraction of the bipartite relaxation.
 
     Returns ``(iterate, start_budget, start_coverage)``.
     """
     lv = index.leveled
     eps = index.epsilon
-    r = eps / 256.0 if rate is None else rate
+    r = eps / START_RATE_DIVISOR
     b = lv.base.b
     n = lv.base.n
     by_level: dict[int, list[tuple[int, int, int]]] = {}
@@ -700,8 +681,6 @@ def initial_solution(
             p,
             seed,
             salt=f"init-{k}",
-            c_sample=c_sample,
-            c_rounds=c_rounds,
         )
     if ledger is not None:
         depth = max((len(s) for _t, s in results.values()), default=0)
@@ -710,7 +689,7 @@ def initial_solution(
             ledger.record_space(
                 sum(s[rnd] for _t, s in results.values() if rnd < len(s))
             )
-    it = DualIterate.zeros(0.0)
+    it = DualIterate.zeros(index, 0.0)
     for k, (take, _samples) in results.items():
         ends = {e: (i, j) for (e, i, j) in by_level[k]}
         used = [0] * n
@@ -721,10 +700,9 @@ def initial_solution(
         wk = lv.level_weight(k)
         for i in range(n):
             if used[i] == b[i]:
-                it.x_level[(i, k)] = r * wk
-    for (i, _k), v in it.x_level.items():
-        it.x_top[i] = max(it.x_top.get(i, 0.0), v)
-    beta0 = math.fsum(b[i] * v for i, v in it.x_top.items())
+                it.x_level[index.vrow_of[(i, k)]] = r * wk
+    np.maximum.at(it.x_top, index.vrow_arrays()[0], it.x_level)
+    beta0 = budget_value(it, b)
     it.beta = beta0
     cov = index.cover_values(it)
     lambda0, _arg = index.coverage_lambda(cov)

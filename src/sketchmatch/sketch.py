@@ -614,12 +614,7 @@ def verify_switch(
     full_target = index.multiplier_cover_target(u_vec)
     hyp_cover = sparse_product >= (1.0 - eps / 8.0) * sparse_target - tol * max(1.0, abs(sparse_target))
     balance_ok, _worst = index.cut_balance_ok(us_vec, it.z, tol=tol)
-    shape_ok = it.is_nonnegative(tol)
-    if shape_ok:
-        for (i, k), v in it.x_level.items():
-            if it.x_top.get(i, 0.0) < v - tol * max(1.0, abs(v)):
-                shape_ok = False
-                break
+    shape_ok = it.is_nonnegative(tol) and index.is_shaped(it, atol=tol, rtol=tol)
     conclusion = full_product >= (1.0 - eps / 2.0) * full_target - tol * max(1.0, abs(full_target))
     hypothesis = hyp_cover and balance_ok and shape_ok
     return SwitchReport(

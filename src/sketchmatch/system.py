@@ -4,7 +4,13 @@ The dual system the solver works with has three variable groups: a
 per-vertex-per-level price ``x_i(k)``, a per-vertex top price ``x_i``,
 and odd-set prices ``z_{U,l}`` indexed by a small odd set and a level.
 This module owns the container for such iterates and vectorized
-evaluation of the constraint rows:
+evaluation of the constraint rows.  An iterate keeps its x prices as
+float vectors: ``x_level`` is aligned with the degree rows
+``SystemIndex.vrows`` and ``x_top`` has one entry per vertex, so
+blending and row evaluation are whole-vector operations.  The odd-set
+prices ``z`` stay a mapping keyed by ``(odd set, level)``, because a
+step prices only a few sets out of a family of up to ``2^n``.  The
+rows are:
 
 - cover rows, one per retained edge ``(i, j)`` at level ``k``:
   ``x_i(k) + x_j(k) + sum_{l <= k} sum_{U containing i,j} z_{U,l}``
@@ -41,61 +47,54 @@ class DualIterate:
     Attributes
     ----------
     x_level:
-        ``(vertex, level) -> value`` for the per-level prices.
+        Per-level prices ``x_i(k)``, a float vector aligned with
+        ``SystemIndex.vrows``.
     x_top:
-        ``vertex -> value`` for the top prices.
+        Top prices ``x_i``, a float vector with one entry per vertex.
     z:
         ``(odd set, level) -> value`` for odd-set prices.
     beta:
         The budget this iterate is playing against.
     """
 
-    x_level: dict[tuple[int, int], float]
-    x_top: dict[int, float]
+    x_level: np.ndarray
+    x_top: np.ndarray
     z: dict[tuple[OddSet, int], float]
     beta: float
 
     @staticmethod
-    def zeros(beta: float) -> "DualIterate":
-        return DualIterate(x_level={}, x_top={}, z={}, beta=beta)
-
-    def copy(self) -> "DualIterate":
+    def zeros(index: "SystemIndex", beta: float) -> "DualIterate":
         return DualIterate(
-            x_level=dict(self.x_level),
-            x_top=dict(self.x_top),
-            z=dict(self.z),
-            beta=self.beta,
+            x_level=np.zeros(len(index.vrows)),
+            x_top=np.zeros(index.leveled.base.n),
+            z={},
+            beta=beta,
         )
 
     def blend(self, other: "DualIterate", sigma: float) -> "DualIterate":
         """Return ``(1 - sigma) * self + sigma * other`` (keeps ``self.beta``)."""
-        out = DualIterate(x_level={}, x_top={}, z={}, beta=self.beta)
         keep = 1.0 - sigma
-        for key, v in self.x_level.items():
-            out.x_level[key] = keep * v
-        for key, v in other.x_level.items():
-            out.x_level[key] = out.x_level.get(key, 0.0) + sigma * v
-        for key, v in self.x_top.items():
-            out.x_top[key] = keep * v
-        for key, v in other.x_top.items():
-            out.x_top[key] = out.x_top.get(key, 0.0) + sigma * v
-        for key, v in self.z.items():
-            out.z[key] = keep * v
+        z = {key: keep * v for key, v in self.z.items()}
         for key, v in other.z.items():
-            out.z[key] = out.z.get(key, 0.0) + sigma * v
-        return out
+            z[key] = z.get(key, 0.0) + sigma * v
+        return DualIterate(
+            x_level=keep * self.x_level + sigma * other.x_level,
+            x_top=keep * self.x_top + sigma * other.x_top,
+            z=z,
+            beta=self.beta,
+        )
 
     def is_nonnegative(self, tol: float = 0.0) -> bool:
         return (
-            all(v >= -tol for v in self.x_level.values())
-            and all(v >= -tol for v in self.x_top.values())
+            bool((self.x_level >= -tol).all())
+            and bool((self.x_top >= -tol).all())
             and all(v >= -tol for v in self.z.values())
         )
 
 
 def budget_value(it: DualIterate, b: Sequence[int]) -> float:
     """Dual budget ``sum_i b_i x_i + sum_{U,l} floor(||U||_b/2) z_{U,l}``."""
-    total = math.fsum(b[i] * v for i, v in it.x_top.items())
+    total = math.fsum((np.asarray(b, dtype=float) * it.x_top).tolist())
     total += math.fsum(u.half_capacity * v for (u, _l), v in it.z.items())
     return total
 
@@ -166,9 +165,8 @@ class SystemIndex:
 
     def cover_values(self, it: DualIterate) -> np.ndarray:
         """Cover-row left-hand sides for ``it`` (aligned with ``rows``)."""
-        xv = self._level_prices(it)
         rv = self.row_vrow_pairs()
-        out = xv[rv[:, 0]] + xv[rv[:, 1]]
+        out = it.x_level[rv[:, 0]] + it.x_level[rv[:, 1]]
         if it.z:
             sets, levels, values = self._priced(it.z)
             hit = self.internal[sets] & (self.row_levels >= levels[:, None])
@@ -178,7 +176,7 @@ class SystemIndex:
 
     def degree_values(self, it: DualIterate) -> np.ndarray:
         """Degree-row left-hand sides for ``it`` (aligned with ``vrows``)."""
-        out = 2.0 * self._level_prices(it)
+        out = 2.0 * it.x_level
         if it.z:
             sets, levels, values = self._priced(it.z)
             vertex, level = self.vrow_arrays()
@@ -187,18 +185,22 @@ class SystemIndex:
             np.add.at(out, vrows, values[priced])
         return out
 
-    def _level_prices(self, it: DualIterate) -> np.ndarray:
-        """``it.x_level`` as a dense vector aligned with ``vrows``.
+    def vrow_mass(self, per_row: np.ndarray) -> np.ndarray:
+        """Sum a per-cover-row vector onto each row's two degree rows.
 
-        Keys that are not degree rows are ignored, and absent rows read 0.
+        Every degree row adds its first-end rows in row order, then its
+        second-end rows in row order.
         """
-        out = np.zeros(len(self.vrows))
-        vrow_of = self.vrow_of
-        for key, v in it.x_level.items():
-            t = vrow_of.get(key)
-            if t is not None:
-                out[t] = v
-        return out
+        rv = self.row_vrow_pairs()
+        return np.bincount(
+            rv.T.ravel(), np.concatenate((per_row, per_row)), len(self.vrows)
+        )
+
+    def is_shaped(self, it: DualIterate, atol: float = 0.0, rtol: float = 0.0) -> bool:
+        """Whether ``x_i >= x_i(k) - max(atol, rtol |x_i(k)|)`` on every degree row."""
+        vertex, _level = self.vrow_arrays()
+        slack = np.maximum(atol, rtol * np.abs(it.x_level))
+        return bool((it.x_top[vertex] >= it.x_level - slack).all())
 
     def _priced(
         self, z: Mapping[tuple[OddSet, int], float]
@@ -359,15 +361,15 @@ def convert_to_matching_dual(
     With ``eps`` the system parameter, ``x_i = max_l x_i(l) / (1 - 3 eps)``
     and ``z_U = sum_l z_{U,l} / (1 - 3 eps)`` is feasible for the
     odd-set dual on the leveled edges whenever the layered iterate
-    covers every edge row to ``(1 - 3 eps)``.
+    covers every edge row to ``(1 - 3 eps)``.  Vertices whose prices
+    are all zero are left out of ``x``.
     """
     eps = index.epsilon
     denom = 1.0 - 3.0 * eps
-    x: dict[int, float] = {}
-    for (i, _k), v in it.x_level.items():
-        x[i] = max(x.get(i, 0.0), v / denom)
-    for i, v in it.x_top.items():
-        x[i] = max(x.get(i, 0.0), v / denom)
+    vertex, _level = index.vrow_arrays()
+    top = it.x_top.copy()
+    np.maximum.at(top, vertex, it.x_level)
+    x = {int(i): float(top[i] / denom) for i in np.flatnonzero(top)}
     z: dict[OddSet, float] = {}
     for (u, _l), v in it.z.items():
         if v != 0.0:

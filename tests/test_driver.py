@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -307,11 +308,7 @@ class TestCoverageExamples:
         lv = sm.discretize(g, EPS)
         index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
         it, _beta0, _lam0 = sm.initial_solution(index, 2.0, 0)
-        doubled = it.copy()
-        for key in doubled.x_level:
-            doubled.x_level[key] *= 2.0
-        for key in doubled.x_top:
-            doubled.x_top[key] *= 2.0
+        doubled = dataclasses.replace(it, x_level=2.0 * it.x_level, x_top=2.0 * it.x_top)
         lam1, _ = index.coverage_lambda(index.cover_values(it))
         lam2, _ = index.coverage_lambda(index.cover_values(doubled))
         assert lam2 == pytest.approx(2.0 * lam1)
@@ -320,10 +317,10 @@ class TestCoverageExamples:
         g = sm.load_graph("0 1 7\n0 2 7\n")
         lv = sm.discretize(g, EPS)
         index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
-        it = sm.DualIterate.zeros(beta=1.0)
+        it = sm.DualIterate.zeros(index, beta=1.0)
         # price only vertex 1: the (0, 2) row stays uncovered
         (e, i, j, k) = next(iter(lv.retained()))
-        it.x_level[(j, k)] = lv.level_weight(k)
+        it.x_level[index.vrow_of[(j, k)]] = lv.level_weight(k)
         it.x_top[j] = lv.level_weight(k)
         lam, _row = index.coverage_lambda(index.cover_values(it))
         assert lam == 0.0

@@ -153,13 +153,14 @@ class TestDualFeasible:
         lv = sm.discretize(g, EPS)
         odd = sm.enumerate_small_odd_sets(g, EPS)
         index = sm.SystemIndex(lv, EPS, odd)
-        it = sm.DualIterate.zeros(beta=1.0)
+        it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
-            it.x_level[(i, k)] = max(it.x_level.get((i, k), 0.0), w / 2)
-            it.x_level[(j, k)] = max(it.x_level.get((j, k), 0.0), w / 2)
+            ti, tj = index.vrow_of[(i, k)], index.vrow_of[(j, k)]
+            it.x_level[ti] = max(it.x_level[ti], w / 2)
+            it.x_level[tj] = max(it.x_level[tj], w / 2)
         for i in range(g.n):
-            tops = [v for (vi, _k), v in it.x_level.items() if vi == i]
+            tops = [v for (vi, _k), v in zip(index.vrows, it.x_level) if vi == i]
             if tops:
                 it.x_top[i] = max(tops)
         lam, _row = index.coverage_lambda(index.cover_values(it))

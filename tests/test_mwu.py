@@ -263,7 +263,7 @@ class TestLagrangianSearch:
 
         def oracle(u, z, pen, beta):
             calls.append(pen)
-            return DualStep.zeros(beta)  # zero load always qualifies
+            return DualStep.zeros(index, beta)  # zero load always qualifies
 
         out = lagrangian_search(
             index,
@@ -317,4 +317,4 @@ class TestLagrangianSearch:
             beta=1.0,
         )
         assert isinstance(out, DualStep)
-        assert float(sum(out.iterate.x_top.values()) if out.iterate.x_top else 0.0) == 0.0
+        assert float(out.iterate.x_top.sum()) == 0.0

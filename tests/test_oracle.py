@@ -74,7 +74,7 @@ class TestMatchingOracleBranches:
         assert isinstance(out, DualStep)
         assert out.branch == "zero"
         assert out.gamma < 0.0
-        assert not out.iterate.x_top and not out.iterate.z
+        assert not out.iterate.x_top.any() and not out.iterate.z
         ok, report = check_dual_step(index, u, zeta, out)
         assert ok, report
 
@@ -100,7 +100,7 @@ class TestCheckDualStep:
         _g, _lv, index = _triangle()
         u = np.ones(len(index.rows))
         zeta = np.ones(len(index.vrows))
-        ok, report = check_dual_step(index, u, zeta, DualStep.zeros(5.0))
+        ok, report = check_dual_step(index, u, zeta, DualStep.zeros(index, 5.0))
         assert not ok
         assert report["penalized_target"] is False
 
@@ -244,8 +244,8 @@ class TestInitialSolution:
         assert lam0 == EPS / 128.0
         (e, i, j, k) = next(iter(lv.retained()))
         w = lv.level_weight(k)
-        assert it.x_level[(i, k)] == pytest.approx((EPS / 256.0) * w)
-        assert it.x_level[(j, k)] == pytest.approx((EPS / 256.0) * w)
+        assert it.x_level[index.vrow_of[(i, k)]] == pytest.approx((EPS / 256.0) * w)
+        assert it.x_level[index.vrow_of[(j, k)]] == pytest.approx((EPS / 256.0) * w)
         assert beta0 == pytest.approx((EPS / 128.0) * w)
         lam, _row = index.coverage_lambda(index.cover_values(it))
         assert lam == pytest.approx(EPS / 128.0)

@@ -7,6 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import sketchmatch as sm
 
 from conftest import random_instance
@@ -36,3 +38,12 @@ def test_run_suite_rows_carry_report_digests(capsys):
         report = sm.solve(random_instance(row["seed"]), sm.SolverConfig())
         text = json.dumps(report.as_dict(), sort_keys=True)
         assert row["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_run_suite_rejects_nonpositive_count(capsys):
+    run_suite = _load("run_suite")
+    for count in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run_suite.main(["--count", count])
+        assert exc.value.code == 2
+        assert "--count must be at least 1" in capsys.readouterr().err

@@ -275,7 +275,7 @@ class TestVerifySwitch:
     def test_zero_iterate_vacuous(self):
         _g, _lv, index = _switch_fixture()
         u = {e: 1.0 for (e, _i, _j, _k) in index.rows}
-        it = sm.DualIterate.zeros(beta=1.0)
+        it = sm.DualIterate.zeros(index, beta=1.0)
         rep = sm.verify_switch(index, u, u, it)
         assert not rep.hypothesis_cover
         assert rep.ok  # implication holds vacuously
@@ -283,13 +283,14 @@ class TestVerifySwitch:
     def test_identity_sparsifier(self):
         _g, lv, index = _switch_fixture()
         u = {e: 1.0 for (e, _i, _j, _k) in index.rows}
-        it = sm.DualIterate.zeros(beta=1.0)
+        it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
-            it.x_level[(i, k)] = max(it.x_level.get((i, k), 0.0), w)
-            it.x_level[(j, k)] = max(it.x_level.get((j, k), 0.0), w)
+            ti, tj = index.vrow_of[(i, k)], index.vrow_of[(j, k)]
+            it.x_level[ti] = max(it.x_level[ti], w)
+            it.x_level[tj] = max(it.x_level[tj], w)
         for i in range(lv.base.n):
-            tops = [v for (vi, _k), v in it.x_level.items() if vi == i]
+            tops = [v for (vi, _k), v in zip(index.vrows, it.x_level) if vi == i]
             if tops:
                 it.x_top[i] = max(tops)
         rep = sm.verify_switch(index, u, u, it)
@@ -303,13 +304,14 @@ class TestVerifySwitch:
             e: 1.0 * (1 + (EPS / 16 if e % 2 else -EPS / 16))
             for (e, _i, _j, _k) in index.rows
         }
-        it = sm.DualIterate.zeros(beta=1.0)
+        it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
-            it.x_level[(i, k)] = max(it.x_level.get((i, k), 0.0), w / 2)
-            it.x_level[(j, k)] = max(it.x_level.get((j, k), 0.0), w / 2)
+            ti, tj = index.vrow_of[(i, k)], index.vrow_of[(j, k)]
+            it.x_level[ti] = max(it.x_level[ti], w / 2)
+            it.x_level[tj] = max(it.x_level[tj], w / 2)
         for i in range(lv.base.n):
-            tops = [v for (vi, _k), v in it.x_level.items() if vi == i]
+            tops = [v for (vi, _k), v in zip(index.vrows, it.x_level) if vi == i]
             if tops:
                 it.x_top[i] = max(tops)
         rep = sm.verify_switch(index, u, u_s, it)

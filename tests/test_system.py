@@ -41,10 +41,16 @@ def loop_geometry(index):
     return internal, boundary
 
 
+def level_map(index, it):
+    """``it.x_level`` as the ``(vertex, level) -> price`` map the loops read."""
+    return dict(zip(index.vrows, it.x_level.tolist()))
+
+
 def loop_cover_values(index, geo, it):
+    x_level = level_map(index, it)
     out = np.zeros(len(index.rows))
     for r, (_e, i, j, k) in enumerate(index.rows):
-        out[r] = it.x_level.get((i, k), 0.0) + it.x_level.get((j, k), 0.0)
+        out[r] = x_level.get((i, k), 0.0) + x_level.get((j, k), 0.0)
     position = {u: t for t, u in enumerate(index.odd_sets)}
     for (u, lev), zv in it.z.items():
         if zv == 0.0:
@@ -56,9 +62,10 @@ def loop_cover_values(index, geo, it):
 
 
 def loop_degree_values(index, it):
+    x_level = level_map(index, it)
     out = np.zeros(len(index.vrows))
     for t, (i, k) in enumerate(index.vrows):
-        out[t] = 2.0 * it.x_level.get((i, k), 0.0)
+        out[t] = 2.0 * x_level.get((i, k), 0.0)
     for (u, lev), zv in it.z.items():
         if zv == 0.0:
             continue
@@ -175,11 +182,11 @@ def case(name: str):
 def priced_iterate(index, seed: int) -> sm.DualIterate:
     """Nonzero x and z prices; sets repeat across levels and overlap."""
     rng = random.Random(seed)
-    it = sm.DualIterate.zeros(beta=1.0)
-    for i, k in index.vrows:
+    it = sm.DualIterate.zeros(index, beta=1.0)
+    for t, (i, _k) in enumerate(index.vrows):
         if rng.random() < 0.6:
-            it.x_level[(i, k)] = rng.uniform(0.1, 3.0)
-            it.x_top[i] = max(it.x_top.get(i, 0.0), it.x_level[(i, k)])
+            it.x_level[t] = rng.uniform(0.1, 3.0)
+            it.x_top[i] = max(it.x_top[i], it.x_level[t])
     levels = sorted({int(k) for k in index.row_levels})
     for t in rng.sample(range(len(index.odd_sets)), min(12, len(index.odd_sets))):
         for lev in rng.sample(levels, min(2, len(levels))):
@@ -228,16 +235,11 @@ def test_odd_set_evaluators_match_loops(name):
 
 
 def dense_iterate(index, seed: int, with_z: bool) -> sm.DualIterate:
-    """A price on every degree row, plus ``x_level`` keys that are not rows."""
+    """A price on every degree row."""
     rng = random.Random(seed)
-    it = sm.DualIterate.zeros(beta=1.0)
-    for i, k in rng.sample(index.vrows, len(index.vrows)):
-        it.x_level[(i, k)] = rng.uniform(0.0, 5.0)
-    n = index.leveled.base.n
-    top = int(index.row_levels.max())
-    for key in ((0, top + 1), (n, 0), (n + 3, top), (-1, 0)):
-        assert key not in index.vrow_of
-        it.x_level[key] = rng.uniform(1.0, 9.0)
+    it = sm.DualIterate.zeros(index, beta=1.0)
+    for key in rng.sample(index.vrows, len(index.vrows)):
+        it.x_level[index.vrow_of[key]] = rng.uniform(0.0, 5.0)
     if with_z:
         it.z = priced_iterate(index, seed).z
     return it
