@@ -70,15 +70,11 @@ def main(argv: list[str] | None = None) -> int:
                 sk = sm.build_deferred(
                     n, edges, weights, chi=args.chi, xi=xi, seed=seed
                 )
-                got = sm.refine_deferred(
-                    sk, {e: true[e] for e in sk.stored_edge_ids()}
-                )
+                true_w = [true[e] for e in range(len(edges))]
+                got = sm.refine_deferred(sm.stored_sample([sk]), np.array(true_w))
+                kept = np.flatnonzero(got)
                 dev = max_deviation(
-                    n,
-                    edges,
-                    [true[e] for e in range(len(edges))],
-                    [edges[e] for e in got],
-                    list(got.values()),
+                    n, edges, true_w, [edges[e] for e in kept], got[kept].tolist()
                 )
                 defer_pass += dev <= xi
             row = {

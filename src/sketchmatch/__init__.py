@@ -44,6 +44,7 @@ from .sketch import (
     build_deferred,
     build_streaming_sparsifier,
     refine_deferred,
+    stored_sample,
     verify_switch,
 )
 from .system import DualIterate, SystemIndex, budget_value, convert_to_matching_dual
@@ -88,5 +89,6 @@ __all__ = [
     "round_cap_for",
     "solve",
     "space_cap_for",
+    "stored_sample",
     "verify_switch",
 ]

@@ -24,6 +24,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .driver import SolverConfig, solve
 from .exact import brute_force_bmatching, exact_lp_values
 from .graph import (
@@ -34,7 +36,12 @@ from .graph import (
     find_max_weight,
     load_graph,
 )
-from .sketch import build_deferred, build_streaming_sparsifier, refine_deferred
+from .sketch import (
+    build_deferred,
+    build_streaming_sparsifier,
+    refine_deferred,
+    stored_sample,
+)
 
 __all__ = ["build_parser", "main", "cli_main"]
 
@@ -92,9 +99,9 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     weights = [w for (_i, _j, w) in g.edges]
     if args.deferred:
         sk = build_deferred(g.n, pairs, weights, args.chi, args.xi, args.seed)
-        refined = refine_deferred(sk, dict(enumerate(weights)))
+        refined = refine_deferred(stored_sample([sk]), np.asarray(weights, dtype=float))
         kept = sorted(
-            (e, i, j, refined[e])
+            (e, i, j, float(refined[e]))
             for (e, i, j, _pr, _pk, _d) in sk.entries
         )
         space = sk.space

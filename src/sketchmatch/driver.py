@@ -9,14 +9,16 @@
 3. repeat super-rounds until the dual coverage certifies or the round
    budget is exhausted: snapshot the row multipliers, build deferred
    per-level sparsifiers against them (one adaptive round of space),
-   harvest an integral matching from the stored edges (computed once
-   per distinct stored support and reused by later rounds and
-   certificate lifts on the same support), then run a bounded number
-   of multiplier refinements — each refinement reweighs the stored
-   edges at their cover rows, listed once per round, asks the
-   penalized matching oracle for a step via the penalty search, and
-   either blends the step into the dual point or raises the budget on
-   a primal certificate;
+   list the stored entries of every level once, as flat arrays of
+   cover row, promise and keep probability, harvest an integral
+   matching from the stored edges (computed once per distinct stored
+   support and reused by later rounds and certificate lifts on the
+   same support), then run a bounded number of multiplier refinements
+   — each refinement reads the current multipliers at the round's
+   flat sample and reweighs it in one array pass, asks the penalized
+   matching oracle for a step via the penalty search, and either
+   blends the step into the dual point or raises the budget on a
+   primal certificate;
 4. report the best integral matching found, in original units and in
    level weights, together with the round/space ledger and traces.
 
@@ -55,7 +57,13 @@ from .oracle import (
     initial_solution,
     matching_oracle,
 )
-from .sketch import RoundLedger, build_deferred, refine_deferred, verify_switch
+from .sketch import (
+    RoundLedger,
+    build_deferred,
+    refine_deferred,
+    stored_sample,
+    verify_switch,
+)
 from .system import SystemIndex
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "round_cap_for", "space_cap_for"]
@@ -217,6 +225,9 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     row_of_edge = index.edge_row_of
     row_levels = index.row_levels
     row_edges = np.array([e for (e, _i, _j, _k) in index.rows], dtype=np.int64)
+    # Cover row of each edge id; -1 for the edges discretize dropped.
+    slot_of = np.full(len(g.edges), -1, dtype=np.int64)
+    slot_of[row_edges] = np.arange(len(row_edges))
     level_rows = {
         k: np.flatnonzero(row_levels == k) for k in sorted(set(row_levels.tolist()))
     }
@@ -251,27 +262,21 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         u_build, log_u = covering_multipliers(state.ax, c, state.alpha)
         offset = float(log_u.max())
 
-        sketches = {}
+        sketches = []
         for k, at_k in level_rows.items():
             mask = np.zeros(len(g.edges))
             mask[row_edges[at_k]] = u_build[at_k]
             level_seed = (cfg.seed * 1_000_003 + solve_round * 1009 + k) % (1 << 62)
             sk = build_deferred(n, edge_pairs, mask, gamma_drift, SKETCH_XI, level_seed)
-            sketches[k] = sk
+            sketches.append(sk)
             ledger.record_space(sk.space)
             if cfg.assert_mode:
                 _check_space_cap(ledger, space_cap)
 
-        # Each level's stored ids and their cover rows are fixed for the
-        # round; every refinement below reads the multipliers at them.
-        level_stored = []
-        for k, sk in sketches.items():
-            ids = [e for e in sk.stored_edge_ids() if row_levels[row_of_edge[e]] == k]
-            rows = np.array([row_of_edge[e] for e in ids], dtype=np.int64)
-            level_stored.append((sk, ids, rows))
-
-        stored_ids = sorted({e for sk in sketches.values() for e in sk.stored_edge_ids()})
-        harvest = harvest_of(tuple(stored_ids))
+        # The round's stored entries and their cover rows are fixed;
+        # every refinement below reads the multipliers at them.
+        sample = stored_sample(sketches, slot_of)
+        harvest = harvest_of(tuple(sorted(sample.edge_ids.tolist())))
         if harvest.weight > best_matching.weight:
             best_matching = harvest
         harvests += 1
@@ -294,11 +299,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         for _q in range(inner_per_round):
             if state.lam >= state.target:
                 break
-            u_now = np.exp(covering_multipliers(state.ax, c, state.alpha)[1] - offset)
-            refined: dict[int, float] = {}
-            for sk, ids, rows in level_stored:
-                refined.update(refine_deferred(sk, dict(zip(ids, u_now[rows].tolist()))))
-            u_sparse = index.multiplier_vector(refined)
+            u_now, _ = covering_multipliers(state.ax, c, state.alpha, offset)
+            u_sparse = refine_deferred(sample, u_now)
 
             lam_pack = float((pox / q_outer).max())
             if lam_pack <= 0.0:
@@ -350,6 +352,9 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 u_full_map = {
                     e: float(u_now[r]) for (e, r) in row_of_edge.items() if u_now[r] > 0
                 }
+                refined = dict(
+                    zip(sample.edge_ids.tolist(), u_sparse[sample.slots].tolist())
+                )
                 switch = verify_switch(index, u_full_map, refined, step.iterate)
                 if not switch.ok:
                     raise ContractViolation(f"multiplier switch failed: {switch}")

@@ -71,17 +71,17 @@ class OracleContractError(RuntimeError):
 
 
 def covering_multipliers(
-    ax: np.ndarray, c: np.ndarray, alpha: float
+    ax: np.ndarray, c: np.ndarray, alpha: float, offset: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row multipliers ``exp(-alpha (A x)_l / c_l) / c_l``, normalized.
 
     Returns ``(u, log_u)`` where ``log_u`` is the raw log-domain value
-    and ``u = exp(log_u - max(log_u))`` — the common factor is
-    irrelevant to every margin the engine checks, and the raw exponent
-    can be far below float range.
+    and ``u = exp(log_u - offset)``, the offset defaulting to
+    ``max(log_u)`` — the common factor is irrelevant to every margin the
+    engine checks, and the raw exponent can be far below float range.
     """
     log_u = -alpha * (ax / c) - np.log(c)
-    u = np.exp(log_u - log_u.max())
+    u = np.exp(log_u - (log_u.max() if offset is None else offset))
     return u, log_u
 
 

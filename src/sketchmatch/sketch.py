@@ -19,6 +19,7 @@ Two sparsifier flavors are provided:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -34,8 +35,10 @@ __all__ = [
     "L0SampleError",
     "L0Sketch",
     "PromiseViolationError",
+    "PROMISE_TOL",
     "RoundLedger",
     "Sparsifier",
+    "StoredSample",
     "SwitchReport",
     "UnionFind",
     "all_cut_values",
@@ -45,10 +48,55 @@ __all__ = [
     "prf_u64",
     "prf_uniform",
     "refine_deferred",
+    "stored_sample",
     "verify_switch",
 ]
 
 _FP_PRIME = (1 << 61) - 1
+
+
+def _encode(parts: tuple[int | str, ...]) -> bytes:
+    """Domain-separation encoding of PRF parts.
+
+    Ints are encoded fixed-width, strings as UTF-8 with a length prefix.
+    """
+    out = bytearray()
+    for part in parts:
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+            out += b"s" + struct.pack("<I", len(data)) + data
+        else:
+            out += b"i" + struct.pack("<q", part)
+    return bytes(out)
+
+
+# The fixed parts of a per-call prefix repeat across calls.
+_encode_fixed = functools.lru_cache(maxsize=64)(_encode)
+
+
+def _prf_prefix(seed: int, *parts: int | str):
+    """BLAKE2b state keyed by ``seed`` that has absorbed ``parts``.
+
+    Hashing is streaming, so a copy of the state extended by more parts
+    (:func:`_prf_draw`) digests to the same value as :func:`prf_u64`
+    over all the parts.
+    """
+    key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
+    h = hashlib.blake2b(key=key, digest_size=8)
+    h.update(_encode_fixed(parts))
+    return h
+
+
+def _prf_draw(prefix, part: int) -> int:
+    """``prf_u64`` of the prefix's parts followed by the int ``part``."""
+    h = prefix.copy()
+    h.update(b"i" + struct.pack("<q", part))
+    return int.from_bytes(h.digest(), "little")
+
+
+def _unit(u: int) -> float:
+    """Map a 64-bit value to ``[0, 1)`` through its top 53 bits (exact)."""
+    return (u >> 11) * 2.0**-53
 
 
 def prf_u64(seed: int, *parts: int | str) -> int:
@@ -60,21 +108,13 @@ def prf_u64(seed: int, *parts: int | str) -> int:
     """
     key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
     h = hashlib.blake2b(key=key, digest_size=8)
-    for part in parts:
-        if isinstance(part, str):
-            data = part.encode("utf-8")
-            h.update(b"s")
-            h.update(struct.pack("<I", len(data)))
-            h.update(data)
-        else:
-            h.update(b"i")
-            h.update(struct.pack("<q", part))
+    h.update(_encode(parts))
     return int.from_bytes(h.digest(), "little")
 
 
 def prf_uniform(seed: int, *parts: int | str) -> float:
     """Uniform float in ``[0, 1)`` derived from :func:`prf_u64`."""
-    return prf_u64(seed, *parts) / 2.0**64
+    return _unit(prf_u64(seed, *parts))
 
 
 class UnionFind:
@@ -348,15 +388,15 @@ def _stream_classes(
     n: int,
     edges: Sequence[tuple[int, int]],
     weights: Sequence[float],
-    xi: float,
+    k: int,
     seed: int,
     salt: str,
 ) -> tuple[dict[int, _LayeredForests], dict[int, int], int]:
     """Run the layered forest construction per dyadic value class.
 
+    ``k`` is the forest count per layer (:func:`forest_count`).
     Returns ``(per-class forests, edge depth assignment, stored total)``.
     """
-    k = forest_count(n, xi)
     classes: dict[int, list[int]] = {}
     for e, w in enumerate(weights):
         classes.setdefault(_value_class(w), []).append(e)
@@ -364,9 +404,10 @@ def _stream_classes(
     for cls, members in classes.items():
         deepest = int(math.floor(math.log2(len(members)))) if members else 0
         forests[cls] = _LayeredForests(n, k, deepest)
+    layer = _prf_prefix(seed, salt, "layer")
     for e, (i, j) in enumerate(edges):
         cls = _value_class(weights[e])
-        r = prf_u64(seed, salt, "layer", e)
+        r = _prf_draw(layer, e)
         membership_depth = 64 - r.bit_length()  # leading zero bits
         forests[cls].insert(e, i, j, membership_depth)
     depth_of: dict[int, int] = {}
@@ -401,7 +442,8 @@ def build_streaming_sparsifier(
     """
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must be in (0, 1), got {xi}")
-    forests, depth_of, stored_total = _stream_classes(n, edges, weights, xi, seed, "plain")
+    k = forest_count(n, xi)
+    forests, depth_of, stored_total = _stream_classes(n, edges, weights, k, seed, "plain")
     kept_ids: list[int] = []
     kept_endpoints: list[tuple[int, int]] = []
     kept_weights: list[float] = []
@@ -418,7 +460,6 @@ def build_streaming_sparsifier(
             kept_endpoints.append((i, j))
             kept_weights.append(weights[e] * float(2**depth))
             kept_depths.append(depth)
-    k = forest_count(n, xi)
     return Sparsifier(
         n=n,
         xi=xi,
@@ -477,10 +518,10 @@ def build_deferred(
 
     Each edge's subsampling depth is decided by the layered forest
     construction on the promise values; the edge is stored with
-    probability ``min(1, chi^2 * 2^-depth)``.  Any later weight vector
-    within a ``chi`` factor of the promise can be refined against the
-    stored sample (:func:`refine_deferred`), yielding a sparsifier for
-    those weights.
+    probability ``min(1, chi^2 * 2^-depth)``, with no draw when that is
+    1.  Any later weight vector within a ``chi`` factor of the promise
+    can be refined against the stored sample (:func:`stored_sample`,
+    :func:`refine_deferred`), yielding a sparsifier for those weights.
 
     Edges with zero promise carry no multiplier mass and are skipped.
     """
@@ -488,20 +529,21 @@ def build_deferred(
         raise ValueError(f"xi must be in (0, 1), got {xi}")
     if chi < 1.0:
         raise ValueError(f"chi must be >= 1, got {chi}")
-    live = [e for e, s in enumerate(promise) if s > 0.0]
+    k = forest_count(n, xi)
+    live = np.flatnonzero(np.asarray(promise, dtype=float) > 0.0).tolist()
     live_edges = [edges[e] for e in live]
     live_promise = [promise[e] for e in live]
-    forests, depth_of_live, stored_total = _stream_classes(
-        n, live_edges, live_promise, xi, seed, "deferred"
+    _forests, depth_of_live, stored_total = _stream_classes(
+        n, live_edges, live_promise, k, seed, "deferred"
     )
+    store = _prf_prefix(seed, "deferred", "store")
     entries: list[tuple[int, int, int, float, float, int]] = []
     for t, e in enumerate(live):
         depth = depth_of_live[t]
         p_keep = min(1.0, chi * chi * 2.0 ** (-depth))
-        if prf_uniform(seed, "deferred", "store", e) < p_keep:
+        if p_keep >= 1.0 or _unit(_prf_draw(store, e)) < p_keep:
             i, j = edges[e]
             entries.append((e, i, j, float(promise[e]), p_keep, depth))
-    k = forest_count(n, xi)
     return DeferredSketch(
         n=n,
         xi=xi,
@@ -513,47 +555,99 @@ def build_deferred(
     )
 
 
-def refine_deferred(
-    sketch: DeferredSketch,
-    values: Mapping[int, float],
-    *,
-    tol: float = 1e-9,
-) -> dict[int, float]:
-    """Refine a deferred sketch against current weights.
+# Relative slack on both ends of the promised band, for rounding in
+# the caller's multiplier arithmetic.
+PROMISE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class StoredSample:
+    """The stored entries of one or more deferred sketches, as flat arrays.
+
+    Entry ``t`` is edge ``edge_ids[t]``, whose weight is read from and
+    refined into position ``slots[t]`` of the caller's weight vector.
+    ``lo``/``hi`` are the ends of its promised band,
+    ``promise/chi * (1 - PROMISE_TOL)`` and ``promise*chi * (1 + PROMISE_TOL)``.
+    """
+
+    edge_ids: np.ndarray
+    slots: np.ndarray
+    promise: np.ndarray
+    p_keep: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    chi: float
+
+
+def stored_sample(
+    sketches: Sequence[DeferredSketch], slot_of: np.ndarray | None = None
+) -> StoredSample:
+    """List the stored entries of ``sketches`` once, for repeated refinement.
+
+    ``slot_of`` maps an edge id to its position in the weight vectors
+    :func:`refine_deferred` will read (``None``: the edge id itself).
+    The sketches must share one ``chi`` and the slots must be distinct.
+    """
+    chis = {sk.chi for sk in sketches}
+    if len(chis) > 1:
+        raise ValueError(f"sketches disagree on chi: {sorted(chis)}")
+    chi = chis.pop() if chis else 1.0
+    entries = [en for sk in sketches for en in sk.entries]
+    edge_ids = np.array([en[0] for en in entries], dtype=np.int64)
+    promise = np.array([en[3] for en in entries], dtype=float)
+    p_keep = np.array([en[4] for en in entries], dtype=float)
+    slots = edge_ids if slot_of is None else slot_of[edge_ids]
+    if (slots < 0).any() or len(set(slots.tolist())) != len(slots):
+        raise ValueError("every stored entry needs its own nonnegative slot")
+    return StoredSample(
+        edge_ids=edge_ids,
+        slots=slots,
+        promise=promise,
+        p_keep=p_keep,
+        lo=promise / chi * (1.0 - PROMISE_TOL),
+        hi=promise * chi * (1.0 + PROMISE_TOL),
+        chi=chi,
+    )
+
+
+def refine_deferred(sample: StoredSample, values: np.ndarray) -> np.ndarray:
+    """Refine a stored sample against current weights.
 
     Parameters
     ----------
-    sketch:
-        Output of :func:`build_deferred`.
+    sample:
+        Output of :func:`stored_sample`.
     values:
-        ``edge_id -> current weight``.  A zero (or absent) value means
-        the edge has been deleted; positive values must lie within the
-        promised band ``[promise/chi, promise*chi]``.
+        Current weight per slot.  A zero value means the edge has been
+        deleted; positive values must lie within the promised band
+        ``[promise/chi, promise*chi]``.
 
     Returns
     -------
-    dict
-        ``edge_id -> reweighted value`` (``value / keep_probability``)
-        for the stored edges still alive.
+    numpy.ndarray
+        A vector shaped like ``values``: ``value / keep_probability`` at
+        the slot of each stored edge (zero for a deleted one), zero
+        elsewhere.
 
     Raises
     ------
     PromiseViolationError
-        If a positive value falls outside the promised band.
+        If a positive value falls outside the promised band; the
+        message names the first such edge.
     """
-    out: dict[int, float] = {}
-    chi = sketch.chi
-    for (e, _i, _j, sigma, p_keep, _depth) in sketch.entries:
-        v = values.get(e, 0.0)
-        if v == 0.0:
-            continue
-        lo = sigma / chi * (1.0 - tol)
-        hi = sigma * chi * (1.0 + tol)
-        if not lo <= v <= hi:
+    v = values[sample.slots]
+    inside = (sample.lo <= v) & (v <= sample.hi)
+    if not inside.all():
+        bad = np.flatnonzero(~inside & (v != 0.0))
+        if bad.size:
+            t = int(bad[0])
+            e, sigma, chi = int(sample.edge_ids[t]), float(sample.promise[t]), sample.chi
             raise PromiseViolationError(
-                f"edge {e}: value {v} outside promised band [{sigma / chi}, {sigma * chi}]"
+                f"edge {e}: value {float(v[t])} outside promised band "
+                f"[{sigma / chi}, {sigma * chi}]"
             )
-        out[e] = v / p_keep
+    out = np.zeros(len(values))
+    out[sample.slots] = v / sample.p_keep
     return out
 
 

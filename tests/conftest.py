@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from typing import Mapping
 
 import pytest
 
 import sketchmatch as sm
+from sketchmatch.sketch import PromiseViolationError
 
 EPS = 1.0 / 16.0
 
@@ -23,6 +25,30 @@ def random_instance(seed: int) -> sm.Graph:
     )
     b = tuple(rng.choice((1, 2)) for _ in range(n))
     return sm.Graph(n=n, edges=edges, b=b)
+
+
+def refine_deferred_reference(
+    sketch: sm.DeferredSketch, values: Mapping[int, float], tol: float = 1e-9
+) -> dict[int, float]:
+    """Per-entry refinement loop, the reference for ``sm.refine_deferred``.
+
+    ``values`` maps edge id to current weight; a zero or absent value is a
+    deleted edge.  Returns ``edge id -> value / keep_probability``.
+    """
+    out: dict[int, float] = {}
+    chi = sketch.chi
+    for (e, _i, _j, sigma, p_keep, _depth) in sketch.entries:
+        v = values.get(e, 0.0)
+        if v == 0.0:
+            continue
+        lo = sigma / chi * (1.0 - tol)
+        hi = sigma * chi * (1.0 + tol)
+        if not lo <= v <= hi:
+            raise PromiseViolationError(
+                f"edge {e}: value {v} outside promised band [{sigma / chi}, {sigma * chi}]"
+            )
+        out[e] = v / p_keep
+    return out
 
 
 def triangle_paper(eps: float = EPS) -> sm.Graph:

@@ -15,7 +15,7 @@ import sketchmatch as sm
 from sketchmatch.cli import main
 from sketchmatch.driver import ContractViolation
 
-from conftest import EPS, random_instance, triangle_paper
+from conftest import EPS, random_instance, refine_deferred_reference, triangle_paper
 
 REPORT_KEYS = {
     "matching",
@@ -198,10 +198,9 @@ class TestSolve:
         from sketchmatch import driver
         from sketchmatch.mwu import CoveringState, covering_multipliers
         from sketchmatch.oracle import initial_solution
-        from sketchmatch.sketch import refine_deferred
 
         g = random_instance(1003)
-        built, searched = [], []
+        built, searched, multipliers = [], [], []
         real_build = driver.build_deferred
         monkeypatch.setattr(
             driver,
@@ -214,32 +213,64 @@ class TestSolve:
             "lagrangian_search",
             lambda *args: searched.append(args[2].copy()) or real_search(*args),
         )
-        sm.solve(g, sm.SolverConfig(max_rounds=8))
-        # reference: the first refinement's multipliers through the
-        # per-row dict the refinement loop used to build
+        real_mult = driver.covering_multipliers
+        monkeypatch.setattr(
+            driver,
+            "covering_multipliers",
+            lambda ax, c, alpha, *rest: multipliers.append((ax.copy(), alpha))
+            or real_mult(ax, c, alpha, *rest),
+        )
+        rep = sm.solve(g, sm.SolverConfig(max_rounds=8))
+        assert rep.certificates == 0
+        # reference: every refinement of the first round through the
+        # per-row dicts and the per-entry refinement loop
         index = sm.SystemIndex(
             sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS)
         )
-        it, _beta, _lam = initial_solution(index, 2.0, 0)
         c = index.cover_rhs
+        levels = sorted({k for (_e, _i, _j, k) in index.rows})
+        assert len(levels) > 1
+        first_round = built[: len(levels)]
+        (ax0, alpha0), steps = multipliers[0], multipliers[1:]
+        per_round = math.ceil(math.log(max(g.n ** 0.25, 1.0 + EPS)) / EPS)
+        assert len(steps) >= per_round > 1
+        it, _beta, _lam = initial_solution(index, 2.0, 0)
         state = CoveringState(
             c=c, rho=24.0 / EPS + 24.0 / EPS**2, eps=EPS, ax=index.cover_values(it)
         )
-        _u, log_u = covering_multipliers(state.ax, c, state.alpha)
-        u_now = np.exp(log_u - float(log_u.max()))
-        levels = sorted({k for (_e, _i, _j, k) in index.rows})
-        assert len(levels) > 1
-        refined = {}
-        for k, sk in zip(levels, built):
-            vals = {
-                e: u_now[index.edge_row_of[e]]
-                for e in sk.stored_edge_ids()
-                if index.row_levels[index.edge_row_of[e]] == k
-            }
-            refined.update(refine_deferred(sk, vals))
-        want = index.multiplier_vector(refined)
-        assert np.count_nonzero(want) > 0
-        assert np.array_equal(searched[0], want)
+        assert np.array_equal(ax0, state.ax) and alpha0 == state.alpha
+        offset = float(covering_multipliers(ax0, c, alpha0)[1].max())
+        for q, (ax, alpha) in enumerate(steps[:per_round]):
+            if q == 0:
+                assert np.array_equal(ax, state.ax)
+            _u, log_u = covering_multipliers(ax, c, alpha)
+            u_now = np.exp(log_u - offset)
+            refined = {}
+            for k, sk in zip(levels, first_round):
+                vals = {
+                    e: u_now[index.edge_row_of[e]]
+                    for e in sk.stored_edge_ids()
+                    if index.row_levels[index.edge_row_of[e]] == k
+                }
+                refined.update(refine_deferred_reference(sk, vals))
+            want = index.multiplier_vector(refined)
+            assert np.count_nonzero(want) > 0
+            assert np.array_equal(searched[q], want)
+
+    def test_refine_runs_once_per_refinement(self, monkeypatch):
+        from sketchmatch import driver
+
+        g = random_instance(1003)
+        calls = []
+        real = driver.refine_deferred
+        monkeypatch.setattr(
+            driver, "refine_deferred", lambda *args: calls.append(1) or real(*args)
+        )
+        rep = sm.solve(g, sm.SolverConfig(max_rounds=8))
+        lv = sm.discretize(g, EPS)
+        assert len({k for (_e, _i, _j, k) in lv.retained()}) > 1
+        # every refinement ends in exactly one accepted step
+        assert len(calls) == rep.steps > 0
 
     def test_caps_formulas(self):
         assert sm.round_cap_for(2.0, EPS) == 8 * 32

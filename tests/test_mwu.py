@@ -43,6 +43,13 @@ class TestCoveringMultipliers:
         )
         assert u == pytest.approx([1.0, 0.5, 0.25])
 
+    def test_given_offset_replaces_the_max(self):
+        ax, c = np.array([0.5, 1.0, 3.0]), np.array([1.0, 2.0, 4.0])
+        _u, log_u = covering_multipliers(ax, c, alpha=1.5)
+        u, log_u2 = covering_multipliers(ax, c, alpha=1.5, offset=-0.25)
+        assert np.array_equal(log_u2, log_u)
+        assert np.array_equal(u, np.exp(log_u + 0.25))
+
     def test_packing_mirror_grows_with_load(self):
         z, _ = packing_multipliers(
             np.array([0.0, 1.0]), np.ones(2), alpha=math.log(3.0)

@@ -10,17 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchmatch as sm
+from sketchmatch import sketch
 from sketchmatch.sketch import (
+    PROMISE_TOL,
     L0SampleError,
     L0Sketch,
     PromiseViolationError,
+    _prf_draw,
+    _prf_prefix,
     all_cut_values,
     forest_count,
     prf_u64,
     prf_uniform,
 )
 
-from conftest import EPS
+from conftest import EPS, refine_deferred_reference
 
 
 class TestPrf:
@@ -31,10 +35,32 @@ class TestPrf:
         assert prf_u64(7, "a", 3) != prf_u64(7, "a", 4)
         assert prf_u64(7, "ab", "c") != prf_u64(7, "a", "bc")
 
+    def test_pinned_values(self):
+        # the encoding of the parts is part of every report's bits
+        assert prf_u64(7, "a", 3) == 11954247689372869580
+        assert prf_u64(0, "deferred", "store", 12) == 4142829699543737864
+        assert prf_u64(2**64 + 5, "x", -4, "y") == 17359215383234892713
+        assert prf_u64(3) == 15984574750479625493
+
     def test_uniform_range(self):
         vals = [prf_uniform(1, "t", i) for i in range(1000)]
         assert all(0.0 <= v < 1.0 for v in vals)
         assert 0.4 < sum(vals) / len(vals) < 0.6
+
+    def test_uniform_below_one_at_top_value(self, monkeypatch):
+        top = 2**64 - 1
+        monkeypatch.setattr(sketch, "prf_u64", lambda seed, *parts: top)
+        u = prf_uniform(1, "t", 0)
+        assert 0.0 <= u < 1.0
+        assert u == 1.0 - 2.0**-53
+
+    def test_prefix_draws_equal_prf_u64(self):
+        ints = list(range(-3, 300)) + [2**31, 2**40 + 7, 2**63 - 1, -(2**63)]
+        for seed in (0, 1, 5, 2**62 + 11, 2**64 - 1, 2**70 + 3):
+            for parts in (("deferred", "store"), ("plain", "layer"), ("x", 4, "y")):
+                prefix = _prf_prefix(seed, *parts)
+                for e in ints:
+                    assert _prf_draw(prefix, e) == prf_u64(seed, *parts, e)
 
 
 class TestL0:
@@ -152,24 +178,122 @@ class TestDeferredSketch:
         for _e, _i, _j, _pr, p_keep, _d in sk.entries:
             assert p_keep == 1.0
 
+    def test_stored_on_top_draw(self, monkeypatch):
+        # the largest 64-bit draw still samples below keep probability 1
+        monkeypatch.setattr(sketch, "_prf_draw", lambda prefix, part: 2**64 - 1)
+        edges = [(0, 1), (1, 2), (2, 3)]
+        sk = sm.build_deferred(4, edges, [1.0, 2.0, 4.0], chi=3.0, xi=0.25, seed=5)
+        assert sorted(sk.stored_edge_ids()) == [0, 1, 2]
+
+    def test_keep_probability_one_draws_nothing(self, monkeypatch):
+        # a draw that never passes cannot drop an edge kept with certainty
+        monkeypatch.setattr(sketch, "_unit", lambda u: 1.0)
+        edges = [(0, 1), (1, 2), (2, 3)]
+        sk = sm.build_deferred(4, edges, [1.0, 2.0, 4.0], chi=3.0, xi=0.25, seed=5)
+        assert sorted(sk.stored_edge_ids()) == [0, 1, 2]
+
     def test_refine_identity_on_promise(self):
         edges = [(0, 1), (1, 2)]
         promise = [1.5, 2.5]
         sk = sm.build_deferred(3, edges, promise, chi=2.0, xi=0.25, seed=5)
-        out = sm.refine_deferred(sk, {0: 1.5, 1: 2.5})
-        assert out == {0: pytest.approx(1.5), 1: pytest.approx(2.5)}
+        out = sm.refine_deferred(sm.stored_sample([sk]), np.array([1.5, 2.5]))
+        assert out.tolist() == [1.5, 2.5]
 
     def test_refine_deletion(self):
         edges = [(0, 1), (1, 2)]
         sk = sm.build_deferred(3, edges, [1.0, 1.0], chi=2.0, xi=0.25, seed=5)
-        out = sm.refine_deferred(sk, {0: 1.0, 1: 0.0})
-        assert 1 not in out
+        out = sm.refine_deferred(sm.stored_sample([sk]), np.array([1.0, 0.0]))
+        assert out.tolist() == [1.0, 0.0]
 
     def test_promise_violation_raises(self):
         edges = [(0, 1)]
         sk = sm.build_deferred(2, edges, [1.0], chi=2.0, xi=0.25, seed=5)
-        with pytest.raises(PromiseViolationError):
-            sm.refine_deferred(sk, {0: 5.0})
+        with pytest.raises(PromiseViolationError, match="edge 0"):
+            sm.refine_deferred(sm.stored_sample([sk]), np.array([5.0]))
+
+    def test_refine_matches_reference_on_built_sketches(self):
+        rng = np.random.default_rng(3)
+        for seed in range(40):
+            n = int(rng.integers(3, 8))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            promise = rng.uniform(0.5, 50.0, len(edges))
+            promise[rng.random(len(edges)) < 0.2] = 0.0
+            chi = float(rng.uniform(1.0, 3.0))
+            sk = sm.build_deferred(n, edges, promise, chi=chi, xi=0.4, seed=seed)
+            assert sk.entries
+            values = promise * rng.uniform(1.0 / chi, chi, len(edges))
+            values[rng.random(len(edges)) < 0.2] = 0.0
+            got = sm.refine_deferred(sm.stored_sample([sk]), values)
+            want = refine_deferred_reference(sk, dict(enumerate(values.tolist())))
+            assert _nonzero_map(got) == want
+
+    def test_refine_matches_reference_on_hand_built_entries(self):
+        sk = _hand_sketch()
+        promise = {e: sigma for (e, _i, _j, sigma, _p, _d) in sk.entries}
+        lo = {e: s / sk.chi * (1.0 - PROMISE_TOL) for e, s in promise.items()}
+        hi = {e: s * sk.chi * (1.0 + PROMISE_TOL) for e, s in promise.items()}
+        # both band ends exactly, a deleted edge, an interior value
+        values = {0: lo[0], 1: hi[1], 2: 0.0, 3: 0.7 * promise[3], 4: hi[4], 5: lo[5]}
+        vec = np.zeros(8)
+        for e, v in values.items():
+            vec[e] = v
+        vec[7] = 123.0  # not stored: never read
+        got = sm.refine_deferred(sm.stored_sample([sk]), vec)
+        want = refine_deferred_reference(sk, values)
+        assert set(want) == {0, 1, 3, 4, 5}
+        assert _nonzero_map(got) == want
+        assert got[2] == 0.0 and got[6] == 0.0 and got[7] == 0.0
+        for e, v in ((0, lo[0]), (4, hi[4])):
+            assert got[e] != v  # reweighted by a keep probability below 1
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_value_just_outside_band_raises(self, end):
+        sk = _hand_sketch()
+        # entry t is edge t, so the promises are a vector inside every band
+        promise = np.array([sigma for (_e, _i, _j, sigma, _p, _d) in sk.entries])
+        for e, _i, _j, sigma, _p, _d in sk.entries:
+            vec = promise.copy()
+            if end == "lo":
+                vec[e] = np.nextafter(sigma / sk.chi * (1.0 - PROMISE_TOL), -np.inf)
+            else:
+                vec[e] = np.nextafter(sigma * sk.chi * (1.0 + PROMISE_TOL), np.inf)
+            with pytest.raises(PromiseViolationError, match=f"edge {e}:"):
+                sm.refine_deferred(sm.stored_sample([sk]), vec)
+            with pytest.raises(PromiseViolationError, match=f"edge {e}:"):
+                refine_deferred_reference(sk, dict(enumerate(vec.tolist())))
+
+    def test_refine_several_sketches_through_slots(self):
+        a = _hand_sketch()
+        b = sm.DeferredSketch(
+            n=4, xi=0.5, chi=a.chi, seed=0, k=1,
+            entries=((8, 0, 3, 3.0, 0.125, 4), (9, 1, 2, 5.0, 1.0, 0)),
+            stored_total=0,
+        )
+        slot_of = np.array([9, 8, 7, 6, 5, 4, -1, -1, 1, 0])
+        sample = sm.stored_sample([a, b], slot_of)
+        values = {0: 2.0, 1: 3.0, 2: 1.5, 3: 1.0, 4: 7.0, 5: 6.0, 8: 2.5, 9: 0.0}
+        vec = np.zeros(10)
+        for e, v in values.items():
+            vec[slot_of[e]] = v
+        got = sm.refine_deferred(sample, vec)
+        want = refine_deferred_reference(a, values)
+        want.update(refine_deferred_reference(b, values))
+        assert {int(e): got[slot_of[e]] for e in want} == want
+        assert np.count_nonzero(got) == len(want)
+
+    def test_stored_sample_rejects_unusable_listings(self):
+        a = _hand_sketch()
+        other_chi = sm.DeferredSketch(
+            n=4, xi=0.5, chi=3.0, seed=0, k=1, entries=(), stored_total=0
+        )
+        with pytest.raises(ValueError, match="chi"):
+            sm.stored_sample([a, other_chi])
+        with pytest.raises(ValueError, match="slot"):
+            sm.stored_sample([a, a])
+        with pytest.raises(ValueError, match="slot"):
+            sm.stored_sample([a], np.array([0, 1, 2, 3, 4, -1]))
+        empty = sm.stored_sample([])
+        assert sm.refine_deferred(empty, np.ones(3)).tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_promise_skipped(self):
         edges = [(0, 1), (1, 2)]
@@ -197,14 +321,10 @@ class TestDeferredSketch:
                 for e in range(len(edges))
             }
             sk = sm.build_deferred(n, edges, promise, chi=chi, xi=xi, seed=seed)
-            out = sm.refine_deferred(sk, {e: true[e] for e in sk.stored_edge_ids()})
-            dev = _cut_dev(
-                n,
-                edges,
-                [true[e] for e in range(len(edges))],
-                [edges[e] for e in out],
-                list(out.values()),
-            )
+            true_w = [true[e] for e in range(len(edges))]
+            out = sm.refine_deferred(sm.stored_sample([sk]), np.array(true_w))
+            kept = np.flatnonzero(out)
+            dev = _cut_dev(n, edges, true_w, [edges[e] for e in kept], out[kept].tolist())
             if dev <= xi:
                 passing += 1
         assert passing >= 99
@@ -261,6 +381,25 @@ class TestRoundLedger:
     def test_record_before_round_raises(self):
         with pytest.raises(RuntimeError):
             sm.RoundLedger().record_space(1)
+
+
+def _nonzero_map(vec: np.ndarray) -> dict[int, float]:
+    return {int(e): float(vec[e]) for e in np.flatnonzero(vec)}
+
+
+def _hand_sketch() -> sm.DeferredSketch:
+    """Six stored entries with keep probabilities below and at 1."""
+    entries = (
+        (0, 0, 1, 2.0, 0.25, 3),
+        (1, 0, 2, 3.0, 0.5, 2),
+        (2, 0, 3, 1.5, 0.75, 1),
+        (3, 1, 2, 1.0, 1.0, 0),
+        (4, 1, 3, 7.25, 1.0 / 3.0, 2),
+        (5, 2, 3, 6.0, 1.0, 0),
+    )
+    return sm.DeferredSketch(
+        n=4, xi=0.5, chi=1.75, seed=0, k=1, entries=entries, stored_total=0
+    )
 
 
 def _switch_fixture():
