@@ -21,6 +21,7 @@ from .graph import (
     GraphFormatError,
     LeveledGraph,
     OddSet,
+    OddSetFamily,
     discretize,
     enumerate_small_odd_sets,
     find_max_weight,
@@ -60,6 +61,7 @@ __all__ = [
     "GraphFormatError",
     "LeveledGraph",
     "OddSet",
+    "OddSetFamily",
     "PrimalCertificate",
     "RoundLedger",
     "SolveReport",

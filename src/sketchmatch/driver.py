@@ -94,12 +94,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 1.0 / 16.0:
             raise ValueError("epsilon must be in (0, 1/16]")
-        if self.p < 1.0:
-            raise ValueError("p must be at least 1")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ValueError("p must be a finite number at least 1")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if not self.space_mult > 0.0:
-            raise ValueError("space_mult must be positive")
+        if not (math.isfinite(self.space_mult) and self.space_mult > 0.0):
+            raise ValueError("space_mult must be positive and finite")
 
 
 def round_cap_for(p: float, epsilon: float) -> int:
@@ -222,15 +222,12 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     gamma_drift = max(n ** (1.0 / (2.0 * cfg.p)), 1.0 + eps)
     inner_per_round = math.ceil(math.log(gamma_drift) / eps)
     edge_pairs = [(i, j) for (i, j, _w) in g.edges]
-    row_of_edge = index.edge_row_of
     row_levels = index.row_levels
     row_edges = np.array([e for (e, _i, _j, _k) in index.rows], dtype=np.int64)
     # Cover row of each edge id; -1 for the edges discretize dropped.
     slot_of = np.full(len(g.edges), -1, dtype=np.int64)
     slot_of[row_edges] = np.arange(len(row_edges))
-    level_rows = {
-        k: np.flatnonzero(row_levels == k) for k in sorted(set(row_levels.tolist()))
-    }
+    level_rows = {k: np.flatnonzero(row_levels == k) for k in sorted(lv.levels)}
     q_outer = index.degree_rhs_outer
     delta_pack = 1.0 / 6.0
 
@@ -349,13 +346,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 ok, rep = check_dual_step(index, u_sparse, zeta, step)
                 if not ok:
                     raise ContractViolation(f"dual step check failed: {rep}")
-                u_full_map = {
-                    e: float(u_now[r]) for (e, r) in row_of_edge.items() if u_now[r] > 0
-                }
-                refined = dict(
-                    zip(sample.edge_ids.tolist(), u_sparse[sample.slots].tolist())
-                )
-                switch = verify_switch(index, u_full_map, refined, step.iterate)
+                switch = verify_switch(index, u_now, u_sparse, step.iterate)
                 if not switch.ok:
                     raise ContractViolation(f"multiplier switch failed: {switch}")
             sigma = state.sigma

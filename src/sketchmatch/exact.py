@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Graph, LeveledGraph, OddSet, discretize, enumerate_small_odd_sets
+from .graph import Graph, LeveledGraph, OddSet, discretize
 
 __all__ = [
     "ExactResult",
@@ -428,9 +428,12 @@ def _bipartite_relaxation_value(
 def _layered_lp_value(
     leveled: LeveledGraph,
     eps: Fraction,
-    odd_sets: Sequence[OddSet],
+    odd_sets: Sequence[tuple[int, int]],
 ) -> Fraction:
     """Exact optimum of the layered per-level dual relaxation.
+
+    ``odd_sets`` supplies the ``(mask, bnorm)`` pairs of the small odd
+    sets.
 
     Variables: ``x_i(k)`` for each vertex-level row, top ``x_i``, and
     ``z_{U,l}`` for small odd sets at populated levels.  Constraints:
@@ -472,8 +475,8 @@ def _layered_lp_value(
         row = [Fraction(0)] * nvars
         row[xk_index[(i, k)]] += one
         row[xk_index[(j, k)]] += one
-        for s_idx, s in enumerate(odd_sets):
-            if (s.mask >> i & 1) and (s.mask >> j & 1):
+        for s_idx, (mask, _bn) in enumerate(odd_sets):
+            if (mask >> i & 1) and (mask >> j & 1):
                 for lev in pop_levels:
                     if lev <= k:
                         row[z_index[(s_idx, lev)]] += one
@@ -483,8 +486,8 @@ def _layered_lp_value(
     for (i, k) in vrows:
         row = [Fraction(0)] * nvars
         row[xk_index[(i, k)]] += Fraction(2)
-        for s_idx, s in enumerate(odd_sets):
-            if s.mask >> i & 1:
+        for s_idx, (mask, _bn) in enumerate(odd_sets):
+            if mask >> i & 1:
                 for lev in pop_levels:
                     if lev <= k:
                         row[z_index[(s_idx, lev)]] += one
@@ -502,7 +505,7 @@ def _layered_lp_value(
     for i in range(g.n):
         c[x_index[i]] = Fraction(g.b[i])
     for (s_idx, lev) in z_keys:
-        c[z_index[(s_idx, lev)]] = Fraction(odd_sets[s_idx].half_capacity)
+        c[z_index[(s_idx, lev)]] = Fraction(odd_sets[s_idx][1] // 2)
 
     value, _x = solve_lp_min(c, a_ge, b_ge, a_le, b_le)
     return value
@@ -550,7 +553,7 @@ def exact_lp_values(
 
     layered: Fraction | None = None
     if include_layered:
-        odd_small = enumerate_small_odd_sets(g, epsilon)
+        odd_small = [(mask, bn) for mask, bn in all_odd if bn <= 4 / eps]
         layered = _layered_lp_value(leveled, eps, odd_small)
 
     scale = eps * Fraction(leveled.Wstar) / g.B

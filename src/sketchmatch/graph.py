@@ -6,12 +6,14 @@ discretization of edge weights into geometric levels ``(1+eps)^k``
 after rescaling by ``eps * Wstar / B``, and enumeration of the family
 of "small" odd sets (vertex sets whose total capacity is odd and at
 most ``4/eps``) that drive the odd-set constraints of the matching LP.
+The family is an :class:`OddSetFamily`: one boolean membership matrix
+(sets x vertices) and one capacity array, with no per-set objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ __all__ = [
     "GraphFormatError",
     "LeveledGraph",
     "OddSet",
+    "OddSetFamily",
     "discretize",
     "enumerate_small_odd_sets",
     "find_max_weight",
@@ -32,6 +35,9 @@ __all__ = [
 #: as sitting on the boundary (and goes to the level whose closed left
 #: endpoint it is).
 REL_TOL = 1e-9
+#: Largest vertex count :func:`enumerate_small_odd_sets` enumerates
+#: (it examines all ``2^n`` subsets).
+MAX_ENUMERATION_N = 20
 
 
 class GraphFormatError(ValueError):
@@ -88,18 +94,6 @@ class Graph:
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
-
-    def bnorm(self, members: Sequence[int]) -> int:
-        """Total capacity of a vertex set ``sum_{i in U} b_i``."""
-        return sum(self.b[i] for i in members)
-
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuple of ``(neighbor, edge_index)`` pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for idx, (i, j, _w) in enumerate(self.edges):
-            adj[i].append((j, idx))
-            adj[j].append((i, idx))
-        return tuple(tuple(a) for a in adj)
 
 
 def _parse_edge_text(text: str) -> list[tuple[int, int, float]]:
@@ -282,7 +276,6 @@ class LeveledGraph:
     level_of: tuple[int, ...]
     levels: Mapping[int, tuple[int, ...]]
     L: int
-    _adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, default=())
 
     def level_weight(self, k: int) -> float:
         """Rescaled weight ``(1+eps)^k`` of level ``k``."""
@@ -310,10 +303,6 @@ class LeveledGraph:
             rows.add((i, k))
             rows.add((j, k))
         return tuple(sorted(rows))
-
-    def incident(self, vertex: int) -> tuple[tuple[int, int], ...]:
-        """``(neighbor, edge_index)`` pairs of ``vertex`` (retained or not)."""
-        return self._adjacency[vertex]
 
 
 def discretize(g: Graph, epsilon: float) -> LeveledGraph:
@@ -355,13 +344,16 @@ def discretize(g: Graph, epsilon: float) -> LeveledGraph:
         level_of=level_of,
         levels={k: tuple(v) for k, v in sorted(levels.items())},
         L=max_level,
-        _adjacency=g.adjacency(),
     )
 
 
 @dataclass(frozen=True, order=True, slots=True)
 class OddSet:
-    """A vertex set with odd total capacity.
+    """One vertex set with odd total capacity, as Python values.
+
+    The reference type of :mod:`sketchmatch.exact` and of the matching
+    dual :func:`sketchmatch.system.convert_to_matching_dual` returns;
+    the solver holds its family as an :class:`OddSetFamily`.
 
     Attributes
     ----------
@@ -370,7 +362,7 @@ class OddSet:
     bnorm:
         Total capacity ``sum_{i in U} b_i`` (odd).
     mask:
-        Bitmask of the members, for fast intersection tests.
+        Bitmask of the members (a Python int, so any ``n``).
     """
 
     members: tuple[int, ...]
@@ -392,48 +384,62 @@ class OddSet:
         return self.bnorm // 2
 
 
-def enumerate_small_odd_sets(
-    g: Graph,
-    epsilon: float,
-    *,
-    max_n: int = 20,
-    max_subsets: int = 1 << 20,
-) -> tuple[OddSet, ...]:
+@dataclass(frozen=True, eq=False)
+class OddSetFamily:
+    """A family of odd sets held as arrays, one row per set.
+
+    Attributes
+    ----------
+    member:
+        ``(sets, n)`` boolean membership matrix, row-major: row ``t``
+        marks the vertices of set ``t``.
+    bnorm:
+        ``(sets,)`` int64 total capacities ``||U||_b`` (odd).
+    """
+
+    member: np.ndarray
+    bnorm: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bnorm)
+
+    def members(self, t: int) -> tuple[int, ...]:
+        """Sorted vertex tuple of set ``t``."""
+        return tuple(np.flatnonzero(self.member[t]).tolist())
+
+
+def enumerate_small_odd_sets(g: Graph, epsilon: float) -> OddSetFamily:
     """Enumerate every vertex set with odd total capacity at most ``4/eps``.
 
     This is the verification-scale path: all ``2^n`` subsets are
-    examined, guarded by ``max_n`` and ``max_subsets``.
+    examined, so ``n`` is capped at ``MAX_ENUMERATION_N``.
 
     The capacity of every mask is computed with numpy, one pass per
     vertex ``i``: masks ``[2^i, 2^(i+1))`` are masks ``[0, 2^i)`` plus
     ``b_i``.  Capacities above the bound are clipped to
     ``floor(4/eps) + 1`` first, so a set holding such a vertex stays over
-    the bound and the sums stay exact in int64.  The member tuple of each
-    kept mask is joined from two lookup tables, one for the low and one
-    for the high half of its bits.
+    the bound and the sums stay exact in int64.  The membership matrix
+    is filled from the kept masks, one bit column per vertex.
 
     Memory: the int64 capacity array takes ``8 * 2^n`` bytes (8 MiB at
-    ``n = 20``) and the lookup tables ``O(2^(n/2))`` tuples, all freed on
-    return.  What stays is the returned family, about 200 bytes per set
-    at ``n = 18``.
+    ``n = 20``), freed on return.  What stays is the family: ``n + 8``
+    bytes per set.
 
     Parameters
     ----------
     g, epsilon:
         Graph and parameter; the capacity bound is ``4 / epsilon``.
-    max_n, max_subsets:
-        Work guards; exceeding either raises ``ValueError``.
 
     Returns
     -------
-    tuple of OddSet
-        In increasing bitmask order (deterministic).
+    OddSetFamily
+        Sets in increasing bitmask order (deterministic).
     """
-    if g.n > max_n:
-        raise ValueError(f"odd-set enumeration capped at n <= {max_n}, got n={g.n}")
+    if g.n > MAX_ENUMERATION_N:
+        raise ValueError(
+            f"odd-set enumeration capped at n <= {MAX_ENUMERATION_N}, got n={g.n}"
+        )
     total = 1 << g.n
-    if total > max_subsets:
-        raise ValueError(f"odd-set enumeration would examine {total} > {max_subsets} subsets")
     limit = math.floor(4.0 / epsilon)
     clipped = [min(bi, limit + 1) for bi in g.b]
     if sum(clipped) >= 1 << 63:
@@ -442,13 +448,7 @@ def enumerate_small_odd_sets(
     for i, bi in enumerate(clipped):
         cap[1 << i : 2 << i] = cap[: 1 << i] + bi
     masks = np.flatnonzero(((cap & 1) == 1) & (cap <= min(limit, sum(clipped))))
-    half = g.n // 2
-    low = [tuple(i for i in range(half) if m >> i & 1) for m in range(1 << half)]
-    high = [
-        tuple(i for i in range(half, g.n) if m >> i & 1) for m in range(0, total, 1 << half)
-    ]
-    low_bits = (1 << half) - 1
-    return tuple(
-        OddSet(members=low[mask & low_bits] + high[mask >> half], bnorm=bn, mask=mask)
-        for mask, bn in zip(masks.tolist(), cap[masks].tolist())
-    )
+    member = np.empty((len(masks), g.n), dtype=bool)
+    for i in range(g.n):
+        member[:, i] = (masks >> i) & 1
+    return OddSetFamily(member=member, bnorm=cap[masks])

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import OddSet
+from .graph import OddSetFamily
 from .system import SystemIndex
 
 __all__ = [
@@ -258,7 +258,7 @@ def find_dense_odd_sets(
     b: Sequence[int],
     *,
     check_bounds: bool = False,
-    odd_sets: Sequence[OddSet] | None = None,
+    odd_sets: OddSetFamily | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Find a disjoint family of dense odd sets via the flow reduction.
 
@@ -338,14 +338,13 @@ def find_dense_odd_sets(
         for members in chosen:
             if not internal_mass(members) >= 0.5 * (allowance(members) - 1.0) - 1e-9:
                 raise AssertionError(f"returned set {sorted(members)} is not dense enough")
-        for u in odd_sets:
-            if any(set(u.members) & members for members in chosen):
+        for t in range(len(odd_sets)):
+            u = frozenset(odd_sets.members(t))
+            if any(u & members for members in chosen):
                 continue
-            bound = 0.5 * (allowance(frozenset(u.members)) - (1.0 - eps))
-            if not internal_mass(frozenset(u.members)) <= bound + 1e-9:
-                raise AssertionError(
-                    f"untouched set {u.members} exceeds the exclusion bound"
-                )
+            bound = 0.5 * (allowance(u) - (1.0 - eps))
+            if not internal_mass(u) <= bound + 1e-9:
+                raise AssertionError(f"untouched set {sorted(u)} exceeds the exclusion bound")
     return tuple(tuple(sorted(members)) for members in chosen)
 
 
@@ -384,6 +383,7 @@ def collect_violated_sets(
     """
     eps = index.epsilon
     b = index.leveled.base.b
+    family = index.odd_sets
     member_mat, internal_mat, bnorms = index.set_matrices()
     if strict:
         for i, bi in enumerate(b):
@@ -395,39 +395,39 @@ def collect_violated_sets(
     # Candidates: internal mass beyond the exclusion bar.
     bars = 0.5 * (allowance - (1.0 - eps))
     cand = np.nonzero(internal > bars + 1e-12)[0]
+    # Ties on the margin go to the lexicographically smallest member
+    # tuple, so the selection is deterministic.
     order = sorted(
         (int(t) for t in cand),
-        key=lambda t: (
-            float(allowance[t] - 2.0 * internal[t]),
-            index.odd_sets[t].members[0],
-            index.odd_sets[t].members,
-        ),
+        key=lambda t: (float(allowance[t] - 2.0 * internal[t]), family.members(t)),
     )
     selected: list[int] = []
-    used_mask = 0
+    used = np.zeros(len(b), dtype=bool)
     for t in order:
-        u = index.odd_sets[t]
-        if u.mask & used_mask:
+        row = family.member[t]
+        if (row & used).any():
             continue
         selected.append(t)
-        used_mask |= u.mask
+        used |= row
         if strict:
-            if u.bnorm < 3:
-                raise AssertionError(f"selected odd set {u.members} has capacity < 3")
-            floor_half = u.bnorm // 2
-            if not values[t] > floor_half + eps / 2.0 - 1e-12:
+            bn = int(family.bnorm[t])
+            if bn < 3:
                 raise AssertionError(
-                    f"selected set {u.members} lacks the eps/2 membership margin"
+                    f"selected odd set {family.members(t)} has capacity < 3"
+                )
+            if not values[t] > bn // 2 + eps / 2.0 - 1e-12:
+                raise AssertionError(
+                    f"selected set {family.members(t)} lacks the eps/2 membership margin"
                 )
     if strict:
         # Exhaustive exclusion check over the whole small-odd-set
         # family: any set disjoint from the selection must sit at or
         # below the bar (it would have been selected otherwise).
-        untouched = ~index.member[:, index.member[selected].any(axis=0)].any(axis=1)
+        untouched = ~family.member[:, used].any(axis=1)
         ceiling = np.floor(bnorms / 2.0) + eps / 2.0 + 1e-12
         over = np.flatnonzero(untouched & (values > ceiling))
         if over.size:
             raise AssertionError(
-                f"untouched odd set {index.odd_sets[over[0]].members} exceeds the exclusion bar"
+                f"untouched odd set {family.members(over[0])} exceeds the exclusion bar"
             )
     return selected, values

@@ -104,16 +104,14 @@ class PrimalCertificate:
 def _populated_segments(index: SystemIndex) -> list[tuple[int, int]]:
     """Level ranges ``[lo, p]`` sharing the suffix mask ``k >= p``.
 
-    ``p`` runs over populated row levels in decreasing order; for every
-    level ``l`` in ``[lo, p]`` the populated levels ``>= l`` are exactly
-    those ``>= p``, so per-level quantities are constant on the range.
+    ``p`` runs over the populated levels (the keys of
+    ``LeveledGraph.levels``) in decreasing order; for every level ``l``
+    in ``[lo, p]`` the populated levels ``>= l`` are exactly those
+    ``>= p``, so per-level quantities are constant on the range.
     """
-    pop = np.unique(index.row_levels)[::-1]
-    out: list[tuple[int, int]] = []
-    for t, p in enumerate(pop):
-        lo = int(pop[t + 1]) + 1 if t + 1 < len(pop) else 0
-        out.append((lo, int(p)))
-    return out
+    pop = sorted(index.leveled.levels, reverse=True)
+    lows = [p + 1 for p in pop[1:]] + [0]
+    return list(zip(lows, pop))
 
 
 def matching_oracle(
@@ -189,7 +187,7 @@ def matching_oracle(
         lag = math.fsum((prices * surplus[priced]).tolist())
         if not math.isclose(lag, gamma, rel_tol=_REL):
             raise AssertionError("vertex step does not meet the penalized target")
-        if budget_value(it, barr) > beta * (1.0 + _REL):
+        if budget_value(index, it) > beta * (1.0 + _REL):
             raise AssertionError("vertex step exceeds the budget")
         if (prices > (24.0 / eps) * w_of[vl[priced]] * (1.0 + _REL)).any():
             raise AssertionError("vertex price exceeds its width cap")
@@ -228,18 +226,17 @@ def matching_oracle(
         it = DualIterate.zeros(index, beta)
         for lo, p, selected, _dvals in segments:
             for t in selected:
-                u_set = index.odd_sets[t]
                 for lev in range(lo, p + 1):
-                    it.z[(u_set, lev)] = gamma_p * w_of[lev] / gamma_o
+                    it.z[(t, lev)] = gamma_p * w_of[lev] / gamma_o
         lag_bar = math.fsum(
-            it.z[(index.odd_sets[t], lev)] * dv
+            it.z[(t, lev)] * dv
             for lo, p, selected, dvals in segments
             for t, dv in zip(selected, dvals)
             for lev in range(lo, p + 1)
         )
         if not math.isclose(lag_bar, gamma_p, rel_tol=1e-6):
             raise AssertionError("odd-set step does not meet the raised target")
-        budget = budget_value(it, b)
+        budget = budget_value(index, it)
         if budget > (1.0 - eps / 4.0) * beta * (1.0 + _REL):
             raise AssertionError("odd-set step exceeds the budget")
         cap = 24.0 / eps
@@ -267,7 +264,7 @@ def matching_oracle(
     extra: dict[tuple[int, int], float] = {}
     for lo, p, selected, _dvals in segments:
         for t in selected:
-            for i in index.odd_sets[t].members:
+            for i in index.odd_sets.members(t):
                 for lev in range(lo, p + 1):
                     vr = index.vrow_of.get((i, lev))
                     if vr is None:
@@ -336,7 +333,6 @@ def check_dual_step(
     - disjointness of the priced sets at every level.
     """
     eps = index.epsilon
-    b = index.leveled.base.b
     w_of = index.level_weights_all()
     it = step.iterate
     report: dict[str, object] = {"branch": step.branch}
@@ -355,7 +351,7 @@ def check_dual_step(
         report["penalized_target"] = lag >= target * (1.0 - tol) - 1e-12
     report["nonnegative"] = it.is_nonnegative(1e-12)
     report["price_shape"] = index.is_shaped(it, atol=1e-12)
-    report["budget"] = budget_value(it, b) <= it.beta * (1.0 + tol)
+    report["budget"] = budget_value(index, it) <= it.beta * (1.0 + tol)
     cap = 24.0 / eps
     _vertex, level = index.vrow_arrays()
     report["x_caps"] = bool((it.x_level <= cap * w_of[level] * (1.0 + tol)).all())
@@ -365,17 +361,16 @@ def check_dual_step(
     report["inner_rows"] = bool(
         (deg <= index.degree_rhs_inner * (1.0 + tol) + 1e-12).all()
     )
-    by_level: dict[int, list] = {}
-    for (u, lev), v in it.z.items():
-        if v > 0.0:
-            by_level.setdefault(lev, []).append(u)
+    # Priced sets are disjoint at every level: no vertex is priced
+    # twice at one level.
+    used: dict[int, np.ndarray] = {}
     disjoint = True
-    for lev, sets in by_level.items():
-        seen = 0
-        for u in sets:
-            if u.mask & seen:
-                disjoint = False
-            seen |= u.mask
+    for (t, lev), v in it.z.items():
+        if v > 0.0:
+            row = index.odd_sets.member[t]
+            seen = used.setdefault(lev, np.zeros_like(row))
+            disjoint = disjoint and not (row & seen).any()
+            seen |= row
     report["level_disjoint"] = disjoint
     balance_ok, worst = index.cut_balance_ok(u_sparse, it.z)
     report["support_balance"] = balance_ok
@@ -702,7 +697,7 @@ def initial_solution(
             if used[i] == b[i]:
                 it.x_level[index.vrow_of[(i, k)]] = r * wk
     np.maximum.at(it.x_top, index.vrow_arrays()[0], it.x_level)
-    beta0 = budget_value(it, b)
+    beta0 = budget_value(index, it)
     it.beta = beta0
     cov = index.cover_values(it)
     lambda0, _arg = index.coverage_lambda(cov)

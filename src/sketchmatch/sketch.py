@@ -24,7 +24,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -678,13 +678,15 @@ class SwitchReport:
 
 def verify_switch(
     index: SystemIndex,
-    u_full: Mapping[int, float],
-    u_sparse: Mapping[int, float],
+    u_full: np.ndarray,
+    u_sparse: np.ndarray,
     it: DualIterate,
     *,
     tol: float = 1e-9,
 ) -> SwitchReport:
     """Check that sparsified multipliers can stand in for the full ones.
+
+    Both multiplier vectors are aligned with the cover rows.
 
     Hypothesis (on the sparsified multipliers ``u_sparse`` and iterate
     ``x``): the cover product satisfies
@@ -700,14 +702,12 @@ def verify_switch(
     """
     eps = index.epsilon
     cover = index.cover_values(it)
-    us_vec = index.multiplier_vector(u_sparse)
-    u_vec = index.multiplier_vector(u_full)
-    sparse_product = float(us_vec @ cover)
-    sparse_target = index.multiplier_cover_target(us_vec)
-    full_product = float(u_vec @ cover)
-    full_target = index.multiplier_cover_target(u_vec)
+    sparse_product = float(u_sparse @ cover)
+    sparse_target = index.multiplier_cover_target(u_sparse)
+    full_product = float(u_full @ cover)
+    full_target = index.multiplier_cover_target(u_full)
     hyp_cover = sparse_product >= (1.0 - eps / 8.0) * sparse_target - tol * max(1.0, abs(sparse_target))
-    balance_ok, _worst = index.cut_balance_ok(us_vec, it.z, tol=tol)
+    balance_ok, _worst = index.cut_balance_ok(u_sparse, it.z, tol=tol)
     shape_ok = it.is_nonnegative(tol) and index.is_shaped(it, atol=tol, rtol=tol)
     conclusion = full_product >= (1.0 - eps / 2.0) * full_target - tol * max(1.0, abs(full_target))
     hypothesis = hyp_cover and balance_ok and shape_ok

@@ -8,9 +8,11 @@ evaluation of the constraint rows.  An iterate keeps its x prices as
 float vectors: ``x_level`` is aligned with the degree rows
 ``SystemIndex.vrows`` and ``x_top`` has one entry per vertex, so
 blending and row evaluation are whole-vector operations.  The odd-set
-prices ``z`` stay a mapping keyed by ``(odd set, level)``, because a
+prices ``z`` stay a mapping keyed by ``(set index, level)``, because a
 step prices only a few sets out of a family of up to ``2^n``.  The
-rows are:
+family is a :class:`~sketchmatch.graph.OddSetFamily`; a priced set's
+internal and boundary cover rows are derived from its membership row
+when needed.  The rows are:
 
 - cover rows, one per retained edge ``(i, j)`` at level ``k``:
   ``x_i(k) + x_j(k) + sum_{l <= k} sum_{U containing i,j} z_{U,l}``
@@ -25,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .graph import LeveledGraph, OddSet
+from .graph import LeveledGraph, OddSet, OddSetFamily
 
 __all__ = [
     "DualIterate",
@@ -52,14 +53,15 @@ class DualIterate:
     x_top:
         Top prices ``x_i``, a float vector with one entry per vertex.
     z:
-        ``(odd set, level) -> value`` for odd-set prices.
+        ``(set index, level) -> value`` for odd-set prices; the index
+        is a row of ``SystemIndex.odd_sets``.
     beta:
         The budget this iterate is playing against.
     """
 
     x_level: np.ndarray
     x_top: np.ndarray
-    z: dict[tuple[OddSet, int], float]
+    z: dict[tuple[int, int], float]
     beta: float
 
     @staticmethod
@@ -92,10 +94,12 @@ class DualIterate:
         )
 
 
-def budget_value(it: DualIterate, b: Sequence[int]) -> float:
+def budget_value(index: "SystemIndex", it: DualIterate) -> float:
     """Dual budget ``sum_i b_i x_i + sum_{U,l} floor(||U||_b/2) z_{U,l}``."""
-    total = math.fsum((np.asarray(b, dtype=float) * it.x_top).tolist())
-    total += math.fsum(u.half_capacity * v for (u, _l), v in it.z.items())
+    barr, _b_w = index.capacity_arrays()
+    bnorm = index.odd_sets.bnorm
+    total = math.fsum((barr * it.x_top).tolist())
+    total += math.fsum(int(bnorm[t]) // 2 * v for (t, _l), v in it.z.items())
     return total
 
 
@@ -109,25 +113,19 @@ class SystemIndex:
 
     leveled: LeveledGraph
     epsilon: float
-    odd_sets: tuple[OddSet, ...]
-    # cover rows, aligned with `rows` (edge order of leveled.retained())
+    odd_sets: OddSetFamily
+    # cover rows, aligned with `rows` (edge order of leveled.retained());
+    # `row_ends` holds each row's two end vertices
     rows: tuple[tuple[int, int, int, int], ...] = field(init=False)
     cover_rhs: np.ndarray = field(init=False)
     edge_row_of: dict[int, int] = field(init=False)
+    row_ends: np.ndarray = field(init=False)
+    row_levels: np.ndarray = field(init=False)
     # degree rows, aligned with `vrows`
     vrows: tuple[tuple[int, int], ...] = field(init=False)
     vrow_of: dict[tuple[int, int], int] = field(init=False)
     degree_rhs_outer: np.ndarray = field(init=False)
     degree_rhs_inner: np.ndarray = field(init=False)
-    # odd-set geometry: `set_index` maps a set's mask to its position in
-    # `odd_sets`; the boolean matrices have one row per set: its member
-    # vertices, the cover rows with both ends in it (internal), and the
-    # cover rows with exactly one end in it (boundary)
-    set_index: dict[int, int] = field(init=False)
-    member: np.ndarray = field(init=False)
-    internal: np.ndarray = field(init=False)
-    boundary: np.ndarray = field(init=False)
-    row_levels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         lv = self.leveled
@@ -140,26 +138,24 @@ class SystemIndex:
         vweights = np.array([lv.level_weight(k) for (_i, k) in self.vrows])
         self.degree_rhs_outer = 3.0 * vweights
         self.degree_rhs_inner = (24.0 / eps + 24.0 / eps**2) * vweights
-        self.set_index = {u.mask: t for t, u in enumerate(self.odd_sets)}
+        self.row_ends = np.array(
+            [(i, j) for (_e, i, j, _k) in self.rows], dtype=np.int64
+        ).reshape(-1, 2)
         self.row_levels = np.array([k for (_e, _i, _j, k) in self.rows], dtype=np.int64)
-        n_sets = len(self.odd_sets)
-        sizes = np.fromiter((len(u.members) for u in self.odd_sets), np.int64, n_sets)
-        members = chain.from_iterable(u.members for u in self.odd_sets)
-        self.member = np.zeros((n_sets, lv.base.n), dtype=bool)
-        self.member[
-            np.repeat(np.arange(n_sets), sizes),
-            np.fromiter(members, np.int64, int(sizes.sum())),
-        ] = True
-        i_end = np.array([i for (_e, i, _j, _k) in self.rows], dtype=np.int64)
-        j_end = np.array([j for (_e, _i, j, _k) in self.rows], dtype=np.int64)
-        # `take` gives row-major results (fancy indexing on axis 1 gives
-        # column-major ones).  The float copies in `set_matrices` inherit
-        # the layout, and the order in which BLAS sums a product depends
-        # on it.
-        i_in = self.member.take(i_end, axis=1)
-        j_in = self.member.take(j_end, axis=1)
-        self.internal = i_in & j_in
-        self.boundary = np.logical_xor(i_in, j_in, out=i_in)
+
+    def set_rows(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Internal and boundary cover rows of the set(s) with membership ``member``.
+
+        ``member`` is one membership row or a stack of them.  A row is
+        internal to a set when both its ends are members, and on its
+        boundary when exactly one is.  `take` gives row-major results
+        (fancy indexing on the last axis gives column-major ones); the
+        float copy in `set_matrices` inherits the layout, and the order
+        in which BLAS sums a product depends on it.
+        """
+        i_in = member.take(self.row_ends[:, 0], axis=-1)
+        j_in = member.take(self.row_ends[:, 1], axis=-1)
+        return i_in & j_in, i_in ^ j_in
 
     # -- row evaluation -----------------------------------------------------
 
@@ -169,7 +165,8 @@ class SystemIndex:
         out = it.x_level[rv[:, 0]] + it.x_level[rv[:, 1]]
         if it.z:
             sets, levels, values = self._priced(it.z)
-            hit = self.internal[sets] & (self.row_levels >= levels[:, None])
+            internal, _boundary = self.set_rows(self.odd_sets.member[sets])
+            hit = internal & (self.row_levels >= levels[:, None])
             priced, rows = np.nonzero(hit)
             np.add.at(out, rows, values[priced])
         return out
@@ -180,7 +177,7 @@ class SystemIndex:
         if it.z:
             sets, levels, values = self._priced(it.z)
             vertex, level = self.vrow_arrays()
-            hit = self.member[sets][:, vertex] & (level >= levels[:, None])
+            hit = self.odd_sets.member[sets][:, vertex] & (level >= levels[:, None])
             priced, vrows = np.nonzero(hit)
             np.add.at(out, vrows, values[priced])
         return out
@@ -202,15 +199,16 @@ class SystemIndex:
         slack = np.maximum(atol, rtol * np.abs(it.x_level))
         return bool((it.x_top[vertex] >= it.x_level - slack).all())
 
+    @staticmethod
     def _priced(
-        self, z: Mapping[tuple[OddSet, int], float]
+        z: Mapping[tuple[int, int], float]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Set indices, levels and values of the nonzero prices, in ``z`` order.
 
         ``np.add.at`` adds unbuffered in index order, so every row sums
         its prices in ``z`` order.
         """
-        priced = [(self.set_index[u.mask], lev, v) for (u, lev), v in z.items() if v != 0.0]
+        priced = [(t, lev, v) for (t, lev), v in z.items() if v != 0.0]
         sets = np.array([t for t, _lev, _v in priced], dtype=np.int64)
         levels = np.array([lev for _t, lev, _v in priced], dtype=np.int64)
         values = np.array([v for _t, _lev, v in priced], dtype=float)
@@ -246,13 +244,14 @@ class SystemIndex:
         may assert it.
         """
         at_level = self.row_levels >= level
-        internal = math.fsum(u_vec[self.internal[set_idx] & at_level])
-        boundary = math.fsum(u_vec[self.boundary[set_idx] & at_level])
+        ins, bnd = self.set_rows(self.odd_sets.member[set_idx])
+        internal = math.fsum(u_vec[ins & at_level])
+        boundary = math.fsum(u_vec[bnd & at_level])
         degree = math.fsum([2.0 * internal, boundary])
         return internal, boundary, degree
 
     def cut_balance_ok(
-        self, u_vec: np.ndarray, it_z: Mapping[tuple[OddSet, int], float], tol: float = 1e-9
+        self, u_vec: np.ndarray, it_z: Mapping[tuple[int, int], float], tol: float = 1e-9
     ) -> tuple[bool, float]:
         """Check internal mass >= boundary mass on the z-support of ``it``.
 
@@ -260,11 +259,10 @@ class SystemIndex:
         relative to the member degree mass of the set.
         """
         worst = 0.0
-        for (u, lev), zv in it_z.items():
+        for (t, lev), zv in it_z.items():
             if zv <= 0.0:
                 continue
-            s_idx = self.set_index[u.mask]
-            internal, boundary, degree = self.cut_mass(u_vec, s_idx, lev)
+            internal, boundary, degree = self.cut_mass(u_vec, t, lev)
             if not math.isclose(2.0 * internal + boundary, degree, rel_tol=1e-9, abs_tol=1e-12):
                 raise AssertionError("cut accounting identity violated")
             scale = max(degree, 1e-300)
@@ -297,13 +295,15 @@ class SystemIndex:
         cached = getattr(self, "_set_matrices", None)
         if cached is not None:
             return cached
-        n_sets = len(self.odd_sets)
-        n = self.leveled.base.n
-        n_rows = len(self.rows)
-        if n_sets * max(n_rows, n) > 1 << 24:
+        family = self.odd_sets
+        if len(family) * max(len(self.rows), self.leveled.base.n) > 1 << 24:
             raise ValueError("odd-set matrices would be too large; reduce the family")
-        bnorms = np.fromiter((float(u.bnorm) for u in self.odd_sets), float, n_sets)
-        self._set_matrices = (self.member.astype(float), self.internal.astype(float), bnorms)
+        internal, _boundary = self.set_rows(family.member)
+        self._set_matrices = (
+            family.member.astype(float),
+            internal.astype(float),
+            family.bnorm.astype(float),
+        )
         return self._set_matrices
 
     def zeta_degree_target(self, zeta_vec: np.ndarray) -> float:
@@ -362,7 +362,8 @@ def convert_to_matching_dual(
     and ``z_U = sum_l z_{U,l} / (1 - 3 eps)`` is feasible for the
     odd-set dual on the leveled edges whenever the layered iterate
     covers every edge row to ``(1 - 3 eps)``.  Vertices whose prices
-    are all zero are left out of ``x``.
+    are all zero are left out of ``x``; ``OddSet`` keys are built for
+    the priced sets only.
     """
     eps = index.epsilon
     denom = 1.0 - 3.0 * eps
@@ -370,8 +371,10 @@ def convert_to_matching_dual(
     top = it.x_top.copy()
     np.maximum.at(top, vertex, it.x_level)
     x = {int(i): float(top[i] / denom) for i in np.flatnonzero(top)}
-    z: dict[OddSet, float] = {}
-    for (u, _l), v in it.z.items():
+    z_of: dict[int, float] = {}
+    for (t, _l), v in it.z.items():
         if v != 0.0:
-            z[u] = z.get(u, 0.0) + v / denom
+            z_of[t] = z_of.get(t, 0.0) + v / denom
+    b = index.leveled.base.b
+    z = {OddSet.from_members(index.odd_sets.members(t), b): v for t, v in z_of.items()}
     return x, z

@@ -268,14 +268,14 @@ def test_criterion_8_odd_set_detection_against_exhaustive_scan():
     q = np.full(len(index.rows), 0.95)
     q_hat = np.full(6, 2.0)
     selected, values = collect_violated_sets(index, q, q_hat)
-    sel_members = [index.odd_sets[t].members for t in selected]
+    sel_members = [index.odd_sets.members(t) for t in selected]
     direct_ok = sorted(sel_members) == [(0, 1, 2), (3, 4, 5)]
     touched = set().union(*(set(ms) for ms in sel_members)) if sel_members else set()
-    for t, u in enumerate(index.odd_sets):
-        bar = u.bnorm // 2 + eps / 2.0
+    for t in range(len(index.odd_sets)):
+        bar = int(index.odd_sets.bnorm[t]) // 2 + eps / 2.0
         if t in selected:
             direct_ok = direct_ok and values[t] > bar - 1e-12
-        elif not (set(u.members) & touched):
+        elif not (set(index.odd_sets.members(t)) & touched):
             direct_ok = direct_ok and values[t] <= bar + 1e-12
 
     # (b) the flow route's cut tree agrees with direct max-flow on all

@@ -111,6 +111,9 @@ class TestSolve:
             {"max_rounds": 1},  # the initial solution uses the only round
             {"space_mult": 0.0},
             {"space_mult": -1.0},
+            {"space_mult": math.inf},  # would switch the space cap off
+            {"p": math.inf},
+            {"p": math.nan},
         ],
     )
     def test_unworkable_config_rejected(self, kwargs):
@@ -405,6 +408,12 @@ class TestCli:
         path = _write_graph(tmp_path)
         code = main(["solve", "--input", path, "--epsilon", "0.5"])
         assert code == 1
+
+    def test_infinite_p_exits_1(self, tmp_path, capsys):
+        path = _write_graph(tmp_path)
+        code = main(["solve", "--input", path, "--p", "inf"])
+        assert code == 1
+        assert "p must be a finite number" in capsys.readouterr().err
 
     def test_sparsify_streaming(self, tmp_path, capsys):
         text = "\n".join(

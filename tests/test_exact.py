@@ -129,6 +129,53 @@ class TestExactLpValues:
         assert res.beta_hat_layered >= (1 - 3 * eps) * res.beta_hat_discrete
         assert res.beta_hat_layered <= (1 + eps) * res.beta_hat_discrete
 
+    # Frozen from the solver's own small-odd-set enumeration, before the
+    # layered LP read its family from ``_all_odd_sets_masks``.  The
+    # (21, 21, 23) triangle has ||V||_b = 65 > 4/eps, so its odd-set row
+    # is in the full LP but not in the layered one (ratio 65/64).
+    LAYERED = {
+        "diamond_tail": (
+            "708688224704645965712084034276698342238449632366102186178269417150523162183194782273/"
+            "7588550360256754183279148073529370729071901715047420004889892225542594864082845696"
+        ),
+        "triangle_heavy": (
+            "39610432323319216319877402550060057313581011069419666813098727281314596289368514815295617/"
+            "497323236409786642155382248146820840100456150797347717440463976893159497012533375533056"
+        ),
+        "triangle_b65": (
+            "12136414307024232121037347279243289939972861213381244298069339651222965042707804388561863879039"
+            "669304334236287333190124575836576288403920140385/"
+            "3721414268393507279612537896386583215890643766719068468641229819804873155140597367430098179654"
+            "46945567110411062408283101969716033850703872"
+        ),
+        "triangle_b63": (
+            "57881360541192491654178117793314152021409030402279780498484542951986448665221836314679658500035"
+            "34591297866537035829136336168213306777254220799/"
+            "1860707134196753639806268948193291607945321883359534234320614909902436577570298683715049089827"
+            "23472783555205531204141550984858016925351936"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYERED))
+    def test_layered_value_frozen(self, name):
+        tri = "0 1 10\n0 2 10\n1 2 10\n"
+        g = {
+            "diamond_tail": sm.Graph(
+                n=4,
+                edges=((0, 1, 16.0), (1, 2, 16.0), (0, 2, 16.0), (2, 3, 8.0)),
+                b=(1, 1, 1, 1),
+            ),
+            "triangle_heavy": sm.load_graph("0 1 1.25\n0 2 1.25\n1 2 1.25\n3 4 100\n"),
+            "triangle_b65": sm.load_graph(tri, "0 21\n1 21\n2 23\n"),
+            "triangle_b63": sm.load_graph(tri, "0 21\n1 21\n2 21\n"),
+        }[name]
+        res = sm.exact_lp_values(g, EPS, include_layered=True)
+        assert res.beta_hat_layered == Fraction(self.LAYERED[name])
+        if name == "triangle_b65":
+            assert res.beta_hat_layered == Fraction(65, 64) * res.beta_hat_discrete
+        else:
+            assert res.beta_hat_layered == res.beta_hat_discrete
+
 
 class TestDualFeasible:
     def test_overpaying_cover(self):
@@ -172,9 +219,7 @@ class TestDualFeasible:
 
 class TestLaminar:
     def _oddset(self, g, members):
-        sets = sm.enumerate_small_odd_sets(g, EPS)
-        by_members = {u.members: u for u in sets}
-        return by_members[members]
+        return sm.OddSet.from_members(members, g.b)
 
     def test_nested_is_laminar(self):
         g = sm.Graph(n=5, edges=(), b=(1,) * 5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -117,9 +118,9 @@ class TestDiscretize:
                 assert w >= lv.scale * (1 - 1e-9)
 
 
-def _loop_family(g: sm.Graph, epsilon: float) -> tuple[sm.OddSet, ...]:
-    """Reference: the small odd-set family by a Python loop over masks."""
-    out = []
+def _loop_family(g: sm.Graph, epsilon: float) -> tuple[list[list[bool]], list[int]]:
+    """Reference: member rows and capacities by a Python loop over masks."""
+    member, bnorm = [], []
     for mask in range(1, 1 << g.n):
         bn = 0
         mm = mask
@@ -128,30 +129,37 @@ def _loop_family(g: sm.Graph, epsilon: float) -> tuple[sm.OddSet, ...]:
             bn += g.b[low.bit_length() - 1]
             mm ^= low
         if bn % 2 == 1 and bn <= 4.0 / epsilon:
-            members = tuple(i for i in range(g.n) if mask >> i & 1)
-            out.append(sm.OddSet(members=members, bnorm=bn, mask=mask))
-    return tuple(out)
+            member.append([bool(mask >> i & 1) for i in range(g.n)])
+            bnorm.append(bn)
+    return member, bnorm
+
+
+def _all_members(sets: sm.OddSetFamily) -> list[tuple[int, ...]]:
+    return sorted(sets.members(t) for t in range(len(sets)))
 
 
 class TestEnumerateSmallOddSets:
     def test_unit_triangle(self):
         g = sm.Graph(n=3, edges=(), b=(1, 1, 1))
         sets = sm.enumerate_small_odd_sets(g, EPS)
-        members = sorted(u.members for u in sets)
-        assert members == [(0,), (0, 1, 2), (1,), (2,)]
+        assert _all_members(sets) == [(0,), (0, 1, 2), (1,), (2,)]
 
     def test_two_vertices_parity(self):
         g = sm.Graph(n=2, edges=(), b=(1, 1))
         sets = sm.enumerate_small_odd_sets(g, EPS)
-        assert sorted(u.members for u in sets) == [(0,), (1,)]
+        assert _all_members(sets) == [(0,), (1,)]
 
     def test_mixed_capacities(self):
         # b = [2,1,1]: odd-mass subsets are {1},{2},{0,1},{0,2};
         # {0,1,2} has mass 4 (even) and is excluded.
         g = sm.Graph(n=3, edges=(), b=(2, 1, 1))
         sets = sm.enumerate_small_odd_sets(g, EPS)
-        members = sorted(u.members for u in sets)
-        assert members == [(0, 1), (0, 2), (1,), (2,)]
+        assert _all_members(sets) == [(0, 1), (0, 2), (1,), (2,)]
+
+    def test_vertex_count_capped(self):
+        g = sm.Graph(n=21, edges=(), b=(1,) * 21)
+        with pytest.raises(ValueError, match="n <= 20"):
+            sm.enumerate_small_odd_sets(g, EPS)
 
     @given(st.integers(0, 10_000), st.sampled_from(("suite", "bound_bites", "huge")))
     def test_family_is_exactly_odd_and_small(self, seed, capacities):
@@ -165,21 +173,26 @@ class TestEnumerateSmallOddSets:
                 b[rng.randrange(g.n)] = 10**30
             g = sm.Graph(n=g.n, edges=g.edges, b=tuple(b))
         sets = sm.enumerate_small_odd_sets(g, EPS)
+        assert sets.member.dtype == bool and sets.member.flags.c_contiguous
+        assert sets.member.shape == (len(sets), g.n)
         seen = set()
-        for u in sets:
-            assert u.bnorm % 2 == 1
-            assert u.bnorm <= 4.0 / EPS
-            assert u.bnorm == sum(g.b[i] for i in u.members)
-            assert u.members not in seen
-            seen.add(u.members)
+        for t in range(len(sets)):
+            members = sets.members(t)
+            bn = int(sets.bnorm[t])
+            assert bn % 2 == 1
+            assert bn <= 4.0 / EPS
+            assert bn == sum(g.b[i] for i in members)
+            assert members not in seen
+            seen.add(members)
         # the same sets, in the same order, as the per-mask loop
-        assert sets == _loop_family(g, EPS)
+        member, bnorm = _loop_family(g, EPS)
+        assert np.array_equal(sets.member, np.array(member, dtype=bool).reshape(-1, g.n))
+        assert sets.bnorm.tolist() == bnorm
 
     def test_half_capacity(self):
-        g = sm.Graph(n=3, edges=(), b=(2, 1, 1))
-        sets = {u.members: u for u in sm.enumerate_small_odd_sets(g, EPS)}
-        assert sets[(0, 1)].half_capacity == 1
-        assert sets[(1,)].half_capacity == 0
+        b = (2, 1, 1)
+        assert sm.OddSet.from_members((0, 1), b).half_capacity == 1
+        assert sm.OddSet.from_members((1,), b).half_capacity == 0
 
 
 class TestLevelCount:

@@ -164,7 +164,7 @@ def random_dict_iterate(index, rng: random.Random, beta: float) -> DictIterate:
             it.x_top[i] = rng.uniform(0.0, 4.0)
     levels = sorted({int(k) for k in index.row_levels})
     for t in rng.sample(range(len(index.odd_sets)), min(6, len(index.odd_sets))):
-        it.z[(index.odd_sets[t], rng.choice(levels))] = rng.uniform(0.0, 2.0)
+        it.z[(t, rng.choice(levels))] = rng.uniform(0.0, 2.0)
     return it
 
 
@@ -327,7 +327,7 @@ def test_verify_switch_flags_planted_shape_violation():
     g = sm.load_graph("0 1 4\n1 2 8\n0 2 6\n2 3 5\n1 3 7\n")
     lv = sm.discretize(g, EPS)
     index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
-    u = {e: 1.0 for (e, _i, _j, _k) in index.rows}
+    u = np.ones(len(index.rows))
     it = sm.DualIterate.zeros(index, beta=1.0)
     for t, (i, k) in enumerate(index.vrows):
         it.x_level[t] = lv.level_weight(k)

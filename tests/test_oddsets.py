@@ -233,7 +233,7 @@ class TestCollectViolatedSets:
         selected, values = collect_violated_sets(index, q, q_hat)
         assert len(selected) == 1
         t = selected[0]
-        assert index.odd_sets[t].members == (0, 1, 2)
+        assert index.odd_sets.members(t) == (0, 1, 2)
         # value = internal - (allowance - bnorm)/2 = 2.85 - (6 - 3)/2
         assert values[t] == pytest.approx(2.85 - 1.5)
 
@@ -258,7 +258,7 @@ class TestCollectViolatedSets:
         q = np.full(len(index.rows), 0.95)
         q_hat = np.full(6, 2.0)
         selected, _ = collect_violated_sets(index, q, q_hat)
-        members = [index.odd_sets[t].members for t in selected]
+        members = [index.odd_sets.members(t) for t in selected]
         assert sorted(members) == [(0, 1, 2), (3, 4, 5)]
         seen: set[int] = set()
         for ms in members:
@@ -290,11 +290,10 @@ def test_flow_route_agrees_with_exhaustive_exclusion(seed):
         g.n, take, qv, qh, eps, [1] * n, check_bounds=True, odd_sets=odd
     )
     # independent restatement of the exclusion bound
-    for u in odd:
-        if any(set(u.members) & set(ms) for ms in chosen):
+    for t in range(len(odd)):
+        members = odd.members(t)
+        if any(set(members) & set(ms) for ms in chosen):
             continue
-        internal = sum(
-            v for (i, j), v in zip(take, qv) if i in u.members and j in u.members
-        )
-        allowance = sum(qh[i] for i in u.members)
+        internal = sum(v for (i, j), v in zip(take, qv) if i in members and j in members)
+        allowance = sum(qh[i] for i in members)
         assert internal <= 0.5 * (allowance - (1.0 - eps)) + 1e-9

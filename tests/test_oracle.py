@@ -12,6 +12,7 @@ import sketchmatch as sm
 from sketchmatch.oracle import (
     DualStep,
     PrimalCertificate,
+    _populated_segments,
     check_dual_step,
     check_primal_certificate,
     extract_integral,
@@ -62,7 +63,7 @@ class TestMatchingOracleBranches:
         cover = float(u @ index.cover_values(out.iterate))
         load = float(zeta @ index.degree_values(out.iterate))
         assert cover - 0.3 * load == pytest.approx(out.gamma)
-        assert sm.budget_value(out.iterate, _g.b) <= 20.0 + 1e-9
+        assert sm.budget_value(index, out.iterate) <= 20.0 + 1e-9
         ok, report = check_dual_step(index, u, zeta, out)
         assert ok, report
 
@@ -88,11 +89,26 @@ class TestMatchingOracleBranches:
         assert isinstance(out, DualStep)
         assert out.branch == "odd"
         assert out.gamma == pytest.approx(2.438116449543723)
-        priced = {(uset.members, lev): v for (uset, lev), v in out.iterate.z.items()}
+        priced = {
+            (index.odd_sets.members(t), lev): v for (t, lev), v in out.iterate.z.items()
+        }
         assert set(priced) == {((0, 1, 2), 0)}
         assert priced[((0, 1, 2), 0)] == pytest.approx(0.8209146294760009)
         ok, report = check_dual_step(index, u, zeta, out)
         assert ok, report
+
+
+def test_populated_segments_span_level_gaps():
+    # populated levels 6, 10, 60 and 75, with gaps between them
+    _g, lv, index = _index_for("0 1 100\n2 3 2\n4 5 1.5\n1 2 40\n")
+    assert sorted(lv.levels) == [6, 10, 60, 75]
+    segments = _populated_segments(index)
+    assert segments == [(61, 75), (11, 60), (7, 10), (0, 6)]
+    # every level of a segment sees the same populated suffix as its top
+    populated = set(index.row_levels.tolist())
+    for lo, p in segments:
+        for lev in range(lo, p + 1):
+            assert {k for k in populated if k >= lev} == {k for k in populated if k >= p}
 
 
 class TestCheckDualStep:
@@ -114,6 +130,30 @@ class TestCheckDualStep:
         ok, report = check_dual_step(index, u, zeta, step)
         assert not ok
         assert report["z_caps"] is False
+
+    @pytest.mark.parametrize(
+        "priced, disjoint",
+        [
+            ({((0, 1, 2), "low"), ((2, 3, 4), "low")}, False),
+            ({((0, 1, 2), "high"), ((1,), "high")}, False),
+            ({((0, 1, 2), "low"), ((2, 3, 4), "high")}, True),
+            ({((0, 1, 2), "low"), ((3,), "low")}, True),
+        ],
+    )
+    def test_level_disjointness(self, priced, disjoint):
+        # sets priced at one level must not share a vertex; the same
+        # overlapping pair at two different levels is fine
+        _g, _lv, index = _index_for("0 1 1.25\n0 2 1.25\n1 2 1.25\n3 4 100\n")
+        family = index.odd_sets
+        position = {family.members(t): t for t in range(len(family))}
+        level = {"low": 0, "high": int(index.row_levels.max())}
+        it = sm.DualIterate.zeros(index, beta=1.0)
+        for members, lev in sorted(priced):
+            it.z[(position[members], level[lev])] = 0.01
+        u = np.ones(len(index.rows))
+        zeta = np.ones(len(index.vrows))
+        _ok, report = check_dual_step(index, u, zeta, DualStep(it, "odd", 1.0, 1.0))
+        assert report["level_disjoint"] is disjoint
 
 
 class TestExtractIntegral:

@@ -413,7 +413,7 @@ def _switch_fixture():
 class TestVerifySwitch:
     def test_zero_iterate_vacuous(self):
         _g, _lv, index = _switch_fixture()
-        u = {e: 1.0 for (e, _i, _j, _k) in index.rows}
+        u = np.ones(len(index.rows))
         it = sm.DualIterate.zeros(index, beta=1.0)
         rep = sm.verify_switch(index, u, u, it)
         assert not rep.hypothesis_cover
@@ -421,7 +421,7 @@ class TestVerifySwitch:
 
     def test_identity_sparsifier(self):
         _g, lv, index = _switch_fixture()
-        u = {e: 1.0 for (e, _i, _j, _k) in index.rows}
+        u = np.ones(len(index.rows))
         it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
@@ -437,12 +437,11 @@ class TestVerifySwitch:
 
     def test_good_sparsifier_implication(self):
         _g, lv, index = _switch_fixture()
-        u = {e: 1.0 for (e, _i, _j, _k) in index.rows}
+        u = np.ones(len(index.rows))
         # a (1 +- eps/16)-accurate reweighting stands in for u
-        u_s = {
-            e: 1.0 * (1 + (EPS / 16 if e % 2 else -EPS / 16))
-            for (e, _i, _j, _k) in index.rows
-        }
+        u_s = np.array(
+            [1.0 * (1 + (EPS / 16 if e % 2 else -EPS / 16)) for (e, _i, _j, _k) in index.rows]
+        )
         it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)

@@ -1,9 +1,10 @@
 """Odd-set geometry of ``SystemIndex`` and its evaluators.
 
 The geometry and every evaluator that reads it are checked against the
-per-set Python loops they replaced, kept here as the reference.  The
-comparisons are exact: ``math.fsum`` is correctly rounded whatever the
-order, and the vectorized row sums add the prices in the order of
+per-set Python loops they replaced, kept here as the reference; the
+loops read each set as a Python int bitmask built from its members.
+The comparisons are exact: ``math.fsum`` is correctly rounded whatever
+the order, and the vectorized row sums add the prices in the order of
 ``it.z``, as the loops do.
 """
 
@@ -24,14 +25,20 @@ from conftest import EPS, random_instance
 # -- reference loops --------------------------------------------------------
 
 
+def mask_of(index, t: int) -> int:
+    """Bitmask of set ``t`` of the family, as a Python int (any ``n``)."""
+    return sum(1 << i for i in index.odd_sets.members(t))
+
+
 def loop_geometry(index):
     """Per-set internal and boundary cover rows, one loop over (set, row)."""
     internal, boundary = [], []
-    for u in index.odd_sets:
+    for t in range(len(index.odd_sets)):
+        mask = mask_of(index, t)
         ins, bnd = [], []
         for r, (_e, i, j, _k) in enumerate(index.rows):
-            i_in = bool(u.mask >> i & 1)
-            j_in = bool(u.mask >> j & 1)
+            i_in = bool(mask >> i & 1)
+            j_in = bool(mask >> j & 1)
             if i_in and j_in:
                 ins.append(r)
             elif i_in or j_in:
@@ -51,11 +58,10 @@ def loop_cover_values(index, geo, it):
     out = np.zeros(len(index.rows))
     for r, (_e, i, j, k) in enumerate(index.rows):
         out[r] = x_level.get((i, k), 0.0) + x_level.get((j, k), 0.0)
-    position = {u: t for t, u in enumerate(index.odd_sets)}
-    for (u, lev), zv in it.z.items():
+    for (t, lev), zv in it.z.items():
         if zv == 0.0:
             continue
-        rows = geo[0][position[u]]
+        rows = geo[0][t]
         if len(rows):
             out[rows[index.row_levels[rows] >= lev]] += zv
     return out
@@ -66,13 +72,13 @@ def loop_degree_values(index, it):
     out = np.zeros(len(index.vrows))
     for t, (i, k) in enumerate(index.vrows):
         out[t] = 2.0 * x_level.get((i, k), 0.0)
-    for (u, lev), zv in it.z.items():
+    for (t, lev), zv in it.z.items():
         if zv == 0.0:
             continue
-        for i in u.members:
-            for t, (v, k) in enumerate(index.vrows):
+        for i in index.odd_sets.members(t):
+            for r, (v, k) in enumerate(index.vrows):
                 if v == i and k >= lev:
-                    out[t] += zv
+                    out[r] += zv
     return out
 
 
@@ -86,12 +92,11 @@ def loop_cut_mass(index, geo, u_vec, set_idx, level):
 
 
 def loop_cut_balance(index, geo, u_vec, z):
-    position = {u: t for t, u in enumerate(index.odd_sets)}
     worst = 0.0
-    for (u, lev), zv in z.items():
+    for (t, lev), zv in z.items():
         if zv <= 0.0:
             continue
-        internal, boundary, degree = loop_cut_mass(index, geo, u_vec, position[u], lev)
+        internal, boundary, degree = loop_cut_mass(index, geo, u_vec, t, lev)
         worst = max(worst, (boundary - internal) / max(degree, 1e-300))
     return worst <= 1e-9, worst
 
@@ -101,11 +106,11 @@ def loop_set_matrices(index, geo):
     member = np.zeros((n_sets, index.leveled.base.n))
     internal = np.zeros((n_sets, len(index.rows)))
     bnorms = np.zeros(n_sets)
-    for t, u in enumerate(index.odd_sets):
-        for i in u.members:
+    for t in range(n_sets):
+        for i in index.odd_sets.members(t):
             member[t, i] = 1.0
         internal[t, geo[0][t]] = 1.0
-        bnorms[t] = float(u.bnorm)
+        bnorms[t] = float(index.odd_sets.bnorm[t])
     return member, internal, bnorms
 
 
@@ -122,22 +127,22 @@ def loop_collect_violated_sets(index, geo, q_rows, q_hat):
         (int(t) for t in cand),
         key=lambda t: (
             float(allowance[t] - 2.0 * internal[t]),
-            index.odd_sets[t].members[0],
-            index.odd_sets[t].members,
+            index.odd_sets.members(t)[0],
+            index.odd_sets.members(t),
         ),
     )
     selected, used_mask = [], 0
     for t in order:
-        u = index.odd_sets[t]
-        if u.mask & used_mask:
+        mask, bnorm = mask_of(index, t), int(index.odd_sets.bnorm[t])
+        if mask & used_mask:
             continue
         selected.append(t)
-        used_mask |= u.mask
-        assert u.bnorm >= 3
-        assert values[t] > u.bnorm // 2 + eps / 2.0 - 1e-12
-    for t, u in enumerate(index.odd_sets):
-        if not u.mask & used_mask:
-            assert values[t] <= u.bnorm // 2 + eps / 2.0 + 1e-12
+        used_mask |= mask
+        assert bnorm >= 3
+        assert values[t] > bnorm // 2 + eps / 2.0 - 1e-12
+    for t in range(len(index.odd_sets)):
+        if not mask_of(index, t) & used_mask:
+            assert values[t] <= int(index.odd_sets.bnorm[t]) // 2 + eps / 2.0 + 1e-12
     return selected, values
 
 
@@ -155,8 +160,16 @@ def light_edge_graph(seed: int) -> sm.Graph:
     return sm.Graph(n=g.n, edges=edges, b=g.b)
 
 
+def family_of(sets, n: int) -> sm.OddSetFamily:
+    """The family holding the hand-built ``OddSet`` list ``sets``."""
+    member = np.zeros((len(sets), n), dtype=bool)
+    for t, u in enumerate(sets):
+        member[t, list(u.members)] = True
+    return sm.OddSetFamily(member=member, bnorm=np.array([u.bnorm for u in sets]))
+
+
 def path70():
-    """A 70-vertex path with a hand-built family; masks need 70 bits."""
+    """A 70-vertex path with a hand-built family; masks would need 70 bits."""
     n = 70
     g = sm.Graph(
         n=n, edges=tuple((i, i + 1, float(1 + i % 3)) for i in range(n - 1)), b=(1,) * n
@@ -165,8 +178,7 @@ def path70():
         [0], [0, 1, 2], [1, 2, 3], [33, 34, 35], [64, 65, 66, 67, 68],
         [66, 67, 68], [67, 68, 69], [0, 35, 69], list(range(50, 69)), [69],
     )
-    family = tuple(OddSet.from_members(ms, g.b) for ms in groups)
-    return g, family
+    return g, family_of([OddSet.from_members(ms, g.b) for ms in groups], n)
 
 
 def case(name: str):
@@ -190,8 +202,8 @@ def priced_iterate(index, seed: int) -> sm.DualIterate:
     levels = sorted({int(k) for k in index.row_levels})
     for t in rng.sample(range(len(index.odd_sets)), min(12, len(index.odd_sets))):
         for lev in rng.sample(levels, min(2, len(levels))):
-            it.z[(index.odd_sets[t], lev)] = rng.uniform(0.01, 2.0)
-    it.z[(index.odd_sets[0], levels[0])] = 0.0
+            it.z[(t, lev)] = rng.uniform(0.01, 2.0)
+    it.z[(0, levels[0])] = 0.0
     return it
 
 
@@ -204,15 +216,22 @@ def test_geometry_matches_row_loop(name):
     if name != "path70":
         assert -1 in lv.level_of  # some light edges were dropped
     else:
-        assert max(u.mask for u in index.odd_sets) >= 1 << 63
+        assert index.odd_sets.member[:, 63:].any()  # members past bit 63
     internal, boundary = loop_geometry(index)
-    shape = (len(index.odd_sets), len(index.rows))
-    assert index.internal.shape == index.boundary.shape == shape
-    for t, u in enumerate(index.odd_sets):
-        assert np.array_equal(np.flatnonzero(index.internal[t]), internal[t])
-        assert np.array_equal(np.flatnonzero(index.boundary[t]), boundary[t])
-        assert tuple(np.flatnonzero(index.member[t])) == u.members
-        assert index.set_index[u.mask] == t
+    family = index.odd_sets
+    # every set's rows derived from its own membership row
+    for t in range(len(family)):
+        ins, bnd = index.set_rows(family.member[t])
+        assert np.array_equal(np.flatnonzero(ins), internal[t])
+        assert np.array_equal(np.flatnonzero(bnd), boundary[t])
+        assert family.members(t) == tuple(np.flatnonzero(family.member[t]))
+    # and all at once from the stacked rows
+    ins, bnd = index.set_rows(family.member)
+    assert ins.shape == bnd.shape == (len(family), len(index.rows))
+    assert ins.flags.c_contiguous
+    for t in range(len(family)):
+        assert np.array_equal(np.flatnonzero(ins[t]), internal[t])
+        assert np.array_equal(np.flatnonzero(bnd[t]), boundary[t])
 
 
 @pytest.mark.parametrize("name", CASES)
