@@ -22,6 +22,7 @@ from .graph import (
     LeveledGraph,
     OddSet,
     OddSetFamily,
+    count_small_odd_sets,
     discretize,
     enumerate_small_odd_sets,
     find_max_weight,
@@ -77,6 +78,7 @@ __all__ = [
     "check_dual_step",
     "check_primal_certificate",
     "convert_to_matching_dual",
+    "count_small_odd_sets",
     "discretize",
     "enumerate_cuts_check",
     "enumerate_small_odd_sets",

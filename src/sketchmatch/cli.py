@@ -31,8 +31,8 @@ from .exact import brute_force_bmatching, exact_lp_values
 from .graph import (
     Graph,
     GraphFormatError,
+    count_small_odd_sets,
     discretize,
-    enumerate_small_odd_sets,
     find_max_weight,
     load_graph,
 )
@@ -229,7 +229,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     eps = args.epsilon
     _edge, wstar = find_max_weight(g)
     lv = discretize(g, eps)
-    odd = enumerate_small_odd_sets(g, eps)
+    odd_count = count_small_odd_sets(g, eps)
     per_level: dict[int, int] = {}
     for _e, _i, _j, k in lv.retained():
         per_level[k] = per_level.get(k, 0) + 1
@@ -244,13 +244,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "retained_edges": lv.retained_count,
         "dropped_edges": g.m - lv.retained_count,
         "edges_per_level": {str(k): c for k, c in sorted(per_level.items())},
-        "small_odd_sets": len(odd),
+        "small_odd_sets": odd_count,
     }
     human = (
         f"n={g.n} m={g.m} B={g.B} max weight {wstar:g}\n"
         f"discretization: scale {lv.scale:.6g}, {lv.L + 1} levels, "
         f"{lv.retained_count} retained / {g.m - lv.retained_count} dropped\n"
-        f"small odd sets: {len(odd)}"
+        f"small odd sets: {odd_count}"
     )
     _emit(payload, args, human)
     return 0

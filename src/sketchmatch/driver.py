@@ -227,7 +227,11 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     # Cover row of each edge id; -1 for the edges discretize dropped.
     slot_of = np.full(len(g.edges), -1, dtype=np.int64)
     slot_of[row_edges] = np.arange(len(row_edges))
-    level_rows = {k: np.flatnonzero(row_levels == k) for k in sorted(lv.levels)}
+    # Per populated level: its cover rows and their edge ids.
+    level_rows = {}
+    for k in sorted(lv.levels):
+        at_k = np.flatnonzero(row_levels == k)
+        level_rows[k] = (at_k, row_edges[at_k])
     q_outer = index.degree_rhs_outer
     delta_pack = 1.0 / 6.0
 
@@ -260,9 +264,9 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         offset = float(log_u.max())
 
         sketches = []
-        for k, at_k in level_rows.items():
+        for k, (at_k, edges_k) in level_rows.items():
             mask = np.zeros(len(g.edges))
-            mask[row_edges[at_k]] = u_build[at_k]
+            mask[edges_k] = u_build[at_k]
             level_seed = (cfg.seed * 1_000_003 + solve_round * 1009 + k) % (1 << 62)
             sk = build_deferred(n, edge_pairs, mask, gamma_drift, SKETCH_XI, level_seed)
             sketches.append(sk)

@@ -24,6 +24,7 @@ __all__ = [
     "LeveledGraph",
     "OddSet",
     "OddSetFamily",
+    "count_small_odd_sets",
     "discretize",
     "enumerate_small_odd_sets",
     "find_max_weight",
@@ -406,6 +407,23 @@ class OddSetFamily:
     def members(self, t: int) -> tuple[int, ...]:
         """Sorted vertex tuple of set ``t``."""
         return tuple(np.flatnonzero(self.member[t]).tolist())
+
+
+def count_small_odd_sets(g: Graph, epsilon: float) -> int:
+    """Number of vertex sets with odd total capacity at most ``4/eps``.
+
+    Equals ``len(enumerate_small_odd_sets(g, epsilon))`` without listing
+    the sets, so it has no cap on ``n``.  A subset-sum count:
+    ``ways[c]`` is the number of sets of capacity ``c``, for ``c`` up to
+    the bound ``floor(4/eps)``.  A set over the bound never comes back
+    under it, so larger sums are not kept.  ``O(n * 4/eps)`` Python ints.
+    """
+    limit = math.floor(4.0 / epsilon)
+    ways = [1] + [0] * limit  # the empty set
+    for bi in g.b:
+        for c in range(limit, bi - 1, -1):
+            ways[c] += ways[c - bi]
+    return sum(ways[1::2])
 
 
 def enumerate_small_odd_sets(g: Graph, epsilon: float) -> OddSetFamily:

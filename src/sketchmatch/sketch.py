@@ -15,6 +15,26 @@ Two sparsifier flavors are provided:
   and postpones the reweighting: the stored sample can later be
   refined against any weight vector within a ``chi`` factor of the
   promise.
+
+Both builds settle a dyadic value class of ``s < k`` edges (``k`` forests
+per layer, :func:`forest_count`) in closed form, without forests.  Let
+``deepest = floor(log2 s)`` and let ``md_e`` be edge ``e``'s membership
+depth, read from its layer draw.
+
+- Every insert is stored in exactly one forest of each layer it enters:
+  a forest that already joins its endpoints holds an earlier insert of
+  that layer, and there are at most ``s - 1 < k`` of those.  So the class
+  stores ``sum_e (min(md_e, deepest) + 1)`` entries.
+- For the same reason no insert reaches forest ``k`` of a layer, so the
+  ``k``-th forest of layer 0 is empty and every member gets depth 0.
+  A deferred entry's keep probability is then ``min(1, chi^2) = 1``, and
+  no store draw is taken.
+- A one-edge class has ``deepest = 0``, so its layer draw cannot matter
+  and is not taken.
+
+Forests still run for a class of ``k`` or more edges; at desk scale
+(``k`` = 422 at ``n = 12``, ``xi = 0.5``) that needs a graph far denser
+than the solver's levels hold.
 """
 
 from __future__ import annotations
@@ -120,12 +140,11 @@ def prf_uniform(seed: int, *parts: int | str) -> float:
 class UnionFind:
     """Union-find with path compression and union by size."""
 
-    __slots__ = ("parent", "size", "edge_count")
+    __slots__ = ("parent", "size")
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
         self.size = [1] * n
-        self.edge_count = 0
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -147,7 +166,6 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        self.edge_count += 1
         return True
 
 
@@ -339,7 +357,6 @@ class _LayeredForests:
         self.deepest = deepest
         self.forests: list[list[UnionFind]] = [[] for _ in range(deepest + 1)]
         self.stored: list[list[tuple[int, int, int]]] = [[] for _ in range(deepest + 1)]
-        self.membership: dict[int, int] = {}  # edge id -> deepest layer it entered
 
     def _forest(self, layer: int, j: int) -> UnionFind:
         row = self.forests[layer]
@@ -350,7 +367,6 @@ class _LayeredForests:
     def insert(self, edge_id: int, i: int, j: int, membership_depth: int) -> int:
         """Stream one edge; returns how many forest entries it consumed."""
         depth = min(membership_depth, self.deepest)
-        self.membership[edge_id] = depth
         used = 0
         for layer in range(depth + 1):
             for f_idx in range(self.k):
@@ -391,37 +407,54 @@ def _stream_classes(
     k: int,
     seed: int,
     salt: str,
-) -> tuple[dict[int, _LayeredForests], dict[int, int], int]:
+) -> tuple[list[int], set[int], int]:
     """Run the layered forest construction per dyadic value class.
 
-    ``k`` is the forest count per layer (:func:`forest_count`).
-    Returns ``(per-class forests, edge depth assignment, stored total)``.
+    ``k`` is the forest count per layer (:func:`forest_count`).  Returns
+    ``(depth per edge, ids of the edges some forest stores, stored
+    total)``.
+
+    A class of fewer than ``k`` edges is settled in closed form (see the
+    module docstring): every member has depth 0 and is stored, and the
+    class holds ``sum_e (min(md_e, deepest) + 1)`` forest entries.  Only
+    a class of ``k`` or more edges streams through :class:`_LayeredForests`.
+    The ``layer`` PRF is keyed on the first draw; a one-edge class takes
+    none, since its only layer is layer 0.
     """
     classes: dict[int, list[int]] = {}
     for e, w in enumerate(weights):
         classes.setdefault(_value_class(w), []).append(e)
-    forests: dict[int, _LayeredForests] = {}
+    depth_of = [0] * len(edges)
+    stored_ids: set[int] = set()
+    stored_total = 0
+    layer = None
     for cls, members in classes.items():
-        deepest = int(math.floor(math.log2(len(members)))) if members else 0
-        forests[cls] = _LayeredForests(n, k, deepest)
-    layer = _prf_prefix(seed, salt, "layer")
-    for e, (i, j) in enumerate(edges):
-        cls = _value_class(weights[e])
-        r = _prf_draw(layer, e)
-        membership_depth = 64 - r.bit_length()  # leading zero bits
-        forests[cls].insert(e, i, j, membership_depth)
-    depth_of: dict[int, int] = {}
-    for cls, members in classes.items():
-        lf = forests[cls]
-        for e in members:
-            depth_of[e] = lf.final_depth(edges[e][0], edges[e][1])
-    stored_total = sum(lf.stored_count() for lf in forests.values())
-    # Structural space bound: each forest holds at most n-1 edges.
-    for cls, lf in forests.items():
-        bound = lf.k * (n - 1) * (lf.deepest + 1)
-        if lf.stored_count() > bound:
-            raise AssertionError(f"class {cls} stored {lf.stored_count()} > bound {bound}")
-    return forests, depth_of, stored_total
+        s = len(members)
+        deepest = s.bit_length() - 1  # floor(log2 s)
+        # Membership depth: leading zero bits of the edge's layer draw.
+        # A one-edge class has only layer 0, so no draw is taken.
+        md = [0] * s
+        if deepest > 0:
+            if layer is None:
+                layer = _prf_prefix(seed, salt, "layer")
+            md = [64 - _prf_draw(layer, e).bit_length() for e in members]
+        if s < k:
+            used = sum(min(d, deepest) + 1 for d in md)
+            stored_ids.update(members)
+        else:
+            lf = _LayeredForests(n, k, deepest)
+            for e, d in zip(members, md):
+                lf.insert(e, edges[e][0], edges[e][1], d)
+            for e in members:
+                depth_of[e] = lf.final_depth(edges[e][0], edges[e][1])
+            used = lf.stored_count()
+            stored_ids |= lf.stored_edge_ids()
+        # Structural space bound: each forest holds at most n-1 edges.
+        bound = k * (n - 1) * (deepest + 1)
+        if used > bound:
+            raise AssertionError(f"class {cls} stored {used} > bound {bound}")
+        stored_total += used
+    return depth_of, stored_ids, stored_total
 
 
 def build_streaming_sparsifier(
@@ -443,14 +476,11 @@ def build_streaming_sparsifier(
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must be in (0, 1), got {xi}")
     k = forest_count(n, xi)
-    forests, depth_of, stored_total = _stream_classes(n, edges, weights, k, seed, "plain")
+    depth_of, stored_ids, stored_total = _stream_classes(n, edges, weights, k, seed, "plain")
     kept_ids: list[int] = []
     kept_endpoints: list[tuple[int, int]] = []
     kept_weights: list[float] = []
     kept_depths: list[int] = []
-    stored_ids: set[int] = set()
-    for lf in forests.values():
-        stored_ids |= lf.stored_edge_ids()
     for e, (i, j) in enumerate(edges):
         depth = depth_of[e]
         r = prf_u64(seed, "plain", "layer", e)
@@ -524,26 +554,38 @@ def build_deferred(
     :func:`refine_deferred`), yielding a sparsifier for those weights.
 
     Edges with zero promise carry no multiplier mass and are skipped.
+
+    A value class of fewer than ``k = forest_count(n, xi)`` live edges
+    needs no forests (module docstring): its edges get depth 0, keep
+    probability 1 and no store draw.  Forests run only for a class of
+    ``k`` or more live edges, and each PRF is keyed only when a draw of
+    it is taken.  The output equals the all-forest construction entry
+    for entry, ``stored_total`` included.
     """
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must be in (0, 1), got {xi}")
     if chi < 1.0:
         raise ValueError(f"chi must be >= 1, got {chi}")
     k = forest_count(n, xi)
-    live = np.flatnonzero(np.asarray(promise, dtype=float) > 0.0).tolist()
+    values = np.asarray(promise, dtype=float).tolist()
+    live = [e for e, w in enumerate(values) if w > 0.0]
     live_edges = [edges[e] for e in live]
-    live_promise = [promise[e] for e in live]
-    _forests, depth_of_live, stored_total = _stream_classes(
+    live_promise = [values[e] for e in live]
+    depth_of_live, _stored_ids, stored_total = _stream_classes(
         n, live_edges, live_promise, k, seed, "deferred"
     )
-    store = _prf_prefix(seed, "deferred", "store")
+    store = None
     entries: list[tuple[int, int, int, float, float, int]] = []
     for t, e in enumerate(live):
         depth = depth_of_live[t]
         p_keep = min(1.0, chi * chi * 2.0 ** (-depth))
-        if p_keep >= 1.0 or _unit(_prf_draw(store, e)) < p_keep:
-            i, j = edges[e]
-            entries.append((e, i, j, float(promise[e]), p_keep, depth))
+        if p_keep < 1.0:
+            if store is None:
+                store = _prf_prefix(seed, "deferred", "store")
+            if _unit(_prf_draw(store, e)) >= p_keep:
+                continue
+        i, j = live_edges[t]
+        entries.append((e, i, j, live_promise[t], p_keep, depth))
     return DeferredSketch(
         n=n,
         xi=xi,

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import pytest
 
 import sketchmatch as sm
-from sketchmatch.sketch import PromiseViolationError
+from sketchmatch.sketch import PromiseViolationError, UnionFind, forest_count, prf_u64
 
 EPS = 1.0 / 16.0
 
@@ -49,6 +50,111 @@ def refine_deferred_reference(
             )
         out[e] = v / p_keep
     return out
+
+
+def stream_classes_reference(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    weights: Sequence[float],
+    k: int,
+    seed: int,
+    salt: str,
+) -> tuple[list[int], set[int], int]:
+    """All-forest layered construction, the reference for ``_stream_classes``.
+
+    Streams every edge through ``k`` union-find forests per layer of its
+    dyadic value class, whatever the class size, and draws from
+    ``prf_u64`` directly.  Returns ``(depth per edge, ids of the edges
+    some forest stores, stored total)``.
+    """
+    classes: dict[int, list[int]] = {}
+    for e, w in enumerate(weights):
+        classes.setdefault(math.frexp(w)[1] - 1, []).append(e)
+    depth_of = [0] * len(edges)
+    stored_ids: set[int] = set()
+    stored_total = 0
+    for members in classes.values():
+        deepest = int(math.floor(math.log2(len(members))))
+        forests: list[list[UnionFind]] = [[] for _ in range(deepest + 1)]
+        for e in members:
+            i, j = edges[e]
+            r = prf_u64(seed, salt, "layer", e)
+            for layer in range(min(64 - r.bit_length(), deepest) + 1):
+                row = forests[layer]
+                for f in range(k):
+                    if f == len(row):
+                        row.append(UnionFind(n))
+                    if row[f].union(i, j):
+                        stored_ids.add(e)
+                        stored_total += 1
+                        break
+        for e in members:
+            i, j = edges[e]
+            depth_of[e] = next(
+                (
+                    layer
+                    for layer, row in enumerate(forests)
+                    if len(row) < k or not row[k - 1].connected(i, j)
+                ),
+                deepest,
+            )
+    return depth_of, stored_ids, stored_total
+
+
+def build_deferred_reference(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    promise: Sequence[float],
+    chi: float,
+    xi: float,
+    seed: int,
+) -> sm.DeferredSketch:
+    """All-forest deferred build, the reference for ``sm.build_deferred``."""
+    k = forest_count(n, xi)
+    live = [e for e in range(len(edges)) if promise[e] > 0.0]
+    depth_of, _stored, stored_total = stream_classes_reference(
+        n, [edges[e] for e in live], [promise[e] for e in live], k, seed, "deferred"
+    )
+    entries = []
+    for t, e in enumerate(live):
+        depth = depth_of[t]
+        p_keep = min(1.0, chi * chi * 2.0 ** (-depth))
+        draw = prf_u64(seed, "deferred", "store", e) >> 11
+        if p_keep >= 1.0 or draw * 2.0**-53 < p_keep:
+            i, j = edges[e]
+            entries.append((e, i, j, float(promise[e]), p_keep, depth))
+    return sm.DeferredSketch(
+        n=n, xi=xi, chi=chi, seed=seed, k=k,
+        entries=tuple(entries), stored_total=stored_total,
+    )
+
+
+def build_streaming_sparsifier_reference(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    weights: Sequence[float],
+    xi: float,
+    seed: int,
+) -> sm.Sparsifier:
+    """All-forest streaming build, the reference for ``sm.build_streaming_sparsifier``."""
+    k = forest_count(n, xi)
+    depth_of, stored_ids, stored_total = stream_classes_reference(
+        n, edges, weights, k, seed, "plain"
+    )
+    kept = [
+        e
+        for e in range(len(edges))
+        if e in stored_ids
+        and 64 - prf_u64(seed, "plain", "layer", e).bit_length() >= depth_of[e]
+    ]
+    return sm.Sparsifier(
+        n=n, xi=xi, seed=seed, k=k,
+        edge_ids=tuple(kept),
+        endpoints=tuple(edges[e] for e in kept),
+        weights=tuple(weights[e] * float(2 ** depth_of[e]) for e in kept),
+        depths=tuple(depth_of[e] for e in kept),
+        stored_total=stored_total,
+    )
 
 
 def triangle_paper(eps: float = EPS) -> sm.Graph:

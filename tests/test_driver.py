@@ -15,7 +15,13 @@ import sketchmatch as sm
 from sketchmatch.cli import main
 from sketchmatch.driver import ContractViolation
 
-from conftest import EPS, random_instance, refine_deferred_reference, triangle_paper
+from conftest import (
+    EPS,
+    build_deferred_reference,
+    random_instance,
+    refine_deferred_reference,
+    triangle_paper,
+)
 
 REPORT_KEYS = {
     "matching",
@@ -158,6 +164,16 @@ class TestSolve:
                 if kk == k:
                     want[e] = u[r]
             assert np.array_equal(args[2], want)
+
+    @pytest.mark.parametrize("assert_mode", [False, True])
+    def test_reports_match_all_forest_build(self, monkeypatch, assert_mode):
+        from sketchmatch import driver
+
+        cfg = sm.SolverConfig(max_rounds=12, assert_mode=assert_mode)
+        graphs = [random_instance(1000 + s) for s in (0, 3, 7)]
+        fast = [sm.solve(g, cfg).as_dict() for g in graphs]
+        monkeypatch.setattr(driver, "build_deferred", build_deferred_reference)
+        assert [sm.solve(g, cfg).as_dict() for g in graphs] == fast
 
     def test_harvest_runs_once_per_distinct_support(self, monkeypatch):
         from sketchmatch import driver
@@ -445,6 +461,17 @@ class TestCli:
         payload = json.loads(out)
         assert payload["n"] == 3
         assert payload["m"] == 2
+
+    def test_stats_past_the_enumeration_cap(self, tmp_path, capsys):
+        # a 25-vertex path: every odd-size set is small at b = 1
+        text = "".join(f"{i} {i + 1} {1 + i % 7}\n" for i in range(24))
+        path = _write_graph(tmp_path, text=text)
+        code = main(["stats", "--input", path, "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == 25
+        assert payload["small_odd_sets"] == 2**24
 
     def test_verify_full(self, tmp_path, capsys):
         path = _write_graph(tmp_path, text="0 1 5\n2 3 4\n")

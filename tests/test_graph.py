@@ -189,6 +189,23 @@ class TestEnumerateSmallOddSets:
         assert np.array_equal(sets.member, np.array(member, dtype=bool).reshape(-1, g.n))
         assert sets.bnorm.tolist() == bnorm
 
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 12),
+        st.sampled_from(("unit", "bound_bites", "huge")),
+        st.sampled_from((EPS, 0.25, 0.3)),
+    )
+    def test_count_matches_enumeration(self, seed, n, capacities, eps):
+        rng = random.Random(seed)
+        if capacities == "unit":
+            b = [rng.choice((1, 2)) for _ in range(n)]
+        else:
+            b = [rng.randint(1, 40) for _ in range(n)]
+            if capacities == "huge":
+                b[rng.randrange(n)] = 10**30
+        g = sm.Graph(n=n, edges=(), b=tuple(b))
+        assert sm.count_small_odd_sets(g, eps) == len(sm.enumerate_small_odd_sets(g, eps))
+
     def test_half_capacity(self):
         b = (2, 1, 1)
         assert sm.OddSet.from_members((0, 1), b).half_capacity == 1

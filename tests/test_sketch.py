@@ -24,7 +24,12 @@ from sketchmatch.sketch import (
     prf_uniform,
 )
 
-from conftest import EPS, refine_deferred_reference
+from conftest import (
+    EPS,
+    build_deferred_reference,
+    build_streaming_sparsifier_reference,
+    refine_deferred_reference,
+)
 
 
 class TestPrf:
@@ -350,6 +355,104 @@ class TestDeferredSketch:
             if dev <= 0.6:  # xi_a + xi_b in the worst case
                 passing += 1
         assert passing >= 58
+
+
+def _promises(rng: np.random.Generator, m: int, kind: str) -> list[float]:
+    """Promise vectors with zeros, repeated values or far-apart scales."""
+    if kind == "zero":
+        return [0.0] * m
+    if kind == "repeated":
+        return rng.choice([0.0, 1.0, 1.5, 3.0], m).tolist()
+    scale = 2.0 ** rng.integers(-40, 40, m).astype(float)
+    out = (scale * rng.uniform(1.0, 2.0, m)).tolist()
+    return [0.0 if rng.random() < 0.2 else p for p in out]
+
+
+def _assert_same(got, want) -> None:
+    for name in want.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestDeferredClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 1 << 32),
+        st.sampled_from(("zero", "repeated", "far")),
+        st.sampled_from((0.99, 0.5, 0.25)),
+        st.sampled_from((1.0, 1.5, 4.0)),
+    )
+    def test_matches_forest_reference(self, seed, kind, xi, chi):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = int(rng.integers(0, 41))
+        edges = [pairs[t] for t in rng.integers(0, len(pairs), m)]
+        promise = _promises(rng, m, kind)
+        got = sm.build_deferred(n, edges, promise, chi, xi, seed)
+        _assert_same(got, build_deferred_reference(n, edges, promise, chi, xi, seed))
+        live = [(edges[e], p) for e, p in enumerate(promise) if p > 0.0]
+        if live:
+            pe, pw = [ed for ed, _p in live], [p for _ed, p in live]
+            _assert_same(
+                sm.build_streaming_sparsifier(n, pe, pw, xi, seed),
+                build_streaming_sparsifier_reference(n, pe, pw, xi, seed),
+            )
+
+    @pytest.mark.parametrize("s", [19, 20, 21])
+    @pytest.mark.parametrize("chi", [1.0, 1.5])
+    def test_parallel_edges_around_forest_count(self, s, chi):
+        assert forest_count(2, 0.99) == 20
+        edges, promise = [(0, 1)] * s, [1.0] * s
+        for seed in range(8):
+            got = sm.build_deferred(2, edges, promise, chi, 0.99, seed)
+            want = build_deferred_reference(2, edges, promise, chi, 0.99, seed)
+            _assert_same(got, want)
+            if s < 20:
+                assert {(p, d) for (*_e, p, d) in got.entries} == {(1.0, 0)}
+
+    def test_dense_class_runs_forests(self, monkeypatch):
+        n, xi = 20, 0.99
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert len(edges) >= forest_count(n, xi) == 152
+        made = []
+        real = sketch._LayeredForests
+        monkeypatch.setattr(
+            sketch, "_LayeredForests", lambda *a: made.append(a) or real(*a)
+        )
+        for chi in (1.0, 1.5):
+            got = sm.build_deferred(n, edges, [1.0] * len(edges), chi, xi, seed=4)
+            want = build_deferred_reference(n, edges, [1.0] * len(edges), chi, xi, 4)
+            _assert_same(got, want)
+        assert made == [(n, 152, 7)] * 2
+
+    def test_closed_form_stored_total(self):
+        # a class of s < k edges stores sum_e (min(md_e, deepest) + 1)
+        edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        promise = [1.0] * 9 + [2.5] * 5 + [0.0]
+        for seed in range(20):
+            sk = sm.build_deferred(6, edges, promise, 2.0, 0.5, seed)
+            want = 0
+            for cls in (range(0, 9), range(9, 14)):
+                deepest = int(math.floor(math.log2(len(cls))))
+                for t in cls:
+                    md = 64 - prf_u64(seed, "deferred", "layer", t).bit_length()
+                    want += min(md, deepest) + 1
+            assert sk.stored_total == want
+            assert [e for (e, *_r) in sk.entries] == list(range(14))
+
+    def test_single_edge_classes_take_no_draw(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("no PRF may be keyed or drawn")
+
+        monkeypatch.setattr(sketch, "_prf_prefix", refuse)
+        monkeypatch.setattr(sketch, "_prf_draw", refuse)
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+        promise = [1.0, 2.0, 0.0, 4.5, 100.0]
+        sk = sm.build_deferred(4, edges, promise, 3.0, 0.25, seed=5)
+        assert sk.entries == tuple(
+            (e, *edges[e], promise[e], 1.0, 0) for e in (0, 1, 3, 4)
+        )
+        assert sk.stored_total == 4
 
 
 class TestRoundLedger:
