@@ -134,15 +134,28 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
 
 
 def _check_matching_file(g: Graph, path: str, eps: float) -> tuple[dict, bool]:
-    """Feasibility + ratio report for an externally supplied matching."""
+    """Feasibility + ratio report for an externally supplied matching.
+
+    Entries are ``[i, j, multiplicity]`` lists of JSON integers (bools
+    are not); other items make the matching infeasible, and an entry
+    that is not a three-item list raises ``ValueError``.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    edges = raw["matching"] if isinstance(raw, dict) else raw
+    edges = raw.get("matching") if isinstance(raw, dict) else raw
+    if not isinstance(edges, list):
+        raise ValueError(f"{path}: expected a list of [i, j, multiplicity] entries")
     weight_of = {(i, j): w for (i, j, w) in g.edges}
     used = [0] * g.n
     weight = 0.0
     feasible = True
-    for i, j, mult in edges:
+    for entry in edges:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"{path}: entry {entry!r} is not an [i, j, multiplicity] list")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in entry):
+            feasible = False
+            continue
+        i, j, mult = entry
         key = (min(i, j), max(i, j))
         if key not in weight_of or mult < 0:
             feasible = False

@@ -222,16 +222,11 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     gamma_drift = max(n ** (1.0 / (2.0 * cfg.p)), 1.0 + eps)
     inner_per_round = math.ceil(math.log(gamma_drift) / eps)
     edge_pairs = [(i, j) for (i, j, _w) in g.edges]
-    row_levels = index.row_levels
-    row_edges = np.array([e for (e, _i, _j, _k) in index.rows], dtype=np.int64)
-    # Cover row of each edge id; -1 for the edges discretize dropped.
-    slot_of = np.full(len(g.edges), -1, dtype=np.int64)
-    slot_of[row_edges] = np.arange(len(row_edges))
     # Per populated level: its cover rows and their edge ids.
     level_rows = {}
     for k in sorted(lv.levels):
-        at_k = np.flatnonzero(row_levels == k)
-        level_rows[k] = (at_k, row_edges[at_k])
+        at_k = np.flatnonzero(index.row_levels == k)
+        level_rows[k] = (at_k, index.row_edge[at_k])
     q_outer = index.degree_rhs_outer
     delta_pack = 1.0 / 6.0
 
@@ -276,7 +271,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
 
         # The round's stored entries and their cover rows are fixed;
         # every refinement below reads the multipliers at them.
-        sample = stored_sample(sketches, slot_of)
+        sample = stored_sample(sketches, index.row_of_edge)
         harvest = harvest_of(tuple(sorted(sample.edge_ids.tolist())))
         if harvest.weight > best_matching.weight:
             best_matching = harvest
@@ -331,7 +326,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                         ok, rep = check_primal_certificate(index, out)
                         if not ok:
                             raise ContractViolation(f"certificate check failed: {rep}")
-                    lifted = harvest_of(tuple(sorted(out.y)))
+                    support = index.row_edge[out.y > 0.0]
+                    lifted = harvest_of(tuple(sorted(support.tolist())))
                     if lifted.weight > best_matching.weight:
                         best_matching = lifted
                     beta *= 1.0 + eps

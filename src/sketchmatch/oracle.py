@@ -33,7 +33,7 @@ import numpy as np
 from .graph import LeveledGraph
 from .oddsets import collect_violated_sets
 from .sketch import prf_uniform
-from .system import DualIterate, SystemIndex, budget_value
+from .system import CHECK_TOL, DualIterate, SystemIndex, budget_value
 
 __all__ = [
     "BMatching",
@@ -87,18 +87,27 @@ class DualStep:
 class PrimalCertificate:
     """A fractional matching certifying the budget is beatable.
 
-    ``y`` maps retained edge ids to fractional multiplicities, ``mu``
-    are per-vertex-per-level slacks, ``y_caps`` the induced per-vertex
-    level caps.  ``objective`` is the slack-discounted weight
+    The vectors are aligned with the rows of a :class:`SystemIndex`:
+    ``y`` is the fractional multiplicity per cover row, ``mu`` the
+    ``n x (L+1)`` per-vertex, per-level slacks (a vertex may have slack
+    at a level where it has no degree row), ``y_caps`` the induced level
+    cap per degree row.  ``objective`` is the slack-discounted weight
     ``sum_k w_k (sum y - 3 sum mu)``, guaranteed at least
     ``(1 - eps) beta``.
     """
 
-    y: dict[int, float]
-    mu: dict[tuple[int, int], float]
-    y_caps: dict[tuple[int, int], float]
+    y: np.ndarray
+    mu: np.ndarray
+    y_caps: np.ndarray
     objective: float
     beta: float
+
+
+def _objective(index: SystemIndex, y: np.ndarray, mu: np.ndarray) -> float:
+    """``sum_k w_k (sum y - 3 sum mu)``, each sum exact (``math.fsum``)."""
+    return math.fsum((index.cover_rhs * y).tolist()) - 3.0 * math.fsum(
+        (index.level_weights * mu).ravel().tolist()
+    )
 
 
 def _populated_segments(index: SystemIndex) -> list[tuple[int, int]]:
@@ -144,10 +153,8 @@ def matching_oracle(
     if penalty <= 0.0:
         raise ValueError("penalty must be positive")
     eps = index.epsilon
-    lv = index.leveled
-    b = lv.base.b
-    n = lv.base.n
-    w_of = index.level_weights_all()
+    n = index.leveled.base.n
+    w_of = index.level_weights
     n_levels = len(w_of)
     usc = index.multiplier_cover_target(u_sparse)
     q_outer = index.degree_rhs_outer
@@ -155,11 +162,10 @@ def matching_oracle(
     if gamma <= 0.0:
         return DualStep.zeros(index, beta, penalty, gamma)
 
-    n_vr = len(index.vrows)
     edge_mass = index.vrow_mass(u_sparse)
     surplus = edge_mass - 2.0 * penalty * zeta
     surplus_pos = np.maximum(surplus, 0.0)
-    vv, vl = index.vrow_arrays()
+    vv, vl = index.vrow_vertex, index.vrow_level
 
     # Per-vertex level profiles: delta[i, l] is the largest multiplier
     # mass a price profile capped at level l can collect at vertex i.
@@ -169,8 +175,8 @@ def matching_oracle(
     prefix_plain = np.cumsum(smat, axis=1)
     total = prefix_plain[:, -1:]
     delta = prefix_weighted + w_of * (total - prefix_plain)
-    barr, b_w = index.capacity_arrays()
-    qualifies = delta > (gamma / beta) * b_w
+    barr = index.capacity
+    qualifies = delta > (gamma / beta) * index.level_capacity
     violated = qualifies.any(axis=1)
     k_star = np.where(
         violated, n_levels - 1 - qualifies[:, ::-1].argmax(axis=1), -1
@@ -257,45 +263,11 @@ def matching_oracle(
         return DualStep(it, "odd", penalty, gamma)
 
     # Neither surplus is large: the complementary fractional matching
-    # is a certificate.  Bump the slack multipliers of every priced
-    # vertex so its whole level suffix nets out to zero.
-    bump_unit = gamma / (2.0 * penalty * beta)
-    zeta_hat = zeta_bar.copy()
-    extra: dict[tuple[int, int], float] = {}
-    for lo, p, selected, _dvals in segments:
-        for t in selected:
-            for i in index.odd_sets.members(t):
-                for lev in range(lo, p + 1):
-                    vr = index.vrow_of.get((i, lev))
-                    if vr is None:
-                        key = (i, lev)
-                        extra[key] = extra.get(key, 0.0) + bump_unit * b[i]
-                    else:
-                        zeta_hat[vr] += bump_unit * b[i]
-    scale = (1.0 - eps / 4.0) * beta / ((1.0 + eps / 2.0) * gamma)
-    y: dict[int, float] = {}
-    for r, (e, _i, _j, _k) in enumerate(index.rows):
-        if u_sparse[r] > 0.0:
-            y[e] = scale * u_sparse[r]
-    mu: dict[tuple[int, int], float] = {}
-    for t in range(n_vr):
-        if zeta_hat[t] > 0.0:
-            mu[index.vrows[t]] = scale * penalty * zeta_hat[t]
-    for key, v in extra.items():
-        mu[key] = mu.get(key, 0.0) + scale * penalty * v
-    y_mass = index.vrow_mass(scale * u_sparse)
-    y_caps: dict[tuple[int, int], float] = {}
-    for t in range(n_vr):
-        val = y_mass[t] - 2.0 * mu.get(index.vrows[t], 0.0)
-        if val > 0.0:
-            y_caps[index.vrows[t]] = val
-    objective = math.fsum(
-        w_of[k] * y[e] for (e, _i, _j, k) in index.rows if e in y
-    ) - 3.0 * math.fsum(w_of[k] * v for (_i, k), v in mu.items())
-    cert = PrimalCertificate(y=y, mu=mu, y_caps=y_caps, objective=objective, beta=beta)
-    if objective < (1.0 - eps) * beta * (1.0 - _REL):
+    # is a certificate.
+    cert = _certificate(index, u_sparse, zeta_bar, segments, gamma, penalty, beta)
+    if cert.objective < (1.0 - eps) * beta * (1.0 - _REL):
         raise AssertionError(
-            f"certificate objective {objective} below (1 - eps) * {beta}"
+            f"certificate objective {cert.objective} below (1 - eps) * {beta}"
         )
     if strict:
         ok, report = check_primal_certificate(index, cert)
@@ -303,6 +275,41 @@ def matching_oracle(
             bad = [k for k, v in report.items() if v is False]
             raise AssertionError(f"certificate failed checks: {bad}")
     return cert
+
+
+def _certificate(
+    index: SystemIndex,
+    u_sparse: np.ndarray,
+    zeta_bar: np.ndarray,
+    segments: list[tuple[int, int, list[int], np.ndarray]],
+    gamma: float,
+    penalty: float,
+    beta: float,
+) -> PrimalCertificate:
+    """The fractional matching complementary to a query no step answers.
+
+    The slacks of every member of a set selected on a segment
+    ``[lo, p]`` are bumped over the segment, set by set, so the set's
+    level suffix nets out to zero; ``y``, ``mu`` and the level caps are
+    the multipliers times one common scale.
+    """
+    eps = index.epsilon
+    b = index.capacity
+    bump_unit = gamma / (2.0 * penalty * beta)
+    zeta_hat = np.zeros(index.level_capacity.shape)
+    zeta_hat[index.vrow_vertex, index.vrow_level] = zeta_bar
+    for lo, p, selected, _dvals in segments:
+        for t in selected:
+            members = np.flatnonzero(index.odd_sets.member[t])
+            zeta_hat[members, lo : p + 1] += bump_unit * b[members][:, None]
+    scale = (1.0 - eps / 4.0) * beta / ((1.0 + eps / 2.0) * gamma)
+    y = np.where(u_sparse > 0.0, scale * u_sparse, 0.0)
+    mu = np.where(zeta_hat > 0.0, scale * penalty * zeta_hat, 0.0)
+    caps = index.vrow_mass(scale * u_sparse) - 2.0 * mu[index.vrow_vertex, index.vrow_level]
+    y_caps = np.where(caps > 0.0, caps, 0.0)
+    return PrimalCertificate(
+        y=y, mu=mu, y_caps=y_caps, objective=_objective(index, y, mu), beta=beta
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +322,6 @@ def check_dual_step(
     u_sparse: np.ndarray,
     zeta: np.ndarray,
     step: DualStep,
-    *,
-    tol: float = 1e-9,
 ) -> tuple[bool, dict[str, object]]:
     """Verify a dual step against its full contract.
 
@@ -331,9 +336,12 @@ def check_dual_step(
     - budget, nonnegativity, price shape, and width caps;
     - inner degree rows, including the cumulative odd-price caps;
     - disjointness of the priced sets at every level.
+
+    Bounds hold to the relative tolerance ``CHECK_TOL``.
     """
+    tol = CHECK_TOL
     eps = index.epsilon
-    w_of = index.level_weights_all()
+    w_of = index.level_weights
     it = step.iterate
     report: dict[str, object] = {"branch": step.branch}
     cov = index.cover_values(it)
@@ -353,8 +361,9 @@ def check_dual_step(
     report["price_shape"] = index.is_shaped(it, atol=1e-12)
     report["budget"] = budget_value(index, it) <= it.beta * (1.0 + tol)
     cap = 24.0 / eps
-    _vertex, level = index.vrow_arrays()
-    report["x_caps"] = bool((it.x_level <= cap * w_of[level] * (1.0 + tol)).all())
+    report["x_caps"] = bool(
+        (it.x_level <= cap * w_of[index.vrow_level] * (1.0 + tol)).all()
+    )
     report["z_caps"] = all(
         v <= cap * w_of[lev] * (1.0 + tol) for (_u, lev), v in it.z.items()
     )
@@ -380,71 +389,50 @@ def check_dual_step(
 
 
 def check_primal_certificate(
-    index: SystemIndex,
-    cert: PrimalCertificate,
-    *,
-    tol: float = 1e-9,
+    index: SystemIndex, cert: PrimalCertificate
 ) -> tuple[bool, dict[str, object]]:
     """Verify a certificate against the relaxed matching program.
 
     Checks nonnegativity, the per-vertex level rows, the per-vertex
     capacity rows, every odd-set row at every level (exhaustively over
-    the small odd-set family), and the stated objective value.
+    the small odd-set family), and the stated objective value, each to
+    the relative tolerance ``CHECK_TOL``.
     """
-    eps = index.epsilon
-    lv = index.leveled
-    b = lv.base.b
-    n = lv.base.n
-    w_of = index.level_weights_all()
-    n_levels = len(w_of)
+    tol = CHECK_TOL
     report: dict[str, object] = {}
-    report["nonnegative"] = (
-        all(v >= -1e-12 for v in cert.y.values())
-        and all(v >= -1e-12 for v in cert.mu.values())
-        and all(v >= -1e-12 for v in cert.y_caps.values())
+    report["nonnegative"] = bool(
+        (cert.y >= -1e-12).all()
+        and (cert.mu >= -1e-12).all()
+        and (cert.y_caps >= -1e-12).all()
     )
-    # Per-(vertex, level) edge mass of y.
-    y_row = np.zeros(len(index.rows))
-    for r, (e, _i, _j, _k) in enumerate(index.rows):
-        y_row[r] = cert.y.get(e, 0.0)
-    y_mass = index.vrow_mass(y_row)
-    level_rows_ok = True
-    worst_level_row = 0.0
-    for t, key in enumerate(index.vrows):
-        slack = y_mass[t] - 2.0 * cert.mu.get(key, 0.0) - cert.y_caps.get(key, 0.0)
-        worst_level_row = max(worst_level_row, slack)
-        if slack > tol * max(1.0, y_mass[t]):
-            level_rows_ok = False
-    report["level_rows"] = level_rows_ok
-    per_vertex: dict[int, float] = {}
-    for (i, _k), v in cert.y_caps.items():
-        per_vertex[i] = per_vertex.get(i, 0.0) + v
-    report["capacity_rows"] = all(
-        total <= b[i] * (1.0 + tol) + 1e-12 for i, total in per_vertex.items()
+    # Level rows: y's mass at each (vertex, level), net of slack, is capped.
+    y_mass = index.vrow_mass(cert.y)
+    slack = y_mass - 2.0 * cert.mu[index.vrow_vertex, index.vrow_level] - cert.y_caps
+    report["level_rows"] = not bool((slack > tol * np.maximum(1.0, y_mass)).any())
+    per_vertex = np.bincount(index.vrow_vertex, cert.y_caps, len(index.capacity))
+    report["capacity_rows"] = bool(
+        (per_vertex <= index.capacity * (1.0 + tol) + 1e-12).all()
     )
-    # Odd-set rows, every set at every level, via suffix accumulations.
+    # Odd-set rows, every set at every level, via suffix accumulations;
+    # each level adds its support rows in row order.
     member_mat, internal_mat, bnorms = index.set_matrices()
-    y_by_level = np.zeros((len(index.odd_sets), n_levels))
-    for r, (_e, _i, _j, k) in enumerate(index.rows):
-        if y_row[r]:
-            y_by_level[:, k] += internal_mat[:, r] * y_row[r]
-    mu_by_level = np.zeros((n, n_levels))
-    for (i, k), v in cert.mu.items():
-        mu_by_level[i, k] += v
-    mu_sets = member_mat @ mu_by_level
-    inner = y_by_level - mu_sets
+    y_by_level = np.zeros((len(index.odd_sets), len(index.level_weights)))
+    support = np.flatnonzero(cert.y)
+    np.add.at(
+        y_by_level,
+        (slice(None), index.row_levels[support]),
+        internal_mat[:, support] * cert.y[support],
+    )
+    inner = y_by_level - member_mat @ cert.mu
     suffix = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
     floors = np.floor(bnorms / 2.0)
-    odd_ok = bool((suffix <= floors[:, None] * (1.0 + tol) + 1e-9).all())
-    report["odd_set_rows"] = odd_ok
+    report["odd_set_rows"] = bool((suffix <= floors[:, None] * (1.0 + tol) + 1e-9).all())
     report["odd_set_worst"] = float(np.max(suffix - floors[:, None]))
-    objective = math.fsum(
-        w_of[k] * cert.y.get(e, 0.0) for (e, _i, _j, k) in index.rows
-    ) - 3.0 * math.fsum(w_of[k] * v for (_i, k), v in cert.mu.items())
+    objective = _objective(index, cert.y, cert.mu)
     report["objective_stated"] = math.isclose(
         objective, cert.objective, rel_tol=1e-9, abs_tol=1e-12
     )
-    report["objective_bound"] = objective >= (1.0 - eps) * cert.beta * (1.0 - tol)
+    report["objective_bound"] = objective >= (1.0 - index.epsilon) * cert.beta * (1.0 - tol)
     ok = all(v for k, v in report.items() if isinstance(v, bool))
     return ok, report
 
@@ -664,11 +652,14 @@ def initial_solution(
     r = eps / START_RATE_DIVISOR
     b = lv.base.b
     n = lv.base.n
-    by_level: dict[int, list[tuple[int, int, int]]] = {}
-    for e, i, j, k in lv.retained():
-        by_level.setdefault(k, []).append((e, i, j))
+    # (edge, i, j) of the cover rows, split by level.
+    edge_rows = np.column_stack((index.row_edge, index.row_ends))
+    by_level = {
+        k: [tuple(t) for t in edge_rows[index.row_levels == k].tolist()]
+        for k in sorted(lv.levels)
+    }
     results: dict[int, tuple[dict[int, int], list[int]]] = {}
-    for k in sorted(by_level):
+    for k in by_level:
         results[k] = maximal_bmatching_rounds(
             n,
             by_level[k],
@@ -686,17 +677,12 @@ def initial_solution(
             )
     it = DualIterate.zeros(index, 0.0)
     for k, (take, _samples) in results.items():
-        ends = {e: (i, j) for (e, i, j) in by_level[k]}
-        used = [0] * n
+        used = np.zeros(n, dtype=np.int64)
         for e, m in take.items():
-            i, j = ends[e]
-            used[i] += m
-            used[j] += m
-        wk = lv.level_weight(k)
-        for i in range(n):
-            if used[i] == b[i]:
-                it.x_level[index.vrow_of[(i, k)]] = r * wk
-    np.maximum.at(it.x_top, index.vrow_arrays()[0], it.x_level)
+            used[index.row_ends[index.row_of_edge[e]]] += m
+        saturated = (used == index.capacity)[index.vrow_vertex] & (index.vrow_level == k)
+        it.x_level[saturated] = r * lv.level_weight(k)
+    np.maximum.at(it.x_top, index.vrow_vertex, it.x_level)
     beta0 = budget_value(index, it)
     it.beta = beta0
     cov = index.cover_values(it)

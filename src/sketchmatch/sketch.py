@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .system import DualIterate, SystemIndex
+from .system import CHECK_TOL, DualIterate, SystemIndex
 
 __all__ = [
     "DeferredSketch",
@@ -407,12 +407,14 @@ def _stream_classes(
     k: int,
     seed: int,
     salt: str,
-) -> tuple[list[int], set[int], int]:
+) -> tuple[list[int], list[int], set[int], int]:
     """Run the layered forest construction per dyadic value class.
 
     ``k`` is the forest count per layer (:func:`forest_count`).  Returns
-    ``(depth per edge, ids of the edges some forest stores, stored
-    total)``.
+    ``(depth per edge, membership depth per edge, ids of the edges some
+    forest stores, stored total)``.  An edge's membership depth is the
+    number of leading zero bits of its layer draw; it is 0 for an edge
+    alone in its class, whose depth is always 0.
 
     A class of fewer than ``k`` edges is settled in closed form (see the
     module docstring): every member has depth 0 and is stored, and the
@@ -425,6 +427,7 @@ def _stream_classes(
     for e, w in enumerate(weights):
         classes.setdefault(_value_class(w), []).append(e)
     depth_of = [0] * len(edges)
+    md_of = [0] * len(edges)
     stored_ids: set[int] = set()
     stored_total = 0
     layer = None
@@ -433,11 +436,12 @@ def _stream_classes(
         deepest = s.bit_length() - 1  # floor(log2 s)
         # Membership depth: leading zero bits of the edge's layer draw.
         # A one-edge class has only layer 0, so no draw is taken.
-        md = [0] * s
         if deepest > 0:
             if layer is None:
                 layer = _prf_prefix(seed, salt, "layer")
-            md = [64 - _prf_draw(layer, e).bit_length() for e in members]
+            for e in members:
+                md_of[e] = 64 - _prf_draw(layer, e).bit_length()
+        md = [md_of[e] for e in members]
         if s < k:
             used = sum(min(d, deepest) + 1 for d in md)
             stored_ids.update(members)
@@ -454,7 +458,7 @@ def _stream_classes(
         if used > bound:
             raise AssertionError(f"class {cls} stored {used} > bound {bound}")
         stored_total += used
-    return depth_of, stored_ids, stored_total
+    return depth_of, md_of, stored_ids, stored_total
 
 
 def build_streaming_sparsifier(
@@ -476,16 +480,16 @@ def build_streaming_sparsifier(
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must be in (0, 1), got {xi}")
     k = forest_count(n, xi)
-    depth_of, stored_ids, stored_total = _stream_classes(n, edges, weights, k, seed, "plain")
+    depth_of, md_of, stored_ids, stored_total = _stream_classes(
+        n, edges, weights, k, seed, "plain"
+    )
     kept_ids: list[int] = []
     kept_endpoints: list[tuple[int, int]] = []
     kept_weights: list[float] = []
     kept_depths: list[int] = []
     for e, (i, j) in enumerate(edges):
         depth = depth_of[e]
-        r = prf_u64(seed, "plain", "layer", e)
-        membership_depth = 64 - r.bit_length()
-        if membership_depth >= depth and e in stored_ids:
+        if md_of[e] >= depth and e in stored_ids:
             kept_ids.append(e)
             kept_endpoints.append((i, j))
             kept_weights.append(weights[e] * float(2**depth))
@@ -571,7 +575,7 @@ def build_deferred(
     live = [e for e, w in enumerate(values) if w > 0.0]
     live_edges = [edges[e] for e in live]
     live_promise = [values[e] for e in live]
-    depth_of_live, _stored_ids, stored_total = _stream_classes(
+    depth_of_live, _md, _stored_ids, stored_total = _stream_classes(
         n, live_edges, live_promise, k, seed, "deferred"
     )
     store = None
@@ -723,8 +727,6 @@ def verify_switch(
     u_full: np.ndarray,
     u_sparse: np.ndarray,
     it: DualIterate,
-    *,
-    tol: float = 1e-9,
 ) -> SwitchReport:
     """Check that sparsified multipliers can stand in for the full ones.
 
@@ -740,8 +742,10 @@ def verify_switch(
     eps/2) u . rhs``.
 
     The cut accounting identity ``2*internal + boundary == degree`` is
-    asserted for every touched set as a side effect.
+    asserted for every touched set as a side effect.  Bounds hold to the
+    relative tolerance ``CHECK_TOL``.
     """
+    tol = CHECK_TOL
     eps = index.epsilon
     cover = index.cover_values(it)
     sparse_product = float(u_sparse @ cover)
@@ -749,7 +753,7 @@ def verify_switch(
     full_product = float(u_full @ cover)
     full_target = index.multiplier_cover_target(u_full)
     hyp_cover = sparse_product >= (1.0 - eps / 8.0) * sparse_target - tol * max(1.0, abs(sparse_target))
-    balance_ok, _worst = index.cut_balance_ok(u_sparse, it.z, tol=tol)
+    balance_ok, _worst = index.cut_balance_ok(u_sparse, it.z)
     shape_ok = it.is_nonnegative(tol) and index.is_shaped(it, atol=tol, rtol=tol)
     conclusion = full_product >= (1.0 - eps / 2.0) * full_target - tol * max(1.0, abs(full_target))
     hypothesis = hyp_cover and balance_ok and shape_ok

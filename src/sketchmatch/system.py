@@ -34,11 +34,15 @@ import numpy as np
 from .graph import LeveledGraph, OddSet, OddSetFamily
 
 __all__ = [
+    "CHECK_TOL",
     "DualIterate",
     "SystemIndex",
     "budget_value",
     "convert_to_matching_dual",
 ]
+
+# Relative tolerance of every contract checker.
+CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -96,52 +100,75 @@ class DualIterate:
 
 def budget_value(index: "SystemIndex", it: DualIterate) -> float:
     """Dual budget ``sum_i b_i x_i + sum_{U,l} floor(||U||_b/2) z_{U,l}``."""
-    barr, _b_w = index.capacity_arrays()
     bnorm = index.odd_sets.bnorm
-    total = math.fsum((barr * it.x_top).tolist())
+    total = math.fsum((index.capacity * it.x_top).tolist())
     total += math.fsum(int(bnorm[t]) // 2 * v for (t, _l), v in it.z.items())
     return total
 
 
 @dataclass
 class SystemIndex:
-    """Precomputed row indexing for one leveled graph and odd-set family.
+    """Row layout of the constraint system, built once per solve as arrays.
 
-    Built once per solve; every evaluator below is deterministic given
-    the same iterate.
+    Cover rows (tuples ``(edge, i, j, level)`` in ``rows``) follow edge
+    order; ``row_vrow`` holds the degree rows of a row's two ends, and
+    ``row_of_edge`` the cover row of an edge id (``-1``: dropped).
+    Degree rows (tuples ``(vertex, level)`` in ``vrows``) are sorted by
+    vertex, then level.  ``level_weights`` holds ``(1+eps)^k`` for
+    ``k = 0..L``, ``capacity`` the floats ``b_i`` and ``level_capacity``
+    their ``n x (L+1)`` products.  Only :meth:`set_matrices` is built on
+    first use; every evaluator is deterministic given the same iterate.
     """
 
     leveled: LeveledGraph
     epsilon: float
     odd_sets: OddSetFamily
-    # cover rows, aligned with `rows` (edge order of leveled.retained());
-    # `row_ends` holds each row's two end vertices
     rows: tuple[tuple[int, int, int, int], ...] = field(init=False)
-    cover_rhs: np.ndarray = field(init=False)
-    edge_row_of: dict[int, int] = field(init=False)
+    row_edge: np.ndarray = field(init=False)
     row_ends: np.ndarray = field(init=False)
     row_levels: np.ndarray = field(init=False)
-    # degree rows, aligned with `vrows`
+    row_vrow: np.ndarray = field(init=False)
+    cover_rhs: np.ndarray = field(init=False)
+    row_of_edge: np.ndarray = field(init=False)
     vrows: tuple[tuple[int, int], ...] = field(init=False)
-    vrow_of: dict[tuple[int, int], int] = field(init=False)
+    vrow_vertex: np.ndarray = field(init=False)
+    vrow_level: np.ndarray = field(init=False)
     degree_rhs_outer: np.ndarray = field(init=False)
     degree_rhs_inner: np.ndarray = field(init=False)
+    level_weights: np.ndarray = field(init=False)
+    capacity: np.ndarray = field(init=False)
+    level_capacity: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         lv = self.leveled
         eps = self.epsilon
+        n_levels = lv.L + 1
+        self.level_weights = np.array([lv.level_weight(k) for k in range(n_levels)])
+        self.capacity = np.asarray(lv.base.b, dtype=float)
+        self.level_capacity = np.outer(self.capacity, self.level_weights)
+
         self.rows = tuple(lv.retained())
-        self.cover_rhs = np.array([lv.level_weight(k) for (_e, _i, _j, k) in self.rows])
-        self.edge_row_of = {e: r for r, (e, _i, _j, _k) in enumerate(self.rows)}
+        rows = np.array(self.rows, dtype=np.int64).reshape(-1, 4)
+        self.row_edge = rows[:, 0]
+        self.row_ends = rows[:, 1:3]
+        self.row_levels = rows[:, 3]
+        self.cover_rhs = self.level_weights[self.row_levels]
+        self.row_of_edge = np.full(lv.base.m, -1, dtype=np.int64)
+        self.row_of_edge[self.row_edge] = np.arange(len(self.rows))
+
         self.vrows = lv.vertex_rows()
-        self.vrow_of = {ik: t for t, ik in enumerate(self.vrows)}
-        vweights = np.array([lv.level_weight(k) for (_i, k) in self.vrows])
+        vrows = np.array(self.vrows, dtype=np.int64).reshape(-1, 2)
+        self.vrow_vertex = vrows[:, 0]
+        self.vrow_level = vrows[:, 1]
+        vweights = self.level_weights[self.vrow_level]
         self.degree_rhs_outer = 3.0 * vweights
         self.degree_rhs_inner = (24.0 / eps + 24.0 / eps**2) * vweights
-        self.row_ends = np.array(
-            [(i, j) for (_e, i, j, _k) in self.rows], dtype=np.int64
-        ).reshape(-1, 2)
-        self.row_levels = np.array([k for (_e, _i, _j, k) in self.rows], dtype=np.int64)
+        # Degree rows are sorted by (vertex, level), so each row end's
+        # key vertex * (L+1) + level is found by binary search.
+        self.row_vrow = np.searchsorted(
+            self.vrow_vertex * n_levels + self.vrow_level,
+            self.row_ends * n_levels + self.row_levels[:, None],
+        )
 
     def set_rows(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Internal and boundary cover rows of the set(s) with membership ``member``.
@@ -161,7 +188,7 @@ class SystemIndex:
 
     def cover_values(self, it: DualIterate) -> np.ndarray:
         """Cover-row left-hand sides for ``it`` (aligned with ``rows``)."""
-        rv = self.row_vrow_pairs()
+        rv = self.row_vrow
         out = it.x_level[rv[:, 0]] + it.x_level[rv[:, 1]]
         if it.z:
             sets, levels, values = self._priced(it.z)
@@ -176,8 +203,9 @@ class SystemIndex:
         out = 2.0 * it.x_level
         if it.z:
             sets, levels, values = self._priced(it.z)
-            vertex, level = self.vrow_arrays()
-            hit = self.odd_sets.member[sets][:, vertex] & (level >= levels[:, None])
+            hit = self.odd_sets.member[sets][:, self.vrow_vertex] & (
+                self.vrow_level >= levels[:, None]
+            )
             priced, vrows = np.nonzero(hit)
             np.add.at(out, vrows, values[priced])
         return out
@@ -188,16 +216,14 @@ class SystemIndex:
         Every degree row adds its first-end rows in row order, then its
         second-end rows in row order.
         """
-        rv = self.row_vrow_pairs()
         return np.bincount(
-            rv.T.ravel(), np.concatenate((per_row, per_row)), len(self.vrows)
+            self.row_vrow.T.ravel(), np.concatenate((per_row, per_row)), len(self.vrows)
         )
 
     def is_shaped(self, it: DualIterate, atol: float = 0.0, rtol: float = 0.0) -> bool:
         """Whether ``x_i >= x_i(k) - max(atol, rtol |x_i(k)|)`` on every degree row."""
-        vertex, _level = self.vrow_arrays()
         slack = np.maximum(atol, rtol * np.abs(it.x_level))
-        return bool((it.x_top[vertex] >= it.x_level - slack).all())
+        return bool((it.x_top[self.vrow_vertex] >= it.x_level - slack).all())
 
     @staticmethod
     def _priced(
@@ -218,8 +244,8 @@ class SystemIndex:
         """Dense multiplier vector aligned with cover rows from an edge map."""
         out = np.zeros(len(self.rows))
         for e, val in u.items():
-            r = self.edge_row_of.get(e)
-            if r is None:
+            r = int(self.row_of_edge[e]) if 0 <= e < len(self.row_of_edge) else -1
+            if r < 0:
                 if val != 0.0:
                     raise KeyError(f"multiplier on dropped edge {e}")
                 continue
@@ -251,7 +277,7 @@ class SystemIndex:
         return internal, boundary, degree
 
     def cut_balance_ok(
-        self, u_vec: np.ndarray, it_z: Mapping[tuple[int, int], float], tol: float = 1e-9
+        self, u_vec: np.ndarray, it_z: Mapping[tuple[int, int], float]
     ) -> tuple[bool, float]:
         """Check internal mass >= boundary mass on the z-support of ``it``.
 
@@ -267,7 +293,7 @@ class SystemIndex:
                 raise AssertionError("cut accounting identity violated")
             scale = max(degree, 1e-300)
             worst = max(worst, (boundary - internal) / scale)
-        return worst <= tol, worst
+        return worst <= CHECK_TOL, worst
 
     def lagrangian_value(
         self,
@@ -310,48 +336,6 @@ class SystemIndex:
         """``zeta . q`` where ``q`` is the outer degree right-hand side."""
         return float(zeta_vec @ self.degree_rhs_outer)
 
-    def row_vrow_pairs(self) -> np.ndarray:
-        """``(n_rows, 2)``: each cover row's two degree-row indices."""
-        cached = getattr(self, "_row_vrow", None)
-        if cached is not None:
-            return cached
-        out = np.empty((len(self.rows), 2), dtype=np.int64)
-        for r, (_e, i, j, k) in enumerate(self.rows):
-            out[r, 0] = self.vrow_of[(i, k)]
-            out[r, 1] = self.vrow_of[(j, k)]
-        self._row_vrow = out
-        return out
-
-    def vrow_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Degree rows split into aligned (vertex, level) int arrays."""
-        cached = getattr(self, "_vrow_arrays", None)
-        if cached is not None:
-            return cached
-        vertex = np.array([i for (i, _k) in self.vrows], dtype=np.int64)
-        level = np.array([k for (_i, k) in self.vrows], dtype=np.int64)
-        self._vrow_arrays = (vertex, level)
-        return self._vrow_arrays
-
-    def level_weights_all(self) -> np.ndarray:
-        """``(1+eps)^k`` for every level ``k`` in ``0..L``."""
-        cached = getattr(self, "_level_weights", None)
-        if cached is not None:
-            return cached
-        lv = self.leveled
-        self._level_weights = np.array(
-            [lv.level_weight(k) for k in range(lv.L + 1)]
-        )
-        return self._level_weights
-
-    def capacity_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Capacities ``b`` as floats, and ``b_i (1+eps)^k`` per vertex and level."""
-        cached = getattr(self, "_capacity_arrays", None)
-        if cached is not None:
-            return cached
-        barr = np.asarray(self.leveled.base.b, dtype=float)
-        self._capacity_arrays = (barr, np.outer(barr, self.level_weights_all()))
-        return self._capacity_arrays
-
 
 def convert_to_matching_dual(
     index: SystemIndex, it: DualIterate
@@ -367,9 +351,8 @@ def convert_to_matching_dual(
     """
     eps = index.epsilon
     denom = 1.0 - 3.0 * eps
-    vertex, _level = index.vrow_arrays()
     top = it.x_top.copy()
-    np.maximum.at(top, vertex, it.x_level)
+    np.maximum.at(top, index.vrow_vertex, it.x_level)
     x = {int(i): float(top[i] / denom) for i in np.flatnonzero(top)}
     z_of: dict[int, float] = {}
     for (t, _l), v in it.z.items():

@@ -6,9 +6,11 @@ import math
 import random
 from typing import Mapping, Sequence
 
+import numpy as np
 import pytest
 
 import sketchmatch as sm
+from sketchmatch import oracle
 from sketchmatch.sketch import PromiseViolationError, UnionFind, forest_count, prf_u64
 
 EPS = 1.0 / 16.0
@@ -155,6 +157,89 @@ def build_streaming_sparsifier_reference(
         depths=tuple(depth_of[e] for e in kept),
         stored_total=stored_total,
     )
+
+
+def certificate_reference(index, u_sparse, zeta_bar, segments, gamma, penalty, beta):
+    """Dict-keyed certificate construction, the reference for ``oracle._certificate``.
+
+    Takes the arguments of ``oracle._certificate`` and returns ``(y, mu,
+    y_caps, objective)``: ``y`` by edge id, ``mu`` by ``(vertex, level)``
+    (a key with no degree row included), ``y_caps`` by degree row.
+    """
+    eps = index.epsilon
+    b = index.leveled.base.b
+    w_of = [index.leveled.level_weight(k) for k in range(index.leveled.L + 1)]
+    vrow_of = {key: t for t, key in enumerate(index.vrows)}
+    bump_unit = gamma / (2.0 * penalty * beta)
+    zeta_hat = zeta_bar.copy()
+    extra: dict[tuple[int, int], float] = {}
+    for lo, p, selected, _dvals in segments:
+        for t in selected:
+            for i in index.odd_sets.members(t):
+                for lev in range(lo, p + 1):
+                    vr = vrow_of.get((i, lev))
+                    if vr is None:
+                        extra[(i, lev)] = extra.get((i, lev), 0.0) + bump_unit * b[i]
+                    else:
+                        zeta_hat[vr] += bump_unit * b[i]
+    scale = (1.0 - eps / 4.0) * beta / ((1.0 + eps / 2.0) * gamma)
+    y = {}
+    for r, (e, _i, _j, _k) in enumerate(index.rows):
+        if u_sparse[r] > 0.0:
+            y[e] = scale * u_sparse[r]
+    mu = {}
+    for t, key in enumerate(index.vrows):
+        if zeta_hat[t] > 0.0:
+            mu[key] = scale * penalty * zeta_hat[t]
+    for key, v in extra.items():
+        mu[key] = mu.get(key, 0.0) + scale * penalty * v
+    y_mass = index.vrow_mass(scale * u_sparse)
+    y_caps = {}
+    for t, key in enumerate(index.vrows):
+        val = y_mass[t] - 2.0 * mu.get(key, 0.0)
+        if val > 0.0:
+            y_caps[key] = val
+    objective = math.fsum(
+        w_of[k] * y[e] for (e, _i, _j, k) in index.rows if e in y
+    ) - 3.0 * math.fsum(w_of[k] * v for (_i, k), v in mu.items())
+    return y, mu, y_caps, objective
+
+
+def certificate_vectors(index, y, mu, y_caps):
+    """The row-aligned vectors of a dict-keyed certificate (absent keys read 0)."""
+    mu_mat = np.zeros((index.leveled.base.n, index.leveled.L + 1))
+    for (i, k), v in mu.items():
+        mu_mat[i, k] = v
+    return (
+        np.array([y.get(e, 0.0) for (e, _i, _j, _k) in index.rows]),
+        mu_mat,
+        np.array([y_caps.get(key, 0.0) for key in index.vrows]),
+    )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def certificates_match_dict_reference():
+    """Check every certificate the oracle builds against ``certificate_reference``.
+
+    The vectors must equal the reference's values entry for entry, and
+    the objective bit for bit.  ``checked.calls`` counts the checks.
+    """
+    real = oracle._certificate
+
+    def checked(index, *args):
+        cert = real(index, *args)
+        y, mu, y_caps, objective = certificate_reference(index, *args)
+        for got, want in zip((cert.y, cert.mu, cert.y_caps), certificate_vectors(index, y, mu, y_caps)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert cert.objective == objective
+        assert sorted(y) == index.row_edge[cert.y > 0.0].tolist()
+        checked.calls += 1
+        return cert
+
+    checked.calls = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_certificate", checked)
+        yield checked
 
 
 def triangle_paper(eps: float = EPS) -> sm.Graph:

@@ -267,9 +267,9 @@ class TestSolve:
             refined = {}
             for k, sk in zip(levels, first_round):
                 vals = {
-                    e: u_now[index.edge_row_of[e]]
+                    e: u_now[index.row_of_edge[e]]
                     for e in sk.stored_edge_ids()
-                    if index.row_levels[index.edge_row_of[e]] == k
+                    if index.row_levels[index.row_of_edge[e]] == k
                 }
                 refined.update(refine_deferred_reference(sk, vals))
             want = index.multiplier_vector(refined)
@@ -370,10 +370,14 @@ class TestCoverageExamples:
         it = sm.DualIterate.zeros(index, beta=1.0)
         # price only vertex 1: the (0, 2) row stays uncovered
         (e, i, j, k) = next(iter(lv.retained()))
-        it.x_level[index.vrow_of[(j, k)]] = lv.level_weight(k)
+        it.x_level[index.vrows.index((j, k))] = lv.level_weight(k)
         it.x_top[j] = lv.level_weight(k)
         lam, _row = index.coverage_lambda(index.cover_values(it))
         assert lam == 0.0
+
+
+# The triangle of the external-matching checks: any one edge is optimal.
+TRIANGLE = "0 1 5\n1 2 5\n0 2 5\n"
 
 
 def _write_graph(tmp_path, name="g.txt", text="0 1 5\n"):
@@ -494,14 +498,41 @@ class TestCli:
         assert payload["matching_weight"] == pytest.approx(9.0)
         assert payload["feasible"] and payload["meets_ratio_floor"]
 
-    def test_verify_infeasible_matching_fails(self, tmp_path):
-        path = _write_graph(tmp_path, text="0 1 5\n0 2 4\n")
+    @pytest.mark.parametrize(
+        "text, matching, feasible",
+        [
+            pytest.param(
+                "0 1 5\n0 2 4\n", [[0, 1, 1], [0, 2, 1]], False, id="over_capacity"
+            ),
+            pytest.param(
+                TRIANGLE,
+                [[0, 1, 0.5], [1, 2, 0.5], [0, 2, 0.5]],
+                False,
+                id="fractional_multiplicity",
+            ),
+            pytest.param(TRIANGLE, [[0, 1, True]], False, id="bool_multiplicity"),
+            pytest.param(TRIANGLE, [[0.0, 1.0, 1]], False, id="float_ids"),
+            pytest.param(TRIANGLE, [[0, 1]], None, id="short_entry"),
+            pytest.param(TRIANGLE, [0, 1, 1], None, id="flat_list"),
+            pytest.param(TRIANGLE, {"weight": 5}, None, id="no_matching_key"),
+        ],
+    )
+    def test_verify_infeasible_matching_fails(self, tmp_path, capsys, text, matching, feasible):
+        # ids and multiplicities must be JSON integers, or the matching is
+        # infeasible; an entry that is not an [i, j, m] list is a format error
+        path = _write_graph(tmp_path, text=text)
         mpath = tmp_path / "m.json"
-        mpath.write_text(json.dumps([[0, 1, 1], [0, 2, 1]]))  # b_0 = 1 exceeded
+        mpath.write_text(json.dumps(matching))
         code = main(
             ["verify", "--input", path, "--matching", str(mpath), "--json"]
         )
+        captured = capsys.readouterr()
         assert code == 1
+        if feasible is None:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "[i, j, multiplicity]" in captured.err
+        else:
+            assert json.loads(captured.out)["feasible"] is feasible
 
     def test_b_file(self, tmp_path, capsys):
         path = _write_graph(tmp_path, text="0 1 5\n0 2 4\n")

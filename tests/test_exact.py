@@ -203,7 +203,7 @@ class TestDualFeasible:
         it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
-            ti, tj = index.vrow_of[(i, k)], index.vrow_of[(j, k)]
+            ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))
             it.x_level[ti] = max(it.x_level[ti], w / 2)
             it.x_level[tj] = max(it.x_level[tj], w / 2)
         for i in range(g.n):

@@ -58,10 +58,10 @@ class DictIterate:
 
 
 def to_vectors(index, d: DictIterate) -> sm.DualIterate:
-    """The array iterate holding the prices of ``d`` (keys through ``vrow_of``)."""
+    """The array iterate holding the prices of ``d`` (keys located in ``index.vrows``)."""
     it = sm.DualIterate.zeros(index, d.beta)
     for key, v in d.x_level.items():
-        it.x_level[index.vrow_of[key]] = v
+        it.x_level[index.vrows.index(key)] = v
     for i, v in d.x_top.items():
         it.x_top[i] = v
     it.z = dict(d.z)
@@ -79,24 +79,24 @@ def dict_vertex_step(index, u_sparse, zeta, penalty, beta):
     """The vertex branch's per-vertex loop; ``None`` where it does not fire."""
     eps = index.epsilon
     n = index.leveled.base.n
-    w_of = index.level_weights_all()
+    w_of = index.level_weights
     n_levels = len(w_of)
     usc = index.multiplier_cover_target(u_sparse)
     gamma = usc - penalty * float(zeta @ index.degree_rhs_outer)
     if gamma <= 0.0:
         return None
-    rv = index.row_vrow_pairs()
+    rv = index.row_vrow
     edge_mass = np.zeros(len(index.vrows))
     np.add.at(edge_mass, rv[:, 0], u_sparse)
     np.add.at(edge_mass, rv[:, 1], u_sparse)
     surplus_pos = np.maximum(edge_mass - 2.0 * penalty * zeta, 0.0)
-    vv, vl = index.vrow_arrays()
+    vv, vl = index.vrow_vertex, index.vrow_level
     smat = np.zeros((n, n_levels))
     smat[vv, vl] = surplus_pos
     prefix_weighted = np.cumsum(smat * w_of, axis=1)
     prefix_plain = np.cumsum(smat, axis=1)
     delta = prefix_weighted + w_of * (prefix_plain[:, -1:] - prefix_plain)
-    qualifies = delta > (gamma / beta) * index.capacity_arrays()[1]
+    qualifies = delta > (gamma / beta) * index.level_capacity
     violated = qualifies.any(axis=1)
     k_star = np.where(violated, n_levels - 1 - qualifies[:, ::-1].argmax(axis=1), -1)
     viol_ids = np.nonzero(violated)[0]
@@ -208,7 +208,7 @@ def test_vrow_mass_matches_two_scatters():
         index = suite_index(seed) if seed % 2 else k9_index
         # magnitudes far apart, so a different addition order shows in the bits
         u = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0, len(index.rows))
-        rv = index.row_vrow_pairs()
+        rv = index.row_vrow
         want = np.zeros(len(index.vrows))
         np.add.at(want, rv[:, 0], u)
         np.add.at(want, rv[:, 1], u)

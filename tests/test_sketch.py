@@ -455,6 +455,25 @@ class TestDeferredClosedForm:
         assert sk.stored_total == 4
 
 
+    def test_streaming_build_keys_no_prf_per_edge(self, monkeypatch):
+        # the kept-edge test reads the layer draws the class construction
+        # already took, so no edge is keyed through prf_u64 a second time
+        k20 = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+        k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        cases = [
+            (20, k20, [1.0] * len(k20), 0.99, 3),  # one class of 190 >= k = 152
+            (6, k6, [1.0] * 9 + [2.5] * 5 + [7.0], 0.5, 8),  # closed-form classes
+        ]
+        want = [build_streaming_sparsifier_reference(*case) for case in cases]
+
+        def refuse(*_args):
+            raise AssertionError("prf_u64 called by the streaming build")
+
+        monkeypatch.setattr(sketch, "prf_u64", refuse)
+        for case, ref in zip(cases, want):
+            _assert_same(sm.build_streaming_sparsifier(*case), ref)
+
+
 class TestRoundLedger:
     def test_fresh(self):
         ledger = sm.RoundLedger()
@@ -528,7 +547,7 @@ class TestVerifySwitch:
         it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
-            ti, tj = index.vrow_of[(i, k)], index.vrow_of[(j, k)]
+            ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))
             it.x_level[ti] = max(it.x_level[ti], w)
             it.x_level[tj] = max(it.x_level[tj], w)
         for i in range(lv.base.n):
@@ -548,7 +567,7 @@ class TestVerifySwitch:
         it = sm.DualIterate.zeros(index, beta=1.0)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
-            ti, tj = index.vrow_of[(i, k)], index.vrow_of[(j, k)]
+            ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))
             it.x_level[ti] = max(it.x_level[ti], w / 2)
             it.x_level[tj] = max(it.x_level[tj], w / 2)
         for i in range(lv.base.n):

@@ -211,6 +211,32 @@ CASES = ["light-1003", "light-1017", "light-1042", "path70"]
 
 
 @pytest.mark.parametrize("name", CASES)
+def test_row_layout_matches_row_tuples(name):
+    # every row array against the tuples it is built from, read in loops
+    g, lv, index = case(name)
+    vrow_of = {key: t for t, key in enumerate(index.vrows)}
+    assert index.vrows == tuple(sorted(vrow_of))
+    assert index.rows == tuple(lv.retained())
+    assert index.row_edge.tolist() == [e for (e, _i, _j, _k) in index.rows]
+    assert index.row_ends.tolist() == [[i, j] for (_e, i, j, _k) in index.rows]
+    assert index.row_levels.tolist() == [k for (*_eij, k) in index.rows]
+    assert index.row_vrow.tolist() == [
+        [vrow_of[(i, k)], vrow_of[(j, k)]] for (_e, i, j, k) in index.rows
+    ]
+    edge_row = {e: r for r, (e, *_ijk) in enumerate(index.rows)}
+    assert index.row_of_edge.tolist() == [edge_row.get(e, -1) for e in range(g.m)]
+    assert (index.row_of_edge == -1).any() == (len(index.rows) < g.m)
+    assert index.vrow_vertex.tolist() == [i for (i, _k) in index.vrows]
+    assert index.vrow_level.tolist() == [k for (_i, k) in index.vrows]
+    weights = [lv.level_weight(k) for k in range(lv.L + 1)]
+    assert index.level_weights.tolist() == weights
+    assert index.cover_rhs.tolist() == [weights[k] for (*_eij, k) in index.rows]
+    assert index.degree_rhs_outer.tolist() == [3.0 * weights[k] for (_i, k) in index.vrows]
+    assert index.capacity.tolist() == [float(c) for c in g.b]
+    assert index.level_capacity.tolist() == [[float(c) * w for w in weights] for c in g.b]
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_geometry_matches_row_loop(name):
     g, lv, index = case(name)
     if name != "path70":
@@ -258,7 +284,7 @@ def dense_iterate(index, seed: int, with_z: bool) -> sm.DualIterate:
     rng = random.Random(seed)
     it = sm.DualIterate.zeros(index, beta=1.0)
     for key in rng.sample(index.vrows, len(index.vrows)):
-        it.x_level[index.vrow_of[key]] = rng.uniform(0.0, 5.0)
+        it.x_level[index.vrows.index(key)] = rng.uniform(0.0, 5.0)
     if with_z:
         it.z = priced_iterate(index, seed).z
     return it
