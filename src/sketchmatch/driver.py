@@ -36,7 +36,7 @@ drift budget, so a violation is a bug, not an input condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,32 +142,8 @@ class SolveReport:
     scale: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "matching": [list(e) for e in self.matching],
-            "weight": self.weight,
-            "rescaled_weight": self.rescaled_weight,
-            "ratio_bound": self.ratio_bound,
-            "round_spaces": self.round_spaces,
-            "weight_vs_beta": self.weight_vs_beta,
-            "rounds": self.rounds,
-            "peak_space": self.peak_space,
-            "round_cap": self.round_cap,
-            "space_cap": self.space_cap,
-            "lambda_start": self.lambda_start,
-            "lambda_final": self.lambda_final,
-            "certified": self.certified,
-            "beta_final": self.beta_final,
-            "steps": self.steps,
-            "certificates": self.certificates,
-            "harvests": self.harvests,
-            "lambda_trace": self.lambda_trace,
-            "beta_trace": self.beta_trace,
-            "config_echo": self.config_echo,
-            "n": self.n,
-            "m": self.m,
-            "levels": self.levels,
-            "scale": self.scale,
-        }
+        """Every field, with ``matching`` as lists (the JSON shape)."""
+        return {**asdict(self), "matching": [list(e) for e in self.matching]}
 
 
 class ContractViolation(RuntimeError):
@@ -290,7 +266,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             _check_space_cap(ledger, space_cap)
         if harvest.weight > beta * (1.0 - eps) / (1.0 + eps):
             beta = harvest.weight * (1.0 + eps) / (1.0 - eps)
-            it.beta = beta
 
         for _q in range(inner_per_round):
             if state.lam >= state.target:
@@ -313,9 +288,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             while True:
                 out = lagrangian_search(
                     index,
-                    lambda uu, zz, pp, bb: matching_oracle(
-                        index, uu, zz, pp, bb, strict=cfg.assert_mode
-                    ),
+                    lambda uu, zz, pp, bb: matching_oracle(index, uu, zz, pp, bb),
                     u_sparse,
                     zeta,
                     beta,
@@ -331,7 +304,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                     if lifted.weight > best_matching.weight:
                         best_matching = lifted
                     beta *= 1.0 + eps
-                    it.beta = beta
                     retries += 1
                     if retries > CERTIFICATE_RETRIES:
                         raise ContractViolation(
@@ -351,7 +323,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                     raise ContractViolation(f"multiplier switch failed: {switch}")
             sigma = state.sigma
             it = it.blend(step.iterate, sigma)
-            it.beta = beta
             pox = (1.0 - sigma) * pox + sigma * index.degree_values(step.iterate)
             if due:
                 state.resync(index.cover_values(it))
@@ -380,14 +351,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         beta_trace=beta_trace,
         round_spaces=[r["space"] for r in ledger.as_dict()["rounds"]],
         weight_vs_beta=best_matching.weight / beta if beta > 0 else 0.0,
-        config_echo={
-            "epsilon": eps,
-            "p": cfg.p,
-            "seed": cfg.seed,
-            "max_rounds": cfg.max_rounds,
-            "space_mult": cfg.space_mult,
-            "assert_mode": cfg.assert_mode,
-        },
+        config_echo=asdict(cfg),
         n=n,
         m=g.m,
         levels=lv.L + 1,

@@ -352,10 +352,14 @@ def collect_violated_sets(
     index: SystemIndex,
     q_rows: np.ndarray,
     q_hat: np.ndarray,
-    *,
-    strict: bool = True,
 ) -> tuple[list[int], np.ndarray]:
     """Select a disjoint family of violated small odd sets directly.
+
+    Every call asserts the selection's guarantees: allowances are at
+    least ``b_i``, every selected set has capacity at least 3 and
+    carries the ``eps/2`` membership margin, and no set disjoint from
+    the selection exceeds the exclusion bar (checked exhaustively over
+    the whole small-odd-set family).
 
     Parameters
     ----------
@@ -366,10 +370,6 @@ def collect_violated_sets(
         consideration — rows below the level must carry 0).
     q_hat:
         Allowance per vertex.
-    strict:
-        Assert structural guarantees (allowances at least ``b_i``,
-        selected sets have capacity >= 3 and carry the ``eps/2``
-        membership margin).
 
     Returns
     -------
@@ -382,13 +382,11 @@ def collect_violated_sets(
         selection.
     """
     eps = index.epsilon
-    b = index.leveled.base.b
     family = index.odd_sets
     member_mat, internal_mat, bnorms = index.set_matrices()
-    if strict:
-        for i, bi in enumerate(b):
-            if q_hat[i] < bi - 1e-9:
-                raise AssertionError(f"allowance of vertex {i} below its capacity")
+    short = np.flatnonzero(q_hat < index.capacity - 1e-9)
+    if short.size:
+        raise AssertionError(f"allowance of vertex {short[0]} below its capacity")
     internal = internal_mat @ q_rows
     allowance = member_mat @ q_hat
     values = internal - 0.5 * (allowance - bnorms)
@@ -402,32 +400,28 @@ def collect_violated_sets(
         key=lambda t: (float(allowance[t] - 2.0 * internal[t]), family.members(t)),
     )
     selected: list[int] = []
-    used = np.zeros(len(b), dtype=bool)
+    used = np.zeros(len(index.capacity), dtype=bool)
     for t in order:
         row = family.member[t]
         if (row & used).any():
             continue
         selected.append(t)
         used |= row
-        if strict:
-            bn = int(family.bnorm[t])
-            if bn < 3:
-                raise AssertionError(
-                    f"selected odd set {family.members(t)} has capacity < 3"
-                )
-            if not values[t] > bn // 2 + eps / 2.0 - 1e-12:
-                raise AssertionError(
-                    f"selected set {family.members(t)} lacks the eps/2 membership margin"
-                )
-    if strict:
-        # Exhaustive exclusion check over the whole small-odd-set
-        # family: any set disjoint from the selection must sit at or
-        # below the bar (it would have been selected otherwise).
-        untouched = ~family.member[:, used].any(axis=1)
-        ceiling = np.floor(bnorms / 2.0) + eps / 2.0 + 1e-12
-        over = np.flatnonzero(untouched & (values > ceiling))
-        if over.size:
+        bn = int(family.bnorm[t])
+        if bn < 3:
+            raise AssertionError(f"selected odd set {family.members(t)} has capacity < 3")
+        if not values[t] > bn // 2 + eps / 2.0 - 1e-12:
             raise AssertionError(
-                f"untouched odd set {family.members(over[0])} exceeds the exclusion bar"
+                f"selected set {family.members(t)} lacks the eps/2 membership margin"
             )
+    # Exhaustive exclusion check over the whole small-odd-set family:
+    # any set disjoint from the selection must sit at or below the bar
+    # (it would have been selected otherwise).
+    untouched = ~family.member[:, used].any(axis=1)
+    ceiling = np.floor(bnorms / 2.0) + eps / 2.0 + 1e-12
+    over = np.flatnonzero(untouched & (values > ceiling))
+    if over.size:
+        raise AssertionError(
+            f"untouched odd set {family.members(over[0])} exceeds the exclusion bar"
+        )
     return selected, values

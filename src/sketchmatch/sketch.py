@@ -741,9 +741,10 @@ def verify_switch(
     Conclusion (on the full multipliers): ``u . (rows of x) >= (1 -
     eps/2) u . rhs``.
 
-    The cut accounting identity ``2*internal + boundary == degree`` is
-    asserted for every touched set as a side effect.  Bounds hold to the
-    relative tolerance ``CHECK_TOL``.
+    As a side effect, :meth:`SystemIndex.cut_balance_ok` asserts for
+    every priced set that its cover-row masses match its members'
+    degree-row mass (``2*internal + boundary == degree``).  Bounds hold
+    to the relative tolerance ``CHECK_TOL``.
     """
     tol = CHECK_TOL
     eps = index.epsilon

@@ -59,26 +59,25 @@ class DualIterate:
     z:
         ``(set index, level) -> value`` for odd-set prices; the index
         is a row of ``SystemIndex.odd_sets``.
-    beta:
-        The budget this iterate is playing against.
+
+    An iterate carries no budget: the budget an oracle answer was
+    computed against is recorded on the answer (``DualStep.beta``).
     """
 
     x_level: np.ndarray
     x_top: np.ndarray
     z: dict[tuple[int, int], float]
-    beta: float
 
     @staticmethod
-    def zeros(index: "SystemIndex", beta: float) -> "DualIterate":
+    def zeros(index: "SystemIndex") -> "DualIterate":
         return DualIterate(
             x_level=np.zeros(len(index.vrows)),
             x_top=np.zeros(index.leveled.base.n),
             z={},
-            beta=beta,
         )
 
     def blend(self, other: "DualIterate", sigma: float) -> "DualIterate":
-        """Return ``(1 - sigma) * self + sigma * other`` (keeps ``self.beta``)."""
+        """Return ``(1 - sigma) * self + sigma * other``."""
         keep = 1.0 - sigma
         z = {key: keep * v for key, v in self.z.items()}
         for key, v in other.z.items():
@@ -87,7 +86,6 @@ class DualIterate:
             x_level=keep * self.x_level + sigma * other.x_level,
             x_top=keep * self.x_top + sigma * other.x_top,
             z=z,
-            beta=self.beta,
         )
 
     def is_nonnegative(self, tol: float = 0.0) -> bool:
@@ -265,15 +263,22 @@ class SystemIndex:
     ) -> tuple[float, float, float]:
         """Internal, boundary, and member-degree multiplier mass of a set.
 
-        Only edges at levels ``>= level`` count.  The returned triple
-        satisfies ``2 * internal + boundary == degree`` exactly; callers
-        may assert it.
+        Only edges at levels ``>= level`` count.  ``internal`` and
+        ``boundary`` sum the set's cover rows (:meth:`set_rows`);
+        ``degree`` sums the members' degree rows at levels ``>= level``
+        (:meth:`vrow_mass`), a route that does not read :meth:`set_rows`.
+        Every row with two member ends lands on two member degree rows
+        and every row with one on one, so ``2 * internal + boundary``
+        equals ``degree`` up to rounding; :meth:`cut_balance_ok` asserts
+        it.
         """
+        member = self.odd_sets.member[set_idx]
         at_level = self.row_levels >= level
-        ins, bnd = self.set_rows(self.odd_sets.member[set_idx])
+        ins, bnd = self.set_rows(member)
         internal = math.fsum(u_vec[ins & at_level])
         boundary = math.fsum(u_vec[bnd & at_level])
-        degree = math.fsum([2.0 * internal, boundary])
+        member_vrows = member[self.vrow_vertex] & (self.vrow_level >= level)
+        degree = math.fsum(self.vrow_mass(u_vec)[member_vrows])
         return internal, boundary, degree
 
     def cut_balance_ok(
@@ -282,7 +287,9 @@ class SystemIndex:
         """Check internal mass >= boundary mass on the z-support of ``it``.
 
         Returns ``(ok, worst_deficit)`` where deficit is measured
-        relative to the member degree mass of the set.
+        relative to the member degree mass of the set.  Raises
+        ``AssertionError`` when a priced set's cover-row masses disagree
+        with its degree-row mass (``2 * internal + boundary != degree``).
         """
         worst = 0.0
         for (t, lev), zv in it_z.items():

@@ -258,8 +258,8 @@ def test_criterion_7_round_and_space_caps(suite_reports):
 
 def test_criterion_8_odd_set_detection_against_exhaustive_scan():
     # (a) direct selection: membership and exclusion bounds against the
-    # fully enumerated small-odd-set family (strict mode re-verifies
-    # both bounds internally on every call; we restate them here).
+    # fully enumerated small-odd-set family (collect_violated_sets
+    # asserts both bounds on every call; we restate them here).
     g = sm.load_graph("0 1 4\n0 2 4\n1 2 4\n3 4 4\n3 5 4\n4 5 4\n")
     eps = 0.5
     lv = sm.discretize(g, eps)

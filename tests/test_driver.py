@@ -134,6 +134,57 @@ class TestSolve:
         with pytest.raises(ContractViolation, match="space cap"):
             sm.solve(g, sm.SolverConfig(assert_mode=True, **cfg))
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (None, "budget kept certifying"),
+            ("half_y", "certificate check failed"),
+            ("objective", "certificate check failed"),
+        ],
+        ids=["genuine", "half_y", "objective"],
+    )
+    def test_assert_mode_checks_every_certificate(self, monkeypatch, tamper, message):
+        # No suite solve draws a certificate, so the oracle is replaced by
+        # one that always answers with the triangle certificate of the
+        # u = 1, zeta = 1, penalty 1e-4 query: genuine, it passes the
+        # driver's check until the retry cap; tampered, the check fails.
+        from sketchmatch import driver
+
+        g = sm.load_graph("0 1 10\n0 2 10\n1 2 10\n")
+        index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+        cert = driver.matching_oracle(
+            index, np.ones(len(index.rows)), np.ones(len(index.vrows)), 1e-4, 1.0
+        )
+        assert isinstance(cert, sm.PrimalCertificate)
+        if tamper == "half_y":
+            cert = dataclasses.replace(cert, y=np.full_like(cert.y, 0.5))
+        elif tamper == "objective":
+            cert = dataclasses.replace(cert, objective=cert.objective * 1.01)
+        monkeypatch.setattr(driver, "matching_oracle", lambda *args: cert)
+        with pytest.raises(ContractViolation, match=message):
+            sm.solve(g, sm.SolverConfig(assert_mode=True))
+
+    def test_assert_mode_checks_the_budget_a_step_answered(self, monkeypatch):
+        # Each vertex step claims half its own budget value as the budget
+        # it answered; only the budget field of the check fails.
+        from sketchmatch import driver
+
+        real = driver.matching_oracle
+
+        def over_budget(index, u, zeta, penalty, beta):
+            out = real(index, u, zeta, penalty, beta)
+            if isinstance(out, sm.DualStep) and out.branch == "vertex":
+                return dataclasses.replace(out, beta=0.5 * sm.budget_value(index, out.iterate))
+            return out
+
+        monkeypatch.setattr(driver, "matching_oracle", over_budget)
+        g = triangle_paper()
+        sm.solve(g, sm.SolverConfig(max_rounds=8))
+        with pytest.raises(ContractViolation, match="dual step check failed") as err:
+            sm.solve(g, sm.SolverConfig(assert_mode=True, max_rounds=8))
+        assert "'budget': False" in str(err.value)
+        assert "'penalized_target': True" in str(err.value)
+
     def test_first_round_sketch_masks_match_row_loop(self, monkeypatch):
         from sketchmatch import driver
         from sketchmatch.mwu import CoveringState, covering_multipliers
@@ -367,7 +418,7 @@ class TestCoverageExamples:
         g = sm.load_graph("0 1 7\n0 2 7\n")
         lv = sm.discretize(g, EPS)
         index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
-        it = sm.DualIterate.zeros(index, beta=1.0)
+        it = sm.DualIterate.zeros(index)
         # price only vertex 1: the (0, 2) row stays uncovered
         (e, i, j, k) = next(iter(lv.retained()))
         it.x_level[index.vrows.index((j, k))] = lv.level_weight(k)

@@ -200,7 +200,7 @@ class TestDualFeasible:
         lv = sm.discretize(g, EPS)
         odd = sm.enumerate_small_odd_sets(g, EPS)
         index = sm.SystemIndex(lv, EPS, odd)
-        it = sm.DualIterate.zeros(index, beta=1.0)
+        it = sm.DualIterate.zeros(index)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
             ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))

@@ -59,7 +59,7 @@ class DictIterate:
 
 def to_vectors(index, d: DictIterate) -> sm.DualIterate:
     """The array iterate holding the prices of ``d`` (keys located in ``index.vrows``)."""
-    it = sm.DualIterate.zeros(index, d.beta)
+    it = sm.DualIterate.zeros(index)
     for key, v in d.x_level.items():
         it.x_level[index.vrows.index(key)] = v
     for i, v in d.x_top.items():
@@ -72,7 +72,6 @@ def assert_same(it: sm.DualIterate, want: sm.DualIterate) -> None:
     assert np.array_equal(it.x_level, want.x_level)
     assert np.array_equal(it.x_top, want.x_top)
     assert list(it.z.items()) == list(want.z.items())
-    assert it.beta == want.beta
 
 
 def dict_vertex_step(index, u_sparse, zeta, penalty, beta):
@@ -190,12 +189,12 @@ def test_mix_matches_dict_loop():
         a = random_dict_iterate(index, rng, beta=1.0)
         b = random_dict_iterate(index, rng, beta=2.0)
         w, beta = rng.random(), rng.uniform(1.0, 9.0)
-        lo = DualStep(to_vectors(index, a), "vertex", 0.5, 1.0)
-        hi = DualStep(to_vectors(index, b), "zero", 0.5, 1.0)
+        lo = DualStep(to_vectors(index, a), "vertex", 0.5, 1.0, 1.0)
+        hi = DualStep(to_vectors(index, b), "zero", 0.5, 1.0, 2.0)
         mixed = lo.mix(hi, w, beta)
         want = a.blend(b, w)
-        want.beta = beta
         assert mixed.branch == "mixed"
+        assert mixed.beta == beta
         assert_same(mixed.iterate, to_vectors(index, want))
 
 
@@ -239,6 +238,7 @@ def test_vertex_step_matches_dict_loop_on_random_queries():
                 continue
             fired += 1
             assert out.branch == "vertex"
+            assert out.beta == beta
             assert_same(out.iterate, to_vectors(index, want))
     assert 30 <= fired < 120  # both outcomes of the branch test occur
 
@@ -328,7 +328,7 @@ def test_verify_switch_flags_planted_shape_violation():
     lv = sm.discretize(g, EPS)
     index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
     u = np.ones(len(index.rows))
-    it = sm.DualIterate.zeros(index, beta=1.0)
+    it = sm.DualIterate.zeros(index)
     for t, (i, k) in enumerate(index.vrows):
         it.x_level[t] = lv.level_weight(k)
         it.x_top[i] = max(it.x_top[i], it.x_level[t])
@@ -340,7 +340,7 @@ def test_verify_switch_flags_planted_shape_violation():
 
 def test_shape_slack_is_absolute_or_relative():
     index = suite_index(1000)
-    it = sm.DualIterate.zeros(index, beta=1.0)
+    it = sm.DualIterate.zeros(index)
     t = 0
     i = index.vrows[t][0]
     for price, gap, atol, rtol, shaped in [

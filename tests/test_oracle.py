@@ -150,12 +150,12 @@ class TestCheckDualStep:
         family = index.odd_sets
         position = {family.members(t): t for t in range(len(family))}
         level = {"low": 0, "high": int(index.row_levels.max())}
-        it = sm.DualIterate.zeros(index, beta=1.0)
+        it = sm.DualIterate.zeros(index)
         for members, lev in sorted(priced):
             it.z[(position[members], level[lev])] = 0.01
         u = np.ones(len(index.rows))
         zeta = np.ones(len(index.vrows))
-        _ok, report = check_dual_step(index, u, zeta, DualStep(it, "odd", 1.0, 1.0))
+        _ok, report = check_dual_step(index, u, zeta, DualStep(it, "odd", 1.0, 1.0, 1.0))
         assert report["level_disjoint"] is disjoint
 
 

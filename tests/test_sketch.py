@@ -536,7 +536,7 @@ class TestVerifySwitch:
     def test_zero_iterate_vacuous(self):
         _g, _lv, index = _switch_fixture()
         u = np.ones(len(index.rows))
-        it = sm.DualIterate.zeros(index, beta=1.0)
+        it = sm.DualIterate.zeros(index)
         rep = sm.verify_switch(index, u, u, it)
         assert not rep.hypothesis_cover
         assert rep.ok  # implication holds vacuously
@@ -544,7 +544,7 @@ class TestVerifySwitch:
     def test_identity_sparsifier(self):
         _g, lv, index = _switch_fixture()
         u = np.ones(len(index.rows))
-        it = sm.DualIterate.zeros(index, beta=1.0)
+        it = sm.DualIterate.zeros(index)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
             ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))
@@ -564,7 +564,7 @@ class TestVerifySwitch:
         u_s = np.array(
             [1.0 * (1 + (EPS / 16 if e % 2 else -EPS / 16)) for (e, _i, _j, _k) in index.rows]
         )
-        it = sm.DualIterate.zeros(index, beta=1.0)
+        it = sm.DualIterate.zeros(index)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
             ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))

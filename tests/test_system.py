@@ -88,7 +88,18 @@ def loop_cut_mass(index, geo, u_vec, set_idx, level):
     bnd = bnd[index.row_levels[bnd] >= level]
     internal = math.fsum(u_vec[r] for r in ins)
     boundary = math.fsum(u_vec[r] for r in bnd)
-    return internal, boundary, math.fsum([2.0 * internal, boundary])
+    # Member degree mass from the degree rows: each row adds its
+    # first-end cover rows in row order, then its second-end ones.
+    vrow_of = {key: t for t, key in enumerate(index.vrows)}
+    vmass = [0.0] * len(index.vrows)
+    for end in (1, 2):
+        for r, row in enumerate(index.rows):
+            vmass[vrow_of[(row[end], row[3])]] += u_vec[r]
+    members = set(index.odd_sets.members(set_idx))
+    degree = math.fsum(
+        vmass[t] for t, (i, k) in enumerate(index.vrows) if i in members and k >= level
+    )
+    return internal, boundary, degree
 
 
 def loop_cut_balance(index, geo, u_vec, z):
@@ -115,7 +126,7 @@ def loop_set_matrices(index, geo):
 
 
 def loop_collect_violated_sets(index, geo, q_rows, q_hat):
-    """``collect_violated_sets(strict=True)`` with its per-set exclusion loop."""
+    """``collect_violated_sets`` with its per-set exclusion loop."""
     eps = index.epsilon
     member_mat, internal_mat, bnorms = loop_set_matrices(index, geo)
     internal = internal_mat @ q_rows
@@ -194,7 +205,7 @@ def case(name: str):
 def priced_iterate(index, seed: int) -> sm.DualIterate:
     """Nonzero x and z prices; sets repeat across levels and overlap."""
     rng = random.Random(seed)
-    it = sm.DualIterate.zeros(index, beta=1.0)
+    it = sm.DualIterate.zeros(index)
     for t, (i, _k) in enumerate(index.vrows):
         if rng.random() < 0.6:
             it.x_level[t] = rng.uniform(0.1, 3.0)
@@ -279,10 +290,35 @@ def test_odd_set_evaluators_match_loops(name):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_cut_balance_flags_planted_set_rows(monkeypatch):
+    # The member degree mass comes from the degree rows, not from
+    # set_rows, so set_rows that lose the boundary break the identity.
+    g = random_instance(1000)
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+    u_vec = np.random.default_rng(3).random(len(index.rows))
+    _ins, bnd = index.set_rows(index.odd_sets.member)
+    t = int(np.flatnonzero(bnd.any(axis=1))[0])
+    z = {(t, 0): 1.0}
+    internal, boundary, degree = index.cut_mass(u_vec, t, 0)
+    assert boundary > 0.0
+    assert math.isclose(2.0 * internal + boundary, degree, rel_tol=1e-12)
+    index.cut_balance_ok(u_vec, z)
+
+    real = sm.SystemIndex.set_rows
+
+    def no_boundary(self, member):
+        ins, bnd = real(self, member)
+        return ins, np.zeros_like(bnd)
+
+    monkeypatch.setattr(sm.SystemIndex, "set_rows", no_boundary)
+    with pytest.raises(AssertionError, match="cut accounting identity violated"):
+        index.cut_balance_ok(u_vec, z)
+
+
 def dense_iterate(index, seed: int, with_z: bool) -> sm.DualIterate:
     """A price on every degree row."""
     rng = random.Random(seed)
-    it = sm.DualIterate.zeros(index, beta=1.0)
+    it = sm.DualIterate.zeros(index)
     for key in rng.sample(index.vrows, len(index.vrows)):
         it.x_level[index.vrows.index(key)] = rng.uniform(0.0, 5.0)
     if with_z:
@@ -315,7 +351,7 @@ def test_strict_collect_violated_sets_matches_loop(name):
             load[i] += q_rows[r]
             load[j] += q_rows[r]
         q_hat = np.maximum(np.asarray(g.b, dtype=float), load)
-        selected, values = collect_violated_sets(index, q_rows, q_hat, strict=True)
+        selected, values = collect_violated_sets(index, q_rows, q_hat)
         want_selected, want_values = loop_collect_violated_sets(index, geo, q_rows, q_hat)
         assert selected == want_selected
         assert np.array_equal(values, want_values)
