@@ -99,10 +99,10 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     weights = [w for (_i, _j, w) in g.edges]
     if args.deferred:
         sk = build_deferred(g.n, pairs, weights, args.chi, args.xi, args.seed)
-        refined = refine_deferred(stored_sample([sk]), np.asarray(weights, dtype=float))
+        refined = refine_deferred(stored_sample(sk), np.asarray(weights, dtype=float))
         kept = sorted(
             (e, i, j, float(refined[e]))
-            for (e, i, j, _pr, _pk, _d) in sk.entries
+            for (e, i, j) in sk.entries[["edge", "i", "j"]].tolist()
         )
         space = sk.space
         mode = "deferred"

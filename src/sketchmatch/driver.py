@@ -7,10 +7,12 @@
 2. build a starting dual point from per-level maximal matchings
    (counted as sampling rounds against the round ledger);
 3. repeat super-rounds until the dual coverage certifies or the round
-   budget is exhausted: snapshot the row multipliers, build deferred
-   per-level sparsifiers against them (one adaptive round of space),
-   list the stored entries of every level once, as flat arrays of
-   cover row, promise and keep probability, harvest an integral
+   budget is exhausted: snapshot the row multipliers, build the deferred
+   sparsifiers of every populated level against them in one
+   :func:`~sketchmatch.sketch.build_deferred` call on the stack of
+   per-level promise rows (one adaptive round of space), list their
+   stored entries once, as flat arrays of cover row, promise and keep
+   probability, harvest an integral
    matching from the stored edges (computed once per distinct stored
    support and reused by later rounds and certificate lifts on the
    same support), then run a bounded number of multiplier refinements
@@ -190,21 +192,21 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     if cfg.assert_mode:
         _check_space_cap(ledger, space_cap)
     beta = beta0
-    c = index.cover_rhs
     state = CoveringState(
-        c=c, rho=24.0 / eps + 24.0 / eps**2, eps=eps, ax=index.cover_values(it)
+        c=index.cover_rhs, rho=24.0 / eps + 24.0 / eps**2, eps=eps, ax=index.cover_values(it)
     )
     pox = index.degree_values(it)
     gamma_drift = max(n ** (1.0 / (2.0 * cfg.p)), 1.0 + eps)
     inner_per_round = math.ceil(math.log(gamma_drift) / eps)
-    edge_pairs = [(i, j) for (i, j, _w) in g.edges]
-    # Per populated level: its cover rows and their edge ids.
-    level_rows = {}
-    for k in sorted(lv.levels):
-        at_k = np.flatnonzero(index.row_levels == k)
-        level_rows[k] = (at_k, index.row_edge[at_k])
+    edge_ends = np.array([(i, j) for (i, j, _w) in g.edges], dtype=np.int64).reshape(-1, 2)
+    # The populated levels; a cover row's multiplier is promised in the
+    # round's promise row of its level.
+    levels = sorted(lv.levels)
+    level_pos = np.searchsorted(levels, index.row_levels)
     q_outer = index.degree_rhs_outer
+    log_q_outer = np.log(q_outer)
     delta_pack = 1.0 / 6.0
+    log_pack = math.log(2.0 * len(q_outer) / delta_pack)
 
     # The integral matching of each distinct support, harvested once per
     # solve: at desk scale every round stores the same support.
@@ -231,23 +233,21 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         # Snapshot multipliers; the snapshot's max is the round's
         # normalization offset, shared by every refinement below so the
         # promised drift band is exactly the per-step drift guarantee.
-        u_build, log_u = covering_multipliers(state.ax, c, state.alpha)
+        u_build, log_u = covering_multipliers(state.load, state.log_c, state.alpha)
         offset = float(log_u.max())
 
-        sketches = []
-        for k, (at_k, edges_k) in level_rows.items():
-            mask = np.zeros(len(g.edges))
-            mask[edges_k] = u_build[at_k]
-            level_seed = (cfg.seed * 1_000_003 + solve_round * 1009 + k) % (1 << 62)
-            sk = build_deferred(n, edge_pairs, mask, gamma_drift, SKETCH_XI, level_seed)
-            sketches.append(sk)
-            ledger.record_space(sk.space)
-            if cfg.assert_mode:
-                _check_space_cap(ledger, space_cap)
+        # One deferred sketch per populated level, all built in one call.
+        promise = np.zeros((len(levels), g.m))
+        promise[level_pos, index.row_edge] = u_build
+        seeds = [(cfg.seed * 1_000_003 + solve_round * 1009 + k) % (1 << 62) for k in levels]
+        sketch = build_deferred(n, edge_ends, promise, gamma_drift, SKETCH_XI, seeds)
+        ledger.record_space(sketch.space)
+        if cfg.assert_mode:
+            _check_space_cap(ledger, space_cap)
 
         # The round's stored entries and their cover rows are fixed;
         # every refinement below reads the multipliers at them.
-        sample = stored_sample(sketches, index.row_of_edge)
+        sample = stored_sample(sketch, index.row_of_edge)
         harvest = harvest_of(tuple(sorted(sample.edge_ids.tolist())))
         if harvest.weight > best_matching.weight:
             best_matching = harvest
@@ -270,19 +270,16 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         for _q in range(inner_per_round):
             if state.lam >= state.target:
                 break
-            u_now, _ = covering_multipliers(state.ax, c, state.alpha, offset)
+            u_now, _ = covering_multipliers(state.load, state.log_c, state.alpha, offset)
             u_sparse = refine_deferred(sample, u_now)
 
-            lam_pack = float((pox / q_outer).max())
+            load_pack = pox / q_outer
+            lam_pack = float(load_pack.max())
             if lam_pack <= 0.0:
                 zeta = np.ones(len(q_outer)) / len(q_outer)
             else:
-                alpha_pack = (
-                    4.0
-                    * math.log(2.0 * len(q_outer) / delta_pack)
-                    / (lam_pack * delta_pack)
-                )
-                zeta, _ = packing_multipliers(pox, q_outer, alpha_pack)
+                alpha_pack = 4.0 * log_pack / (lam_pack * delta_pack)
+                zeta, _ = packing_multipliers(load_pack, log_q_outer, alpha_pack)
 
             retries = 0
             while True:

@@ -71,25 +71,30 @@ class OracleContractError(RuntimeError):
 
 
 def covering_multipliers(
-    ax: np.ndarray, c: np.ndarray, alpha: float, offset: float | None = None
+    load: np.ndarray, log_c: np.ndarray, alpha: float, offset: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row multipliers ``exp(-alpha (A x)_l / c_l) / c_l``, normalized.
 
-    Returns ``(u, log_u)`` where ``log_u`` is the raw log-domain value
-    and ``u = exp(log_u - offset)``, the offset defaulting to
-    ``max(log_u)`` — the common factor is irrelevant to every margin the
-    engine checks, and the raw exponent can be far below float range.
+    ``load`` is ``A x / c`` and ``log_c`` is ``log(c)``, both held by
+    :class:`CoveringState`.  Returns ``(u, log_u)`` where ``log_u`` is
+    the raw log-domain value and ``u = exp(log_u - offset)``, the offset
+    defaulting to ``max(log_u)`` — the common factor is irrelevant to
+    every margin the engine checks, and the raw exponent can be far
+    below float range.
     """
-    log_u = -alpha * (ax / c) - np.log(c)
+    log_u = -alpha * load - log_c
     u = np.exp(log_u - (log_u.max() if offset is None else offset))
     return u, log_u
 
 
 def packing_multipliers(
-    ax: np.ndarray, d: np.ndarray, alpha: float
+    load: np.ndarray, log_d: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row multipliers ``exp(+alpha (A x)_r / d_r) / d_r``, normalized."""
-    log_z = alpha * (ax / d) - np.log(d)
+    """Row multipliers ``exp(+alpha (A x)_r / d_r) / d_r``, normalized.
+
+    ``load`` is ``A x / d`` and ``log_d`` is ``log(d)``.
+    """
+    log_z = alpha * load - log_d
     z = np.exp(log_z - log_z.max())
     return z, log_z
 
@@ -136,10 +141,12 @@ class CoveringProblem:
 class CoveringState:
     """Row values of a covering run and the step rule that moves them.
 
-    Holds the row values ``ax = A x`` of the running iterate, the
-    coverage ``lam = min(ax / c)``, the coverage ``lam_t`` at the start
-    of the current phase, and the multiplier exponent ``alpha`` and step
-    size ``sigma`` set from ``lam_t``.  The caller keeps the iterate
+    Holds the row values ``ax = A x`` of the running iterate, its row
+    loads ``load = ax / c``, ``log_c = log(c)`` (both read by
+    :func:`covering_multipliers`), the coverage ``lam = min(load)``,
+    the coverage ``lam_t`` at the start of the current phase, and the
+    multiplier exponent ``alpha`` and step size ``sigma`` set from
+    ``lam_t``.  The caller keeps the iterate
     itself and blends every accepted answer into it with ``sigma``.
     """
 
@@ -147,6 +154,8 @@ class CoveringState:
     rho: float
     eps: float
     ax: np.ndarray
+    load: np.ndarray = field(init=False, repr=False)
+    log_c: np.ndarray = field(init=False, repr=False)
     lam: float = field(init=False)
     lam_t: float = field(init=False)
     alpha: float = field(init=False)
@@ -157,7 +166,9 @@ class CoveringState:
     since_recompute: int = 0
 
     def __post_init__(self) -> None:
-        self.lam = float((self.ax / self.c).min())
+        self.load = self.ax / self.c
+        self.log_c = np.log(self.c)
+        self.lam = float(self.load.min())
         self.lam_t = self.lam
         # Highest row value an answer may have: ``rho c`` and a rounding slack.
         self.width = self.rho * self.c * (1.0 + 1e-9)
@@ -201,7 +212,8 @@ class CoveringState:
         if drift > self.eps * (1.0 + DRIFT_TOL):
             raise AssertionError(f"multiplier drift {drift} exceeds eps per step")
         self.ax = new_ax
-        self.lam = float((new_ax / c).min())
+        self.load = new_ax / c
+        self.lam = float(self.load.min())
         self.steps += 1
         self.since_recompute += 1
         return self.since_recompute >= RECOMPUTE_EVERY
@@ -214,7 +226,8 @@ class CoveringState:
         if not np.allclose(exact_ax, self.ax, rtol=1e-6, atol=1e-9):
             raise AssertionError("incremental row values drifted from recompute")
         self.ax = exact_ax
-        self.lam = float((exact_ax / self.c).min())
+        self.load = exact_ax / self.c
+        self.lam = float(self.load.min())
         self.since_recompute = 0
 
 
@@ -274,7 +287,7 @@ def solve_covering(problem: CoveringProblem, eps: float) -> CoveringOutcome:
 
     while state.lam < state.target:
         state.retune()
-        u, _log_u = covering_multipliers(state.ax, c, state.alpha)
+        u, _log_u = covering_multipliers(state.load, state.log_c, state.alpha)
         nz = u[u > 0.0]
         floor = math.exp(-state.alpha * rho) * (c.min() / c.max())
         if nz.size and nz.min() < floor * (1.0 - 1e-9):

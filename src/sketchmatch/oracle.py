@@ -202,7 +202,7 @@ def matching_oracle(
             raise AssertionError("vertex step does not meet the penalized target")
         if budget_value(index, it) > beta * (1.0 + _REL):
             raise AssertionError("vertex step exceeds the budget")
-        if (prices > (24.0 / eps) * w_of[vl[priced]] * (1.0 + _REL)).any():
+        if (prices > index.vrow_price_cap[priced] * (1.0 + _REL)).any():
             raise AssertionError("vertex price exceeds its width cap")
         return DualStep(it, "vertex", penalty, gamma, beta)
 
@@ -358,9 +358,7 @@ def check_dual_step(
     report["price_shape"] = index.is_shaped(it, atol=1e-12)
     report["budget"] = budget_value(index, it) <= step.beta * (1.0 + tol)
     cap = 24.0 / eps
-    report["x_caps"] = bool(
-        (it.x_level <= cap * w_of[index.vrow_level] * (1.0 + tol)).all()
-    )
+    report["x_caps"] = bool((it.x_level <= index.vrow_price_cap * (1.0 + tol)).all())
     report["z_caps"] = all(
         v <= cap * w_of[lev] * (1.0 + tol) for (_u, lev), v in it.z.items()
     )

@@ -1,4 +1,4 @@
-"""Sketching layer: L0 samplers, cut sparsifiers, and the round ledger.
+"""Sketching layer: cut sparsifiers, deferred sketches, and the round ledger.
 
 All randomness is drawn from a keyed pseudorandom function (BLAKE2b
 with the seed as key), so every structure here is a deterministic
@@ -14,7 +14,9 @@ Two sparsifier flavors are provided:
 - :func:`build_deferred` runs the same machinery on *promised* weights
   and postpones the reweighting: the stored sample can later be
   refined against any weight vector within a ``chi`` factor of the
-  promise.
+  promise.  One call takes a stack of promise rows, one seed per row,
+  and builds every row's sketch in one array pass; the solver builds
+  all weight levels of a round this way, one call per round.
 
 Both builds settle a dyadic value class of ``s < k`` edges (``k`` forests
 per layer, :func:`forest_count`) in closed form, without forests.  Let
@@ -43,7 +45,7 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +53,8 @@ import numpy as np
 from .system import CHECK_TOL, DualIterate, SystemIndex
 
 __all__ = [
+    "DEFERRED_ENTRY",
     "DeferredSketch",
-    "L0SampleError",
-    "L0Sketch",
     "PromiseViolationError",
     "PROMISE_TOL",
     "RoundLedger",
@@ -71,8 +72,6 @@ __all__ = [
     "stored_sample",
     "verify_switch",
 ]
-
-_FP_PRIME = (1 << 61) - 1
 
 
 def _encode(parts: tuple[int | str, ...]) -> bytes:
@@ -170,98 +169,6 @@ class UnionFind:
 
 
 # ---------------------------------------------------------------------------
-# L0 sampling
-# ---------------------------------------------------------------------------
-
-
-class L0SampleError(RuntimeError):
-    """All repetitions of an L0 sampler failed to isolate a coordinate."""
-
-
-@dataclass
-class L0Sketch:
-    """Linear sketch that samples a (near-)uniform nonzero coordinate.
-
-    The sketch keeps, for several geometric subsampling levels and a
-    few independent repetitions, the running ``(count, id-sum,
-    fingerprint)`` of the coordinates hashed into that level.  It is
-    linear: updates with ``delta = -1`` cancel earlier insertions, so
-    the sketch of a difference of streams is the difference of
-    sketches.
-
-    Parameters
-    ----------
-    domain:
-        Coordinates are integers in ``[0, domain)``.
-    seed:
-        PRF key; two sketches with equal seed and domain are mergeable.
-    reps:
-        Independent repetitions (retries); a sample is drawn from the
-        first repetition that isolates a single coordinate.
-    """
-
-    domain: int
-    seed: int
-    reps: int = 3
-    levels: int = field(init=False)
-    count: np.ndarray = field(init=False)
-    idsum: np.ndarray = field(init=False)
-    fp: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.domain < 1:
-            raise ValueError("domain must be positive")
-        self.levels = max(self.domain - 1, 1).bit_length() + 2
-        self.count = np.zeros((self.reps, self.levels), dtype=np.int64)
-        self.idsum = np.zeros((self.reps, self.levels), dtype=np.int64)
-        self.fp = np.zeros((self.reps, self.levels), dtype=np.int64)
-
-    def _depth(self, rep: int, ident: int) -> int:
-        r = prf_u64(self.seed, "l0depth", rep, ident)
-        return min(64 - r.bit_length(), self.levels - 1)
-
-    def _fingerprint(self, rep: int, ident: int) -> int:
-        return prf_u64(self.seed, "l0fp", rep, ident) % _FP_PRIME
-
-    def update(self, ident: int, delta: int = 1) -> None:
-        """Add ``delta`` to coordinate ``ident``."""
-        if not 0 <= ident < self.domain:
-            raise ValueError(f"coordinate {ident} outside domain {self.domain}")
-        for rep in range(self.reps):
-            depth = self._depth(rep, ident)
-            sl = slice(0, depth + 1)
-            self.count[rep, sl] += delta
-            self.idsum[rep, sl] += delta * ident
-            self.fp[rep, sl] = (self.fp[rep, sl] + delta * self._fingerprint(rep, ident)) % _FP_PRIME
-
-    def merge(self, other: "L0Sketch") -> None:
-        """Add another sketch over the same domain and seed."""
-        if (self.domain, self.seed, self.reps) != (other.domain, other.seed, other.reps):
-            raise ValueError("sketches are not mergeable")
-        self.count += other.count
-        self.idsum += other.idsum
-        self.fp = (self.fp + other.fp) % _FP_PRIME
-
-    def sample(self) -> int:
-        """Return one nonzero coordinate, near-uniformly at random.
-
-        Raises
-        ------
-        L0SampleError
-            If every repetition fails (probability ``O(1/n^2)`` per
-            repetition for nonempty supports).
-        """
-        for rep in range(self.reps):
-            for level in range(self.levels):
-                if self.count[rep, level] == 1:
-                    ident = int(self.idsum[rep, level])
-                    if 0 <= ident < self.domain:
-                        if int(self.fp[rep, level]) == self._fingerprint(rep, ident):
-                            return ident
-        raise L0SampleError("no repetition isolated a single coordinate")
-
-
-# ---------------------------------------------------------------------------
 # Cut values (vectorized; the pure-Python cross-check lives in exact.py)
 # ---------------------------------------------------------------------------
 
@@ -332,16 +239,8 @@ class Sparsifier:
     stored_total: int
 
 
-def _value_class(w: float) -> int:
-    """Dyadic value class of a positive weight: ``floor(log2 w)``."""
-    if not w > 0:
-        raise ValueError(f"weight must be positive, got {w}")
-    _m, e = math.frexp(w)  # w = m * 2^e with m in [0.5, 1)
-    return e - 1
-
-
 class _LayeredForests:
-    """Per-class layered forest packings shared by both sparsifier builds.
+    """Layered forest packings of one value class, for both sparsifier builds.
 
     Layer ``i`` sees each class edge independently with probability
     ``2^-i`` (nested across layers via one PRF draw per edge); ``k``
@@ -356,7 +255,8 @@ class _LayeredForests:
         self.k = k
         self.deepest = deepest
         self.forests: list[list[UnionFind]] = [[] for _ in range(deepest + 1)]
-        self.stored: list[list[tuple[int, int, int]]] = [[] for _ in range(deepest + 1)]
+        # The tag of each insert some forest stores, once per layer.
+        self.stored: list[int] = []
 
     def _forest(self, layer: int, j: int) -> UnionFind:
         row = self.forests[layer]
@@ -364,18 +264,13 @@ class _LayeredForests:
             row.append(UnionFind(self.n))
         return row[j]
 
-    def insert(self, edge_id: int, i: int, j: int, membership_depth: int) -> int:
-        """Stream one edge; returns how many forest entries it consumed."""
-        depth = min(membership_depth, self.deepest)
-        used = 0
-        for layer in range(depth + 1):
+    def insert(self, tag: int, i: int, j: int, membership_depth: int) -> None:
+        """Stream one edge with endpoints ``i``, ``j`` through its layers."""
+        for layer in range(min(membership_depth, self.deepest) + 1):
             for f_idx in range(self.k):
-                forest = self._forest(layer, f_idx)
-                if forest.union(i, j):
-                    self.stored[layer].append((edge_id, i, j))
-                    used += 1
+                if self._forest(layer, f_idx).union(i, j):
+                    self.stored.append(tag)
                     break
-        return used
 
     def final_depth(self, i: int, j: int) -> int:
         """Smallest layer whose last forest separates ``i`` and ``j``."""
@@ -389,76 +284,75 @@ class _LayeredForests:
                 return layer
         return self.deepest
 
-    def stored_count(self) -> int:
-        return sum(len(s) for s in self.stored)
-
-    def stored_edge_ids(self) -> set[int]:
-        out: set[int] = set()
-        for layer in self.stored:
-            for edge_id, _i, _j in layer:
-                out.add(edge_id)
-        return out
-
 
 def _stream_classes(
     n: int,
-    edges: Sequence[tuple[int, int]],
-    weights: Sequence[float],
+    ends: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+    seeds: Sequence[int],
     k: int,
-    seed: int,
     salt: str,
-) -> tuple[list[int], list[int], set[int], int]:
-    """Run the layered forest construction per dyadic value class.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Run the layered forest construction on every value class of every row.
 
-    ``k`` is the forest count per layer (:func:`forest_count`).  Returns
-    ``(depth per edge, membership depth per edge, ids of the edges some
-    forest stores, stored total)``.  An edge's membership depth is the
-    number of leading zero bits of its layer draw; it is 0 for an edge
-    alone in its class, whose depth is always 0.
+    Entry ``t`` is an edge with endpoints ``ends[t]`` and positive value
+    ``values[t]`` in row ``rows[t]``; the entries come row by row, in
+    edge order within a row.  Value classes (dyadic: ``floor(log2 w)``)
+    are formed within a row.  Row ``r``'s ``layer`` PRF is keyed by
+    ``seeds[r]`` and drawn at the entry's position in its row.  ``k`` is
+    the forest count per layer (:func:`forest_count`).
 
-    A class of fewer than ``k`` edges is settled in closed form (see the
-    module docstring): every member has depth 0 and is stored, and the
-    class holds ``sum_e (min(md_e, deepest) + 1)`` forest entries.  Only
-    a class of ``k`` or more edges streams through :class:`_LayeredForests`.
-    The ``layer`` PRF is keyed on the first draw; a one-edge class takes
-    none, since its only layer is layer 0.
+    Returns ``(depth, md, stored, stored_total)``: per entry its depth,
+    its membership depth (the leading zero bits of its layer draw; 0 for
+    an entry alone in its class, which takes no draw) and whether some
+    forest stores it, and the forest entries of all rows together.
+
+    A class of fewer than ``k`` entries is settled in closed form (see
+    the module docstring), for all rows at once: every member has depth
+    0 and is stored, and the class holds ``sum_e (min(md_e, deepest) +
+    1)`` forest entries.  Only a class of ``k`` or more entries streams
+    through :class:`_LayeredForests`.  A row's ``layer`` PRF is keyed on
+    its first draw.
     """
-    classes: dict[int, list[int]] = {}
-    for e, w in enumerate(weights):
-        classes.setdefault(_value_class(w), []).append(e)
-    depth_of = [0] * len(edges)
-    md_of = [0] * len(edges)
-    stored_ids: set[int] = set()
-    stored_total = 0
-    layer = None
-    for cls, members in classes.items():
-        s = len(members)
-        deepest = s.bit_length() - 1  # floor(log2 s)
-        # Membership depth: leading zero bits of the edge's layer draw.
-        # A one-edge class has only layer 0, so no draw is taken.
-        if deepest > 0:
-            if layer is None:
-                layer = _prf_prefix(seed, salt, "layer")
-            for e in members:
-                md_of[e] = 64 - _prf_draw(layer, e).bit_length()
-        md = [md_of[e] for e in members]
-        if s < k:
-            used = sum(min(d, deepest) + 1 for d in md)
-            stored_ids.update(members)
-        else:
-            lf = _LayeredForests(n, k, deepest)
-            for e, d in zip(members, md):
-                lf.insert(e, edges[e][0], edges[e][1], d)
-            for e in members:
-                depth_of[e] = lf.final_depth(edges[e][0], edges[e][1])
-            used = lf.stored_count()
-            stored_ids |= lf.stored_edge_ids()
+    total = len(rows)
+    # One key per (row, class): frexp exponents of positive floats lie
+    # in [-1073, 1024].  An entry's class size is the run of its key in
+    # the sorted keys.
+    key = rows * 4096 + np.frexp(values)[1]
+    ordered = np.sort(key)
+    size = np.searchsorted(ordered, key, "right") - np.searchsorted(ordered, key)
+    deepest = np.frexp(size)[1] - 1  # floor(log2 s)
+    md = np.zeros(total, dtype=np.int64)
+    drawn = np.flatnonzero(deepest > 0)
+    if drawn.size:
+        # An entry's position in its row: its index less the row's first.
+        first = np.searchsorted(rows, np.arange(len(seeds))).tolist()
+        layer: dict[int, object] = {}
+        bits = []
+        for t, r in zip(drawn.tolist(), rows[drawn].tolist()):
+            if r not in layer:
+                layer[r] = _prf_prefix(seeds[r], salt, "layer")
+            bits.append(_prf_draw(layer[r], t - first[r]).bit_length())
+        md[drawn] = 64 - np.array(bits)
+    depth = np.zeros(total, dtype=np.int64)
+    stored = size < k
+    stored_total = int((np.minimum(md, deepest)[stored] + 1).sum())
+    for c in dict.fromkeys(key[~stored].tolist()):
+        members = np.flatnonzero(key == c).tolist()
+        pairs = ends[members].tolist()
+        d = int(deepest[members[0]])
+        lf = _LayeredForests(n, k, d)
+        for t, (i, j) in zip(members, pairs):
+            lf.insert(t, i, j, int(md[t]))
+        depth[members] = [lf.final_depth(i, j) for i, j in pairs]
         # Structural space bound: each forest holds at most n-1 edges.
-        bound = k * (n - 1) * (deepest + 1)
-        if used > bound:
-            raise AssertionError(f"class {cls} stored {used} > bound {bound}")
-        stored_total += used
-    return depth_of, md_of, stored_ids, stored_total
+        bound = k * (n - 1) * (d + 1)
+        if len(lf.stored) > bound:
+            raise AssertionError(f"a class stored {len(lf.stored)} > bound {bound}")
+        stored[lf.stored] = True
+        stored_total += len(lf.stored)
+    return depth, md, stored, stored_total
 
 
 def build_streaming_sparsifier(
@@ -479,30 +373,25 @@ def build_streaming_sparsifier(
     """
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must be in (0, 1), got {xi}")
+    w = np.asarray(weights, dtype=float)
+    bad = np.flatnonzero(~(w > 0.0))
+    if bad.size:
+        raise ValueError(f"weight must be positive, got {w[bad[0]]}")
     k = forest_count(n, xi)
-    depth_of, md_of, stored_ids, stored_total = _stream_classes(
-        n, edges, weights, k, seed, "plain"
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    depth, md, stored, stored_total = _stream_classes(
+        n, ends, np.zeros(len(w), dtype=np.int64), w, (seed,), k, "plain"
     )
-    kept_ids: list[int] = []
-    kept_endpoints: list[tuple[int, int]] = []
-    kept_weights: list[float] = []
-    kept_depths: list[int] = []
-    for e, (i, j) in enumerate(edges):
-        depth = depth_of[e]
-        if md_of[e] >= depth and e in stored_ids:
-            kept_ids.append(e)
-            kept_endpoints.append((i, j))
-            kept_weights.append(weights[e] * float(2**depth))
-            kept_depths.append(depth)
+    kept = np.flatnonzero(stored & (md >= depth)).tolist()
     return Sparsifier(
         n=n,
         xi=xi,
         seed=seed,
         k=k,
-        edge_ids=tuple(kept_ids),
-        endpoints=tuple(kept_endpoints),
-        weights=tuple(kept_weights),
-        depths=tuple(kept_depths),
+        edge_ids=tuple(kept),
+        endpoints=tuple(edges[e] for e in kept),
+        weights=tuple((w[kept] * 2.0 ** depth[kept]).tolist()),
+        depths=tuple(depth[kept].tolist()),
         stored_total=stored_total,
     )
 
@@ -511,44 +400,61 @@ class PromiseViolationError(RuntimeError):
     """A refined weight fell outside the promised ``chi`` band."""
 
 
+# One stored entry of a deferred sketch.
+DEFERRED_ENTRY = np.dtype(
+    [
+        ("edge", np.int64),
+        ("i", np.int64),
+        ("j", np.int64),
+        ("promise", np.float64),
+        ("p_keep", np.float64),
+        ("depth", np.int64),
+    ]
+)
+
+
 @dataclass(frozen=True)
 class DeferredSketch:
-    """A deferred sparsifier: sampled on promised weights, refined later.
+    """Deferred sparsifiers: sampled on promised weights, refined later.
 
     Attributes
     ----------
     entries:
-        ``(edge_id, i, j, promise, keep_probability, depth)`` per
-        stored edge.
+        The stored entries, one :data:`DEFERRED_ENTRY` record each
+        (edge id, endpoints ``i`` and ``j``, promise, keep probability,
+        depth): the first promise row's entries in edge order, then the
+        second row's, and so on.
     chi:
         Refinement weights must lie in ``[promise/chi, promise*chi]``.
+    stored_total:
+        Forest entries held while streaming, summed over the rows.
     """
 
-    n: int
-    xi: float
+    entries: np.ndarray
     chi: float
-    seed: int
-    k: int
-    entries: tuple[tuple[int, int, int, float, float, int], ...]
     stored_total: int
 
     @property
     def space(self) -> int:
         return len(self.entries) + self.stored_total
 
-    def stored_edge_ids(self) -> tuple[int, ...]:
-        return tuple(e for (e, _i, _j, _s, _p, _d) in self.entries)
-
 
 def build_deferred(
     n: int,
-    edges: Sequence[tuple[int, int]],
-    promise: Sequence[float],
+    edges: Sequence[tuple[int, int]] | np.ndarray,
+    promise: Sequence[float] | np.ndarray,
     chi: float,
     xi: float,
-    seed: int,
+    seed: int | Sequence[int],
 ) -> DeferredSketch:
-    """Sample a deferred sparsifier against promised weights.
+    """Sample deferred sparsifiers against promised weights, in one pass.
+
+    ``promise`` is one promised weight per edge and ``seed`` an int, or
+    a stack of such rows with ``seed`` one seed per row.  Each row is
+    sketched on its own, as if by a call of its own: its value classes
+    are formed within the row, and its PRFs are keyed by its seed.  The
+    result lists the rows' stored entries in row order, and its
+    ``stored_total`` is summed over the rows.
 
     Each edge's subsampling depth is decided by the layered forest
     construction on the promise values; the edge is stored with
@@ -561,44 +467,50 @@ def build_deferred(
 
     A value class of fewer than ``k = forest_count(n, xi)`` live edges
     needs no forests (module docstring): its edges get depth 0, keep
-    probability 1 and no store draw.  Forests run only for a class of
-    ``k`` or more live edges, and each PRF is keyed only when a draw of
-    it is taken.  The output equals the all-forest construction entry
-    for entry, ``stored_total`` included.
+    probability 1 and no store draw, and all rows' such classes are
+    settled together in array operations.  Forests run only for a class
+    of ``k`` or more live edges, and each PRF is keyed only when a draw
+    of it is taken.  The output equals the all-forest construction
+    entry for entry, ``stored_total`` included.
     """
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must be in (0, 1), got {xi}")
-    if chi < 1.0:
-        raise ValueError(f"chi must be >= 1, got {chi}")
-    k = forest_count(n, xi)
-    values = np.asarray(promise, dtype=float).tolist()
-    live = [e for e, w in enumerate(values) if w > 0.0]
-    live_edges = [edges[e] for e in live]
-    live_promise = [values[e] for e in live]
-    depth_of_live, _md, _stored_ids, stored_total = _stream_classes(
-        n, live_edges, live_promise, k, seed, "deferred"
+    if not (math.isfinite(chi) and chi >= 1.0):
+        raise ValueError(f"chi must be finite and >= 1, got {chi}")
+    stack = np.asarray(promise, dtype=float)
+    if stack.ndim == 1:
+        stack, seeds = stack[None, :], (seed,)
+    else:
+        seeds = tuple(seed)
+    if stack.ndim != 2 or stack.shape != (len(seeds), len(edges)):
+        raise ValueError("need one promise per edge in every row, and one seed per row")
+    rows, edge_ids = np.nonzero(stack > 0.0)
+    values = stack[rows, edge_ids]
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)[edge_ids]
+    depth, _md, _stored, stored_total = _stream_classes(
+        n, ends, rows, values, seeds, forest_count(n, xi), "deferred"
     )
-    store = None
-    entries: list[tuple[int, int, int, float, float, int]] = []
-    for t, e in enumerate(live):
-        depth = depth_of_live[t]
-        p_keep = min(1.0, chi * chi * 2.0 ** (-depth))
-        if p_keep < 1.0:
-            if store is None:
-                store = _prf_prefix(seed, "deferred", "store")
-            if _unit(_prf_draw(store, e)) >= p_keep:
-                continue
-        i, j = live_edges[t]
-        entries.append((e, i, j, live_promise[t], p_keep, depth))
-    return DeferredSketch(
-        n=n,
-        xi=xi,
-        chi=chi,
-        seed=seed,
-        k=k,
-        entries=tuple(entries),
-        stored_total=stored_total,
-    )
+    p_keep = np.minimum(1.0, chi * chi * 2.0 ** -depth)
+    entries = np.empty(len(rows), dtype=DEFERRED_ENTRY)
+    entries["edge"] = edge_ids
+    entries["i"] = ends[:, 0]
+    entries["j"] = ends[:, 1]
+    entries["promise"] = values
+    entries["p_keep"] = p_keep
+    entries["depth"] = depth
+    # An entry kept with probability below 1 is dropped on a failed
+    # store draw, keyed by its row's seed and its edge id.
+    store: dict[int, object] = {}
+    dropped = []
+    for t in np.flatnonzero(p_keep < 1.0).tolist():
+        r = int(rows[t])
+        if r not in store:
+            store[r] = _prf_prefix(seeds[r], "deferred", "store")
+        if _unit(_prf_draw(store[r], int(edge_ids[t]))) >= p_keep[t]:
+            dropped.append(t)
+    if dropped:
+        entries = np.delete(entries, dropped)
+    return DeferredSketch(entries=entries, chi=chi, stored_total=stored_total)
 
 
 # Relative slack on both ends of the promised band, for rounding in
@@ -608,7 +520,7 @@ PROMISE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class StoredSample:
-    """The stored entries of one or more deferred sketches, as flat arrays.
+    """The stored entries of a deferred sketch, as flat arrays.
 
     Entry ``t`` is edge ``edge_ids[t]``, whose weight is read from and
     refined into position ``slots[t]`` of the caller's weight vector.
@@ -625,23 +537,16 @@ class StoredSample:
     chi: float
 
 
-def stored_sample(
-    sketches: Sequence[DeferredSketch], slot_of: np.ndarray | None = None
-) -> StoredSample:
-    """List the stored entries of ``sketches`` once, for repeated refinement.
+def stored_sample(sketch: DeferredSketch, slot_of: np.ndarray | None = None) -> StoredSample:
+    """List the stored entries of ``sketch`` once, for repeated refinement.
 
     ``slot_of`` maps an edge id to its position in the weight vectors
     :func:`refine_deferred` will read (``None``: the edge id itself).
-    The sketches must share one ``chi`` and the slots must be distinct.
+    The slots must be distinct.
     """
-    chis = {sk.chi for sk in sketches}
-    if len(chis) > 1:
-        raise ValueError(f"sketches disagree on chi: {sorted(chis)}")
-    chi = chis.pop() if chis else 1.0
-    entries = [en for sk in sketches for en in sk.entries]
-    edge_ids = np.array([en[0] for en in entries], dtype=np.int64)
-    promise = np.array([en[3] for en in entries], dtype=float)
-    p_keep = np.array([en[4] for en in entries], dtype=float)
+    chi = sketch.chi
+    edge_ids = sketch.entries["edge"].copy()
+    promise = sketch.entries["promise"].copy()
     slots = edge_ids if slot_of is None else slot_of[edge_ids]
     if (slots < 0).any() or len(set(slots.tolist())) != len(slots):
         raise ValueError("every stored entry needs its own nonnegative slot")
@@ -649,7 +554,7 @@ def stored_sample(
         edge_ids=edge_ids,
         slots=slots,
         promise=promise,
-        p_keep=p_keep,
+        p_keep=sketch.entries["p_keep"].copy(),
         lo=promise / chi * (1.0 - PROMISE_TOL),
         hi=promise * chi * (1.0 + PROMISE_TOL),
         chi=chi,

@@ -109,12 +109,14 @@ class SystemIndex:
     """Row layout of the constraint system, built once per solve as arrays.
 
     Cover rows (tuples ``(edge, i, j, level)`` in ``rows``) follow edge
-    order; ``row_vrow`` holds the degree rows of a row's two ends, and
-    ``row_of_edge`` the cover row of an edge id (``-1``: dropped).
+    order; ``row_vrow`` holds the degree rows of a row's two ends
+    (``end_vrow``: every row's first end, then every row's second end),
+    and ``row_of_edge`` the cover row of an edge id (``-1``: dropped).
     Degree rows (tuples ``(vertex, level)`` in ``vrows``) are sorted by
-    vertex, then level.  ``level_weights`` holds ``(1+eps)^k`` for
-    ``k = 0..L``, ``capacity`` the floats ``b_i`` and ``level_capacity``
-    their ``n x (L+1)`` products.  Only :meth:`set_matrices` is built on
+    vertex, then level; ``vrow_price_cap`` is the width cap
+    ``(24/eps) w_k`` of a degree row's x price.  ``level_weights`` holds
+    ``(1+eps)^k`` for ``k = 0..L``, ``capacity`` the floats ``b_i`` and
+    ``level_capacity`` their ``n x (L+1)`` products.  Only :meth:`set_matrices` is built on
     first use; every evaluator is deterministic given the same iterate.
     """
 
@@ -126,6 +128,7 @@ class SystemIndex:
     row_ends: np.ndarray = field(init=False)
     row_levels: np.ndarray = field(init=False)
     row_vrow: np.ndarray = field(init=False)
+    end_vrow: np.ndarray = field(init=False)
     cover_rhs: np.ndarray = field(init=False)
     row_of_edge: np.ndarray = field(init=False)
     vrows: tuple[tuple[int, int], ...] = field(init=False)
@@ -133,6 +136,7 @@ class SystemIndex:
     vrow_level: np.ndarray = field(init=False)
     degree_rhs_outer: np.ndarray = field(init=False)
     degree_rhs_inner: np.ndarray = field(init=False)
+    vrow_price_cap: np.ndarray = field(init=False)
     level_weights: np.ndarray = field(init=False)
     capacity: np.ndarray = field(init=False)
     level_capacity: np.ndarray = field(init=False)
@@ -161,12 +165,14 @@ class SystemIndex:
         vweights = self.level_weights[self.vrow_level]
         self.degree_rhs_outer = 3.0 * vweights
         self.degree_rhs_inner = (24.0 / eps + 24.0 / eps**2) * vweights
+        self.vrow_price_cap = (24.0 / eps) * vweights
         # Degree rows are sorted by (vertex, level), so each row end's
         # key vertex * (L+1) + level is found by binary search.
         self.row_vrow = np.searchsorted(
             self.vrow_vertex * n_levels + self.vrow_level,
             self.row_ends * n_levels + self.row_levels[:, None],
         )
+        self.end_vrow = self.row_vrow.T.ravel()
 
     def set_rows(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Internal and boundary cover rows of the set(s) with membership ``member``.
@@ -215,7 +221,7 @@ class SystemIndex:
         second-end rows in row order.
         """
         return np.bincount(
-            self.row_vrow.T.ravel(), np.concatenate((per_row, per_row)), len(self.vrows)
+            self.end_vrow, np.concatenate((per_row, per_row)), len(self.vrows)
         )
 
     def is_shaped(self, it: DualIterate, atol: float = 0.0, rtol: float = 0.0) -> bool:

@@ -11,7 +11,13 @@ import pytest
 
 import sketchmatch as sm
 from sketchmatch import oracle
-from sketchmatch.sketch import PromiseViolationError, UnionFind, forest_count, prf_u64
+from sketchmatch.sketch import (
+    DEFERRED_ENTRY,
+    PromiseViolationError,
+    UnionFind,
+    forest_count,
+    prf_u64,
+)
 
 EPS = 1.0 / 16.0
 
@@ -40,7 +46,7 @@ def refine_deferred_reference(
     """
     out: dict[int, float] = {}
     chi = sketch.chi
-    for (e, _i, _j, sigma, p_keep, _depth) in sketch.entries:
+    for (e, _i, _j, sigma, p_keep, _depth) in sketch.entries.tolist():
         v = values.get(e, 0.0)
         if v == 0.0:
             continue
@@ -111,7 +117,7 @@ def build_deferred_reference(
     xi: float,
     seed: int,
 ) -> sm.DeferredSketch:
-    """All-forest deferred build, the reference for ``sm.build_deferred``."""
+    """All-forest deferred build of one promise row, the reference for ``sm.build_deferred``."""
     k = forest_count(n, xi)
     live = [e for e in range(len(edges)) if promise[e] > 0.0]
     depth_of, _stored, stored_total = stream_classes_reference(
@@ -126,8 +132,27 @@ def build_deferred_reference(
             i, j = edges[e]
             entries.append((e, i, j, float(promise[e]), p_keep, depth))
     return sm.DeferredSketch(
-        n=n, xi=xi, chi=chi, seed=seed, k=k,
-        entries=tuple(entries), stored_total=stored_total,
+        entries=np.array(entries, dtype=DEFERRED_ENTRY), chi=chi, stored_total=stored_total
+    )
+
+
+def build_deferred_stack_reference(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    stack: Sequence[Sequence[float]],
+    chi: float,
+    xi: float,
+    seeds: Sequence[int],
+) -> sm.DeferredSketch:
+    """A promise stack, one all-forest build per row, the outputs concatenated."""
+    per_row = [
+        build_deferred_reference(n, edges, list(row), chi, xi, seed)
+        for row, seed in zip(stack, seeds, strict=True)
+    ]
+    return sm.DeferredSketch(
+        entries=np.concatenate([sk.entries for sk in per_row] or [np.array([], DEFERRED_ENTRY)]),
+        chi=chi,
+        stored_total=sum(sk.stored_total for sk in per_row),
     )
 
 

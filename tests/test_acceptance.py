@@ -106,7 +106,7 @@ def test_criterion_3_sparsifier_cut_fidelity():
             }
             sk = sm.build_deferred(n, edges, promise, chi=chi, xi=0.25, seed=seed)
             true_w = [true[e] for e in range(len(edges))]
-            got = sm.refine_deferred(sm.stored_sample([sk]), np.array(true_w))
+            got = sm.refine_deferred(sm.stored_sample(sk), np.array(true_w))
             kept = np.flatnonzero(got)
             base = all_cut_values(n, edges, true_w)
             cuts = all_cut_values(n, [edges[e] for e in kept], got[kept].tolist())

@@ -18,6 +18,7 @@ from sketchmatch.driver import ContractViolation
 from conftest import (
     EPS,
     build_deferred_reference,
+    build_deferred_stack_reference,
     random_instance,
     refine_deferred_reference,
     triangle_paper,
@@ -185,6 +186,24 @@ class TestSolve:
         assert "'budget': False" in str(err.value)
         assert "'penalized_target': True" in str(err.value)
 
+    def test_sketches_built_once_per_round(self, monkeypatch):
+        from sketchmatch import driver
+
+        g = random_instance(1003)
+        calls = []
+        real = driver.build_deferred
+        monkeypatch.setattr(
+            driver, "build_deferred", lambda *args: calls.append(args) or real(*args)
+        )
+        rep = sm.solve(g, sm.SolverConfig(max_rounds=12))
+        lv = sm.discretize(g, EPS)
+        n_levels = len(lv.levels)
+        assert n_levels > 1
+        assert len(calls) == len(rep.lambda_trace) - 1 == rep.harvests > 1
+        for args in calls:
+            assert np.asarray(args[2]).shape == (n_levels, g.m)
+            assert len(args[5]) == n_levels
+
     def test_first_round_sketch_masks_match_row_loop(self, monkeypatch):
         from sketchmatch import driver
         from sketchmatch.mwu import CoveringState, covering_multipliers
@@ -206,15 +225,19 @@ class TestSolve:
         state = CoveringState(
             c=c, rho=24.0 / EPS + 24.0 / EPS**2, eps=EPS, ax=index.cover_values(it)
         )
-        u, _log_u = covering_multipliers(state.ax, c, state.alpha)
+        u, _log_u = covering_multipliers(state.ax / c, np.log(c), state.alpha)
         levels = sorted({k for (_e, _i, _j, k) in index.rows})
         assert len(levels) > 1
-        for k, args in zip(levels, calls):
+        # the first round's one call holds one promise row and seed per level
+        first = calls[0]
+        assert len(first[2]) == len(levels)
+        for k, row, seed in zip(levels, first[2], first[5], strict=True):
             want = np.zeros(g.m)
             for r, (e, _i, _j, kk) in enumerate(index.rows):
                 if kk == k:
                     want[e] = u[r]
-            assert np.array_equal(args[2], want)
+            assert np.array_equal(row, want)
+            assert seed == (0 * 1_000_003 + 1 * 1009 + k) % (1 << 62)
 
     @pytest.mark.parametrize("assert_mode", [False, True])
     def test_reports_match_all_forest_build(self, monkeypatch, assert_mode):
@@ -223,7 +246,8 @@ class TestSolve:
         cfg = sm.SolverConfig(max_rounds=12, assert_mode=assert_mode)
         graphs = [random_instance(1000 + s) for s in (0, 3, 7)]
         fast = [sm.solve(g, cfg).as_dict() for g in graphs]
-        monkeypatch.setattr(driver, "build_deferred", build_deferred_reference)
+        # every promise row through its own all-forest build
+        monkeypatch.setattr(driver, "build_deferred", build_deferred_stack_reference)
         assert [sm.solve(g, cfg).as_dict() for g in graphs] == fast
 
     def test_harvest_runs_once_per_distinct_support(self, monkeypatch):
@@ -241,7 +265,7 @@ class TestSolve:
         monkeypatch.setattr(
             driver,
             "build_deferred",
-            lambda *args: built.append(real_build(*args)) or built[-1],
+            lambda *args: built.append((args, real_build(*args))) or built[-1][1],
         )
         rep = sm.solve(g, sm.SolverConfig())
         solve_rounds = len(rep.lambda_trace) - 1
@@ -252,11 +276,19 @@ class TestSolve:
         assert rep.certificates == 0  # so rounds are the only harvests
         lv = sm.discretize(g, EPS)
         n_levels = len(set(lv.level_of) - {-1})
-        assert len(built) == n_levels * solve_rounds
+        assert len(built) == solve_rounds
         best = BMatching(edges=(), weight=0.0)
-        for r in range(solve_rounds):
-            sketches = built[r * n_levels : (r + 1) * n_levels]
-            ids = sorted({e for sk in sketches for e in sk.stored_edge_ids()})
+        for args, sketch in built:
+            # the round's sketch is its per-level sketches, level by level
+            levels = [
+                build_deferred_reference(*args[:2], row, *args[3:5], seed)
+                for row, seed in zip(args[2], args[5], strict=True)
+            ]
+            assert len(levels) == n_levels
+            assert sketch.entries.tolist() == [
+                en for sk in levels for en in sk.entries.tolist()
+            ]
+            ids = sorted({e for sk in levels for e in sk.entries["edge"].tolist()})
             assert tuple(ids) in supports
             harvest = extract_integral(lv, ids)
             if harvest.weight > best.weight:
@@ -275,7 +307,7 @@ class TestSolve:
         monkeypatch.setattr(
             driver,
             "build_deferred",
-            lambda *args: built.append(real_build(*args)) or built[-1],
+            lambda *args: built.append(args) or real_build(*args),
         )
         real_search = driver.lagrangian_search
         monkeypatch.setattr(
@@ -287,39 +319,45 @@ class TestSolve:
         monkeypatch.setattr(
             driver,
             "covering_multipliers",
-            lambda ax, c, alpha, *rest: multipliers.append((ax.copy(), alpha))
-            or real_mult(ax, c, alpha, *rest),
+            lambda load, log_c, alpha, *rest: multipliers.append((load.copy(), alpha))
+            or real_mult(load, log_c, alpha, *rest),
         )
         rep = sm.solve(g, sm.SolverConfig(max_rounds=8))
         assert rep.certificates == 0
         # reference: every refinement of the first round through the
-        # per-row dicts and the per-entry refinement loop
+        # per-row dicts, one sketch per level and the per-entry
+        # refinement loop
         index = sm.SystemIndex(
             sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS)
         )
         c = index.cover_rhs
         levels = sorted({k for (_e, _i, _j, k) in index.rows})
         assert len(levels) > 1
-        first_round = built[: len(levels)]
-        (ax0, alpha0), steps = multipliers[0], multipliers[1:]
+        args = built[0]
+        first_round = [
+            build_deferred_reference(*args[:2], row, *args[3:5], seed)
+            for row, seed in zip(args[2], args[5], strict=True)
+        ]
+        assert len(first_round) == len(levels)
+        (load0, alpha0), steps = multipliers[0], multipliers[1:]
         per_round = math.ceil(math.log(max(g.n ** 0.25, 1.0 + EPS)) / EPS)
         assert len(steps) >= per_round > 1
         it, _beta, _lam = initial_solution(index, 2.0, 0)
         state = CoveringState(
             c=c, rho=24.0 / EPS + 24.0 / EPS**2, eps=EPS, ax=index.cover_values(it)
         )
-        assert np.array_equal(ax0, state.ax) and alpha0 == state.alpha
-        offset = float(covering_multipliers(ax0, c, alpha0)[1].max())
-        for q, (ax, alpha) in enumerate(steps[:per_round]):
+        assert np.array_equal(load0, state.ax / c) and alpha0 == state.alpha
+        offset = float(covering_multipliers(load0, np.log(c), alpha0)[1].max())
+        for q, (load, alpha) in enumerate(steps[:per_round]):
             if q == 0:
-                assert np.array_equal(ax, state.ax)
-            _u, log_u = covering_multipliers(ax, c, alpha)
+                assert np.array_equal(load, state.ax / c)
+            _u, log_u = covering_multipliers(load, np.log(c), alpha)
             u_now = np.exp(log_u - offset)
             refined = {}
             for k, sk in zip(levels, first_round):
                 vals = {
                     e: u_now[index.row_of_edge[e]]
-                    for e in sk.stored_edge_ids()
+                    for e in sk.entries["edge"].tolist()
                     if index.row_levels[index.row_of_edge[e]] == k
                 }
                 refined.update(refine_deferred_reference(sk, vals))
@@ -507,6 +545,15 @@ class TestCli:
         payload = json.loads(out)
         assert payload["mode"] == "deferred"
         assert payload["chi"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("chi", ["nan", "inf"])
+    def test_sparsify_deferred_non_finite_chi_exits_1(self, tmp_path, capsys, chi):
+        path = _write_graph(tmp_path, text="0 1 2\n1 2 3\n")
+        code = main(["sparsify", "--input", path, "--deferred", "--chi", chi, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: chi must be finite and >= 1, got {chi}")
 
     def test_stats(self, tmp_path, capsys):
         path = _write_graph(tmp_path, text="0 1 5\n1 2 12\n")

@@ -24,36 +24,45 @@ from sketchmatch.oracle import DualStep, PrimalCertificate, matching_oracle
 from conftest import EPS
 
 
+def _covering(ax, c, alpha, offset=None):
+    """``covering_multipliers`` on the load and log target a ``CoveringState`` holds."""
+    return covering_multipliers(ax / c, np.log(c), alpha, offset)
+
+
 class TestCoveringMultipliers:
     def test_uniform_on_unit_ratios(self):
-        u, log_u = covering_multipliers(np.ones(3), np.ones(3), alpha=2.0)
+        u, log_u = _covering(np.ones(3), np.ones(3), alpha=2.0)
         assert u == pytest.approx([1.0, 1.0, 1.0])
         assert log_u == pytest.approx([-2.0, -2.0, -2.0])
 
     def test_doubled_ratio_shrinks_by_exp_alpha(self):
-        u, _ = covering_multipliers(
-            np.array([1.0, 2.0]), np.ones(2), alpha=math.log(2.0)
-        )
+        u, _ = _covering(np.array([1.0, 2.0]), np.ones(2), alpha=math.log(2.0))
         assert u[0] == pytest.approx(1.0)
         assert u[1] == pytest.approx(0.5)
 
     def test_zero_iterate_weights_inverse_targets(self):
-        u, _ = covering_multipliers(
-            np.zeros(3), np.array([1.0, 2.0, 4.0]), alpha=3.0
-        )
+        u, _ = _covering(np.zeros(3), np.array([1.0, 2.0, 4.0]), alpha=3.0)
         assert u == pytest.approx([1.0, 0.5, 0.25])
 
     def test_given_offset_replaces_the_max(self):
         ax, c = np.array([0.5, 1.0, 3.0]), np.array([1.0, 2.0, 4.0])
-        _u, log_u = covering_multipliers(ax, c, alpha=1.5)
-        u, log_u2 = covering_multipliers(ax, c, alpha=1.5, offset=-0.25)
+        _u, log_u = _covering(ax, c, alpha=1.5)
+        u, log_u2 = _covering(ax, c, alpha=1.5, offset=-0.25)
         assert np.array_equal(log_u2, log_u)
         assert np.array_equal(u, np.exp(log_u + 0.25))
 
+    def test_state_holds_load_and_log_targets(self):
+        c = np.array([1.0, 2.0, 4.0])
+        st = CoveringState(c=c, rho=50.0, eps=0.1, ax=np.array([0.5, 1.0, 3.0]))
+        assert np.array_equal(st.load, st.ax / c) and np.array_equal(st.log_c, np.log(c))
+        st.advance(np.array([1.0, 1.5, 2.0]))
+        assert np.array_equal(st.load, st.ax / c) and st.lam == st.load.min()
+        st.resync(st.ax.copy())
+        assert np.array_equal(st.load, st.ax / c) and st.lam == st.load.min()
+
     def test_packing_mirror_grows_with_load(self):
-        z, _ = packing_multipliers(
-            np.array([0.0, 1.0]), np.ones(2), alpha=math.log(3.0)
-        )
+        d = np.ones(2)
+        z, _ = packing_multipliers(np.array([0.0, 1.0]) / d, np.log(d), alpha=math.log(3.0))
         assert z[1] == pytest.approx(1.0)
         assert z[0] == pytest.approx(1.0 / 3.0)
 

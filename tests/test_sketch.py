@@ -1,4 +1,4 @@
-"""Sketching layer: PRFs, L0 samplers, sparsifiers, ledger, switch check."""
+"""Sketching layer: PRFs, sparsifiers, deferred sketches, ledger, switch check."""
 
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 import sketchmatch as sm
 from sketchmatch import sketch
 from sketchmatch.sketch import (
+    DEFERRED_ENTRY,
     PROMISE_TOL,
-    L0SampleError,
-    L0Sketch,
     PromiseViolationError,
     _prf_draw,
     _prf_prefix,
@@ -27,6 +26,7 @@ from sketchmatch.sketch import (
 from conftest import (
     EPS,
     build_deferred_reference,
+    build_deferred_stack_reference,
     build_streaming_sparsifier_reference,
     refine_deferred_reference,
 )
@@ -66,57 +66,6 @@ class TestPrf:
                 prefix = _prf_prefix(seed, *parts)
                 for e in ints:
                     assert _prf_draw(prefix, e) == prf_u64(seed, *parts, e)
-
-
-class TestL0:
-    def test_single_coordinate(self):
-        sk = L0Sketch(domain=8, seed=3)
-        sk.update(5, 1)
-        assert sk.sample() == 5
-
-    def test_two_coordinate_frequencies(self):
-        hits = {2: 0, 6: 0}
-        for seed in range(10_000):
-            sk = L0Sketch(domain=8, seed=seed)
-            sk.update(2, 1)
-            sk.update(6, 1)
-            try:
-                hits[sk.sample()] += 1
-            except L0SampleError:
-                pass
-        total = hits[2] + hits[6]
-        # with three repetitions a 2-element support fails ~3.8% of the
-        # time (all repetitions hash both items to the same depth)
-        assert total >= 9_400
-        assert 0.3 <= hits[2] / total <= 0.7
-        assert 0.3 <= hits[6] / total <= 0.7
-
-    def test_empty_signals(self):
-        sk = L0Sketch(domain=8, seed=3)
-        with pytest.raises(L0SampleError):
-            sk.sample()
-
-    def test_linearity_deletion(self):
-        sk = L0Sketch(domain=8, seed=11)
-        sk.update(1, 1)
-        sk.update(4, 1)
-        sk.update(1, -1)
-        assert sk.sample() == 4
-
-    def test_merge_equals_union(self):
-        a = L0Sketch(domain=16, seed=9)
-        bm = L0Sketch(domain=16, seed=9)
-        u = L0Sketch(domain=16, seed=9)
-        for c in (1, 5):
-            a.update(c, 1)
-            u.update(c, 1)
-        for c in (8, 12):
-            bm.update(c, 1)
-            u.update(c, 1)
-        a.merge(bm)
-        assert np.array_equal(a.count, u.count)
-        assert np.array_equal(a.idsum, u.idsum)
-        assert np.array_equal(a.fp, u.fp)
 
 
 def _cut_dev(n, edges_a, wa, edges_b, wb):
@@ -179,42 +128,41 @@ class TestDeferredSketch:
         edges = [(0, 1), (1, 2), (2, 3)]
         promise = [1.0, 2.0, 4.0]
         sk = sm.build_deferred(4, edges, promise, chi=3.0, xi=0.25, seed=5)
-        assert sorted(sk.stored_edge_ids()) == [0, 1, 2]
-        for _e, _i, _j, _pr, p_keep, _d in sk.entries:
-            assert p_keep == 1.0
+        assert sorted(sk.entries["edge"].tolist()) == [0, 1, 2]
+        assert sk.entries["p_keep"].tolist() == [1.0, 1.0, 1.0]
 
     def test_stored_on_top_draw(self, monkeypatch):
         # the largest 64-bit draw still samples below keep probability 1
         monkeypatch.setattr(sketch, "_prf_draw", lambda prefix, part: 2**64 - 1)
         edges = [(0, 1), (1, 2), (2, 3)]
         sk = sm.build_deferred(4, edges, [1.0, 2.0, 4.0], chi=3.0, xi=0.25, seed=5)
-        assert sorted(sk.stored_edge_ids()) == [0, 1, 2]
+        assert sorted(sk.entries["edge"].tolist()) == [0, 1, 2]
 
     def test_keep_probability_one_draws_nothing(self, monkeypatch):
         # a draw that never passes cannot drop an edge kept with certainty
         monkeypatch.setattr(sketch, "_unit", lambda u: 1.0)
         edges = [(0, 1), (1, 2), (2, 3)]
         sk = sm.build_deferred(4, edges, [1.0, 2.0, 4.0], chi=3.0, xi=0.25, seed=5)
-        assert sorted(sk.stored_edge_ids()) == [0, 1, 2]
+        assert sorted(sk.entries["edge"].tolist()) == [0, 1, 2]
 
     def test_refine_identity_on_promise(self):
         edges = [(0, 1), (1, 2)]
         promise = [1.5, 2.5]
         sk = sm.build_deferred(3, edges, promise, chi=2.0, xi=0.25, seed=5)
-        out = sm.refine_deferred(sm.stored_sample([sk]), np.array([1.5, 2.5]))
+        out = sm.refine_deferred(sm.stored_sample(sk), np.array([1.5, 2.5]))
         assert out.tolist() == [1.5, 2.5]
 
     def test_refine_deletion(self):
         edges = [(0, 1), (1, 2)]
         sk = sm.build_deferred(3, edges, [1.0, 1.0], chi=2.0, xi=0.25, seed=5)
-        out = sm.refine_deferred(sm.stored_sample([sk]), np.array([1.0, 0.0]))
+        out = sm.refine_deferred(sm.stored_sample(sk), np.array([1.0, 0.0]))
         assert out.tolist() == [1.0, 0.0]
 
     def test_promise_violation_raises(self):
         edges = [(0, 1)]
         sk = sm.build_deferred(2, edges, [1.0], chi=2.0, xi=0.25, seed=5)
         with pytest.raises(PromiseViolationError, match="edge 0"):
-            sm.refine_deferred(sm.stored_sample([sk]), np.array([5.0]))
+            sm.refine_deferred(sm.stored_sample(sk), np.array([5.0]))
 
     def test_refine_matches_reference_on_built_sketches(self):
         rng = np.random.default_rng(3)
@@ -225,16 +173,16 @@ class TestDeferredSketch:
             promise[rng.random(len(edges)) < 0.2] = 0.0
             chi = float(rng.uniform(1.0, 3.0))
             sk = sm.build_deferred(n, edges, promise, chi=chi, xi=0.4, seed=seed)
-            assert sk.entries
+            assert len(sk.entries)
             values = promise * rng.uniform(1.0 / chi, chi, len(edges))
             values[rng.random(len(edges)) < 0.2] = 0.0
-            got = sm.refine_deferred(sm.stored_sample([sk]), values)
+            got = sm.refine_deferred(sm.stored_sample(sk), values)
             want = refine_deferred_reference(sk, dict(enumerate(values.tolist())))
             assert _nonzero_map(got) == want
 
     def test_refine_matches_reference_on_hand_built_entries(self):
         sk = _hand_sketch()
-        promise = {e: sigma for (e, _i, _j, sigma, _p, _d) in sk.entries}
+        promise = dict(sk.entries[["edge", "promise"]].tolist())
         lo = {e: s / sk.chi * (1.0 - PROMISE_TOL) for e, s in promise.items()}
         hi = {e: s * sk.chi * (1.0 + PROMISE_TOL) for e, s in promise.items()}
         # both band ends exactly, a deleted edge, an interior value
@@ -243,7 +191,7 @@ class TestDeferredSketch:
         for e, v in values.items():
             vec[e] = v
         vec[7] = 123.0  # not stored: never read
-        got = sm.refine_deferred(sm.stored_sample([sk]), vec)
+        got = sm.refine_deferred(sm.stored_sample(sk), vec)
         want = refine_deferred_reference(sk, values)
         assert set(want) == {0, 1, 3, 4, 5}
         assert _nonzero_map(got) == want
@@ -255,27 +203,33 @@ class TestDeferredSketch:
     def test_value_just_outside_band_raises(self, end):
         sk = _hand_sketch()
         # entry t is edge t, so the promises are a vector inside every band
-        promise = np.array([sigma for (_e, _i, _j, sigma, _p, _d) in sk.entries])
-        for e, _i, _j, sigma, _p, _d in sk.entries:
+        promise = sk.entries["promise"]
+        for e, _i, _j, sigma, _p, _d in sk.entries.tolist():
             vec = promise.copy()
             if end == "lo":
                 vec[e] = np.nextafter(sigma / sk.chi * (1.0 - PROMISE_TOL), -np.inf)
             else:
                 vec[e] = np.nextafter(sigma * sk.chi * (1.0 + PROMISE_TOL), np.inf)
             with pytest.raises(PromiseViolationError, match=f"edge {e}:"):
-                sm.refine_deferred(sm.stored_sample([sk]), vec)
+                sm.refine_deferred(sm.stored_sample(sk), vec)
             with pytest.raises(PromiseViolationError, match=f"edge {e}:"):
                 refine_deferred_reference(sk, dict(enumerate(vec.tolist())))
 
     def test_refine_several_sketches_through_slots(self):
+        # two rows' entries in one sketch, as a promise stack stores them
         a = _hand_sketch()
         b = sm.DeferredSketch(
-            n=4, xi=0.5, chi=a.chi, seed=0, k=1,
-            entries=((8, 0, 3, 3.0, 0.125, 4), (9, 1, 2, 5.0, 1.0, 0)),
+            entries=np.array(
+                [(8, 0, 3, 3.0, 0.125, 4), (9, 1, 2, 5.0, 1.0, 0)], dtype=DEFERRED_ENTRY
+            ),
+            chi=a.chi,
             stored_total=0,
         )
+        both = sm.DeferredSketch(
+            entries=np.concatenate((a.entries, b.entries)), chi=a.chi, stored_total=0
+        )
         slot_of = np.array([9, 8, 7, 6, 5, 4, -1, -1, 1, 0])
-        sample = sm.stored_sample([a, b], slot_of)
+        sample = sm.stored_sample(both, slot_of)
         values = {0: 2.0, 1: 3.0, 2: 1.5, 3: 1.0, 4: 7.0, 5: 6.0, 8: 2.5, 9: 0.0}
         vec = np.zeros(10)
         for e, v in values.items():
@@ -288,22 +242,22 @@ class TestDeferredSketch:
 
     def test_stored_sample_rejects_unusable_listings(self):
         a = _hand_sketch()
-        other_chi = sm.DeferredSketch(
-            n=4, xi=0.5, chi=3.0, seed=0, k=1, entries=(), stored_total=0
+        twice = sm.DeferredSketch(
+            entries=np.concatenate((a.entries, a.entries)), chi=a.chi, stored_total=0
         )
-        with pytest.raises(ValueError, match="chi"):
-            sm.stored_sample([a, other_chi])
         with pytest.raises(ValueError, match="slot"):
-            sm.stored_sample([a, a])
+            sm.stored_sample(twice)
         with pytest.raises(ValueError, match="slot"):
-            sm.stored_sample([a], np.array([0, 1, 2, 3, 4, -1]))
-        empty = sm.stored_sample([])
+            sm.stored_sample(a, np.array([0, 1, 2, 3, 4, -1]))
+        empty = sm.stored_sample(
+            sm.DeferredSketch(entries=np.array([], DEFERRED_ENTRY), chi=a.chi, stored_total=0)
+        )
         assert sm.refine_deferred(empty, np.ones(3)).tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_promise_skipped(self):
         edges = [(0, 1), (1, 2)]
         sk = sm.build_deferred(3, edges, [1.0, 0.0], chi=2.0, xi=0.25, seed=5)
-        assert sorted(sk.stored_edge_ids()) == [0]
+        assert sorted(sk.entries["edge"].tolist()) == [0]
 
     def test_deferred_dominates_plain_with_coupled_seed(self):
         # chi >= 1 only raises keep probabilities; same PRF stream
@@ -312,7 +266,7 @@ class TestDeferredSketch:
         promise = [1.0] * len(edges)
         plain = sm.build_deferred(n, edges, promise, chi=1.0, xi=0.4, seed=9)
         wide = sm.build_deferred(n, edges, promise, chi=2.0, xi=0.4, seed=9)
-        assert set(plain.stored_edge_ids()) <= set(wide.stored_edge_ids())
+        assert set(plain.entries["edge"].tolist()) <= set(wide.entries["edge"].tolist())
 
     def test_adversarial_within_promise_fidelity(self):
         # K5, promise 1, true weights pushed to both band edges
@@ -327,7 +281,7 @@ class TestDeferredSketch:
             }
             sk = sm.build_deferred(n, edges, promise, chi=chi, xi=xi, seed=seed)
             true_w = [true[e] for e in range(len(edges))]
-            out = sm.refine_deferred(sm.stored_sample([sk]), np.array(true_w))
+            out = sm.refine_deferred(sm.stored_sample(sk), np.array(true_w))
             kept = np.flatnonzero(out)
             dev = _cut_dev(n, edges, true_w, [edges[e] for e in kept], out[kept].tolist())
             if dev <= xi:
@@ -370,7 +324,11 @@ def _promises(rng: np.random.Generator, m: int, kind: str) -> list[float]:
 
 def _assert_same(got, want) -> None:
     for name in want.__dataclass_fields__:
-        assert getattr(got, name) == getattr(want, name), name
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
 
 
 class TestDeferredClosedForm:
@@ -408,7 +366,7 @@ class TestDeferredClosedForm:
             want = build_deferred_reference(2, edges, promise, chi, 0.99, seed)
             _assert_same(got, want)
             if s < 20:
-                assert {(p, d) for (*_e, p, d) in got.entries} == {(1.0, 0)}
+                assert set(got.entries[["p_keep", "depth"]].tolist()) == {(1.0, 0)}
 
     def test_dense_class_runs_forests(self, monkeypatch):
         n, xi = 20, 0.99
@@ -438,7 +396,7 @@ class TestDeferredClosedForm:
                     md = 64 - prf_u64(seed, "deferred", "layer", t).bit_length()
                     want += min(md, deepest) + 1
             assert sk.stored_total == want
-            assert [e for (e, *_r) in sk.entries] == list(range(14))
+            assert sk.entries["edge"].tolist() == list(range(14))
 
     def test_single_edge_classes_take_no_draw(self, monkeypatch):
         def refuse(*_args):
@@ -449,9 +407,9 @@ class TestDeferredClosedForm:
         edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
         promise = [1.0, 2.0, 0.0, 4.5, 100.0]
         sk = sm.build_deferred(4, edges, promise, 3.0, 0.25, seed=5)
-        assert sk.entries == tuple(
+        assert sk.entries.tolist() == [
             (e, *edges[e], promise[e], 1.0, 0) for e in (0, 1, 3, 4)
-        )
+        ]
         assert sk.stored_total == 4
 
 
@@ -472,6 +430,86 @@ class TestDeferredClosedForm:
         monkeypatch.setattr(sketch, "prf_u64", refuse)
         for case, ref in zip(cases, want):
             _assert_same(sm.build_streaming_sparsifier(*case), ref)
+
+
+class TestDeferredStack:
+    """One call over a stack of promise rows, against one build per row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 1 << 32),
+        st.lists(st.sampled_from(("zero", "repeated", "far")), max_size=5),
+        st.sampled_from((0.99, 0.5, 0.25)),
+        st.sampled_from((1.0, 1.5, 4.0)),
+    )
+    def test_matches_per_row_reference(self, seed, kinds, xi, chi):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = int(rng.integers(0, 41))
+        edges = [pairs[t] for t in rng.integers(0, len(pairs), m)]
+        stack = np.array([_promises(rng, m, kind) for kind in kinds]).reshape(len(kinds), m)
+        seeds = rng.integers(0, 1 << 62, len(kinds)).tolist()
+        got = sm.build_deferred(n, edges, stack, chi, xi, seeds)
+        want = build_deferred_stack_reference(n, edges, stack, chi, xi, seeds)
+        _assert_same(got, want)
+        assert got.space == sum(
+            build_deferred_reference(n, edges, row, chi, xi, s).space
+            for row, s in zip(stack.tolist(), seeds)
+        )
+
+    @pytest.mark.parametrize("chi", [1.0, 1.5])
+    def test_forest_row_beside_closed_form_rows(self, monkeypatch, chi):
+        # row 1's class of 20 parallel edges reaches k = 20; rows 0 and 2
+        # hold classes of 1 to 4 edges
+        assert forest_count(2, 0.99) == 20
+        edges = [(0, 1)] * 24
+        stack = np.zeros((3, 24))
+        stack[0, :4] = [1.0, 1.5, 3.0, 7.0]
+        stack[1, 2:22] = 1.0
+        stack[2, [0, 5, 9, 23]] = 2.5
+        made = []
+        real = sketch._LayeredForests
+        monkeypatch.setattr(
+            sketch, "_LayeredForests", lambda *a: made.append(a) or real(*a)
+        )
+        for seeds in ([3, 4, 5], [11, 0, 2**62 - 1]):
+            got = sm.build_deferred(2, edges, stack, chi, 0.99, seeds)
+            _assert_same(got, build_deferred_stack_reference(2, edges, stack, chi, 0.99, seeds))
+            assert got.entries["edge"][:4].tolist() == [0, 1, 2, 3]
+            assert got.entries["edge"][-4:].tolist() == [0, 5, 9, 23]
+        assert made == [(2, 20, 4)] * 2
+
+    def test_one_row_pinned(self):
+        # outputs of the per-level builder this one replaced
+        k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        sk = sm.build_deferred(6, k6, [1.0] * 9 + [2.5] * 5 + [0.0], 2.0, 0.5, 3)
+        assert sk.entries.tolist() == [
+            (e, i, j, 1.0 if e < 9 else 2.5, 1.0, 0) for e, (i, j) in enumerate(k6[:14])
+        ]
+        assert (sk.stored_total, sk.space) == (24, 38)
+        sk = sm.build_deferred(2, [(0, 1)] * 22, [1.0] * 20 + [3.0, 0.0], 1.0, 0.99, 1)
+        assert sk.entries["edge"].tolist() == [3, 4, 8, 9, 13, 14, 15, 16, 18, 20]
+        assert set(sk.entries[["p_keep", "depth"]].tolist()) == {(1.0, 0), (0.5, 1)}
+        assert (sk.stored_total, sk.space) == (43, 53)
+
+    def test_one_row_call_equals_one_row_stack(self):
+        edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        promise = [1.0, 1.25, 0.0, 3.0, 3.5, 3.75, 0.5, 9.0, 0.0, 1.0]
+        one = sm.build_deferred(5, edges, promise, 1.5, 0.5, 17)
+        _assert_same(one, sm.build_deferred(5, edges, [promise], 1.5, 0.5, [17]))
+
+    def test_rejects_misshapen_stacks(self):
+        edges = [(0, 1), (1, 2)]
+        with pytest.raises(ValueError, match="one seed per row"):
+            sm.build_deferred(3, edges, [[1.0, 1.0], [2.0, 0.0]], 2.0, 0.5, [1])
+        with pytest.raises(ValueError, match="one promise per edge"):
+            sm.build_deferred(3, edges, [[1.0, 1.0, 1.0]], 2.0, 0.5, [1])
+
+    @pytest.mark.parametrize("chi", [math.nan, math.inf, 0.5])
+    def test_rejects_chi_outside_one_to_infinity(self, chi):
+        with pytest.raises(ValueError, match="chi must be finite and >= 1"):
+            sm.build_deferred(3, [(0, 1), (1, 2)], [1.0, 2.0], chi, 0.5, 1)
 
 
 class TestRoundLedger:
@@ -520,7 +558,7 @@ def _hand_sketch() -> sm.DeferredSketch:
         (5, 2, 3, 6.0, 1.0, 0),
     )
     return sm.DeferredSketch(
-        n=4, xi=0.5, chi=1.75, seed=0, k=1, entries=entries, stored_total=0
+        entries=np.array(list(entries), dtype=DEFERRED_ENTRY), chi=1.75, stored_total=0
     )
 
 
