@@ -2,9 +2,10 @@
 
 Everything in this module is deliberately independent of the solver
 modules: a two-phase simplex over ``fractions.Fraction``, a
-branch-and-bound integral b-matching solver, and exact feasibility /
-laminarity checks.  The test suite freezes expected values computed
-here and uses them to judge the streaming solver.
+branch-and-bound integral b-matching solver, an odd-set dual
+feasibility check and a pure-Python cut enumeration.  The test suite
+freezes expected values computed here and uses them to judge the
+streaming solver.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graph import Graph, LeveledGraph, OddSet, discretize
 
@@ -24,11 +25,17 @@ __all__ = [
     "check_dual_feasible",
     "enumerate_cuts_check",
     "exact_lp_values",
-    "laminar_check",
     "solve_lp_max_leq",
     "solve_lp_min",
-    "uncross_dual",
 ]
+
+
+# Instance-size guards of routines that enumerate: every odd set
+# (exact_lp_values), every multiplicity (brute_force_bmatching) and
+# every cut (enumerate_cuts_check).
+EXACT_LP_MAX_N = 14
+BRUTE_FORCE_MAX_B_TOTAL = 24
+CUT_CHECK_MAX_N = 16
 
 
 class LPUnboundedError(RuntimeError):
@@ -230,7 +237,6 @@ def brute_force_bmatching(
     g: Graph,
     *,
     max_n: int = 14,
-    max_b_total: int = 24,
 ) -> tuple[float, tuple[tuple[int, int, int], ...]]:
     """Exact maximum-weight b-matching by branch and bound.
 
@@ -243,8 +249,8 @@ def brute_force_bmatching(
     ----------
     g:
         Input graph.
-    max_n, max_b_total:
-        Instance-size guards (override for bigger desk experiments).
+    max_n:
+        Vertex-count guard (override for bigger desk experiments).
 
     Returns
     -------
@@ -255,8 +261,8 @@ def brute_force_bmatching(
     """
     if g.n > max_n:
         raise ValueError(f"brute force capped at n <= {max_n}, got {g.n}")
-    if g.B > max_b_total:
-        raise ValueError(f"brute force capped at total capacity <= {max_b_total}, got {g.B}")
+    if g.B > BRUTE_FORCE_MAX_B_TOTAL:
+        raise ValueError(f"brute force capped at total capacity <= {BRUTE_FORCE_MAX_B_TOTAL}, got {g.B}")
     order = sorted(range(g.m), key=lambda e: (-g.edges[e][2], g.edges[e][0], g.edges[e][1]))
     edges = [g.edges[e] for e in order]
     m = len(edges)
@@ -366,13 +372,15 @@ def _matching_lp_value(
     """Fractional b-matching LP optimum via odd-set row generation.
 
     ``odd_sets`` supplies ``(mask, bnorm)`` candidates to separate over.
+    An empty family gives the bipartite relaxation
+    ``max w.y  s.t.  sum_{e at i} y_e <= b_i``, whose value equals
+    ``min sum b_i x_i  s.t.  x_i + x_j >= w_e`` by strong duality.
     """
     m = len(edges)
-    vert_rows: list[list[Fraction]] = [[Fraction(0)] * m for _ in range(n)]
+    rows: list[list[Fraction]] = [[Fraction(0)] * m for _ in range(n)]
     for e, (i, j) in enumerate(edges):
-        vert_rows[i][e] = Fraction(1)
-        vert_rows[j][e] = Fraction(1)
-    rows = [r for r in vert_rows]
+        rows[i][e] = Fraction(1)
+        rows[j][e] = Fraction(1)
     rhs = [Fraction(bv) for bv in b]
     active: set[int] = set()
     for _round in range(4096):
@@ -402,27 +410,6 @@ def _matching_lp_value(
         bn = next(bv for mk, bv in odd_sets if mk == worst_mask)
         rhs.append(Fraction(bn // 2))
     raise AssertionError("odd-set row generation did not converge")
-
-
-def _bipartite_relaxation_value(
-    n: int,
-    b: Sequence[int],
-    edges: Sequence[tuple[int, int]],
-    weights: Sequence[Fraction],
-) -> Fraction:
-    """``min sum b_i x_i  s.t.  x_i + x_j >= w_e`` via its LP dual.
-
-    The dual is the fractional b-matching LP without odd-set rows:
-    ``max w.y  s.t.  sum_{e at i} y_e <= b_i``; strong duality makes
-    the values equal, and the max form needs no phase-1.
-    """
-    m = len(edges)
-    rows: list[list[Fraction]] = [[Fraction(0)] * m for _ in range(n)]
-    for e, (i, j) in enumerate(edges):
-        rows[i][e] = Fraction(1)
-        rows[j][e] = Fraction(1)
-    value, _y = solve_lp_max_leq(weights, rows, [Fraction(bv) for bv in b])
-    return value
 
 
 def _layered_lp_value(
@@ -516,7 +503,6 @@ def exact_lp_values(
     epsilon: float,
     *,
     include_layered: bool = False,
-    max_n: int = 14,
 ) -> ExactResult:
     """Compute exact LP reference values for a desk-scale instance.
 
@@ -527,29 +513,28 @@ def exact_lp_values(
         representable, e.g. ``1/16``).
     include_layered:
         Also solve the layered per-level relaxation (much larger LP;
-        keep instances tiny).
-    max_n:
-        Guard for the full odd-set enumeration.
+        keep instances tiny).  The full odd-set enumeration caps ``n``
+        at ``EXACT_LP_MAX_N``.
 
     Returns
     -------
     ExactResult
     """
-    if g.n > max_n:
-        raise ValueError(f"exact LP values capped at n <= {max_n}, got {g.n}")
+    if g.n > EXACT_LP_MAX_N:
+        raise ValueError(f"exact LP values capped at n <= {EXACT_LP_MAX_N}, got {g.n}")
     eps = Fraction(epsilon)
     all_odd = _all_odd_sets_masks(g.n, g.b)
     orig_edges = [(i, j) for (i, j, _w) in g.edges]
     orig_w = [Fraction(w) for (_i, _j, w) in g.edges]
     beta_star, _ = _matching_lp_value(g.n, g.b, orig_edges, orig_w, all_odd)
-    beta_bip = _bipartite_relaxation_value(g.n, g.b, orig_edges, orig_w)
+    beta_bip = _matching_lp_value(g.n, g.b, orig_edges, orig_w, [])[0]
 
     leveled = discretize(g, epsilon)
     ret = list(leveled.retained())
     lev_edges = [(i, j) for (_e, i, j, _k) in ret]
     lev_w = [(Fraction(1) + eps) ** k for (_e, _i, _j, k) in ret]
     beta_hat, _ = _matching_lp_value(g.n, g.b, lev_edges, lev_w, all_odd)
-    beta_bip_disc = _bipartite_relaxation_value(g.n, g.b, lev_edges, lev_w)
+    beta_bip_disc = _matching_lp_value(g.n, g.b, lev_edges, lev_w, [])[0]
 
     layered: Fraction | None = None
     if include_layered:
@@ -568,7 +553,7 @@ def exact_lp_values(
 
 
 # ---------------------------------------------------------------------------
-# Dual feasibility, laminarity, uncrossing
+# Dual feasibility and cut enumeration
 # ---------------------------------------------------------------------------
 
 def check_dual_feasible(
@@ -601,128 +586,11 @@ def check_dual_feasible(
     return worst <= tol, worst, objective
 
 
-def laminar_check(sets: Iterable[OddSet]) -> bool:
-    """True when the family is laminar (pairwise nested or disjoint)."""
-    items = list(sets)
-    for a_idx in range(len(items)):
-        for b_idx in range(a_idx + 1, len(items)):
-            am, bm = items[a_idx].mask, items[b_idx].mask
-            inter = am & bm
-            if inter and inter != am and inter != bm:
-                return False
-    return True
-
-
-def uncross_dual(
-    b: Sequence[int],
-    x: Mapping[int, Fraction],
-    z: Mapping[OddSet, Fraction],
-    *,
-    max_steps: int = 100_000,
-) -> tuple[dict[int, Fraction], dict[OddSet, Fraction]]:
-    """Uncross an odd-set dual until its support is laminar.
-
-    For a crossing pair ``A, B`` with positive multipliers and
-    ``t = min(z_A, z_B)``:
-
-    - if the capacity of ``A & B`` is even: shift ``t`` onto ``A - B``
-      and ``B - A`` and raise ``x_i`` by ``t`` on ``A & B``;
-    - if it is odd: shift ``t`` onto ``A | B`` and ``A & B``.
-
-    Both moves preserve the dual objective and every cover constraint.
-    Termination is monitored by the potentials ``sum z ||U||_b``
-    (strictly decreases in the even case) and ``sum z ||U||_b^2``
-    (strictly increases in the odd case, with the first potential
-    unchanged).
-
-    Returns the uncrossed ``(x, z)`` with zero entries dropped.
-    """
-    xv: dict[int, Fraction] = {i: Fraction(v) for i, v in x.items()}
-    zv: dict[OddSet, Fraction] = {u: Fraction(v) for u, v in z.items() if v > 0}
-
-    def bnorm_of_mask(mask: int) -> int:
-        total = 0
-        mm = mask
-        while mm:
-            low = mm & (-mm)
-            total += b[low.bit_length() - 1]
-            mm ^= low
-        return total
-
-    def set_from_mask(mask: int) -> OddSet:
-        members = []
-        mm = mask
-        while mm:
-            low = mm & (-mm)
-            members.append(low.bit_length() - 1)
-            mm ^= low
-        return OddSet(members=tuple(members), bnorm=bnorm_of_mask(mask), mask=mask)
-
-    def potentials() -> tuple[Fraction, Fraction]:
-        p1 = sum((v * u.bnorm for u, v in zv.items()), Fraction(0))
-        p2 = sum((v * u.bnorm * u.bnorm for u, v in zv.items()), Fraction(0))
-        return p1, p2
-
-    for _step in range(max_steps):
-        crossing: tuple[OddSet, OddSet] | None = None
-        supp = sorted(zv.keys())
-        for ai in range(len(supp)):
-            for bi in range(ai + 1, len(supp)):
-                a_set, b_set = supp[ai], supp[bi]
-                inter = a_set.mask & b_set.mask
-                if inter and inter != a_set.mask and inter != b_set.mask:
-                    crossing = (a_set, b_set)
-                    break
-            if crossing:
-                break
-        if crossing is None:
-            return xv, {u: v for u, v in zv.items() if v > 0}
-        a_set, b_set = crossing
-        t = min(zv[a_set], zv[b_set])
-        p1_before, p2_before = potentials()
-        inter_mask = a_set.mask & b_set.mask
-        inter_bn = bnorm_of_mask(inter_mask)
-        zv[a_set] -= t
-        zv[b_set] -= t
-        for u in (a_set, b_set):
-            if zv[u] == 0:
-                del zv[u]
-        if inter_bn % 2 == 0:
-            for mask in (a_set.mask & ~b_set.mask, b_set.mask & ~a_set.mask):
-                u = set_from_mask(mask)
-                if u.bnorm % 2 != 1:
-                    raise AssertionError("difference set lost odd capacity")
-                zv[u] = zv.get(u, Fraction(0)) + t
-            mm = inter_mask
-            while mm:
-                low = mm & (-mm)
-                i = low.bit_length() - 1
-                xv[i] = xv.get(i, Fraction(0)) + t
-                mm ^= low
-            p1_after, _ = potentials()
-            if not p1_after < p1_before:
-                raise AssertionError("even-intersection move failed to decrease potential")
-        else:
-            for mask in (a_set.mask | b_set.mask, inter_mask):
-                u = set_from_mask(mask)
-                if u.bnorm % 2 != 1:
-                    raise AssertionError("union/intersection set lost odd capacity")
-                zv[u] = zv.get(u, Fraction(0)) + t
-            p1_after, p2_after = potentials()
-            if p1_after != p1_before:
-                raise AssertionError("odd-intersection move changed the linear potential")
-            if not p2_after > p2_before:
-                raise AssertionError("odd-intersection move failed to increase potential")
-    raise AssertionError("uncrossing did not terminate within step budget")
-
-
 def enumerate_cuts_check(
     n: int,
     edges_a: Sequence[tuple[int, int, float]],
     edges_b: Sequence[tuple[int, int, float]],
     xi: float,
-    *,
-    max_n: int = 16,
 ) -> tuple[bool, float]:
     """Compare every cut of two edge-weight assignments on ``n`` vertices.
 
@@ -739,8 +607,8 @@ def enumerate_cuts_check(
         ``cut_a > 0`` (and ``inf`` if some cut has ``cut_a = 0`` but
         ``cut_b != 0``).
     """
-    if n > max_n:
-        raise ValueError(f"cut enumeration capped at n <= {max_n}, got {n}")
+    if n > CUT_CHECK_MAX_N:
+        raise ValueError(f"cut enumeration capped at n <= {CUT_CHECK_MAX_N}, got {n}")
     worst = 0.0
     for side in range(1, 1 << (n - 1)):
         # Vertex n-1 fixed on side 0; `side` picks the subset of 0..n-2.

@@ -82,8 +82,8 @@ class Graph:
                 raise ValueError(f"edge ({i}, {j}) must be stored with i < j")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            if not w > 0:
-                raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise ValueError(f"edge ({i}, {j}) weight must be positive and finite, got {w}")
             seen.add((i, j))
 
     @property

@@ -172,21 +172,22 @@ class UnionFind:
 # Cut values (vectorized; the pure-Python cross-check lives in exact.py)
 # ---------------------------------------------------------------------------
 
+#: Largest vertex count :func:`all_cut_values` takes (one float per cut).
+CUT_VALUES_MAX_N = 24
+
 
 def all_cut_values(
     n: int,
     edges: Sequence[tuple[int, int]],
     weights: Sequence[float],
-    *,
-    max_n: int = 24,
 ) -> np.ndarray:
     """Weights of all ``2^(n-1) - 1`` nontrivial cuts.
 
     Entry ``s - 1`` is the cut where vertex set ``{i < n-1 : s >> i & 1}``
     is on one side and vertex ``n - 1`` on the other.
     """
-    if n > max_n:
-        raise ValueError(f"cut enumeration capped at n <= {max_n}, got {n}")
+    if n > CUT_VALUES_MAX_N:
+        raise ValueError(f"cut enumeration capped at n <= {CUT_VALUES_MAX_N}, got {n}")
     if n < 2:
         raise ValueError("need at least two vertices for a cut")
     sides = np.arange(1, 1 << (n - 1), dtype=np.uint64)

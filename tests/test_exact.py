@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchmatch as sm
-from sketchmatch.exact import laminar_check, uncross_dual
 
 from conftest import EPS, random_instance, triangle_paper
 
@@ -73,6 +72,11 @@ class TestBruteForce:
         g = sm.Graph(n=15, edges=((0, 1, 1.0),), b=(1,) * 15)
         with pytest.raises(ValueError):
             sm.brute_force_bmatching(g)
+        g = sm.Graph(n=13, edges=((0, 1, 1.0),), b=(2,) * 12 + (1,))
+        with pytest.raises(ValueError, match="total capacity <= 24, got 25"):
+            sm.brute_force_bmatching(g)
+        value, _ = sm.brute_force_bmatching(sm.Graph(n=12, edges=((0, 1, 1.0),), b=(2,) * 12))
+        assert value == 2.0
 
 
 class TestExactLpValues:
@@ -106,6 +110,42 @@ class TestExactLpValues:
             res = sm.exact_lp_values(g, EPS)
             assert res.beta_star <= res.beta_bipartite
             assert res.beta_bipartite <= Fraction(3, 2) * res.beta_star
+
+    def test_vertex_count_capped(self):
+        with pytest.raises(ValueError, match="n <= 14, got 15"):
+            sm.exact_lp_values(sm.Graph(n=15, edges=((0, 1, 1.0),), b=(1,) * 15), EPS)
+
+    def test_bipartite_values_match_double_cover_matching(self):
+        # Independent route: the bipartite relaxation is half the best
+        # b-matching of the bipartite double cover (that LP is integral).
+        # Splitting each copy of vertex i into b_i vertices turns the
+        # b-matching into a matching networkx can solve.
+        def double_cover_half(b, weighted_edges):
+            gx = nx.Graph()
+            for i, j, w in weighted_edges:
+                for u, v in ((i, j), (j, i)):
+                    for s in range(b[u]):
+                        for t in range(b[v]):
+                            gx.add_edge(("L", u, s), ("R", v, t), weight=w)
+            mate = nx.max_weight_matching(gx)
+            return sum(gx[p][q]["weight"] for p, q in mate) / 2.0
+
+        checked = 0
+        for seed in range(40):
+            g = random_instance(seed)
+            if g.n > 9:
+                continue
+            res = sm.exact_lp_values(g, EPS)
+            assert float(res.beta_bipartite) == pytest.approx(
+                double_cover_half(g.b, g.edges), rel=1e-9
+            )
+            lv = sm.discretize(g, EPS)
+            leveled = [(i, j, lv.level_weight(k)) for (_e, i, j, k) in lv.retained()]
+            assert float(res.beta_bipartite_discrete) == pytest.approx(
+                double_cover_half(g.b, leveled), rel=1e-9
+            )
+            checked += 1
+        assert checked >= 10
 
     def test_beta_star_at_least_integral_opt(self):
         for seed in range(8):
@@ -215,41 +255,6 @@ class TestDualFeasible:
         x, z = sm.convert_to_matching_dual(index, it)
         ok, obj, _ = sm.check_dual_feasible(lv, x, z)
         assert ok
-
-
-class TestLaminar:
-    def _oddset(self, g, members):
-        return sm.OddSet.from_members(members, g.b)
-
-    def test_nested_is_laminar(self):
-        g = sm.Graph(n=5, edges=(), b=(1,) * 5)
-        a = self._oddset(g, (1, 2, 3))
-        c = self._oddset(g, (1,))
-        assert laminar_check([a, c])
-
-    def test_crossing_not_laminar(self):
-        g = sm.Graph(n=6, edges=(), b=(1,) * 6)
-        a = self._oddset(g, (1, 2, 3))
-        c = self._oddset(g, (3, 4, 5))
-        assert not laminar_check([a, c])
-
-    def test_uncross_produces_laminar_support(self):
-        # exchange argument on a crossing pair keeps duals feasible
-        g = sm.Graph(n=6, edges=(), b=(1,) * 6)
-        a = self._oddset(g, (1, 2, 3))
-        c = self._oddset(g, (3, 4, 5))
-        x = {i: Fraction(0) for i in range(6)}
-        z = {a: Fraction(1, 2), c: Fraction(1, 2)}
-        x2, z2 = uncross_dual(g.b, x, z)
-        assert laminar_check([u for u, v in z2.items() if v > 0])
-        # b-weighted totals are preserved by the exchange potential
-        total = sum(v * (u.bnorm // 2) for u, v in z.items()) + sum(
-            g.b[i] * v for i, v in x.items()
-        )
-        total2 = sum(v * (u.bnorm // 2) for u, v in z2.items()) + sum(
-            g.b[i] * v for i, v in x2.items()
-        )
-        assert total2 <= total
 
 
 class TestCutEnumeration:

@@ -16,6 +16,13 @@ from sketchmatch.graph import GraphFormatError
 from conftest import EPS, random_instance, triangle_paper
 
 
+class TestGraph:
+    @pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_nonpositive_or_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) weight must be positive and finite"):
+            sm.Graph(n=3, edges=((0, 1, w), (1, 2, 1.0)), b=(1, 1, 1))
+
+
 class TestLoadGraph:
     def test_smallest_graph(self):
         g = sm.load_graph("0 1 1.0", "0 1\n1 1")

@@ -256,7 +256,13 @@ def _triangle_index(eps: float = EPS):
 class TestLagrangianSearch:
     def test_certificate_passes_through(self):
         index = _triangle_index()
-        cert = PrimalCertificate(y={}, mu={}, y_caps={}, objective=0.0, beta=1.0)
+        cert = PrimalCertificate(
+            y=np.zeros(len(index.rows)),
+            mu=np.zeros(index.level_capacity.shape),
+            y_caps=np.zeros(len(index.vrows)),
+            objective=0.0,
+            beta=1.0,
+        )
         calls = []
 
         def oracle(u, z, pen, beta):
