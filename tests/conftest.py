@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sketchmatch as sm
-from sketchmatch import oracle
+from sketchmatch import driver, oracle
 from sketchmatch.sketch import (
     DEFERRED_ENTRY,
     PromiseViolationError,
@@ -265,6 +265,77 @@ def certificates_match_dict_reference():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_certificate", checked)
         yield checked
+
+
+def _unit_graph(n: int, pairs) -> sm.Graph:
+    return sm.Graph(n=n, edges=tuple((i, j, 1.0) for i, j in pairs), b=(1,) * n)
+
+
+def _clique(vertices) -> list[tuple[int, int]]:
+    return [(i, j) for i in vertices for j in vertices if i < j]
+
+
+# Unit-weight graphs whose components are odd sets of the small family,
+# with those components: the warm start prices each one.
+WARM_START_GRAPHS = {
+    "k3": (_unit_graph(3, _clique(range(3))), [(0, 1, 2)]),
+    "k5": (_unit_graph(5, _clique(range(5))), [(0, 1, 2, 3, 4)]),
+    "two_triangles": (
+        _unit_graph(6, _clique(range(3)) + _clique(range(3, 6))),
+        [(0, 1, 2), (3, 4, 5)],
+    ),
+}
+WARM_START_SHARE = 0.8
+
+
+def warm_start(monkeypatch, groups) -> None:
+    """Patch ``driver.initial_solution`` with an odd-set-priced start.
+
+    Each vertex group in ``groups`` (disjoint, each a set of the small
+    odd-set family) is priced at ``WARM_START_SHARE * w_k`` on the level
+    ``k`` of its internal edges; x prices then top up any cover row
+    still below that share of its right-hand side.  The start takes one
+    ledger round and stores nothing.  It is far closer to the dual
+    optimum than the maximal-matching one, so the solve's queries land
+    on the odd-set and certificate branches.
+    """
+
+    def start(index, p, seed, *, ledger=None):
+        if ledger is not None:
+            ledger.begin_round("warm-start")
+        it = sm.DualIterate.zeros(index)
+        family = index.odd_sets
+        row_of = {family.members(t): t for t in range(len(family))}
+        for group in groups:
+            inside = np.isin(index.row_ends, group).all(axis=1)
+            (level,) = set(index.row_levels[inside].tolist())
+            it.z[(row_of[tuple(group)], level)] = WARM_START_SHARE * index.level_weights[level]
+        half_short = np.maximum(WARM_START_SHARE * index.cover_rhs - index.cover_values(it), 0.0) / 2.0
+        for end in (0, 1):
+            np.maximum.at(it.x_level, index.row_vrow[:, end], half_short)
+        np.maximum.at(it.x_top, index.vrow_vertex, it.x_level)
+        lam0, _arg = index.coverage_lambda(index.cover_values(it))
+        return it, sm.budget_value(index, it), lam0
+
+    monkeypatch.setattr(driver, "initial_solution", start)
+
+
+def count_oracle_answers(monkeypatch) -> dict[str, int]:
+    """Wrap ``driver.matching_oracle``; the returned map counts its answers.
+
+    Keys are the step branches and ``"certificate"``.
+    """
+    counts: dict[str, int] = {}
+    real = driver.matching_oracle
+
+    def counting(*args):
+        out = real(*args)
+        kind = "certificate" if isinstance(out, oracle.PrimalCertificate) else out.branch
+        counts[kind] = counts.get(kind, 0) + 1
+        return out
+
+    monkeypatch.setattr(driver, "matching_oracle", counting)
+    return counts
 
 
 def triangle_paper(eps: float = EPS) -> sm.Graph:
