@@ -14,13 +14,16 @@ ids; ``#`` starts a comment.  Capacities default to 1 and can be
 overridden with ``--b FILE`` (lines ``"i b_i"``).
 
 Exit status: 0 on success, 1 on contract or input failures, 2 on usage
-errors.  ``verify`` also exits 1 if any verdict fails.
+errors.  ``verify`` also exits 1 if any verdict fails.  A reader that
+closes standard output early (``| head``) gets exit status 1 and no
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -69,17 +72,20 @@ def _emit(payload: dict, args: argparse.Namespace, human: str) -> None:
             print(f"full report written to {args.out}")
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    g = _read_graph(args)
-    cfg = SolverConfig(
+def _solver_config(args: argparse.Namespace, assert_mode: bool) -> SolverConfig:
+    return SolverConfig(
         epsilon=args.epsilon,
         p=args.p,
         seed=args.seed,
         max_rounds=args.max_rounds,
         space_mult=args.space_mult,
-        assert_mode=args.assert_mode,
+        assert_mode=assert_mode,
     )
-    report = solve(g, cfg)
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    g = _read_graph(args)
+    report = solve(g, _solver_config(args, args.assert_mode))
     lines = [
         f"matching weight {report.weight:.6g} "
         f"(level-weight value {report.rescaled_weight:.6g})",
@@ -190,15 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         _emit(payload, args, human)
         return 0 if ok else 1
-    cfg = SolverConfig(
-        epsilon=eps,
-        p=args.p,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        space_mult=args.space_mult,
-        assert_mode=True,
-    )
-    report = solve(g, cfg)
+    report = solve(g, _solver_config(args, assert_mode=True))
     exact_weight, exact_edges = brute_force_bmatching(g)
     ratio = report.weight / exact_weight if exact_weight > 0 else 1.0
     checks = {
@@ -363,7 +361,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cli_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``); point stdout at
+        # devnull, so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -260,7 +260,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             + len(best_matching.edges)
             + np.count_nonzero(it.x_level)
             + np.count_nonzero(it.x_top)
-            + len(it.z)
+            + len(it.z_value)
         )
         if cfg.assert_mode:
             _check_space_cap(ledger, space_cap)

@@ -218,9 +218,12 @@ def matching_oracle(
         raise AssertionError("raised-multiplier target lost too much mass")
 
     # Dense odd sets per level, one disjoint family per populated
-    # segment (the geometry is constant across a segment).
+    # segment (the geometry is constant across a segment).  Every set
+    # selected on a segment [lo, p] is paired with each level of the
+    # segment: the pairs, with the set's d-value, are what an odd step
+    # prices and what a certificate bumps.
     coeff = (1.0 - eps / 4.0) * beta / gamma
-    segments: list[tuple[int, int, list[int], np.ndarray]] = []
+    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
     gamma_o = 0.0
     for lo, p in _populated_segments(index):
         row_mask = index.row_levels >= p
@@ -232,30 +235,22 @@ def matching_oracle(
         selected, values = collect_violated_sets(index, q_rows, q_hat)
         if selected:
             dvals = values[np.array(selected)] / coeff
-            segments.append((lo, p, selected, dvals))
             gamma_o += float(dvals.sum() * w_of[lo : p + 1].sum())
+            levels = np.arange(lo, p + 1)
+            sets = np.repeat(selected, len(levels))
+            pairs.append((sets, np.tile(levels, len(selected)), np.repeat(dvals, len(levels))))
+    z_set, z_level, z_dval = map(np.concatenate, zip(*pairs))
 
     if gamma_o >= eps * gamma_p / 24.0:
         it = DualIterate.zeros(index)
-        for lo, p, selected, _dvals in segments:
-            for t in selected:
-                for lev in range(lo, p + 1):
-                    it.z[(t, lev)] = gamma_p * w_of[lev] / gamma_o
-        lag_bar = math.fsum(
-            it.z[(t, lev)] * dv
-            for lo, p, selected, dvals in segments
-            for t, dv in zip(selected, dvals)
-            for lev in range(lo, p + 1)
-        )
+        it.z_set, it.z_level, it.z_value = z_set, z_level, gamma_p * w_of[z_level] / gamma_o
+        lag_bar = math.fsum((it.z_value * z_dval).tolist())
         if not math.isclose(lag_bar, gamma_p, rel_tol=1e-6):
             raise AssertionError("odd-set step does not meet the raised target")
-        budget = budget_value(index, it)
-        if budget > (1.0 - eps / 4.0) * beta * (1.0 + _REL):
+        if budget_value(index, it) > (1.0 - eps / 4.0) * beta * (1.0 + _REL):
             raise AssertionError("odd-set step exceeds the budget")
-        cap = 24.0 / eps
-        for (_u, lev), v in it.z.items():
-            if v > cap * w_of[lev] * (1.0 + _REL):
-                raise AssertionError("odd-set price exceeds its width cap")
+        if (it.z_value > 24.0 / eps * w_of[z_level] * (1.0 + _REL)).any():
+            raise AssertionError("odd-set price exceeds its width cap")
         cov = index.cover_values(it)
         deg = index.degree_values(it)
         lag_full = index.lagrangian_value(cov, deg, u_sparse, zeta_bar, penalty)
@@ -265,7 +260,7 @@ def matching_oracle(
 
     # Neither surplus is large: the complementary fractional matching
     # is a certificate.
-    cert = _certificate(index, u_sparse, zeta_bar, segments, gamma, penalty, beta)
+    cert = _certificate(index, u_sparse, zeta_bar, z_set, z_level, gamma, penalty, beta)
     if cert.objective < (1.0 - eps) * beta * (1.0 - _REL):
         raise AssertionError(
             f"certificate objective {cert.objective} below (1 - eps) * {beta}"
@@ -277,27 +272,26 @@ def _certificate(
     index: SystemIndex,
     u_sparse: np.ndarray,
     zeta_bar: np.ndarray,
-    segments: list[tuple[int, int, list[int], np.ndarray]],
+    z_set: np.ndarray,
+    z_level: np.ndarray,
     gamma: float,
     penalty: float,
     beta: float,
 ) -> PrimalCertificate:
     """The fractional matching complementary to a query no step answers.
 
-    The slacks of every member of a set selected on a segment
-    ``[lo, p]`` are bumped over the segment, set by set, so the set's
-    level suffix nets out to zero; ``y``, ``mu`` and the level caps are
-    the multipliers times one common scale.
+    Every member of a selected set has its slack bumped at each level
+    paired with the set (``z_set``, ``z_level``), so the set's level
+    suffix nets out to zero; no slack is bumped twice, as the sets of one
+    segment are disjoint and segments share no level.  ``y``, ``mu`` and
+    the level caps are the multipliers times one common scale.
     """
     eps = index.epsilon
-    b = index.capacity
     bump_unit = gamma / (2.0 * penalty * beta)
     zeta_hat = np.zeros(index.level_capacity.shape)
     zeta_hat[index.vrow_vertex, index.vrow_level] = zeta_bar
-    for lo, p, selected, _dvals in segments:
-        for t in selected:
-            members = np.flatnonzero(index.odd_sets.member[t])
-            zeta_hat[members, lo : p + 1] += bump_unit * b[members][:, None]
+    pair, members = np.nonzero(index.odd_sets.member[z_set])
+    zeta_hat[members, z_level[pair]] += bump_unit * index.capacity[members]
     scale = (1.0 - eps / 4.0) * beta / ((1.0 + eps / 2.0) * gamma)
     y = np.where(u_sparse > 0.0, scale * u_sparse, 0.0)
     mu = np.where(zeta_hat > 0.0, scale * penalty * zeta_hat, 0.0)
@@ -338,7 +332,6 @@ def check_dual_step(
     """
     tol = CHECK_TOL
     eps = index.epsilon
-    w_of = index.level_weights
     it = step.iterate
     report: dict[str, object] = {"branch": step.branch}
     cov = index.cover_values(it)
@@ -357,26 +350,19 @@ def check_dual_step(
     report["nonnegative"] = it.is_nonnegative(1e-12)
     report["price_shape"] = index.is_shaped(it, atol=1e-12)
     report["budget"] = budget_value(index, it) <= step.beta * (1.0 + tol)
-    cap = 24.0 / eps
     report["x_caps"] = bool((it.x_level <= index.vrow_price_cap * (1.0 + tol)).all())
-    report["z_caps"] = all(
-        v <= cap * w_of[lev] * (1.0 + tol) for (_u, lev), v in it.z.items()
-    )
+    z_caps = 24.0 / eps * index.level_weights[it.z_level] * (1.0 + tol)
+    report["z_caps"] = bool((it.z_value <= z_caps).all())
     report["inner_rows"] = bool(
         (deg <= index.degree_rhs_inner * (1.0 + tol) + 1e-12).all()
     )
-    # Priced sets are disjoint at every level: no vertex is priced
-    # twice at one level.
-    used: dict[int, np.ndarray] = {}
-    disjoint = True
-    for (t, lev), v in it.z.items():
-        if v > 0.0:
-            row = index.odd_sets.member[t]
-            seen = used.setdefault(lev, np.zeros_like(row))
-            disjoint = disjoint and not (row & seen).any()
-            seen |= row
-    report["level_disjoint"] = disjoint
-    balance_ok, worst = index.cut_balance_ok(u_sparse, it.z)
+    # Priced sets are disjoint at every level: no (level, vertex) cell
+    # is covered by two positively priced sets.
+    positive = it.z_value > 0.0
+    pair, members = np.nonzero(index.odd_sets.member[it.z_set[positive]])
+    cells = it.z_level[positive][pair] * len(index.capacity) + members
+    report["level_disjoint"] = len(np.unique(cells)) == len(cells)
+    balance_ok, worst = index.cut_balance_ok(u_sparse, it)
     report["support_balance"] = balance_ok
     report["support_balance_worst"] = worst
     ok = all(v for k, v in report.items() if isinstance(v, bool))

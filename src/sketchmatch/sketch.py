@@ -660,7 +660,7 @@ def verify_switch(
     full_product = float(u_full @ cover)
     full_target = index.multiplier_cover_target(u_full)
     hyp_cover = sparse_product >= (1.0 - eps / 8.0) * sparse_target - tol * max(1.0, abs(sparse_target))
-    balance_ok, _worst = index.cut_balance_ok(u_sparse, it.z)
+    balance_ok, _worst = index.cut_balance_ok(u_sparse, it)
     shape_ok = it.is_nonnegative(tol) and index.is_shaped(it, atol=tol, rtol=tol)
     conclusion = full_product >= (1.0 - eps / 2.0) * full_target - tol * max(1.0, abs(full_target))
     hypothesis = hyp_cover and balance_ok and shape_ok

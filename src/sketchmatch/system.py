@@ -4,15 +4,16 @@ The dual system the solver works with has three variable groups: a
 per-vertex-per-level price ``x_i(k)``, a per-vertex top price ``x_i``,
 and odd-set prices ``z_{U,l}`` indexed by a small odd set and a level.
 This module owns the container for such iterates and vectorized
-evaluation of the constraint rows.  An iterate keeps its x prices as
-float vectors: ``x_level`` is aligned with the degree rows
-``SystemIndex.vrows`` and ``x_top`` has one entry per vertex, so
-blending and row evaluation are whole-vector operations.  The odd-set
-prices ``z`` stay a mapping keyed by ``(set index, level)``, because a
-step prices only a few sets out of a family of up to ``2^n``.  The
-family is a :class:`~sketchmatch.graph.OddSetFamily`; a priced set's
-internal and boundary cover rows are derived from its membership row
-when needed.  The rows are:
+evaluation of the constraint rows.  An iterate keeps its prices in
+arrays: ``x_level`` is aligned with the degree rows
+``SystemIndex.vrows`` and ``x_top`` has one entry per vertex; the
+odd-set prices are three parallel arrays ``z_set``, ``z_level`` and
+``z_value``, one entry per priced ``(set, level)`` pair, because a step
+prices only a few sets out of a family of up to ``2^n``.  Blending and
+row evaluation are whole-array operations.  The family is a
+:class:`~sketchmatch.graph.OddSetFamily`; a priced set's internal and
+boundary cover rows are derived from its membership row when needed.
+The rows are:
 
 - cover rows, one per retained edge ``(i, j)`` at level ``k``:
   ``x_i(k) + x_j(k) + sum_{l <= k} sum_{U containing i,j} z_{U,l}``
@@ -44,6 +45,10 @@ __all__ = [
 # Relative tolerance of every contract checker.
 CHECK_TOL = 1e-9
 
+# The (empty) odd-set prices of every iterate that prices no set.
+_NO_SETS = np.zeros(0, dtype=np.int64)
+_NO_VALUES = np.zeros(0)
+
 
 @dataclass
 class DualIterate:
@@ -56,9 +61,12 @@ class DualIterate:
         ``SystemIndex.vrows``.
     x_top:
         Top prices ``x_i``, a float vector with one entry per vertex.
-    z:
-        ``(set index, level) -> value`` for odd-set prices; the index
-        is a row of ``SystemIndex.odd_sets``.
+    z_set, z_level, z_value:
+        Odd-set prices ``z_{U,l}``, one entry per priced ``(set, level)``
+        pair: the set's row of ``SystemIndex.odd_sets`` (int64), the
+        level (int64) and the price (float).  No pair occurs twice, and
+        pairs keep the order in which they were first priced, so every
+        row sum adds its prices in that order.
 
     An iterate carries no budget: the budget an oracle answer was
     computed against is recorded on the answer (``DualStep.beta``).
@@ -66,41 +74,61 @@ class DualIterate:
 
     x_level: np.ndarray
     x_top: np.ndarray
-    z: dict[tuple[int, int], float]
+    z_set: np.ndarray
+    z_level: np.ndarray
+    z_value: np.ndarray
 
     @staticmethod
     def zeros(index: "SystemIndex") -> "DualIterate":
         return DualIterate(
             x_level=np.zeros(len(index.vrows)),
             x_top=np.zeros(index.leveled.base.n),
-            z={},
+            z_set=_NO_SETS,
+            z_level=_NO_SETS,
+            z_value=_NO_VALUES,
         )
 
     def blend(self, other: "DualIterate", sigma: float) -> "DualIterate":
-        """Return ``(1 - sigma) * self + sigma * other``."""
+        """Return ``(1 - sigma) * self + sigma * other``.
+
+        A pair priced on both sides keeps its place in ``self``; pairs
+        priced only in ``other`` follow, in ``other``'s order.  A price
+        is ``keep * a + sigma * b``, ``keep * a`` or ``0.0 + sigma * b``.
+        """
         keep = 1.0 - sigma
-        z = {key: keep * v for key, v in self.z.items()}
-        for key, v in other.z.items():
-            z[key] = z.get(key, 0.0) + sigma * v
+        z_set, z_level, z_value = self.z_set, self.z_level, self.z_value
+        if len(z_value):
+            z_value = keep * z_value
+        if len(other.z_value):
+            sets = np.concatenate((z_set, other.z_set))
+            levels = np.concatenate((z_level, other.z_level))
+            keys = sets * (int(levels.max()) + 1) + levels
+            _keys, first, where = np.unique(keys, return_index=True, return_inverse=True)
+            # A pair's slot is the rank of its key's first occurrence,
+            # so self's pairs keep slots 0..len(self)-1.
+            kept = np.sort(first)
+            z_set, z_level = sets[kept], levels[kept]
+            z_value = np.concatenate((z_value, np.zeros(len(kept) - len(z_value))))
+            slot = np.searchsorted(kept, first[where[len(self.z_value) :]])
+            z_value[slot] += sigma * other.z_value
         return DualIterate(
             x_level=keep * self.x_level + sigma * other.x_level,
             x_top=keep * self.x_top + sigma * other.x_top,
-            z=z,
+            z_set=z_set,
+            z_level=z_level,
+            z_value=z_value,
         )
 
     def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return (
-            bool((self.x_level >= -tol).all())
-            and bool((self.x_top >= -tol).all())
-            and all(v >= -tol for v in self.z.values())
-        )
+        return all(bool((a >= -tol).all()) for a in (self.x_level, self.x_top, self.z_value))
 
 
 def budget_value(index: "SystemIndex", it: DualIterate) -> float:
     """Dual budget ``sum_i b_i x_i + sum_{U,l} floor(||U||_b/2) z_{U,l}``."""
-    bnorm = index.odd_sets.bnorm
     total = math.fsum((index.capacity * it.x_top).tolist())
-    total += math.fsum(int(bnorm[t]) // 2 * v for (t, _l), v in it.z.items())
+    if len(it.z_value):
+        half = index.odd_sets.bnorm[it.z_set] // 2
+        total += math.fsum((half * it.z_value).tolist())
     return total
 
 
@@ -194,24 +222,22 @@ class SystemIndex:
         """Cover-row left-hand sides for ``it`` (aligned with ``rows``)."""
         rv = self.row_vrow
         out = it.x_level[rv[:, 0]] + it.x_level[rv[:, 1]]
-        if it.z:
-            sets, levels, values = self._priced(it.z)
-            internal, _boundary = self.set_rows(self.odd_sets.member[sets])
-            hit = internal & (self.row_levels >= levels[:, None])
+        if len(it.z_value):
+            internal, _boundary = self.set_rows(self.odd_sets.member[it.z_set])
+            hit = internal & (self.row_levels >= it.z_level[:, None])
             priced, rows = np.nonzero(hit)
-            np.add.at(out, rows, values[priced])
+            np.add.at(out, rows, it.z_value[priced])
         return out
 
     def degree_values(self, it: DualIterate) -> np.ndarray:
         """Degree-row left-hand sides for ``it`` (aligned with ``vrows``)."""
         out = 2.0 * it.x_level
-        if it.z:
-            sets, levels, values = self._priced(it.z)
-            hit = self.odd_sets.member[sets][:, self.vrow_vertex] & (
-                self.vrow_level >= levels[:, None]
+        if len(it.z_value):
+            hit = self.odd_sets.member[it.z_set][:, self.vrow_vertex] & (
+                self.vrow_level >= it.z_level[:, None]
             )
             priced, vrows = np.nonzero(hit)
-            np.add.at(out, vrows, values[priced])
+            np.add.at(out, vrows, it.z_value[priced])
         return out
 
     def vrow_mass(self, per_row: np.ndarray) -> np.ndarray:
@@ -228,21 +254,6 @@ class SystemIndex:
         """Whether ``x_i >= x_i(k) - max(atol, rtol |x_i(k)|)`` on every degree row."""
         slack = np.maximum(atol, rtol * np.abs(it.x_level))
         return bool((it.x_top[self.vrow_vertex] >= it.x_level - slack).all())
-
-    @staticmethod
-    def _priced(
-        z: Mapping[tuple[int, int], float]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Set indices, levels and values of the nonzero prices, in ``z`` order.
-
-        ``np.add.at`` adds unbuffered in index order, so every row sums
-        its prices in ``z`` order.
-        """
-        priced = [(t, lev, v) for (t, lev), v in z.items() if v != 0.0]
-        sets = np.array([t for t, _lev, _v in priced], dtype=np.int64)
-        levels = np.array([lev for _t, lev, _v in priced], dtype=np.int64)
-        values = np.array([v for _t, _lev, v in priced], dtype=float)
-        return sets, levels, values
 
     def multiplier_vector(self, u: Mapping[int, float]) -> np.ndarray:
         """Dense multiplier vector aligned with cover rows from an edge map."""
@@ -287,9 +298,7 @@ class SystemIndex:
         degree = math.fsum(self.vrow_mass(u_vec)[member_vrows])
         return internal, boundary, degree
 
-    def cut_balance_ok(
-        self, u_vec: np.ndarray, it_z: Mapping[tuple[int, int], float]
-    ) -> tuple[bool, float]:
+    def cut_balance_ok(self, u_vec: np.ndarray, it: DualIterate) -> tuple[bool, float]:
         """Check internal mass >= boundary mass on the z-support of ``it``.
 
         Returns ``(ok, worst_deficit)`` where deficit is measured
@@ -298,14 +307,12 @@ class SystemIndex:
         with its degree-row mass (``2 * internal + boundary != degree``).
         """
         worst = 0.0
-        for (t, lev), zv in it_z.items():
-            if zv <= 0.0:
-                continue
+        positive = it.z_value > 0.0
+        for t, lev in zip(it.z_set[positive].tolist(), it.z_level[positive].tolist()):
             internal, boundary, degree = self.cut_mass(u_vec, t, lev)
             if not math.isclose(2.0 * internal + boundary, degree, rel_tol=1e-9, abs_tol=1e-12):
                 raise AssertionError("cut accounting identity violated")
-            scale = max(degree, 1e-300)
-            worst = max(worst, (boundary - internal) / scale)
+            worst = max(worst, (boundary - internal) / max(degree, 1e-300))
         return worst <= CHECK_TOL, worst
 
     def lagrangian_value(
@@ -359,18 +366,17 @@ def convert_to_matching_dual(
     and ``z_U = sum_l z_{U,l} / (1 - 3 eps)`` is feasible for the
     odd-set dual on the leveled edges whenever the layered iterate
     covers every edge row to ``(1 - 3 eps)``.  Vertices whose prices
-    are all zero are left out of ``x``; ``OddSet`` keys are built for
-    the priced sets only.
+    are all zero are left out of ``x``; ``z`` holds the sets with a
+    nonzero price, in first-priced order, each summed in array order.
     """
-    eps = index.epsilon
-    denom = 1.0 - 3.0 * eps
+    denom = 1.0 - 3.0 * index.epsilon
     top = it.x_top.copy()
     np.maximum.at(top, index.vrow_vertex, it.x_level)
     x = {int(i): float(top[i] / denom) for i in np.flatnonzero(top)}
-    z_of: dict[int, float] = {}
-    for (t, _l), v in it.z.items():
-        if v != 0.0:
-            z_of[t] = z_of.get(t, 0.0) + v / denom
-    b = index.leveled.base.b
-    z = {OddSet.from_members(index.odd_sets.members(t), b): v for t, v in z_of.items()}
+    priced = it.z_value != 0.0
+    sets, first, where = np.unique(it.z_set[priced], return_index=True, return_inverse=True)
+    totals = np.zeros(len(sets))
+    np.add.at(totals, where, it.z_value[priced] / denom)
+    members, b = index.odd_sets.members, index.leveled.base.b
+    z = {OddSet.from_members(members(sets[k]), b): float(totals[k]) for k in np.argsort(first)}
     return x, z

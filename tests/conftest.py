@@ -184,12 +184,29 @@ def build_streaming_sparsifier_reference(
     )
 
 
-def certificate_reference(index, u_sparse, zeta_bar, segments, gamma, penalty, beta):
+def z_prices(it: sm.DualIterate) -> dict[tuple[int, int], float]:
+    """The odd-set prices of ``it`` as a ``(set, level) -> value`` map, in array order."""
+    return dict(
+        zip(zip(it.z_set.tolist(), it.z_level.tolist(), strict=True), it.z_value.tolist(), strict=True)
+    )
+
+
+def set_z_prices(it: sm.DualIterate, z: Mapping[tuple[int, int], float]) -> sm.DualIterate:
+    """Give ``it`` the odd-set prices of the map ``z``, in map order; returns ``it``."""
+    it.z_set = np.array([t for t, _lev in z], dtype=np.int64)
+    it.z_level = np.array([lev for _t, lev in z], dtype=np.int64)
+    it.z_value = np.array(list(z.values()), dtype=float)
+    return it
+
+
+def certificate_reference(index, u_sparse, zeta_bar, z_set, z_level, gamma, penalty, beta):
     """Dict-keyed certificate construction, the reference for ``oracle._certificate``.
 
     Takes the arguments of ``oracle._certificate`` and returns ``(y, mu,
     y_caps, objective)``: ``y`` by edge id, ``mu`` by ``(vertex, level)``
     (a key with no degree row included), ``y_caps`` by degree row.
+    Every member of a selected set is bumped once per pair, looping
+    over the pairs.
     """
     eps = index.epsilon
     b = index.leveled.base.b
@@ -198,15 +215,13 @@ def certificate_reference(index, u_sparse, zeta_bar, segments, gamma, penalty, b
     bump_unit = gamma / (2.0 * penalty * beta)
     zeta_hat = zeta_bar.copy()
     extra: dict[tuple[int, int], float] = {}
-    for lo, p, selected, _dvals in segments:
-        for t in selected:
-            for i in index.odd_sets.members(t):
-                for lev in range(lo, p + 1):
-                    vr = vrow_of.get((i, lev))
-                    if vr is None:
-                        extra[(i, lev)] = extra.get((i, lev), 0.0) + bump_unit * b[i]
-                    else:
-                        zeta_hat[vr] += bump_unit * b[i]
+    for t, lev in zip(z_set.tolist(), z_level.tolist(), strict=True):
+        for i in index.odd_sets.members(t):
+            vr = vrow_of.get((i, lev))
+            if vr is None:
+                extra[(i, lev)] = extra.get((i, lev), 0.0) + bump_unit * b[i]
+            else:
+                zeta_hat[vr] += bump_unit * b[i]
     scale = (1.0 - eps / 4.0) * beta / ((1.0 + eps / 2.0) * gamma)
     y = {}
     for r, (e, _i, _j, _k) in enumerate(index.rows):
@@ -304,12 +319,14 @@ def warm_start(monkeypatch, groups) -> None:
         if ledger is not None:
             ledger.begin_round("warm-start")
         it = sm.DualIterate.zeros(index)
+        z = {}
         family = index.odd_sets
         row_of = {family.members(t): t for t in range(len(family))}
         for group in groups:
             inside = np.isin(index.row_ends, group).all(axis=1)
             (level,) = set(index.row_levels[inside].tolist())
-            it.z[(row_of[tuple(group)], level)] = WARM_START_SHARE * index.level_weights[level]
+            z[(row_of[tuple(group)], level)] = WARM_START_SHARE * index.level_weights[level]
+        set_z_prices(it, z)
         half_short = np.maximum(WARM_START_SHARE * index.cover_rhs - index.cover_values(it), 0.0) / 2.0
         for end in (0, 1):
             np.maximum.at(it.x_level, index.row_vrow[:, end], half_short)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +506,28 @@ class TestCli:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "absent.txt")])
         assert code == 2
+
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path):
+        # The reader closes its end before the first write, as `| head`
+        # does once it has read enough.
+        path = _write_graph(tmp_path, text="0 1 5\n1 2 5\n0 2 5\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sketchmatch.cli", "verify", "--input", path, "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
 """The array-backed dual iterate against the dict code it replaced.
 
 ``DictIterate`` and the ``dict_*`` functions below are the iterate with
-``(vertex, level)``-keyed price dicts and the per-key loops the solver
-ran on it, kept as references.  Every comparison with them is exact:
-the vector code does the same float operations, and a key missing on
-one side of a blend adds an exact ``0.0``.
+``(vertex, level)``- and ``(set, level)``-keyed price dicts and the
+per-key loops the solver ran on it, kept as references.  Every
+comparison with them is exact: the array code does the same float
+operations, a key missing on one side of a blend adds an exact ``0.0``,
+and the odd-set price arrays keep the dict's key order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from sketchmatch.oracle import (
     maximal_bmatching_rounds,
 )
 
-from conftest import EPS, random_instance
+from conftest import EPS, random_instance, set_z_prices, z_prices
 
 # -- reference: the dict iterate and its loops --------------------------------
 
@@ -64,14 +65,15 @@ def to_vectors(index, d: DictIterate) -> sm.DualIterate:
         it.x_level[index.vrows.index(key)] = v
     for i, v in d.x_top.items():
         it.x_top[i] = v
-    it.z = dict(d.z)
-    return it
+    return set_z_prices(it, d.z)
 
 
 def assert_same(it: sm.DualIterate, want: sm.DualIterate) -> None:
     assert np.array_equal(it.x_level, want.x_level)
     assert np.array_equal(it.x_top, want.x_top)
-    assert list(it.z.items()) == list(want.z.items())
+    assert list(z_prices(it).items()) == list(z_prices(want).items())
+    for got, ref in ((it.z_set, want.z_set), (it.z_level, want.z_level)):
+        assert got.dtype == ref.dtype == np.int64
 
 
 def dict_vertex_step(index, u_sparse, zeta, penalty, beta):
@@ -153,7 +155,12 @@ def suite_index(seed: int):
 
 
 def random_dict_iterate(index, rng: random.Random, beta: float) -> DictIterate:
-    """Prices on a random part of the rows, vertices and (set, level) pairs."""
+    """Prices on a random part of the rows, vertices and (set, level) pairs.
+
+    The pairs come from a pool of 8 sets at one or two levels each, in
+    random key order, so two draws often share pairs; some draws price
+    no set at all.
+    """
     it = DictIterate(x_level={}, x_top={}, z={}, beta=beta)
     for key in index.vrows:
         if rng.random() < 0.5:
@@ -162,8 +169,10 @@ def random_dict_iterate(index, rng: random.Random, beta: float) -> DictIterate:
         if rng.random() < 0.5:
             it.x_top[i] = rng.uniform(0.0, 4.0)
     levels = sorted({int(k) for k in index.row_levels})
-    for t in rng.sample(range(len(index.odd_sets)), min(6, len(index.odd_sets))):
-        it.z[(t, rng.choice(levels))] = rng.uniform(0.0, 2.0)
+    pool = range(min(8, len(index.odd_sets)))
+    for t in rng.sample(pool, rng.randint(0, len(pool))):
+        for lev in rng.sample(levels, min(len(levels), rng.randint(1, 2))):
+            it.z[(t, lev)] = rng.uniform(0.0, 2.0)
     return it
 
 
@@ -174,12 +183,18 @@ def random_dict_iterate(index, rng: random.Random, beta: float) -> DictIterate:
 def test_blend_matches_dict_loop(seed):
     index = suite_index(seed)
     rng = random.Random(seed)
+    shapes = set()
     for _trial in range(20):
         a = random_dict_iterate(index, rng, beta=rng.uniform(1.0, 9.0))
         b = random_dict_iterate(index, rng, beta=rng.uniform(1.0, 9.0))
+        shapes.add((bool(a.z), bool(b.z), bool(a.z.keys() & b.z.keys()), bool(b.z.keys() - a.z.keys())))
         for sigma in (rng.random(), 1e-12, 0.0, 1.0):
             got = to_vectors(index, a).blend(to_vectors(index, b), sigma)
             assert_same(got, to_vectors(index, a.blend(b, sigma)))
+    # shared pairs, pairs only on the right, and an empty side all occur
+    assert any(shared for _a, _b, shared, _new in shapes)
+    assert any(new for _a, _b, _shared, new in shapes)
+    assert any(not (a_z and b_z) for a_z, b_z, _shared, _new in shapes)
 
 
 def test_mix_matches_dict_loop():

@@ -25,7 +25,7 @@ from sketchmatch.oracle import (
     offline_bmatching,
 )
 
-from conftest import EPS
+from conftest import EPS, set_z_prices, z_prices
 
 
 def _index_for(text: str, eps: float = EPS):
@@ -78,7 +78,7 @@ class TestMatchingOracleBranches:
         assert isinstance(out, DualStep)
         assert out.branch == "zero"
         assert out.gamma < 0.0
-        assert not out.iterate.x_top.any() and not out.iterate.z
+        assert not out.iterate.x_top.any() and not len(out.iterate.z_value)
         ok, report = check_dual_step(index, u, zeta, out)
         assert ok, report
 
@@ -93,7 +93,7 @@ class TestMatchingOracleBranches:
         assert out.branch == "odd"
         assert out.gamma == pytest.approx(2.438116449543723)
         priced = {
-            (index.odd_sets.members(t), lev): v for (t, lev), v in out.iterate.z.items()
+            (index.odd_sets.members(t), lev): v for (t, lev), v in z_prices(out.iterate).items()
         }
         assert set(priced) == {((0, 1, 2), 0)}
         assert priced[((0, 1, 2), 0)] == pytest.approx(0.8209146294760009)
@@ -128,8 +128,8 @@ class TestCheckDualStep:
         u = np.array([1.0 if k == 0 else 0.0 for (_e, _i, _j, k) in index.rows])
         zeta = np.array([0.01 if k == 0 else 0.001 for (_i, k) in index.vrows])
         step = matching_oracle(index, u, zeta, 1.0, 1.0)
-        key = next(iter(step.iterate.z))
-        step.iterate.z[key] = 25.0 / EPS * index.leveled.level_weight(key[1]) * 2.0
+        level = int(step.iterate.z_level[0])
+        step.iterate.z_value[0] = 25.0 / EPS * index.leveled.level_weight(level) * 2.0
         ok, report = check_dual_step(index, u, zeta, step)
         assert not ok
         assert report["z_caps"] is False
@@ -150,9 +150,8 @@ class TestCheckDualStep:
         family = index.odd_sets
         position = {family.members(t): t for t in range(len(family))}
         level = {"low": 0, "high": int(index.row_levels.max())}
-        it = sm.DualIterate.zeros(index)
-        for members, lev in sorted(priced):
-            it.z[(position[members], level[lev])] = 0.01
+        z = {(position[members], level[lev]): 0.01 for members, lev in sorted(priced)}
+        it = set_z_prices(sm.DualIterate.zeros(index), z)
         u = np.ones(len(index.rows))
         zeta = np.ones(len(index.vrows))
         _ok, report = check_dual_step(index, u, zeta, DualStep(it, "odd", 1.0, 1.0, 1.0))
@@ -228,13 +227,15 @@ class TestCertificateConstruction:
         _g, _lv, index = _index_for("0 1 1.25\n0 2 1.25\n1 2 1.25\n3 4 100\n")
         family = index.odd_sets
         t = next(t for t in range(len(family)) if family.members(t) == (0, 1, 2))
-        segments = [(lo, p, [t], np.ones(1)) for lo, p in _populated_segments(index)]
+        z_level = np.concatenate([np.arange(lo, p + 1) for lo, p in _populated_segments(index)])
+        z_set = np.full(len(z_level), t)
         before = certificates_match_dict_reference.calls
         cert = oracle._certificate(
             index,
             np.ones(len(index.rows)),
             np.full(len(index.vrows), 0.01),
-            segments,
+            z_set,
+            z_level,
             2.0,
             0.5,
             1.0,
@@ -244,6 +245,13 @@ class TestCertificateConstruction:
         no_row[index.vrow_vertex, index.vrow_level] = False
         assert (cert.mu[no_row] > 0.0).any()
         assert (cert.mu[~no_row] > 0.0).any()
+        # The bumped certificate is a fractional matching.  Its objective
+        # bound is left out: gamma and beta here are made up, and the
+        # bound holds only for a query that reaches the certificate
+        # branch, where matching_oracle checks it.
+        _ok, report = check_primal_certificate(index, cert)
+        for field in ("nonnegative", "level_rows", "capacity_rows", "odd_set_rows"):
+            assert report[field] is True, (field, report)
 
 
 class TestExtractIntegral:

@@ -2,10 +2,11 @@
 
 The geometry and every evaluator that reads it are checked against the
 per-set Python loops they replaced, kept here as the reference; the
-loops read each set as a Python int bitmask built from its members.
+loops read each set as a Python int bitmask built from its members, and
+the odd-set prices as a ``(set, level) -> value`` map (``z_prices``).
 The comparisons are exact: ``math.fsum`` is correctly rounded whatever
-the order, and the vectorized row sums add the prices in the order of
-``it.z``, as the loops do.
+the order, and the vectorized row sums add the prices in array order,
+as the loops do.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sketchmatch as sm
 from sketchmatch.graph import OddSet
 from sketchmatch.oddsets import collect_violated_sets
 
-from conftest import EPS, random_instance
+from conftest import EPS, random_instance, set_z_prices, z_prices
 
 # -- reference loops --------------------------------------------------------
 
@@ -58,7 +59,7 @@ def loop_cover_values(index, geo, it):
     out = np.zeros(len(index.rows))
     for r, (_e, i, j, k) in enumerate(index.rows):
         out[r] = x_level.get((i, k), 0.0) + x_level.get((j, k), 0.0)
-    for (t, lev), zv in it.z.items():
+    for (t, lev), zv in z_prices(it).items():
         if zv == 0.0:
             continue
         rows = geo[0][t]
@@ -72,7 +73,7 @@ def loop_degree_values(index, it):
     out = np.zeros(len(index.vrows))
     for t, (i, k) in enumerate(index.vrows):
         out[t] = 2.0 * x_level.get((i, k), 0.0)
-    for (t, lev), zv in it.z.items():
+    for (t, lev), zv in z_prices(it).items():
         if zv == 0.0:
             continue
         for i in index.odd_sets.members(t):
@@ -211,11 +212,12 @@ def priced_iterate(index, seed: int) -> sm.DualIterate:
             it.x_level[t] = rng.uniform(0.1, 3.0)
             it.x_top[i] = max(it.x_top[i], it.x_level[t])
     levels = sorted({int(k) for k in index.row_levels})
+    z = {}
     for t in rng.sample(range(len(index.odd_sets)), min(12, len(index.odd_sets))):
         for lev in rng.sample(levels, min(2, len(levels))):
-            it.z[(t, lev)] = rng.uniform(0.01, 2.0)
-    it.z[(0, levels[0])] = 0.0
-    return it
+            z[(t, lev)] = rng.uniform(0.01, 2.0)
+    z[(0, levels[0])] = 0.0
+    return set_z_prices(it, z)
 
 
 CASES = ["light-1003", "light-1017", "light-1042", "path70"]
@@ -276,7 +278,7 @@ def test_odd_set_evaluators_match_loops(name):
     _g, _lv, index = case(name)
     geo = loop_geometry(index)
     it = priced_iterate(index, seed=len(name))
-    assert any(v > 0.0 for v in it.z.values())
+    assert (it.z_value > 0.0).any()
     assert np.array_equal(index.cover_values(it), loop_cover_values(index, geo, it))
     assert np.array_equal(index.degree_values(it), loop_degree_values(index, it))
     rng = np.random.default_rng(7)
@@ -285,9 +287,31 @@ def test_odd_set_evaluators_match_loops(name):
         for level in (0, int(index.row_levels.max())):
             want = loop_cut_mass(index, geo, u_vec, t, level)
             assert index.cut_mass(u_vec, t, level) == want
-    assert index.cut_balance_ok(u_vec, it.z) == loop_cut_balance(index, geo, u_vec, it.z)
+    assert index.cut_balance_ok(u_vec, it) == loop_cut_balance(index, geo, u_vec, z_prices(it))
     for got, want in zip(index.set_matrices(), loop_set_matrices(index, geo)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def loop_matching_dual_z(index, it):
+    """The odd-set half of ``convert_to_matching_dual``, one loop over the prices."""
+    denom = 1.0 - 3.0 * index.epsilon
+    z_of: dict[int, float] = {}
+    for (t, _lev), v in z_prices(it).items():
+        if v != 0.0:
+            z_of[t] = z_of.get(t, 0.0) + v / denom
+    b = index.leveled.base.b
+    return {OddSet.from_members(index.odd_sets.members(t), b): v for t, v in z_of.items()}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_matching_dual_sums_each_set_in_price_order(name):
+    _g, _lv, index = case(name)
+    for seed in range(4):
+        it = priced_iterate(index, seed)
+        assert len(set(it.z_set.tolist())) < len(it.z_set)  # some set priced twice
+        _x, z = sm.convert_to_matching_dual(index, it)
+        want = loop_matching_dual_z(index, it)
+        assert list(z.items()) == list(want.items())
 
 
 def test_cut_balance_flags_planted_set_rows(monkeypatch):
@@ -298,11 +322,11 @@ def test_cut_balance_flags_planted_set_rows(monkeypatch):
     u_vec = np.random.default_rng(3).random(len(index.rows))
     _ins, bnd = index.set_rows(index.odd_sets.member)
     t = int(np.flatnonzero(bnd.any(axis=1))[0])
-    z = {(t, 0): 1.0}
+    it = set_z_prices(sm.DualIterate.zeros(index), {(t, 0): 1.0})
     internal, boundary, degree = index.cut_mass(u_vec, t, 0)
     assert boundary > 0.0
     assert math.isclose(2.0 * internal + boundary, degree, rel_tol=1e-12)
-    index.cut_balance_ok(u_vec, z)
+    index.cut_balance_ok(u_vec, it)
 
     real = sm.SystemIndex.set_rows
 
@@ -312,7 +336,7 @@ def test_cut_balance_flags_planted_set_rows(monkeypatch):
 
     monkeypatch.setattr(sm.SystemIndex, "set_rows", no_boundary)
     with pytest.raises(AssertionError, match="cut accounting identity violated"):
-        index.cut_balance_ok(u_vec, z)
+        index.cut_balance_ok(u_vec, it)
 
 
 def dense_iterate(index, seed: int, with_z: bool) -> sm.DualIterate:
@@ -322,7 +346,7 @@ def dense_iterate(index, seed: int, with_z: bool) -> sm.DualIterate:
     for key in rng.sample(index.vrows, len(index.vrows)):
         it.x_level[index.vrows.index(key)] = rng.uniform(0.0, 5.0)
     if with_z:
-        it.z = priced_iterate(index, seed).z
+        set_z_prices(it, z_prices(priced_iterate(index, seed)))
     return it
 
 
