@@ -273,13 +273,13 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             u_now, _ = covering_multipliers(state.load, state.log_c, state.alpha, offset)
             u_sparse = refine_deferred(sample, u_now)
 
+            # The packing load has a positive row: lambda_0 > 0 (CoveringState
+            # divides by it) prices every cover row at an end or on a set
+            # holding both ends, which loads a degree row; prices are
+            # nonnegative, so steps and resyncs keep that load positive.
             load_pack = pox / q_outer
-            lam_pack = float(load_pack.max())
-            if lam_pack <= 0.0:
-                zeta = np.ones(len(q_outer)) / len(q_outer)
-            else:
-                alpha_pack = 4.0 * log_pack / (lam_pack * delta_pack)
-                zeta, _ = packing_multipliers(load_pack, log_q_outer, alpha_pack)
+            alpha_pack = 4.0 * log_pack / (float(load_pack.max()) * delta_pack)
+            zeta, _ = packing_multipliers(load_pack, log_q_outer, alpha_pack)
 
             retries = 0
             while True:

@@ -1,11 +1,15 @@
 """Exact desk-scale oracles: rational LPs, brute force, and dual checks.
 
 Everything in this module is deliberately independent of the solver
-modules: a two-phase simplex over ``fractions.Fraction``, a
-branch-and-bound integral b-matching solver, an odd-set dual
-feasibility check and a pure-Python cut enumeration.  The test suite
-freezes expected values computed here and uses them to judge the
-streaming solver.
+modules: one two-phase simplex over ``fractions.Fraction``
+(``solve_lp_min``), a branch-and-bound integral b-matching solver, an
+odd-set dual feasibility check and a pure-Python cut enumeration.  The
+simplex starts each row on its own slack where the slack can be basic,
+so the matching LPs (``<=`` rows, nonnegative right-hand sides) skip
+phase 1 and only the layered LP's cover rows get artificials.  The
+layered LP also returns its optimal point (``ExactResult.layered_dual``)
+as plain Python values.  The test suite freezes expected values computed
+here and uses them to judge the streaming solver.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "check_dual_feasible",
     "enumerate_cuts_check",
     "exact_lp_values",
-    "solve_lp_max_leq",
     "solve_lp_min",
 ]
 
@@ -94,38 +97,6 @@ def _simplex_min_core(tableau: list[list[Fraction]], basis: list[int], n_vars: i
         obj = tableau[-1]
 
 
-def solve_lp_max_leq(
-    c: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> tuple[Fraction, list[Fraction]]:
-    """Solve ``max c.x  s.t.  rows.x <= rhs, x >= 0`` with ``rhs >= 0``.
-
-    Returns ``(value, x)``.  All arithmetic is exact.
-    """
-    n = len(c)
-    m = len(rows)
-    for v in rhs:
-        if v < 0:
-            raise ValueError("solve_lp_max_leq requires nonnegative right-hand sides")
-    tableau: list[list[Fraction]] = []
-    for r in range(m):
-        row = [Fraction(v) for v in rows[r]]
-        slack = [Fraction(1) if s == r else Fraction(0) for s in range(m)]
-        tableau.append(row + slack + [Fraction(rhs[r])])
-    # Minimize -c.x
-    tableau.append([-Fraction(v) for v in c] + [Fraction(0)] * m + [Fraction(0)])
-    basis = [n + r for r in range(m)]
-    _simplex_min_core(tableau, basis, n + m)
-    x = [Fraction(0)] * n
-    for r, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = tableau[r][-1]
-    # Objective-row rhs accumulates the negated minimization value, i.e.
-    # exactly max c.x for the original maximization.
-    return tableau[-1][-1], x
-
-
 def solve_lp_min(
     c: Sequence[Fraction],
     a_ge: Sequence[Sequence[Fraction]],
@@ -136,6 +107,12 @@ def solve_lp_min(
     """Solve ``min c.x  s.t.  a_ge.x >= b_ge, a_le.x <= b_le, x >= 0``.
 
     Two-phase simplex with Bland's rule; exact rational arithmetic.
+    Each row gets a slack column and is signed so its right-hand side
+    is nonnegative (a row with a zero right-hand side so its slack
+    reads +1).  A row whose slack reads +1 starts with the slack in the
+    basis; only the other rows get an artificial variable, and phase 1
+    runs only if some row has one.  So an LP of ``<=`` rows with
+    nonnegative right-hand sides starts at once from the slack basis.
 
     Returns
     -------
@@ -146,69 +123,48 @@ def solve_lp_min(
     LPInfeasibleError, LPUnboundedError
     """
     n = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    senses: list[int] = []  # +1 for >=, -1 for <=
-    for row, bv in zip(a_ge, b_ge):
-        rows.append([Fraction(v) for v in row])
-        rhs.append(Fraction(bv))
-        senses.append(+1)
-    for row, bv in zip(a_le, b_le):
-        rows.append([Fraction(v) for v in row])
-        rhs.append(Fraction(bv))
-        senses.append(-1)
-    m = len(rows)
-    # Equality form: row.x - s = rhs (>=) or row.x + s = rhs (<=), s >= 0.
-    # Normalize rhs >= 0 afterwards by sign flip.
+    # (row, rhs, slack sign): row.x - s = rhs (>=) or row.x + s = rhs (<=).
+    signed = [(row, bv, -1) for row, bv in zip(a_ge, b_ge)]
+    signed += [(row, bv, +1) for row, bv in zip(a_le, b_le)]
+    m = len(signed)
     ncols = n + m  # decision + slack/surplus
-    eq_rows: list[list[Fraction]] = []
-    eq_rhs: list[Fraction] = []
-    for r in range(m):
-        row = rows[r] + [Fraction(0)] * m
-        row[n + r] = Fraction(-senses[r])
-        bv = rhs[r]
-        if bv < 0:
-            row = [-v for v in row]
-            bv = -bv
-        eq_rows.append(row)
-        eq_rhs.append(bv)
-    # Phase 1: artificial variable per row; minimize their sum.
-    total = ncols + m
     tableau: list[list[Fraction]] = []
-    basis: list[int] = []
+    for r, (row, bv, sense) in enumerate(signed):
+        eq = [Fraction(v) for v in row] + [Fraction(0)] * m + [Fraction(bv)]
+        eq[n + r] = Fraction(sense)
+        if bv < 0 or (bv == 0 and sense < 0):
+            eq = [-v for v in eq]
+        tableau.append(eq)
+    # Rows whose slack cannot start basic get an artificial column.
+    art = [r for r in range(m) if tableau[r][n + r] < 0]
+    total = ncols + len(art)
+    basis = [n + r for r in range(m)]
+    for t, r in enumerate(art):
+        basis[r] = ncols + t
     for r in range(m):
-        row = eq_rows[r] + [Fraction(1) if s == r else Fraction(0) for s in range(m)]
-        tableau.append(row + [eq_rhs[r]])
-        basis.append(ncols + r)
-    # Reduced costs for min sum of artificials: cost 1 on artificials,
-    # eliminated against the starting basis.
-    obj = [Fraction(0)] * total + [Fraction(0)]
-    for j in range(total + 1):
-        s = Fraction(0)
+        tableau[r][ncols:ncols] = [Fraction(int(basis[r] == j)) for j in range(ncols, total)]
+    if art:
+        # Phase 1: minimize the sum of the artificials.  Reduced costs:
+        # cost 1 on artificials, eliminated against the starting basis.
+        obj = [Fraction(0)] * (total + 1)
+        for r in art:
+            obj = [o - v for o, v in zip(obj, tableau[r])]
+        for j in range(ncols, total):
+            obj[j] += Fraction(1)
+        tableau.append(obj)
+        _simplex_min_core(tableau, basis, total)
+        if tableau[-1][-1] < 0:
+            # Objective row stores -(phase-1 value); negative means value > 0.
+            raise LPInfeasibleError("phase 1 ended with positive artificial sum")
+        tableau.pop()
+        # Drive any artificial still in the basis out (degenerate rows).
         for r in range(m):
-            s -= tableau[r][j]
-        obj[j] = s
-    for r in range(m):
-        obj[ncols + r] += Fraction(1)
-    tableau.append(obj)
-    _simplex_min_core(tableau, basis, total)
-    if tableau[-1][-1] < 0:
-        # Objective row stores -(phase-1 value); negative means value > 0.
-        raise LPInfeasibleError("phase 1 ended with positive artificial sum")
-    # Drive any artificial still in the basis out (degenerate rows).
-    for r in range(m):
-        if basis[r] >= ncols:
-            piv_col = -1
-            for j in range(ncols):
-                if tableau[r][j] != 0:
-                    piv_col = j
-                    break
-            if piv_col >= 0:
-                _pivot(tableau, basis, r, piv_col)
+            if basis[r] >= ncols:
+                piv_col = next((j for j in range(ncols) if tableau[r][j] != 0), -1)
+                if piv_col >= 0:
+                    _pivot(tableau, basis, r, piv_col)
     keep = [r for r in range(m) if basis[r] < ncols]
-    tableau = [
-        [tableau[r][j] for j in range(ncols)] + [tableau[r][-1]] for r in keep
-    ]
+    tableau = [tableau[r][:ncols] + [tableau[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
     # Phase 2 objective: reduced costs c_j - c_B . B^-1 A_j against the
     # surviving basis.
@@ -314,6 +270,13 @@ def brute_force_bmatching(
 # Exact LP values
 # ---------------------------------------------------------------------------
 
+# An optimal layered point: ``x_i(k)`` by ``(i, k)``, ``x_i`` by ``i``,
+# ``z_{U,l}`` by ``(mask, l)``.
+LayeredDual = tuple[
+    dict[tuple[int, int], Fraction], dict[int, Fraction], dict[tuple[int, int], Fraction]
+]
+
+
 @dataclass(frozen=True)
 class ExactResult:
     """Exact LP values for one instance.
@@ -337,6 +300,10 @@ class ExactResult:
         variables (rescaled units); ``None`` unless requested.
     scale:
         ``eps * Wstar / B`` — multiply rescaled by this for original.
+    layered_dual:
+        An optimal point of the layered relaxation, as three dicts:
+        ``x_i(k)`` by ``(i, k)``, ``x_i`` by ``i`` and ``z_{U,l}`` by
+        ``(mask of U, l)``; ``None`` unless requested.
     """
 
     beta_star: Fraction
@@ -345,6 +312,7 @@ class ExactResult:
     beta_bipartite_discrete: Fraction
     beta_hat_layered: Fraction | None
     scale: Fraction
+    layered_dual: LayeredDual | None
 
 
 def _all_odd_sets_masks(n: int, b: Sequence[int]) -> list[tuple[int, int]]:
@@ -382,9 +350,10 @@ def _matching_lp_value(
         rows[i][e] = Fraction(1)
         rows[j][e] = Fraction(1)
     rhs = [Fraction(bv) for bv in b]
+    cost = [-w for w in weights]  # max w.y as min -w.y
     active: set[int] = set()
     for _round in range(4096):
-        value, y = solve_lp_max_leq(weights, rows, rhs)
+        neg_value, y = solve_lp_min(cost, (), (), rows, rhs)
         worst_mask = -1
         worst_excess = Fraction(0)
         for mask, bn in odd_sets:
@@ -398,7 +367,7 @@ def _matching_lp_value(
                 worst_excess = excess
                 worst_mask = mask
         if worst_mask < 0:
-            return value, y
+            return -neg_value, y
         if worst_mask in active:
             raise AssertionError("odd-set row regenerated; separation loop stuck")
         active.add(worst_mask)
@@ -416,8 +385,8 @@ def _layered_lp_value(
     leveled: LeveledGraph,
     eps: Fraction,
     odd_sets: Sequence[tuple[int, int]],
-) -> Fraction:
-    """Exact optimum of the layered per-level dual relaxation.
+) -> tuple[Fraction, LayeredDual]:
+    """Exact optimum of the layered per-level dual relaxation, with an optimal point.
 
     ``odd_sets`` supplies the ``(mask, bnorm)`` pairs of the small odd
     sets.
@@ -435,6 +404,10 @@ def _layered_lp_value(
     Layer variables are restricted to populated levels: a layer between
     populated levels enters exactly the same rows as the next populated
     level above it, so the restriction is lossless.
+
+    Returns ``(value, (x_level, x_top, z))``: the optimum and the point
+    that attains it, ``x_level`` keyed by ``(i, k)``, ``x_top`` by
+    vertex and ``z`` by ``(mask, level)``, every variable included.
     """
     g = leveled.base
     vrows = leveled.vertex_rows()
@@ -494,8 +467,13 @@ def _layered_lp_value(
     for (s_idx, lev) in z_keys:
         c[z_index[(s_idx, lev)]] = Fraction(odd_sets[s_idx][1] // 2)
 
-    value, _x = solve_lp_min(c, a_ge, b_ge, a_le, b_le)
-    return value
+    value, point = solve_lp_min(c, a_ge, b_ge, a_le, b_le)
+    dual = (
+        {ik: point[t] for ik, t in xk_index.items()},
+        {i: point[t] for i, t in x_index.items()},
+        {(odd_sets[s_idx][0], lev): point[t] for (s_idx, lev), t in z_index.items()},
+    )
+    return value, dual
 
 
 def exact_lp_values(
@@ -512,9 +490,10 @@ def exact_lp_values(
         Instance and discretization parameter (must be exactly
         representable, e.g. ``1/16``).
     include_layered:
-        Also solve the layered per-level relaxation (much larger LP;
-        keep instances tiny).  The full odd-set enumeration caps ``n``
-        at ``EXACT_LP_MAX_N``.
+        Also solve the layered per-level relaxation and keep an optimal
+        point of it in ``layered_dual`` (much larger LP; keep instances
+        tiny).  The full odd-set enumeration caps ``n`` at
+        ``EXACT_LP_MAX_N``.
 
     Returns
     -------
@@ -537,9 +516,10 @@ def exact_lp_values(
     beta_bip_disc = _matching_lp_value(g.n, g.b, lev_edges, lev_w, [])[0]
 
     layered: Fraction | None = None
+    layered_dual: LayeredDual | None = None
     if include_layered:
         odd_small = [(mask, bn) for mask, bn in all_odd if bn <= 4 / eps]
-        layered = _layered_lp_value(leveled, eps, odd_small)
+        layered, layered_dual = _layered_lp_value(leveled, eps, odd_small)
 
     scale = eps * Fraction(leveled.Wstar) / g.B
     return ExactResult(
@@ -549,6 +529,7 @@ def exact_lp_values(
         beta_bipartite_discrete=beta_bip_disc,
         beta_hat_layered=layered,
         scale=scale,
+        layered_dual=layered_dual,
     )
 
 

@@ -303,21 +303,34 @@ WARM_START_GRAPHS = {
 WARM_START_SHARE = 0.8
 
 
+def _patch_start(monkeypatch, label: str, build) -> None:
+    """Patch ``driver.initial_solution`` with the iterate ``build(index)``.
+
+    The start takes one ledger round and stores nothing.
+    """
+
+    def start(index, p, seed, *, ledger=None):
+        if ledger is not None:
+            ledger.begin_round(label)
+        it = build(index)
+        lam0, _arg = index.coverage_lambda(index.cover_values(it))
+        return it, sm.budget_value(index, it), lam0
+
+    monkeypatch.setattr(driver, "initial_solution", start)
+
+
 def warm_start(monkeypatch, groups) -> None:
     """Patch ``driver.initial_solution`` with an odd-set-priced start.
 
     Each vertex group in ``groups`` (disjoint, each a set of the small
     odd-set family) is priced at ``WARM_START_SHARE * w_k`` on the level
     ``k`` of its internal edges; x prices then top up any cover row
-    still below that share of its right-hand side.  The start takes one
-    ledger round and stores nothing.  It is far closer to the dual
-    optimum than the maximal-matching one, so the solve's queries land
-    on the odd-set and certificate branches.
+    still below that share of its right-hand side.  It is far closer
+    to the dual optimum than the maximal-matching start, so the solve's
+    queries land on the odd-set and certificate branches.
     """
 
-    def start(index, p, seed, *, ledger=None):
-        if ledger is not None:
-            ledger.begin_round("warm-start")
+    def build(index):
         it = sm.DualIterate.zeros(index)
         z = {}
         family = index.odd_sets
@@ -331,10 +344,40 @@ def warm_start(monkeypatch, groups) -> None:
         for end in (0, 1):
             np.maximum.at(it.x_level, index.row_vrow[:, end], half_short)
         np.maximum.at(it.x_top, index.vrow_vertex, it.x_level)
-        lam0, _arg = index.coverage_lambda(index.cover_values(it))
-        return it, sm.budget_value(index, it), lam0
+        return it
 
-    monkeypatch.setattr(driver, "initial_solution", start)
+    _patch_start(monkeypatch, "warm-start", build)
+
+
+def layered_dual_iterate(index, dual, share: float) -> sm.DualIterate:
+    """``share`` times an exact layered dual, as an iterate of ``index``.
+
+    ``dual`` is ``ExactResult.layered_dual``.  Its ``x_i(k)`` fill the
+    degree rows (``index.vrows`` is ``LeveledGraph.vertex_rows()``), its
+    ``x_i`` the top prices, and each positive ``z_{U,l}`` the family row
+    of ``U`` at level ``l``, in the dual's key order.
+    """
+    x_level, x_top, z = dual
+    n = index.leveled.base.n
+    it = sm.DualIterate.zeros(index)
+    it.x_level[:] = [share * float(x_level[key]) for key in index.vrows]
+    it.x_top[:] = [share * float(x_top[i]) for i in range(n)]
+    family = index.odd_sets
+    row_of = {family.members(t): t for t in range(len(family))}
+    return set_z_prices(
+        it,
+        {
+            (row_of[tuple(i for i in range(n) if mask >> i & 1)], lev): share * float(v)
+            for (mask, lev), v in z.items()
+            if v > 0
+        },
+    )
+
+
+def lp_dual_start(monkeypatch, g: sm.Graph, share: float = WARM_START_SHARE) -> None:
+    """Patch ``driver.initial_solution`` with ``share`` times the exact layered dual of ``g``."""
+    dual = sm.exact_lp_values(g, EPS, include_layered=True).layered_dual
+    _patch_start(monkeypatch, "lp-dual-start", lambda index: layered_dual_iterate(index, dual, share))
 
 
 def count_oracle_answers(monkeypatch) -> dict[str, int]:

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchmatch as sm
+from sketchmatch.exact import LPInfeasibleError, LPUnboundedError, solve_lp_min
+from sketchmatch.graph import OddSet
 
-from conftest import EPS, random_instance, triangle_paper
+from conftest import EPS, random_instance, set_z_prices, triangle_paper
 
 
 class TestBruteForce:
@@ -77,6 +79,26 @@ class TestBruteForce:
             sm.brute_force_bmatching(g)
         value, _ = sm.brute_force_bmatching(sm.Graph(n=12, edges=((0, 1, 1.0),), b=(2,) * 12))
         assert value == 2.0
+
+
+class TestSimplex:
+    def test_mixed_senses(self):
+        # x1 - x2 >= 0 (zero right-hand side) starts on its own slack.
+        value, x = solve_lp_min(
+            [1, 1], [[1, 2], [3, 1], [1, -1]], [4, 6, 0], [[1, 0]], [10]
+        )
+        assert (value, x) == (Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)])
+
+    def test_negative_right_hand_sides(self):
+        # -x >= -3 starts on its slack; -x <= -2 needs an artificial.
+        assert solve_lp_min([-1], [[-1]], [-3]) == (-3, [3])
+        assert solve_lp_min([1], [], [], [[-1]], [-2]) == (2, [2])
+
+    def test_infeasible_and_unbounded(self):
+        with pytest.raises(LPInfeasibleError):
+            solve_lp_min([1], [[1]], [2], [[1]], [1])
+        with pytest.raises(LPUnboundedError):
+            solve_lp_min([-1], [[1]], [0])
 
 
 class TestExactLpValues:
@@ -196,10 +218,10 @@ class TestExactLpValues:
         ),
     }
 
-    @pytest.mark.parametrize("name", sorted(LAYERED))
-    def test_layered_value_frozen(self, name):
+    @staticmethod
+    def layered_graph(name: str) -> sm.Graph:
         tri = "0 1 10\n0 2 10\n1 2 10\n"
-        g = {
+        return {
             "diamond_tail": sm.Graph(
                 n=4,
                 edges=((0, 1, 16.0), (1, 2, 16.0), (0, 2, 16.0), (2, 3, 8.0)),
@@ -209,12 +231,57 @@ class TestExactLpValues:
             "triangle_b65": sm.load_graph(tri, "0 21\n1 21\n2 23\n"),
             "triangle_b63": sm.load_graph(tri, "0 21\n1 21\n2 21\n"),
         }[name]
+
+    @pytest.mark.parametrize("name", sorted(LAYERED))
+    def test_layered_value_frozen(self, name):
+        g = self.layered_graph(name)
         res = sm.exact_lp_values(g, EPS, include_layered=True)
         assert res.beta_hat_layered == Fraction(self.LAYERED[name])
         if name == "triangle_b65":
             assert res.beta_hat_layered == Fraction(65, 64) * res.beta_hat_discrete
         else:
             assert res.beta_hat_layered == res.beta_hat_discrete
+
+
+    @pytest.mark.parametrize("name", sorted(LAYERED) + ["unit_k5"])
+    def test_layered_dual_is_an_exact_optimum(self, name):
+        # Every row of the layered program, rebuilt here in Fractions:
+        # the point must satisfy each one exactly and attain the value.
+        if name == "unit_k5":
+            g = sm.Graph(
+                n=5, edges=tuple((i, j, 1.0) for i in range(5) for j in range(i + 1, 5)), b=(1,) * 5
+            )
+        else:
+            g = self.layered_graph(name)
+        res = sm.exact_lp_values(g, EPS, include_layered=True)
+        x_level, x_top, z = res.layered_dual
+        lv = sm.discretize(g, EPS)
+        assert sorted(x_level) == list(lv.vertex_rows())
+        assert sorted(x_top) == list(range(g.n))
+        eps = Fraction(EPS)
+        bnorm = {mask: sum(g.b[i] for i in range(g.n) if mask >> i & 1) for mask, _lev in z}
+        assert all(bn % 2 == 1 and bn <= 4 / eps for bn in bnorm.values())
+        assert {lev for _mask, lev in z} == set(lv.levels)
+
+        def z_sum(k, *ends):
+            return sum(
+                (v for (mask, lev), v in z.items() if lev <= k and all(mask >> i & 1 for i in ends)),
+                Fraction(0),
+            )
+
+        assert min([*x_level.values(), *x_top.values(), *z.values()]) >= 0
+        for _e, i, j, k in lv.retained():
+            assert x_level[(i, k)] + x_level[(j, k)] + z_sum(k, i, j) >= (1 + eps) ** k
+        for (i, k), v in x_level.items():
+            assert 2 * v + z_sum(k, i) <= 3 * (1 + eps) ** k
+            assert x_top[i] >= v
+        objective = sum(g.b[i] * v for i, v in x_top.items()) + sum(
+            (bnorm[mask] // 2) * v for (mask, _lev), v in z.items()
+        )
+        assert objective == res.beta_hat_layered
+
+    def test_layered_dual_needs_the_flag(self):
+        assert sm.exact_lp_values(triangle_paper(), EPS).layered_dual is None
 
 
 class TestDualFeasible:
@@ -254,6 +321,31 @@ class TestDualFeasible:
         assert lam >= 1.0 - 3.0 * EPS
         x, z = sm.convert_to_matching_dual(index, it)
         ok, obj, _ = sm.check_dual_feasible(lv, x, z)
+        assert ok
+
+
+    def test_odd_set_price_covers_its_edges(self):
+        # Unit triangle, priced only by the set {0, 1, 2} at the level
+        # weight of its edges: floor(3/2) = 1, so the objective is w_k.
+        g = sm.Graph(n=3, edges=((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)), b=(1, 1, 1))
+        lv = sm.discretize(g, EPS)
+        (k,) = lv.levels
+        w_k = lv.level_weight(k)
+        whole = OddSet.from_members((0, 1, 2), g.b)
+        ok, worst, objective = sm.check_dual_feasible(lv, {}, {whole: w_k})
+        assert ok and worst == 0.0 and objective == w_k
+        ok, worst, objective = sm.check_dual_feasible(lv, {}, {whole: 0.99 * w_k})
+        assert not ok
+        assert worst == pytest.approx(0.01)
+        assert objective == 0.99 * w_k
+
+        index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+        family = index.odd_sets
+        (row,) = [t for t in range(len(family)) if family.members(t) == (0, 1, 2)]
+        it = set_z_prices(sm.DualIterate.zeros(index), {(row, k): (1.0 - 3.0 * EPS) * w_k})
+        x, z = sm.convert_to_matching_dual(index, it)
+        assert x == {} and list(z) == [whole]
+        ok, _worst, _objective = sm.check_dual_feasible(lv, x, z)
         assert ok
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import sketchmatch as sm
 from sketchmatch.mwu import (
+    MAX_PROBES,
     RECOMPUTE_EVERY,
     CoveringProblem,
     CoveringState,
@@ -19,9 +20,15 @@ from sketchmatch.mwu import (
     packing_multipliers,
     solve_covering,
 )
-from sketchmatch.oracle import DualStep, PrimalCertificate, matching_oracle
+from sketchmatch.oracle import (
+    DualStep,
+    PrimalCertificate,
+    check_dual_step,
+    check_primal_certificate,
+    matching_oracle,
+)
 
-from conftest import EPS
+from conftest import EPS, random_instance
 
 
 def _covering(ax, c, alpha, offset=None):
@@ -340,3 +347,47 @@ class TestLagrangianSearch:
         )
         assert isinstance(out, DualStep)
         assert float(out.iterate.x_top.sum()) == 0.0
+
+
+class TestPenaltyBracket:
+    """Real oracle queries whose first probe overloads the degree rows.
+
+    Cover multipliers ``u ** 4`` and degree multipliers ``zeta ** 16``
+    of uniform draws are spread out enough that the first step loads
+    the degree rows past the ``13/12 zeta . q`` bar, so the search
+    bisects its penalty bracket.
+    """
+
+    @staticmethod
+    def _query(seed_instance: int, seed: int, beta: float):
+        g = random_instance(seed_instance)
+        index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+        rng = np.random.default_rng(seed)
+        u = rng.random(len(index.rows)) ** 4
+        zeta = rng.random(len(index.vrows)) ** 16
+        answers = []
+
+        def oracle(uu, zz, pp, bb):
+            answers.append(matching_oracle(index, uu, zz, pp, bb))
+            return answers[-1]
+
+        out = lagrangian_search(index, oracle, u, zeta, beta)
+        first = answers[0]
+        assert isinstance(first, DualStep)
+        bar = (13.0 / 12.0) * index.zeta_degree_target(zeta)
+        assert float(zeta @ index.degree_values(first.iterate)) > bar
+        assert 1 < len(answers) <= MAX_PROBES + 1
+        return index, u, zeta, out
+
+    @pytest.mark.parametrize("seed_instance, seed", [(1052, 0), (1020, 6)])
+    def test_bracket_ends_in_mixed_step(self, seed_instance, seed):
+        index, u, zeta, out = self._query(seed_instance, seed, beta=100.0)
+        assert isinstance(out, DualStep) and out.branch == "mixed"
+        ok, report = check_dual_step(index, u, zeta, out)
+        assert ok, report
+
+    def test_certificate_from_inside_the_bracket(self):
+        index, _u, _zeta, out = self._query(1007, 16, beta=1000.0)
+        assert isinstance(out, PrimalCertificate)
+        ok, report = check_primal_certificate(index, out)
+        assert ok, report
