@@ -54,14 +54,21 @@ class LPInfeasibleError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    inv = Fraction(1) / piv
-    tableau[row] = [v * inv for v in tableau[row]]
+    """Pivot on ``(row, col)`` in place.
+
+    Only the pivot row's nonzero columns change in any row: elsewhere
+    an update would subtract an exact zero.
+    """
+    prow = tableau[row]
+    inv = Fraction(1) / prow[col]
+    nonzero = [(j, v * inv) for j, v in enumerate(prow) if v != 0]
+    for j, v in nonzero:
+        prow[j] = v
     for r, vec in enumerate(tableau):
-        if r != row and vec[col] != 0:
-            factor = vec[col]
-            prow = tableau[row]
-            tableau[r] = [v - factor * p for v, p in zip(vec, prow)]
+        factor = vec[col]
+        if r != row and factor != 0:
+            for j, v in nonzero:
+                vec[j] -= factor * v
     basis[row] = col
 
 
@@ -228,13 +235,24 @@ def brute_force_bmatching(
     choice = [0] * m
 
     def bound(idx: int) -> float:
-        out = 0.0
+        # The lesser of two upper bounds on what edges idx.. can add: every
+        # edge at its cap min(rem_i, rem_j), and half the sum over vertices
+        # of rem_i units filled with the heaviest caps at i (each edge
+        # counts at both ends; edges come in descending weight order).
+        edge_total = 0.0
+        vertex_total = 0.0
+        left = rem.copy()
         for t in range(idx, m):
             i, j, w = edges[t]
             cap = min(rem[i], rem[j])
             if cap > 0:
-                out += w * cap
-        return out
+                edge_total += w * cap
+                take_i = min(left[i], cap)
+                take_j = min(left[j], cap)
+                left[i] -= take_i
+                left[j] -= take_j
+                vertex_total += w * (take_i + take_j)
+        return min(edge_total, 0.5 * vertex_total)
 
     def rec(idx: int, acc: float) -> None:
         nonlocal best_weight, best_choice

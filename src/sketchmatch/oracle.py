@@ -176,40 +176,38 @@ def matching_oracle(
 
     # Per-vertex level profiles: delta[i, l] is the largest multiplier
     # mass a price profile capped at level l can collect at vertex i.
-    smat = np.zeros((n, n_levels))
-    smat[vv, vl] = surplus_pos
-    prefix_weighted = np.cumsum(smat * w_of, axis=1)
-    prefix_plain = np.cumsum(smat, axis=1)
-    total = prefix_plain[:, -1:]
-    delta = prefix_weighted + w_of * (total - prefix_plain)
-    barr = index.capacity
+    # k* is a vertex's highest qualifying level.  When no level
+    # qualifies the reversed argmax lands on level L, and the gather of
+    # that cell reads False.
+    delta = index.level_profiles(surplus_pos)
     qualifies = delta > (gamma / beta) * index.level_capacity
-    violated = qualifies.any(axis=1)
-    k_star = np.where(
-        violated, n_levels - 1 - qualifies[:, ::-1].argmax(axis=1), -1
-    )
-    viol_ids = np.nonzero(violated)[0]
-    gamma_v = float(delta[viol_ids, k_star[viol_ids]].sum()) if len(viol_ids) else 0.0
+    k_star = (n_levels - 1) - qualifies[:, ::-1].argmax(axis=1)
+    at_k_star = k_star + np.arange(0, n * n_levels, n_levels)
+    violated = qualifies.take(at_k_star)
+    gamma_v = float(delta.take(at_k_star)[violated].sum())
+    priced = (surplus > 0.0) & violated[vv]
 
     if gamma_v >= eps * gamma / 24.0:
+        # A price capped at level k is gamma * w_k / gamma_v.  Unpriced
+        # rows and vertices get 0.0; zeros change neither the exact sum
+        # of the target check nor the cap check.
+        level_price = gamma * w_of / gamma_v
         it = DualIterate.zeros(index)
-        priced = (surplus_pos > 0.0) & violated[vv]
-        prices = gamma * w_of[np.minimum(vl, k_star[vv])[priced]] / gamma_v
-        it.x_level[priced] = prices
-        it.x_top[viol_ids] = gamma * w_of[k_star[viol_ids]] / gamma_v
-        lag = math.fsum((prices * surplus[priced]).tolist())
+        it.x_level = np.where(priced, level_price[np.minimum(vl, k_star[vv])], 0.0)
+        it.x_top = np.where(violated, level_price[k_star], 0.0)
+        lag = math.fsum((it.x_level * surplus).tolist())
         if not math.isclose(lag, gamma, rel_tol=_REL):
             raise AssertionError("vertex step does not meet the penalized target")
         if budget_value(index, it) > beta * (1.0 + _REL):
             raise AssertionError("vertex step exceeds the budget")
-        if (prices > index.vrow_price_cap[priced] * (1.0 + _REL)).any():
+        if (it.x_level > index.vrow_price_cap * (1.0 + _REL)).any():
             raise AssertionError("vertex price exceeds its width cap")
         return DualStep(it, "vertex", penalty, gamma, beta)
 
     # Raise the degree multipliers on the violated prefix; the target
     # shrinks by at most 3/2 of the (small) vertex surplus.
     zeta_bar = zeta.copy()
-    raise_mask = violated[vv] & (surplus > 0.0) & (vl <= k_star[vv])
+    raise_mask = priced & (vl <= k_star[vv])
     zeta_bar[raise_mask] = edge_mass[raise_mask] / (2.0 * penalty)
     gamma_p = usc - penalty * float(zeta_bar @ q_outer)
     if gamma_p < gamma - 1.5 * gamma_v * (1.0 + _REL) - 1e-12:
@@ -231,7 +229,7 @@ def matching_oracle(
         vmask = vl >= p
         zeta_suffix = np.zeros(n)
         np.add.at(zeta_suffix, vv[vmask], zeta_bar[vmask])
-        q_hat = barr + 2.0 * coeff * penalty * zeta_suffix
+        q_hat = index.capacity + 2.0 * coeff * penalty * zeta_suffix
         selected, values = collect_violated_sets(index, q_rows, q_hat)
         if selected:
             dvals = values[np.array(selected)] / coeff

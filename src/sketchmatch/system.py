@@ -144,7 +144,17 @@ class SystemIndex:
     vertex, then level; ``vrow_price_cap`` is the width cap
     ``(24/eps) w_k`` of a degree row's x price.  ``level_weights`` holds
     ``(1+eps)^k`` for ``k = 0..L``, ``capacity`` the floats ``b_i`` and
-    ``level_capacity`` their ``n x (L+1)`` products.  Only :meth:`set_matrices` is built on
+    ``level_capacity`` their ``n x (L+1)`` products.
+
+    :meth:`level_profiles` works on packed degree rows: every vertex owns
+    a row of ``W = 1 + (most degree rows at one vertex)`` slots, slot 0
+    always zero and slots ``1..`` its degree rows in level order.
+    ``vrow_slot`` is a degree row's flat slot, ``slot_weights`` the
+    ``n x W`` level weights of the slots, and ``level_gather`` maps grid
+    cell ``(i, l)`` to the flat slot of ``i``'s last degree row at a level
+    ``<= l`` (slot 0 if none); ``grid_weights`` holds ``w_l`` in every
+    cell ``(i, l)`` (a same-shape product is cheaper than a broadcast
+    one at this size).  Only :meth:`set_matrices` is built on
     first use; every evaluator is deterministic given the same iterate.
     """
 
@@ -168,6 +178,10 @@ class SystemIndex:
     level_weights: np.ndarray = field(init=False)
     capacity: np.ndarray = field(init=False)
     level_capacity: np.ndarray = field(init=False)
+    vrow_slot: np.ndarray = field(init=False)
+    slot_weights: np.ndarray = field(init=False)
+    level_gather: np.ndarray = field(init=False)
+    grid_weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         lv = self.leveled
@@ -201,6 +215,25 @@ class SystemIndex:
             self.row_ends * n_levels + self.row_levels[:, None],
         )
         self.end_vrow = self.row_vrow.T.ravel()
+
+        # Packed degree rows.  Rows of vertices below i have keys below
+        # i * (L+1), so the count of keys <= a cell's key, less i's first
+        # row, is the slot of i's last row at or below the cell's level.
+        n = lv.base.n
+        counts = np.bincount(self.vrow_vertex, minlength=n)
+        width = 1 + int(counts.max(initial=0))
+        first = np.cumsum(counts) - counts
+        self.vrow_slot = (
+            self.vrow_vertex * width + 1 + np.arange(len(self.vrows)) - first[self.vrow_vertex]
+        )
+        self.slot_weights = np.zeros((n, width))
+        self.slot_weights.ravel()[self.vrow_slot] = vweights
+        keys = self.vrow_vertex * n_levels + self.vrow_level
+        cells = np.searchsorted(keys, np.arange(n * n_levels), side="right")
+        self.level_gather = cells.reshape(n, n_levels) + (
+            np.arange(n) * width - first
+        )[:, None]
+        self.grid_weights = np.tile(self.level_weights, (n, 1))
 
     def set_rows(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Internal and boundary cover rows of the set(s) with membership ``member``.
@@ -249,6 +282,27 @@ class SystemIndex:
         return np.bincount(
             self.end_vrow, np.concatenate((per_row, per_row)), len(self.vrows)
         )
+
+    def level_profiles(self, surplus: np.ndarray) -> np.ndarray:
+        """Per-vertex level profiles of a nonnegative per-degree-row vector.
+
+        ``delta[i, l]`` is ``sum_k min(w_k, w_l) s_i(k)`` over ``i``'s
+        degree rows, the largest mass a price profile capped at level
+        ``l`` collects at ``i``: the ``w``-weighted prefix up to ``l``
+        plus ``w_l`` times the plain suffix above it.  Both prefix sums
+        run along the packed rows.  On a dense ``n x (L+1)`` grid the
+        cells without a degree row hold ``+0.0``, and adding ``+0.0``
+        changes no sum, so every cell equals the dense ``cumsum``
+        formula bit for bit.
+        """
+        packed = np.zeros(self.slot_weights.shape)
+        packed.ravel()[self.vrow_slot] = surplus
+        prefix_weighted = np.add.accumulate(packed * self.slot_weights, axis=1)
+        prefix_plain = np.add.accumulate(packed, axis=1)
+        at = self.level_gather
+        return prefix_weighted.take(at) + self.grid_weights * (
+            prefix_plain[:, -1:] - prefix_plain
+        ).take(at)
 
     def is_shaped(self, it: DualIterate, atol: float = 0.0, rtol: float = 0.0) -> bool:
         """Whether ``x_i >= x_i(k) - max(atol, rtol |x_i(k)|)`` on every degree row."""

@@ -36,6 +36,41 @@ def random_instance(seed: int) -> sm.Graph:
     return sm.Graph(n=n, edges=edges, b=b)
 
 
+def oddset_wide_instance(seed: int, n: int) -> sm.Graph:
+    """An odd-set-heavy instance: b = 1, m = 3n, integer weights 1..100."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    edges = tuple(
+        (i, j, float(rng.randint(1, 100))) for (i, j) in sorted(pairs[: 3 * n])
+    )
+    return sm.Graph(n=n, edges=edges, b=(1,) * n)
+
+
+def profile_edge_graphs() -> dict[str, sm.Graph]:
+    """Graphs whose packed degree rows take their edge shapes.
+
+    ``isolated``: the last vertex has no edge.  ``dropped``: the last
+    vertex's edges are all too light to keep, so it has no degree row
+    either.  ``extremes``: vertex 0 has degree rows at level 0 (weight
+    1.05, just above the cut ``eps * W* / B``) and at the top level L.
+    """
+    g = random_instance(1005)
+    isolated = sm.Graph(n=g.n + 1, edges=g.edges, b=g.b + (1,))
+    g = random_instance(1011)
+    light = ((0, g.n, 1e-4), (1, g.n, 2e-4))
+    dropped = sm.Graph(n=g.n + 1, edges=g.edges + light, b=g.b + (2,))
+    extremes = sm.Graph(
+        n=5,
+        edges=(
+            (0, 1, 100.0), (0, 2, 1.05), (0, 3, 30.0),
+            (2, 3, 60.0), (3, 4, 40.0), (1, 4, 20.0),
+        ),
+        b=(2, 1, 1, 1, 1),
+    )
+    return {"isolated": isolated, "dropped": dropped, "extremes": extremes}
+
+
 def refine_deferred_reference(
     sketch: sm.DeferredSketch, values: Mapping[int, float], tol: float = 1e-9
 ) -> dict[int, float]:

@@ -11,13 +11,91 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchmatch as sm
-from sketchmatch.exact import LPInfeasibleError, LPUnboundedError, solve_lp_min
+import sketchmatch.exact as exact_mod
+from sketchmatch.exact import (
+    BRUTE_FORCE_MAX_B_TOTAL,
+    LPInfeasibleError,
+    LPUnboundedError,
+    solve_lp_min,
+)
 from sketchmatch.graph import OddSet
 
 from conftest import EPS, random_instance, set_z_prices, triangle_paper
 
 
+def edge_bound_bmatching(g: sm.Graph) -> tuple[float, tuple[tuple[int, int, int], ...]]:
+    """Branch and bound pruned by the edge bound alone: every remaining
+    edge at its cap ``min(rem_i, rem_j)``.  The reference for the
+    vertex-bounded search of ``brute_force_bmatching``."""
+    order = sorted(range(g.m), key=lambda e: (-g.edges[e][2], g.edges[e][0], g.edges[e][1]))
+    edges = [g.edges[e] for e in order]
+    m = len(edges)
+    rem = list(g.b)
+    best_weight = 0.0
+    best_choice = [0] * m
+    choice = [0] * m
+
+    def bound(idx: int) -> float:
+        out = 0.0
+        for t in range(idx, m):
+            i, j, w = edges[t]
+            cap = min(rem[i], rem[j])
+            if cap > 0:
+                out += w * cap
+        return out
+
+    def rec(idx: int, acc: float) -> None:
+        nonlocal best_weight, best_choice
+        if acc > best_weight + 1e-12:
+            best_weight = acc
+            best_choice = choice.copy()
+        if idx >= m:
+            return
+        if acc + bound(idx) <= best_weight + 1e-12:
+            return
+        i, j, w = edges[idx]
+        cap = min(rem[i], rem[j])
+        for mult in range(cap, -1, -1):
+            choice[idx] = mult
+            rem[i] -= mult
+            rem[j] -= mult
+            rec(idx + 1, acc + w * mult)
+            rem[i] += mult
+            rem[j] += mult
+            choice[idx] = 0
+
+    rec(0, 0.0)
+    picked = [(edges[t][0], edges[t][1], best_choice[t]) for t in range(m) if best_choice[t] > 0]
+    picked.sort()
+    return best_weight, tuple(picked)
+
+
 class TestBruteForce:
+    def test_vertex_bound_returns_the_edge_bound_answer(self):
+        # fractional weights, ties, and capacities up to the total cap
+        rng = random.Random(17)
+        for trial in range(60):
+            n = rng.randint(3, 9)
+            b = [rng.randint(1, BRUTE_FORCE_MAX_B_TOTAL // n) for _ in range(n)]
+            if trial % 3 == 0:  # total capacity at the cap
+                while sum(b) < BRUTE_FORCE_MAX_B_TOTAL:
+                    b[rng.randrange(n)] += 1
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            rng.shuffle(pairs)
+            ties = [rng.uniform(0.1, 10.0) for _ in range(3)]
+            edges = tuple(
+                (i, j, rng.choice(ties) if rng.random() < 0.3 else rng.uniform(0.01, 10.0))
+                for (i, j) in sorted(pairs[: rng.randint(1, min(len(pairs), 14))])
+            )
+            g = sm.Graph(n=n, edges=edges, b=tuple(b))
+            assert g.B <= BRUTE_FORCE_MAX_B_TOTAL
+            assert sm.brute_force_bmatching(g) == edge_bound_bmatching(g)
+
+    def test_vertex_bound_on_suite_instances(self):
+        for seed in range(1000, 1016):
+            g = random_instance(seed)
+            assert sm.brute_force_bmatching(g) == edge_bound_bmatching(g)
+
     def test_unit_triangle(self):
         g = sm.Graph(
             n=3, edges=((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)), b=(1, 1, 1)
@@ -81,7 +159,25 @@ class TestBruteForce:
         assert value == 2.0
 
 
+def dense_pivot(tableau, basis, row, col) -> None:
+    """The pivot that rewrites every entry of every row it eliminates."""
+    inv = Fraction(1) / tableau[row][col]
+    tableau[row] = [v * inv for v in tableau[row]]
+    for r, vec in enumerate(tableau):
+        if r != row and vec[col] != 0:
+            factor = vec[col]
+            tableau[r] = [v - factor * p for v, p in zip(vec, tableau[row])]
+    basis[row] = col
+
+
 class TestSimplex:
+    def test_sparse_pivot_matches_dense_pivot(self, monkeypatch):
+        # the layered LP runs phase 1 on its cover rows, then phase 2
+        graphs = [triangle_paper(), random_instance(1009)]
+        got = [sm.exact_lp_values(g, EPS, include_layered=True) for g in graphs]
+        monkeypatch.setattr(exact_mod, "_pivot", dense_pivot)
+        assert got == [sm.exact_lp_values(g, EPS, include_layered=True) for g in graphs]
+
     def test_mixed_senses(self):
         # x1 - x2 >= 0 (zero right-hand side) starts on its own slack.
         value, x = solve_lp_min(

@@ -28,7 +28,14 @@ from sketchmatch.oracle import (
     maximal_bmatching_rounds,
 )
 
-from conftest import EPS, random_instance, set_z_prices, z_prices
+from conftest import (
+    EPS,
+    oddset_wide_instance,
+    profile_edge_graphs,
+    random_instance,
+    set_z_prices,
+    z_prices,
+)
 
 # -- reference: the dict iterate and its loops --------------------------------
 
@@ -232,33 +239,58 @@ def test_vrow_mass_matches_two_scatters():
 # -- the oracle's vertex step --------------------------------------------------
 
 
+def random_queries(index, rng, count: int):
+    """Random oracle queries at the scales of a solve's queries.
+
+    The penalty is near the first one of the search and the budget
+    near the harvested weight.
+    """
+    for _trial in range(count):
+        u = np.where(rng.random(len(index.rows)) < 0.7, rng.random(len(index.rows)), 0.0)
+        zeta = rng.random(len(index.vrows))
+        usc = float(u @ index.cover_rhs)
+        zq = float(zeta @ index.degree_rhs_outer)
+        penalty = EPS * usc / (16.0 * zq) * float(rng.uniform(0.5, 20.0))
+        beta = float(rng.uniform(50.0, 2000.0))
+        yield u, zeta, penalty, beta
+
+
+def vertex_steps_match(index, queries) -> int:
+    """Compare the oracle with the dict loop on ``queries``; count vertex steps."""
+    fired = 0
+    for u, zeta, penalty, beta in queries:
+        want = dict_vertex_step(index, u, zeta, penalty, beta)
+        out = matching_oracle(index, u, zeta, penalty, beta)
+        if want is None:
+            assert not (isinstance(out, DualStep) and out.branch == "vertex")
+            continue
+        fired += 1
+        assert out.branch == "vertex"
+        assert out.beta == beta
+        assert_same(out.iterate, to_vectors(index, want))
+    return fired
+
+
 def test_vertex_step_matches_dict_loop_on_random_queries():
     fired = 0
     for seed in range(1000, 1012):
         index = suite_index(seed)
-        rng = np.random.default_rng(seed)
-        for _trial in range(10):
-            # the scales of a solve's queries: the first penalty of the
-            # search and a budget near the harvested weight
-            u = np.where(rng.random(len(index.rows)) < 0.7, rng.random(len(index.rows)), 0.0)
-            zeta = rng.random(len(index.vrows))
-            usc = float(u @ index.cover_rhs)
-            zq = float(zeta @ index.degree_rhs_outer)
-            penalty = EPS * usc / (16.0 * zq) * float(rng.uniform(0.5, 20.0))
-            beta = float(rng.uniform(50.0, 2000.0))
-            want = dict_vertex_step(index, u, zeta, penalty, beta)
-            out = matching_oracle(index, u, zeta, penalty, beta)
-            if want is None:
-                assert not (isinstance(out, DualStep) and out.branch == "vertex")
-                continue
-            fired += 1
-            assert out.branch == "vertex"
-            assert out.beta == beta
-            assert_same(out.iterate, to_vectors(index, want))
+        fired += vertex_steps_match(index, random_queries(index, np.random.default_rng(seed), 10))
     assert 30 <= fired < 120  # both outcomes of the branch test occur
 
 
-def test_vertex_steps_of_a_solve_match_dict_loop(monkeypatch):
+@pytest.mark.parametrize("name", sorted(profile_edge_graphs()))
+def test_vertex_step_matches_dict_loop_on_packed_row_edge_cases(name):
+    # an isolated vertex, a vertex whose edges are all dropped (its
+    # packed row is slot 0 alone), and degree rows at levels 0 and L
+    g = profile_edge_graphs()[name]
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+    fired = vertex_steps_match(index, random_queries(index, np.random.default_rng(7), 40))
+    assert fired > 0
+
+
+def first_vertex_steps_match(monkeypatch, graph) -> None:
+    """The first 60 oracle answers of a solve of ``graph`` against the dict loop."""
     calls = []
     real = driver_mod.matching_oracle
 
@@ -269,12 +301,21 @@ def test_vertex_steps_of_a_solve_match_dict_loop(monkeypatch):
         return out
 
     monkeypatch.setattr(driver_mod, "matching_oracle", recording)
-    sm.solve(random_instance(1003), sm.SolverConfig(max_rounds=8))
+    sm.solve(graph, sm.SolverConfig(max_rounds=8))
     assert len(calls) == 60
     for index, u, zeta, penalty, beta, out in calls:
         assert out.branch == "vertex"
         want = dict_vertex_step(index, u, zeta, penalty, beta)
         assert_same(out.iterate, to_vectors(index, want))
+
+
+def test_vertex_steps_of_a_solve_match_dict_loop(monkeypatch):
+    first_vertex_steps_match(monkeypatch, random_instance(1003))
+
+
+def test_vertex_steps_of_an_oddset_wide_solve_match_dict_loop(monkeypatch):
+    # n = 16, m = 48, b = 1: the shape of the oddset_wide benchmark graphs
+    first_vertex_steps_match(monkeypatch, oddset_wide_instance(0, 16))
 
 
 # -- the start point -------------------------------------------------------------

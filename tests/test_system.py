@@ -21,7 +21,7 @@ import sketchmatch as sm
 from sketchmatch.graph import OddSet
 from sketchmatch.oddsets import collect_violated_sets
 
-from conftest import EPS, random_instance, set_z_prices, z_prices
+from conftest import EPS, profile_edge_graphs, random_instance, set_z_prices, z_prices
 
 # -- reference loops --------------------------------------------------------
 
@@ -381,3 +381,79 @@ def test_strict_collect_violated_sets_matches_loop(name):
         assert np.array_equal(values, want_values)
         picked += selected
     assert picked  # the draws select some sets, so the scan has work to do
+
+
+# -- packed level profiles ----------------------------------------------------
+
+
+def dense_profiles(index, surplus: np.ndarray) -> np.ndarray:
+    """The dense ``n x (L+1)`` grid and its two cumsums, as the oracle ran them."""
+    smat = np.zeros(index.level_capacity.shape)
+    smat[index.vrow_vertex, index.vrow_level] = surplus
+    w_of = index.level_weights
+    prefix_weighted = np.cumsum(smat * w_of, axis=1)
+    prefix_plain = np.cumsum(smat, axis=1)
+    return prefix_weighted + w_of * (prefix_plain[:, -1:] - prefix_plain)
+
+
+PROFILE_CASES = CASES + sorted(profile_edge_graphs())
+
+
+def profile_case(name: str):
+    if name in CASES:
+        return case(name)[2]
+    lv = sm.discretize(profile_edge_graphs()[name], EPS)
+    return sm.SystemIndex(lv, EPS, ())
+
+
+@pytest.mark.parametrize("name", PROFILE_CASES)
+def test_packed_layout_matches_cell_loop(name):
+    index = profile_case(name)
+    n, n_levels = index.level_capacity.shape
+    rows_at = {i: [k for (v, k) in index.vrows if v == i] for i in range(n)}
+    width = 1 + max(len(levels) for levels in rows_at.values())
+    assert index.slot_weights.shape == (n, width)
+    slot_of = dict(zip(index.vrows, index.vrow_slot.tolist()))
+    weights = np.zeros((n, width))
+    for i, levels in rows_at.items():
+        # slot 0 stays empty; the rows follow in level order
+        assert [slot_of[(i, k)] for k in levels] == [
+            i * width + 1 + r for r in range(len(levels))
+        ]
+        for k in levels:
+            weights.flat[slot_of[(i, k)]] = index.level_weights[k]
+    assert np.array_equal(index.slot_weights, weights)
+    for i, levels in rows_at.items():
+        for lev in range(n_levels):
+            below = [k for k in levels if k <= lev]
+            want = slot_of[(i, below[-1])] if below else i * width
+            assert index.level_gather[i, lev] == want
+    last = n - 1
+    if name in ("isolated", "dropped"):
+        assert rows_at[last] == []
+        assert (index.level_gather[last] == last * width).all()
+    if name == "dropped":
+        assert sm.discretize(profile_edge_graphs()[name], EPS).level_of[-2:] == (-1, -1)
+    if name == "extremes":
+        assert rows_at[0][0] == 0 and rows_at[0][-1] == n_levels - 1
+
+
+@pytest.mark.parametrize("name", PROFILE_CASES)
+def test_level_profiles_match_dense_cumsums_bit_for_bit(name):
+    index = profile_case(name)
+    rng = np.random.default_rng(len(name))
+    n_vrows = len(index.vrows)
+    # zeros, repeated values and magnitudes far apart, so a changed
+    # addition order would show in the bits
+    pool = np.array([0.0, 0.0, 1.0, 1.0 / 3.0, 0.1, 7.5e5, 2.0**-30])
+    for _trial in range(40):
+        surplus = np.where(
+            rng.random(n_vrows) < 0.5,
+            rng.choice(pool, n_vrows),
+            10.0 ** rng.uniform(-6.0, 6.0, n_vrows),
+        )
+        got = index.level_profiles(surplus)
+        want = dense_profiles(index, surplus)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(index.level_profiles(np.zeros(n_vrows)), np.zeros(index.level_capacity.shape))
