@@ -92,8 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"edges: {' '.join(f'{i}-{j}x{m}' for (i, j, m) in report.matching) or '(empty)'}",
         f"rounds {report.rounds}/{report.round_cap}, "
         f"peak space {report.peak_space} (cap {report.space_cap:.6g})",
-        f"coverage {report.lambda_final:.6g} "
-        f"({'certified' if report.certified else 'round budget reached'})",
+        f"coverage {report.lambda_final:.6g} (stop: {report.stop_reason})",
     ]
     _emit(report.as_dict(), args, "\n".join(lines))
     return 0

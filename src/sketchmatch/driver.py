@@ -6,8 +6,9 @@
    system together with the small odd-set family;
 2. build a starting dual point from per-level maximal matchings
    (counted as sampling rounds against the round ledger);
-3. repeat super-rounds until the dual coverage certifies or the round
-   budget is exhausted: snapshot the row multipliers, build the deferred
+3. repeat super-rounds until the dual coverage certifies, the round
+   budget is exhausted, or certification is out of reach
+   (``stop_reason``): snapshot the row multipliers, build the deferred
    sparsifiers of every populated level against them in one
    :func:`~sketchmatch.sketch.build_deferred` call on the stack of
    per-level promise rows (one adaptive round of space), list their
@@ -20,7 +21,16 @@
    flat sample and reweighs it in one array pass, asks the penalized
    matching oracle for a step via the penalty search, and either
    blends the step into the dual point or raises the budget on a
-   primal certificate;
+   primal certificate.  The first super-round always runs.  A later one
+   starts only while the coverage ceiling of
+   :meth:`~sketchmatch.mwu.CoveringState.lam_ceiling` over every step
+   the remaining rounds allow reaches the target, or while the previous
+   round's harvest is not final.  A harvest is final when the round
+   stored every retained edge and there are at most
+   :data:`~sketchmatch.oracle.EXACT_THRESHOLD` of them: it is then the
+   exact leveled optimum, and no later round or certificate lift (a
+   subset of those edges) can replace the matching.  Otherwise the
+   solve stops as ``"cannot_certify"``;
 4. report the best integral matching found, in original units and in
    level weights, together with the round/space ledger and traces.
 
@@ -50,6 +60,7 @@ from .mwu import (
     packing_multipliers,
 )
 from .oracle import (
+    EXACT_THRESHOLD,
     BMatching,
     DualStep,
     PrimalCertificate,
@@ -81,9 +92,12 @@ class SolverConfig:
     """Tunable parameters of :func:`solve`.
 
     ``max_rounds`` defaults to the guaranteed round budget
-    ``8 * ceil(p / epsilon)``; passing a smaller value trades dual
-    certification for speed (the harvested matching is unaffected at
-    small scale, where the first round already stores every edge).
+    ``8 * ceil(p / epsilon)``.  A smaller value shortens solves whose
+    harvest is not final, which run to the cap; it can only make the
+    ``cannot_certify`` stop fire sooner, because fewer rounds leave a
+    lower coverage ceiling.  At the default start the ceiling over the
+    default budget is already far below the target, so a smaller cap
+    costs no certificate.
     """
 
     epsilon: float = 1.0 / 16.0
@@ -129,6 +143,8 @@ class SolveReport:
     lambda_start: float
     lambda_final: float
     certified: bool
+    # "certified", "round_cap", or "cannot_certify" (see the module docstring)
+    stop_reason: str
     beta_final: float
     steps: int
     certificates: int
@@ -217,14 +233,33 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             harvested[support] = extract_integral(lv, support)
         return harvested[support]
 
+    # When the last round's harvest is final (step 3 of the module
+    # docstring), no later round can change the matching.
+    retained = tuple(sorted(index.row_edge.tolist()))
+    exact_harvest = len(retained) <= EXACT_THRESHOLD
+    harvest_final = False
+
     best_matching = BMatching(edges=(), weight=0.0)
     certificates = 0
     harvests = 0
     lambda_trace = [lam0]
     beta_trace = [beta0]
     solve_round = 0
+    stop_reason = "round_cap"
 
-    while state.lam < state.target and ledger.n_rounds < round_cap:
+    # The first solve round always runs, so a certified report carries
+    # a harvest.
+    while ledger.n_rounds < round_cap:
+        if solve_round > 0:
+            if state.lam >= state.target:
+                break
+            steps_left = (round_cap - ledger.n_rounds) * inner_per_round
+            if (
+                harvest_final
+                and state.lam_ceiling(state.lam_max, steps_left) < state.target
+            ):
+                stop_reason = "cannot_certify"
+                break
         solve_round += 1
         ledger.begin_round(f"solve-{solve_round}")
         # Phase boundaries are frozen to round boundaries.
@@ -248,7 +283,9 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         # The round's stored entries and their cover rows are fixed;
         # every refinement below reads the multipliers at them.
         sample = stored_sample(sketch, index.row_of_edge)
-        harvest = harvest_of(tuple(sorted(sample.edge_ids.tolist())))
+        stored = tuple(sorted(sample.edge_ids.tolist()))
+        harvest = harvest_of(stored)
+        harvest_final = exact_harvest and stored == retained
         if harvest.weight > best_matching.weight:
             best_matching = harvest
         harvests += 1
@@ -324,9 +361,19 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             if due:
                 state.resync(index.cover_values(it))
                 pox = index.degree_values(it)
+            if cfg.assert_mode:
+                ceiling = state.lam_ceiling(lam0, state.steps)
+                if state.lam > ceiling:
+                    raise ContractViolation(
+                        f"coverage {state.lam} after {state.steps} steps exceeds "
+                        f"the ceiling {ceiling} from {lam0}"
+                    )
         lambda_trace.append(state.lam)
         beta_trace.append(beta)
 
+    certified = state.lam >= state.target
+    if certified:
+        stop_reason = "certified"
     weight = _original_weight(g, best_matching)
     report = SolveReport(
         matching=best_matching.edges,
@@ -339,7 +386,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         space_cap=space_cap,
         lambda_start=lam0,
         lambda_final=state.lam,
-        certified=state.lam >= state.target,
+        certified=certified,
+        stop_reason=stop_reason,
         beta_final=beta,
         steps=state.steps,
         certificates=certificates,

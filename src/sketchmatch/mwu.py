@@ -56,6 +56,12 @@ C_T = 64.0
 RECOMPUTE_EVERY = 64
 # Relative slack on the per-step drift bound ``eps``.
 DRIFT_TOL = 1e-9
+# Tolerances of the incremental row values against their exact recompute.
+RESYNC_RTOL = 1e-6
+RESYNC_ATOL = 1e-9
+# Per-step slack of :meth:`CoveringState.lam_ceiling` for the float
+# rounding of the load updates (a few ulps of the coverage per step).
+ROUNDING_SLACK = 1e-12
 # Penalty-search limits: oracle probes per search, and the tolerance of
 # the mixed step's load against its bar.
 MAX_PROBES = 64
@@ -148,6 +154,27 @@ class CoveringState:
     multiplier exponent ``alpha`` and step size ``sigma`` set from
     ``lam_t``.  The caller keeps the iterate
     itself and blends every accepted answer into it with ``sigma``.
+    ``lam_max`` is the running maximum of ``lam`` over the start and
+    every :meth:`advance` and :meth:`resync`.
+
+    **Coverage ceiling.**  Let ``m`` be the number of rows and
+    ``kappa = eps^2 (1 + DRIFT_TOL) / (C_ALPHA ln(2m/eps))``.  An
+    accepted step passes the drift check
+    ``alpha max_l |load'_l - load_l| <= eps (1 + DRIFT_TOL)`` with
+    ``alpha = C_ALPHA ln(2m/eps) / (lam_t eps)``, so no row load rises
+    by more than ``kappa lam_t``.  ``lam_t`` is a past value of ``lam``,
+    so over steps ``s``::
+
+        lam_{s+1} <= lam_s + kappa lam_t <= (1 + kappa) max_{r<=s} lam_r
+
+    whatever the step size, and also while ``lam < lam_t``.  A resync
+    replaces row values that agree with the exact ones within
+    ``RESYNC_ATOL + RESYNC_RTOL |ax|``, so it maps the running maximum
+    ``M`` to at most ``(1 + RESYNC_RTOL) M + RESYNC_ATOL / min(c)``.
+    Both maps are increasing and affine; composing ``S`` steps and the
+    at most ``S // RECOMPUTE_EVERY + 1`` resyncs they trigger gives
+    :meth:`lam_ceiling`.  The ceiling does not depend on ``sigma``: no
+    step rule that keeps the drift check can beat it.
     """
 
     c: np.ndarray
@@ -161,6 +188,7 @@ class CoveringState:
     alpha: float = field(init=False)
     sigma: float = field(init=False)
     width: np.ndarray = field(init=False, repr=False)
+    lam_max: float = field(init=False)
     steps: int = 0
     phases: int = 1
     since_recompute: int = 0
@@ -170,6 +198,7 @@ class CoveringState:
         self.log_c = np.log(self.c)
         self.lam = float(self.load.min())
         self.lam_t = self.lam
+        self.lam_max = self.lam
         # Highest row value an answer may have: ``rho c`` and a rounding slack.
         self.width = self.rho * self.c * (1.0 + 1e-9)
         self._tune()
@@ -183,6 +212,22 @@ class CoveringState:
         m = len(self.c)
         self.alpha = C_ALPHA * math.log(2.0 * m / self.eps) / (self.lam_t * self.eps)
         self.sigma = self.eps / (4.0 * self.alpha * self.rho)
+
+    @property
+    def kappa(self) -> float:
+        """Largest relative coverage gain of one accepted step (see the class)."""
+        m = len(self.c)
+        return self.eps**2 * (1.0 + DRIFT_TOL) / (C_ALPHA * math.log(2.0 * m / self.eps))
+
+    def lam_ceiling(self, lam_max: float, steps: int) -> float:
+        """Highest coverage reachable ``steps`` accepted steps after a running max ``lam_max``.
+
+        Counts the resyncs those steps can trigger; see the class
+        docstring for the derivation.
+        """
+        resyncs = steps // RECOMPUTE_EVERY + 1
+        growth = (1.0 + self.kappa + ROUNDING_SLACK) ** steps * (1.0 + RESYNC_RTOL) ** resyncs
+        return growth * (lam_max + resyncs * RESYNC_ATOL / float(self.c.min()))
 
     def retune(self) -> None:
         """Start a new phase once the coverage doubled or reached the target."""
@@ -214,6 +259,7 @@ class CoveringState:
         self.ax = new_ax
         self.load = new_ax / c
         self.lam = float(self.load.min())
+        self.lam_max = max(self.lam_max, self.lam)
         self.steps += 1
         self.since_recompute += 1
         return self.since_recompute >= RECOMPUTE_EVERY
@@ -223,11 +269,12 @@ class CoveringState:
 
         Raises ``AssertionError`` if the two disagree.
         """
-        if not np.allclose(exact_ax, self.ax, rtol=1e-6, atol=1e-9):
+        if not np.allclose(exact_ax, self.ax, rtol=RESYNC_RTOL, atol=RESYNC_ATOL):
             raise AssertionError("incremental row values drifted from recompute")
         self.ax = exact_ax
         self.load = exact_ax / self.c
         self.lam = float(self.load.min())
+        self.lam_max = max(self.lam_max, self.lam)
         self.since_recompute = 0
 
 

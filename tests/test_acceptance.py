@@ -8,6 +8,7 @@ criteria that consume it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import time
@@ -19,10 +20,10 @@ import pytest
 import sketchmatch as sm
 from sketchmatch.mwu import CoveringProblem, solve_covering
 from sketchmatch.oddsets import build_auxiliary, collect_violated_sets, gomory_hu, max_flow
-from sketchmatch.oracle import initial_solution
+from sketchmatch.oracle import EXACT_THRESHOLD, initial_solution
 from sketchmatch.sketch import all_cut_values, prf_u64
 
-from conftest import EPS, triangle_paper
+from conftest import EPS, oddset_wide_instance, triangle_paper
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -342,3 +343,50 @@ def test_lp_ratio_invariant(suite_instances, suite_reports):
         "solver weight reaches (1 - 7 eps) of the exact relaxation value "
         f"(worst ratio {worst:.4f}, floor {floor:.4f})",
     )
+
+
+def _matching_digest(reports) -> str:
+    """sha256 of every report's matching and level-weight value, in order."""
+    rows = [[rep.as_dict()["matching"], rep.rescaled_weight] for rep in reports]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# Matchings of the solves that ran to the round cap before the
+# ``cannot_certify`` stop existed; the stop must not change them.
+PINNED_MATCHINGS = {
+    "suite": "88f828357a40cabbb418919ec336c61696ad3ae2fcc79f9b7c1e63cfab621db2",
+    "triangles": "18136a45b0aefb0ab367e36cdc0738e0860201967da3ef3686e1db03f16116a1",
+    "oddset_wide": "3227d9afc6a2881094bb0ecdd5ba420d3f389fb61ed14cf95318d132b2f073c3",
+}
+
+
+@pytest.fixture(scope="module")
+def oddset_wide_report():
+    return sm.solve(oddset_wide_instance(0, 16), sm.SolverConfig())
+
+
+def test_matchings_pinned(suite_instances, suite_reports, oddset_wide_report):
+    reports, _elapsed = suite_reports
+    plain = [sm.solve(g, sm.SolverConfig()) for g in suite_instances]
+    triangles = [
+        sm.solve(g, sm.SolverConfig())
+        for g in (triangle_paper(), sm.load_graph("0 1 5\n1 2 5\n0 2 5\n"))
+    ]
+    assert _matching_digest(plain) == PINNED_MATCHINGS["suite"]
+    assert _matching_digest(reports) == PINNED_MATCHINGS["suite"]
+    assert _matching_digest(triangles) == PINNED_MATCHINGS["triangles"]
+    assert _matching_digest([oddset_wide_report]) == PINNED_MATCHINGS["oddset_wide"]
+    # the stop fires on exactly the graphs whose harvest is exact
+    stops = [rep.stop_reason for rep in plain]
+    assert [rep.stop_reason for rep in reports] == stops
+    for g, rep in zip(suite_instances, plain):
+        greedy = sm.discretize(g, EPS).retained_count > EXACT_THRESHOLD
+        assert (rep.stop_reason == "round_cap") == greedy
+        assert (rep.rounds == rep.round_cap) == greedy
+
+
+def test_greedy_support_runs_to_the_round_cap(oddset_wide_report):
+    rep = oddset_wide_report
+    assert rep.m == 48
+    assert rep.rounds == rep.round_cap
+    assert rep.stop_reason == "round_cap"

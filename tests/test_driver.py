@@ -40,6 +40,7 @@ REPORT_KEYS = {
     "lambda_start",
     "lambda_final",
     "certified",
+    "stop_reason",
     "beta_final",
     "steps",
     "certificates",
@@ -54,6 +55,18 @@ REPORT_KEYS = {
     "levels",
     "scale",
 }
+
+
+def covering_states(monkeypatch) -> list:
+    """Collect every ``CoveringState`` created while ``monkeypatch`` is active."""
+    from sketchmatch.mwu import CoveringState
+
+    states = []
+    real = CoveringState.__post_init__
+    monkeypatch.setattr(
+        CoveringState, "__post_init__", lambda self: states.append(self) or real(self)
+    )
+    return states
 
 
 class TestSolve:
@@ -193,7 +206,9 @@ class TestSolve:
     def test_sketches_built_once_per_round(self, monkeypatch):
         from sketchmatch import driver
 
-        g = random_instance(1003)
+        # 26 retained edges: the greedy harvest is never final, so the
+        # solve runs every round up to its cap.
+        g = random_instance(1000)
         calls = []
         real = driver.build_deferred
         monkeypatch.setattr(
@@ -258,7 +273,9 @@ class TestSolve:
         from sketchmatch import driver
         from sketchmatch.oracle import BMatching, extract_integral
 
-        g = random_instance(1003)
+        # 26 retained edges: the greedy harvest is never final, so the
+        # solve runs every round up to its cap.
+        g = random_instance(1000)
         supports, built = [], []
         monkeypatch.setattr(
             driver,
@@ -384,6 +401,92 @@ class TestSolve:
         # every refinement ends in exactly one accepted step
         assert len(calls) == rep.steps > 0
 
+    def test_stop_reasons(self):
+        tri = sm.solve(sm.load_graph(TRIANGLE), sm.SolverConfig())
+        assert tri.stop_reason == "cannot_certify" and not tri.certified
+        assert tri.rounds < tri.round_cap and tri.weight == 5.0
+        # 26 retained edges: a greedy harvest is never final
+        wide = sm.solve(random_instance(1000), sm.SolverConfig(max_rounds=12))
+        assert wide.stop_reason == "round_cap" and wide.rounds == 12
+
+    @pytest.mark.parametrize("assert_mode", [False, True])
+    @pytest.mark.parametrize("graph", ["triangle", "1003"])
+    def test_certified_solve_harvests_first(self, monkeypatch, graph, assert_mode):
+        # Start rate 1: the start prices cover every row at least once,
+        # so the coverage target holds before any step.
+        from sketchmatch import oracle
+
+        monkeypatch.setattr(oracle, "START_RATE_DIVISOR", EPS)
+        g = triangle_paper() if graph == "triangle" else random_instance(1003)
+        rep = sm.solve(g, sm.SolverConfig(assert_mode=assert_mode))
+        assert rep.lambda_start >= 1.0 - 3.0 * EPS
+        assert rep.certified and rep.stop_reason == "certified"
+        assert rep.harvests >= 1 and rep.weight > 0.0
+        assert rep.steps == 0
+        opt, _ = sm.brute_force_bmatching(g)
+        assert rep.weight >= (1.0 - 14.0 * EPS) * opt - 1e-9
+
+    def test_stop_waits_for_the_ceiling(self, monkeypatch):
+        # Start coverage 0.8 against the target 0.8125: the ceiling
+        # 0.8 (1 + kappa)^(5 x rounds left), kappa = 2.1e-4 on the three
+        # cover rows, reaches the target until about 15 rounds are left.
+        from sketchmatch import oracle
+
+        states = covering_states(monkeypatch)
+        monkeypatch.setattr(oracle, "START_RATE_DIVISOR", EPS / 0.8)
+        rep = sm.solve(triangle_paper(), sm.SolverConfig())
+        assert rep.lambda_start == pytest.approx(0.8)
+        assert rep.stop_reason == "cannot_certify"
+        assert 200 < rep.rounds < rep.round_cap
+        (state,) = states
+        per_round = rep.steps // (rep.rounds - 1)
+        left = rep.round_cap - rep.rounds
+        assert state.lam_ceiling(state.lam_max, left * per_round) < state.target
+        assert state.lam_ceiling(state.lam_max, (left + 1) * per_round) >= state.target
+        assert rep.matching == sm.solve(triangle_paper(), sm.SolverConfig()).matching
+
+    @pytest.mark.parametrize("graph", ["triangle", "1003"])
+    def test_drift_limited_steps_stay_under_the_ceiling(self, monkeypatch, graph):
+        # Every step is the largest the drift check accepts; with the
+        # stop switched off the assert-mode solve runs all its rounds and
+        # checks the coverage against the ceiling after every step.
+        from sketchmatch import driver
+        from sketchmatch.mwu import CoveringState
+
+        states = covering_states(monkeypatch)
+        real = CoveringState.advance
+
+        def drift_limited(self, ay):
+            widest = float(np.abs((ay - self.ax) / self.c).max())
+            if widest > 0.0:
+                self.sigma = min(1.0, self.eps / (self.alpha * widest))
+            return real(self, ay)
+
+        monkeypatch.setattr(CoveringState, "advance", drift_limited)
+        monkeypatch.setattr(driver, "EXACT_THRESHOLD", -1)
+        g = triangle_paper() if graph == "triangle" else random_instance(1003)
+        rep = sm.solve(g, sm.SolverConfig(assert_mode=True))
+        assert rep.rounds == rep.round_cap == 256
+        assert rep.stop_reason == "round_cap"
+        (state,) = states
+        ceiling = state.lam_ceiling(rep.lambda_start, rep.steps)
+        assert rep.lambda_final <= state.lam_max <= ceiling < state.target
+        # the steps reach most of the ceiling's gain (x1.27 and x1.35 of
+        # the start against x1.31 and x1.42)
+        assert rep.lambda_final / rep.lambda_start > 1.25
+        gain = rep.lambda_final - rep.lambda_start
+        assert gain > 0.75 * (ceiling - rep.lambda_start)
+
+    def test_assert_mode_checks_the_coverage_ceiling(self, monkeypatch):
+        from sketchmatch.mwu import CoveringState
+
+        monkeypatch.setattr(CoveringState, "lam_ceiling", lambda self, lam_max, steps: lam_max)
+        g = triangle_paper()
+        plain = sm.solve(g, sm.SolverConfig())
+        assert plain.stop_reason == "cannot_certify" and plain.lambda_final > plain.lambda_start
+        with pytest.raises(ContractViolation, match="exceeds the ceiling"):
+            sm.solve(g, sm.SolverConfig(assert_mode=True))
+
     def test_caps_formulas(self):
         assert sm.round_cap_for(2.0, EPS) == 8 * 32
         got = sm.space_cap_for(10, 2.0, 20, 16.0)
@@ -494,6 +597,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "weight" in out
+
+    def test_solve_human_lines_name_the_stop(self, tmp_path, capsys):
+        path = _write_graph(tmp_path, text=TRIANGLE)
+        assert main(["solve", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert "(stop: cannot_certify)" in out
+        assert "rounds 2/256" in out
+        assert main(["solve", "--input", path, "--max-rounds", "2"]) == 0
+        assert "(stop: round_cap)" in capsys.readouterr().out
 
     def test_solve_out_file(self, tmp_path):
         path = _write_graph(tmp_path)

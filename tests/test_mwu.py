@@ -9,6 +9,8 @@ import pytest
 
 import sketchmatch as sm
 from sketchmatch.mwu import (
+    C_ALPHA,
+    DRIFT_TOL,
     MAX_PROBES,
     RECOMPUTE_EVERY,
     CoveringProblem,
@@ -251,6 +253,43 @@ class TestCoveringState:
         st.lam = st.target
         st.retune()
         assert (st.phases, st.lam_t) == (2, st.target)
+
+    def test_kappa_formula(self):
+        st = _state()
+        assert st.kappa == 0.1**2 * (1.0 + DRIFT_TOL) / (C_ALPHA * math.log(2.0 * 2 / 0.1))
+
+    def test_running_max_survives_a_lower_resync(self):
+        st = _state()
+        st.advance(np.array([2.0, 2.0]))
+        top = st.lam
+        assert st.lam_max == top > 0.5
+        st.resync(st.ax * (1.0 - 1e-7))
+        assert st.lam < top == st.lam_max
+
+    def test_drift_limited_steps_stay_under_the_ceiling(self):
+        # Every step is the largest the drift check accepts, toward the
+        # widest answer; resyncs round the row values up within tolerance.
+        st = _state()
+        lam0 = st.lam
+        ay = st.rho * st.c
+        for _ in range(5 * RECOMPUTE_EVERY):
+            st.retune()
+            st.sigma = st.eps / (st.alpha * float(np.abs((ay - st.ax) / st.c).max()))
+            if st.advance(ay):
+                st.resync(st.ax * (1.0 + 0.9e-6))
+            assert st.lam <= st.lam_max <= st.lam_ceiling(lam0, st.steps)
+        # the steps reach most of the ceiling's gain (lam_t stays 0.5,
+        # so each step gains kappa * 0.5 against the ceiling's kappa * lam)
+        assert st.lam - lam0 > 0.8 * (st.lam_ceiling(lam0, st.steps) - lam0)
+
+    def test_ceiling_carries_the_resync_tolerance(self):
+        st = _state()
+        assert st.lam_ceiling(0.5, 0) == pytest.approx((1.0 + 1e-6) * (0.5 + 1e-9), rel=1e-15)
+        per_step = 1.0 + st.kappa
+        got = st.lam_ceiling(0.5, RECOMPUTE_EVERY)
+        want = per_step**RECOMPUTE_EVERY * (1.0 + 1e-6) ** 2 * (0.5 + 2e-9)
+        assert got == pytest.approx(want, rel=1e-9)
+        assert got > want
 
 
 def _triangle_index(eps: float = EPS):
