@@ -6,7 +6,9 @@ optimum, and prints per-instance ratios plus a summary row.  With
 ``--assert`` every run verifies its own dual steps and certificates.
 Each ``--json`` row carries ``report_sha256``, the sha256 of the
 report's sorted-key JSON, so two commits' reports compare with a diff
-of their outputs.
+of their outputs, and ``matching_sha256``, the sha256 of the matching
+and its level-weight value, which stays put when only the coverage
+bits move.
 
 Example
 -------
@@ -42,6 +44,12 @@ def random_instance(seed: int) -> sm.Graph:
 def report_sha256(rep: sm.SolveReport) -> str:
     """sha256 of the report's canonical JSON: equal digests, byte-identical reports."""
     return hashlib.sha256(json.dumps(rep.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def matching_sha256(rep: sm.SolveReport) -> str:
+    """sha256 of ``[matching, rescaled_weight]``: equal digests, the same matching."""
+    rows = [[list(e) for e in rep.matching], rep.rescaled_weight]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,6 +91,7 @@ def main(argv: list[str] | None = None) -> int:
                 "rounds": rep.rounds,
                 "peak_space": rep.peak_space,
                 "report_sha256": report_sha256(rep),
+                "matching_sha256": matching_sha256(rep),
             }
         )
         if not args.json:

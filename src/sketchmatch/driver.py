@@ -37,7 +37,7 @@
 The dual coverage rows step through :class:`sketchmatch.mwu.CoveringState`,
 the same step rule :func:`sketchmatch.mwu.solve_covering` uses: phases
 are retuned once per super-round, and every accepted step is checked
-for width and drift and periodically recomputed exactly.
+for width and drift on the exact row values of the blended iterate.
 
 The number of refinements a single sketch build supports is limited by
 the multiplicative drift of the multipliers per accepted step; the
@@ -87,6 +87,11 @@ SKETCH_XI = 0.5
 CERTIFICATE_RETRIES = 1000
 
 
+def _is_count(value: object) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunable parameters of :func:`solve`.
@@ -112,8 +117,12 @@ class SolverConfig:
             raise ValueError("epsilon must be in (0, 1/16]")
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ValueError("p must be a finite number at least 1")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        if not _is_count(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.max_rounds is not None and not (
+            _is_count(self.max_rounds) and self.max_rounds >= 1
+        ):
+            raise ValueError(f"max_rounds must be an integer at least 1, got {self.max_rounds!r}")
         if not (math.isfinite(self.space_mult) and self.space_mult > 0.0):
             raise ValueError("space_mult must be positive and finite")
 
@@ -211,7 +220,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     state = CoveringState(
         c=index.cover_rhs, rho=24.0 / eps + 24.0 / eps**2, eps=eps, ax=index.cover_values(it)
     )
-    pox = index.degree_values(it)
     gamma_drift = max(n ** (1.0 / (2.0 * cfg.p)), 1.0 + eps)
     inner_per_round = math.ceil(math.log(gamma_drift) / eps)
     edge_ends = np.array([(i, j) for (i, j, _w) in g.edges], dtype=np.int64).reshape(-1, 2)
@@ -313,8 +321,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             # The packing load has a positive row: lambda_0 > 0 (CoveringState
             # divides by it) prices every cover row at an end or on a set
             # holding both ends, which loads a degree row; prices are
-            # nonnegative, so steps and resyncs keep that load positive.
-            load_pack = pox / q_outer
+            # nonnegative, so steps keep that load positive.
+            load_pack = index.degree_values(it) / q_outer
             alpha_pack = 4.0 * log_pack / (float(load_pack.max()) * delta_pack)
             zeta, _ = packing_multipliers(load_pack, log_q_outer, alpha_pack)
 
@@ -347,7 +355,9 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 break
 
             step: DualStep = out
-            due = state.advance(index.cover_values(step.iterate))
+            blended = it.blend(step.iterate, state.sigma)
+            state.advance(index.cover_values(step.iterate), index.cover_values(blended))
+            it = blended
             if cfg.assert_mode:
                 ok, rep = check_dual_step(index, u_sparse, zeta, step)
                 if not ok:
@@ -355,13 +365,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 switch = verify_switch(index, u_now, u_sparse, step.iterate)
                 if not switch.ok:
                     raise ContractViolation(f"multiplier switch failed: {switch}")
-            sigma = state.sigma
-            it = it.blend(step.iterate, sigma)
-            pox = (1.0 - sigma) * pox + sigma * index.degree_values(step.iterate)
-            if due:
-                state.resync(index.cover_values(it))
-                pox = index.degree_values(it)
-            if cfg.assert_mode:
                 ceiling = state.lam_ceiling(lam0, state.steps)
                 if state.lam > ceiling:
                     raise ContractViolation(

@@ -70,7 +70,7 @@ class Graph:
         if len(self.b) != self.n:
             raise ValueError(f"expected {self.n} capacities, got {len(self.b)}")
         for i, cap in enumerate(self.b):
-            if not isinstance(cap, int) or cap < 1:
+            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
                 raise ValueError(f"capacity of vertex {i} must be an integer >= 1, got {cap!r}")
         seen: set[tuple[int, int]] = set()
         for i, j, w in self.edges:

@@ -2,10 +2,10 @@
 
 :class:`CoveringState` owns the row values of a covering run ``A x >= c``
 and the step rule that moves them: the phase rule that sets the step
-size, the width and drift checks on every accepted step, and the
-periodic recompute of the row values.  :func:`solve_covering` and the
-round-structured loop of :func:`sketchmatch.driver.solve` both step
-through it, so the rule exists once.
+size and the width and drift checks on every accepted step.
+:func:`solve_covering` and the round-structured loop of
+:func:`sketchmatch.driver.solve` both step through it, so the rule
+exists once.
 
 :func:`solve_covering` drives an abstract covering feasibility problem
 ``A x >= c`` over a convex set accessed only through an oracle: given
@@ -52,13 +52,8 @@ __all__ = [
 
 C_ALPHA = 4.0
 C_T = 64.0
-# Accepted steps between exact recomputes of the incremental row values.
-RECOMPUTE_EVERY = 64
 # Relative slack on the per-step drift bound ``eps``.
 DRIFT_TOL = 1e-9
-# Tolerances of the incremental row values against their exact recompute.
-RESYNC_RTOL = 1e-6
-RESYNC_ATOL = 1e-9
 # Per-step slack of :meth:`CoveringState.lam_ceiling` for the float
 # rounding of the load updates (a few ulps of the coverage per step).
 ROUNDING_SLACK = 1e-12
@@ -152,10 +147,11 @@ class CoveringState:
     :func:`covering_multipliers`), the coverage ``lam = min(load)``,
     the coverage ``lam_t`` at the start of the current phase, and the
     multiplier exponent ``alpha`` and step size ``sigma`` set from
-    ``lam_t``.  The caller keeps the iterate
-    itself and blends every accepted answer into it with ``sigma``.
-    ``lam_max`` is the running maximum of ``lam`` over the start and
-    every :meth:`advance` and :meth:`resync`.
+    ``lam_t``.  The caller keeps the iterate itself: it blends every
+    answer into it with ``sigma``, evaluates the blend's row values
+    exactly and hands them to :meth:`advance`, so ``ax`` is always the
+    row values of the iterate the caller holds.  ``lam_max`` is the
+    running maximum of ``lam`` over the start and every :meth:`advance`.
 
     **Coverage ceiling.**  Let ``m`` be the number of rows and
     ``kappa = eps^2 (1 + DRIFT_TOL) / (C_ALPHA ln(2m/eps))``.  An
@@ -167,14 +163,12 @@ class CoveringState:
 
         lam_{s+1} <= lam_s + kappa lam_t <= (1 + kappa) max_{r<=s} lam_r
 
-    whatever the step size, and also while ``lam < lam_t``.  A resync
-    replaces row values that agree with the exact ones within
-    ``RESYNC_ATOL + RESYNC_RTOL |ax|``, so it maps the running maximum
-    ``M`` to at most ``(1 + RESYNC_RTOL) M + RESYNC_ATOL / min(c)``.
-    Both maps are increasing and affine; composing ``S`` steps and the
-    at most ``S // RECOMPUTE_EVERY + 1`` resyncs they trigger gives
-    :meth:`lam_ceiling`.  The ceiling does not depend on ``sigma``: no
-    step rule that keeps the drift check can beat it.
+    whatever the step size, and also while ``lam < lam_t``.  With
+    ``ROUNDING_SLACK`` for the float rounding of the check, ``S`` steps
+    raise the running maximum by at most a factor
+    ``(1 + kappa + ROUNDING_SLACK)^S``: that is :meth:`lam_ceiling`.
+    The ceiling does not depend on ``sigma``: no step rule that keeps
+    the drift check can beat it.
     """
 
     c: np.ndarray
@@ -191,7 +185,6 @@ class CoveringState:
     lam_max: float = field(init=False)
     steps: int = 0
     phases: int = 1
-    since_recompute: int = 0
 
     def __post_init__(self) -> None:
         self.load = self.ax / self.c
@@ -220,14 +213,8 @@ class CoveringState:
         return self.eps**2 * (1.0 + DRIFT_TOL) / (C_ALPHA * math.log(2.0 * m / self.eps))
 
     def lam_ceiling(self, lam_max: float, steps: int) -> float:
-        """Highest coverage reachable ``steps`` accepted steps after a running max ``lam_max``.
-
-        Counts the resyncs those steps can trigger; see the class
-        docstring for the derivation.
-        """
-        resyncs = steps // RECOMPUTE_EVERY + 1
-        growth = (1.0 + self.kappa + ROUNDING_SLACK) ** steps * (1.0 + RESYNC_RTOL) ** resyncs
-        return growth * (lam_max + resyncs * RESYNC_ATOL / float(self.c.min()))
+        """Highest coverage reachable ``steps`` accepted steps after a running max ``lam_max``."""
+        return (1.0 + self.kappa + ROUNDING_SLACK) ** steps * lam_max
 
     def retune(self) -> None:
         """Start a new phase once the coverage doubled or reached the target."""
@@ -236,11 +223,12 @@ class CoveringState:
             self.phases += 1
             self._tune()
 
-    def advance(self, ay: np.ndarray) -> bool:
-        """Move the row values a ``sigma`` step toward an answer's ``ay``.
+    def advance(self, ay: np.ndarray, ax: np.ndarray) -> None:
+        """Accept a ``sigma`` step: ``ax`` becomes the row values.
 
-        Returns ``True`` when an exact recompute is due: the caller then
-        hands the row values of its blended iterate to :meth:`resync`.
+        ``ay`` is the answer's row values and ``ax`` the exact row
+        values of the iterate blended toward it with ``sigma``.  On a
+        raise the state is unchanged.
 
         Raises
         ------
@@ -249,33 +237,16 @@ class CoveringState:
         AssertionError
             If the step moves some multiplier by more than ``e^eps``.
         """
-        c = self.c
         if (ay < -1e-12).any() or (ay > self.width).any():
             raise OracleContractError("oracle answer violates the width bound")
-        new_ax = (1.0 - self.sigma) * self.ax + self.sigma * ay
-        drift = self.alpha * float(np.abs((new_ax - self.ax) / c).max())
+        drift = self.alpha * float(np.abs((ax - self.ax) / self.c).max())
         if drift > self.eps * (1.0 + DRIFT_TOL):
             raise AssertionError(f"multiplier drift {drift} exceeds eps per step")
-        self.ax = new_ax
-        self.load = new_ax / c
+        self.ax = ax
+        self.load = ax / self.c
         self.lam = float(self.load.min())
         self.lam_max = max(self.lam_max, self.lam)
         self.steps += 1
-        self.since_recompute += 1
-        return self.since_recompute >= RECOMPUTE_EVERY
-
-    def resync(self, exact_ax: np.ndarray) -> None:
-        """Replace the incremental row values by the exact ones.
-
-        Raises ``AssertionError`` if the two disagree.
-        """
-        if not np.allclose(exact_ax, self.ax, rtol=RESYNC_RTOL, atol=RESYNC_ATOL):
-            raise AssertionError("incremental row values drifted from recompute")
-        self.ax = exact_ax
-        self.load = exact_ax / self.c
-        self.lam = float(self.load.min())
-        self.lam_max = max(self.lam_max, self.lam)
-        self.since_recompute = 0
 
 
 @dataclass
@@ -299,6 +270,10 @@ class CoveringOutcome:
 
 def solve_covering(problem: CoveringProblem, eps: float) -> CoveringOutcome:
     """Run the covering engine to coverage ``1 - 3 eps`` or infeasibility.
+
+    Every step blends the oracle's answer into the iterate and evaluates
+    the blend with ``matvec``, so the outcome's ``ax`` and ``lam`` are
+    those of its ``x`` exactly.
 
     Raises
     ------
@@ -354,10 +329,9 @@ def solve_covering(problem: CoveringProblem, eps: float) -> CoveringOutcome:
         implied = (1.0 + eps / 2.0) * float(u @ state.ax) + 0.5 * eps * float(u @ c)
         if not (1.0 - eps / 2.0) * margin >= implied * (1.0 - 1e-9) - 1e-12:
             raise AssertionError("step-gain inequality failed at an accepted step")
-        due = state.advance(ay)
-        x = problem.combine(x, answer, state.sigma)
-        if due:
-            state.resync(np.asarray(problem.matvec(x), dtype=float))
+        blended = problem.combine(x, answer, state.sigma)
+        state.advance(ay, np.asarray(problem.matvec(blended), dtype=float))
+        x = blended
         if state.steps > budget:
             raise BudgetExceededError(
                 f"covering did not converge within {budget} accepted steps"

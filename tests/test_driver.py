@@ -21,11 +21,13 @@ from sketchmatch.driver import ContractViolation
 
 from conftest import (
     EPS,
+    WARM_START_GRAPHS,
     build_deferred_reference,
     build_deferred_stack_reference,
     random_instance,
     refine_deferred_reference,
     triangle_paper,
+    warm_start,
 )
 
 REPORT_KEYS = {
@@ -138,6 +140,10 @@ class TestSolve:
             {"space_mult": math.inf},  # would switch the space cap off
             {"p": math.inf},
             {"p": math.nan},
+            {"seed": 1.5},
+            {"seed": True},
+            {"max_rounds": 6.5},
+            {"max_rounds": True},
         ],
     )
     def test_unworkable_config_rejected(self, kwargs):
@@ -451,18 +457,21 @@ class TestSolve:
         # stop switched off the assert-mode solve runs all its rounds and
         # checks the coverage against the ceiling after every step.
         from sketchmatch import driver
-        from sketchmatch.mwu import CoveringState
 
         states = covering_states(monkeypatch)
-        real = CoveringState.advance
+        real = driver.lagrangian_search
 
-        def drift_limited(self, ay):
-            widest = float(np.abs((ay - self.ax) / self.c).max())
-            if widest > 0.0:
-                self.sigma = min(1.0, self.eps / (self.alpha * widest))
-            return real(self, ay)
+        def drift_limited(index, *args):
+            out = real(index, *args)
+            if isinstance(out, sm.DualStep):
+                st = states[-1]
+                ay = index.cover_values(out.iterate)
+                widest = float(np.abs((ay - st.ax) / st.c).max())
+                if widest > 0.0:
+                    st.sigma = min(1.0, st.eps / (st.alpha * widest))
+            return out
 
-        monkeypatch.setattr(CoveringState, "advance", drift_limited)
+        monkeypatch.setattr(driver, "lagrangian_search", drift_limited)
         monkeypatch.setattr(driver, "EXACT_THRESHOLD", -1)
         g = triangle_paper() if graph == "triangle" else random_instance(1003)
         rep = sm.solve(g, sm.SolverConfig(assert_mode=True))
@@ -476,6 +485,61 @@ class TestSolve:
         assert rep.lambda_final / rep.lambda_start > 1.25
         gain = rep.lambda_final - rep.lambda_start
         assert gain > 0.75 * (ceiling - rep.lambda_start)
+
+    @pytest.mark.parametrize(
+        "graph, assert_mode", [("1000", False), ("1000", True), ("k5", True)]
+    )
+    def test_state_holds_the_iterates_exact_row_values(self, monkeypatch, graph, assert_mode):
+        # The driver's iterate is the chain of blends from the start
+        # iterate.  Every refinement prices the packing rows once, after
+        # the previous step, so checking there and at the end sees the
+        # state after every accepted step.
+        from sketchmatch import driver
+
+        if graph == "k5":
+            g, groups = WARM_START_GRAPHS["k5"]
+            warm_start(monkeypatch, groups)
+            cfg = sm.SolverConfig(assert_mode=assert_mode, max_rounds=40)
+        else:
+            g = random_instance(int(graph))
+            cfg = sm.SolverConfig(assert_mode=assert_mode, max_rounds=12)
+        states = covering_states(monkeypatch)
+        held = {}
+        start, blend = driver.initial_solution, sm.DualIterate.blend
+        pack = driver.packing_multipliers
+
+        def initial_solution(index, *args, **kwargs):
+            out = start(index, *args, **kwargs)
+            held.update(index=index, it=out[0])
+            return out
+
+        def chained_blend(self, other, sigma):
+            out = blend(self, other, sigma)
+            if self is held["it"]:
+                held["it"] = out
+            return out
+
+        checks = []
+
+        def check(load=None):
+            index, it = held["index"], held["it"]
+            assert np.array_equal(states[-1].ax, index.cover_values(it))
+            if load is not None:
+                assert np.array_equal(load, index.degree_values(it) / index.degree_rhs_outer)
+            checks.append(1)
+
+        def packing_multipliers(load, *args):
+            check(load)
+            return pack(load, *args)
+
+        monkeypatch.setattr(driver, "initial_solution", initial_solution)
+        monkeypatch.setattr(sm.DualIterate, "blend", chained_blend)
+        monkeypatch.setattr(driver, "packing_multipliers", packing_multipliers)
+        rep = sm.solve(g, cfg)
+        check()
+        assert rep.steps > 0 and len(checks) == rep.steps + 1
+        if graph == "k5":
+            assert len(held["it"].z_value) > 0
 
     def test_assert_mode_checks_the_coverage_ceiling(self, monkeypatch):
         from sketchmatch.mwu import CoveringState
@@ -748,6 +812,8 @@ class TestCli:
             ),
             pytest.param(TRIANGLE, [[0, 1, True]], False, id="bool_multiplicity"),
             pytest.param(TRIANGLE, [[0.0, 1.0, 1]], False, id="float_ids"),
+            pytest.param("0 1 5\n0 2 4\n", [[1, 2, 1]], False, id="unknown_edge"),
+            pytest.param(TRIANGLE, [[0, 1, -1]], False, id="negative_multiplicity"),
             pytest.param(TRIANGLE, [[0, 1]], None, id="short_entry"),
             pytest.param(TRIANGLE, [0, 1, 1], None, id="flat_list"),
             pytest.param(TRIANGLE, {"weight": 5}, None, id="no_matching_key"),

@@ -226,3 +226,93 @@ class TestLevelCount:
             lv = sm.discretize(g, EPS)
             bound = math.ceil(math.log(g.B / EPS) / math.log1p(EPS)) + 1
             assert lv.L <= bound
+
+
+def _graph(n=3, edges=((0, 1, 1.0),), b=(1, 1, 1)):
+    return sm.Graph(n=n, edges=edges, b=b)
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        pytest.param(lambda: _graph(n=0, b=()), ValueError, "at least one vertex", id="no_vertex"),
+        pytest.param(
+            lambda: _graph(b=(1, 1)), ValueError, "expected 3 capacities, got 2",
+            id="short_b",
+        ),
+        pytest.param(
+            lambda: _graph(b=(1, 0, 1)),
+            ValueError, "capacity of vertex 1 must be an integer >= 1, got 0",
+            id="zero_b",
+        ),
+        pytest.param(
+            lambda: _graph(b=(1, 1.0, 1)), ValueError, "capacity of vertex 1 .* got 1.0",
+            id="float_b",
+        ),
+        pytest.param(
+            lambda: _graph(n=2, b=(True, True)), ValueError, "capacity of vertex 0 .* got True",
+            id="bool_b",
+        ),
+        pytest.param(
+            lambda: _graph(edges=((1, 1, 1.0),)), ValueError, "self-loop at vertex 1",
+            id="self_loop",
+        ),
+        pytest.param(
+            lambda: _graph(edges=((0, 3, 1.0),)),
+            ValueError, r"edge \(0, 3\) out of range for n=3",
+            id="out_of_range",
+        ),
+        pytest.param(
+            lambda: _graph(edges=((2, 0, 1.0),)),
+            ValueError, r"edge \(2, 0\) must be stored with i < j",
+            id="unordered",
+        ),
+        pytest.param(
+            lambda: _graph(edges=((0, 1, 1.0), (0, 1, 2.0))),
+            ValueError, r"duplicate edge \(0, 1\)",
+            id="duplicate",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("0 1\n"), GraphFormatError, "line 1: expected 'i j w'",
+            id="short_edge_line",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("0 1 1\nx 1 1\n"), GraphFormatError, "line 2: invalid literal",
+            id="bad_vertex_id",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("-1 1 1\n"), GraphFormatError, "line 1: negative vertex id",
+            id="negative_id",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("0 1 1", "0\n"), GraphFormatError, "line 1: expected 'i b_i'",
+            id="short_b_line",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("0 1 1", "0 two\n"), GraphFormatError, "line 1: invalid literal",
+            id="bad_b_value",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("0 1 1", "0 1\n-1 1\n"),
+            GraphFormatError, "line 2: vertex -1 out of range for n=2",
+            id="b_vertex_out_of_range",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("0 1 1", "0 1\n0 2\n"),
+            GraphFormatError, "line 2: duplicate capacity for vertex 0",
+            id="duplicate_b",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("# nothing\n"), GraphFormatError, "no edges found",
+            id="no_edges",
+        ),
+        pytest.param(
+            lambda: sm.discretize(triangle_paper(), 1.0),
+            ValueError, r"epsilon must be in \(0, 1\), got 1.0",
+            id="discretize_eps",
+        ),
+    ],
+)
+def test_input_checks_raise(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -12,7 +12,7 @@ from sketchmatch.mwu import (
     C_ALPHA,
     DRIFT_TOL,
     MAX_PROBES,
-    RECOMPUTE_EVERY,
+    ROUNDING_SLACK,
     CoveringProblem,
     CoveringState,
     OracleContractError,
@@ -64,9 +64,7 @@ class TestCoveringMultipliers:
         c = np.array([1.0, 2.0, 4.0])
         st = CoveringState(c=c, rho=50.0, eps=0.1, ax=np.array([0.5, 1.0, 3.0]))
         assert np.array_equal(st.load, st.ax / c) and np.array_equal(st.log_c, np.log(c))
-        st.advance(np.array([1.0, 1.5, 2.0]))
-        assert np.array_equal(st.load, st.ax / c) and st.lam == st.load.min()
-        st.resync(st.ax.copy())
+        _step(st, np.array([1.0, 1.5, 2.0]))
         assert np.array_equal(st.load, st.ax / c) and st.lam == st.load.min()
 
     def test_packing_mirror_grows_with_load(self):
@@ -145,8 +143,8 @@ class TestSolveCovering:
         assert out.x.sum() <= 2.0 + 1e-9
         assert (out.x >= -1e-12).all()
         assert out.phases >= 1
-        # the iterate's true coverage matches the incremental row values
-        assert np.allclose(a @ out.x, out.ax, rtol=1e-6, atol=1e-9)
+        # the row values are the returned iterate's, exactly
+        assert np.array_equal(a @ out.x, out.ax)
 
     def test_width_violation_raises(self):
         problem = _segment_problem(2.0)
@@ -166,10 +164,30 @@ class TestSolveCovering:
         with pytest.raises(ValueError):
             solve_covering(problem, 0.1)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("c", np.zeros(1), "covering targets must be positive"),
+            ("x0", 2.5, "starting point exceeds the width bound"),
+        ],
+    )
+    def test_input_checks_raise(self, field, value, match):
+        problem = _segment_problem(2.0)
+        setattr(problem, field, value)
+        with pytest.raises(ValueError, match=match):
+            solve_covering(problem, 0.1)
+
 
 def _state(eps: float = 0.1, rho: float = 4.0) -> CoveringState:
     """Two rows at coverage 0.5 and 1 against unit targets."""
     return CoveringState(c=np.ones(2), rho=rho, eps=eps, ax=np.array([0.5, 1.0]))
+
+
+def _step(st: CoveringState, ay: np.ndarray) -> np.ndarray:
+    """Advance ``st`` a ``sigma`` step toward ``ay``; return the blended row values."""
+    ax = (1.0 - st.sigma) * st.ax + st.sigma * ay
+    st.advance(ay, ax)
+    return ax
 
 
 class TestCoveringState:
@@ -178,23 +196,22 @@ class TestCoveringState:
         assert st.lam == st.lam_t == 0.5
         assert st.alpha == pytest.approx(4.0 * math.log(2.0 * 2 / 0.1) / (0.5 * 0.1))
         assert st.sigma == pytest.approx(0.1 / (4.0 * st.alpha * 4.0))
-        assert (st.steps, st.phases, st.since_recompute) == (0, 1, 0)
+        assert (st.steps, st.phases) == (0, 1)
 
     def test_advance_moves_rows_and_coverage(self):
         st = _state()
-        ay = np.array([2.0, 0.0])
-        due = st.advance(ay)
         s = st.sigma
-        assert not due
+        ax = _step(st, np.array([2.0, 0.0]))
+        assert st.ax is ax
         assert st.ax == pytest.approx([(1 - s) * 0.5 + s * 2.0, 1.0 - s])
         assert st.lam == pytest.approx(min(st.ax))
-        assert (st.steps, st.since_recompute) == (1, 1)
+        assert st.steps == 1
 
     @pytest.mark.parametrize("ay", [[4.0 * 1.01, 1.0], [0.5, -1e-6]])
     def test_advance_rejects_width_violation(self, ay):
         st = _state()
         with pytest.raises(OracleContractError, match="width"):
-            st.advance(np.array(ay))
+            _step(st, np.array(ay))
         assert st.steps == 0
         assert st.ax.tolist() == [0.5, 1.0]
 
@@ -204,33 +221,9 @@ class TestCoveringState:
         # alpha * sigma * |ay - ax| is twice eps on the first row
         st.sigma = 2.0 * st.eps / (st.alpha * 3.5)
         with pytest.raises(AssertionError, match="drift"):
-            st.advance(ay)
+            _step(st, ay)
         assert st.steps == 0
         assert st.ax.tolist() == [0.5, 1.0]
-
-    def test_recompute_due_every_fixed_number_of_steps(self):
-        st = _state()
-        ay = st.ax.copy()
-        due = [st.advance(ay) for _ in range(RECOMPUTE_EVERY)]
-        assert due == [False] * (RECOMPUTE_EVERY - 1) + [True]
-        st.resync(st.ax.copy())
-        assert st.since_recompute == 0
-        assert st.steps == RECOMPUTE_EVERY
-        assert not st.advance(ay)
-
-    def test_resync_takes_exact_values(self):
-        st = _state()
-        exact = st.ax * (1.0 + 1e-9)
-        st.resync(exact)
-        assert st.ax is exact
-        assert st.lam == float(exact.min())
-
-    def test_resync_rejects_drifted_values(self):
-        st = _state()
-        st.advance(np.array([2.0, 0.0]))
-        with pytest.raises(AssertionError, match="drifted"):
-            st.resync(st.ax * 1.01)
-        assert st.since_recompute == 1
 
     def test_retune_starts_phase_at_doubled_coverage(self):
         # coverage 0.25: the doubled coverage 0.5 lies below the target 0.7
@@ -260,36 +253,33 @@ class TestCoveringState:
 
     def test_running_max_survives_a_lower_resync(self):
         st = _state()
-        st.advance(np.array([2.0, 2.0]))
+        _step(st, np.array([2.0, 2.0]))
         top = st.lam
         assert st.lam_max == top > 0.5
-        st.resync(st.ax * (1.0 - 1e-7))
+        _step(st, np.zeros(2))
         assert st.lam < top == st.lam_max
 
     def test_drift_limited_steps_stay_under_the_ceiling(self):
         # Every step is the largest the drift check accepts, toward the
-        # widest answer; resyncs round the row values up within tolerance.
+        # widest answer.
         st = _state()
         lam0 = st.lam
         ay = st.rho * st.c
-        for _ in range(5 * RECOMPUTE_EVERY):
+        for _ in range(320):
             st.retune()
             st.sigma = st.eps / (st.alpha * float(np.abs((ay - st.ax) / st.c).max()))
-            if st.advance(ay):
-                st.resync(st.ax * (1.0 + 0.9e-6))
+            _step(st, ay)
             assert st.lam <= st.lam_max <= st.lam_ceiling(lam0, st.steps)
         # the steps reach most of the ceiling's gain (lam_t stays 0.5,
         # so each step gains kappa * 0.5 against the ceiling's kappa * lam)
         assert st.lam - lam0 > 0.8 * (st.lam_ceiling(lam0, st.steps) - lam0)
 
-    def test_ceiling_carries_the_resync_tolerance(self):
+    def test_ceiling_compounds_kappa_per_step(self):
         st = _state()
-        assert st.lam_ceiling(0.5, 0) == pytest.approx((1.0 + 1e-6) * (0.5 + 1e-9), rel=1e-15)
-        per_step = 1.0 + st.kappa
-        got = st.lam_ceiling(0.5, RECOMPUTE_EVERY)
-        want = per_step**RECOMPUTE_EVERY * (1.0 + 1e-6) ** 2 * (0.5 + 2e-9)
-        assert got == pytest.approx(want, rel=1e-9)
-        assert got > want
+        assert st.lam_ceiling(0.5, 0) == 0.5
+        per_step = 1.0 + st.kappa + ROUNDING_SLACK
+        assert st.lam_ceiling(0.5, 64) == per_step**64 * 0.5
+        assert st.lam_ceiling(0.5, 64) > (1.0 + st.kappa) ** 64 * 0.5
 
 
 def _triangle_index(eps: float = EPS):

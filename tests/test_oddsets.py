@@ -297,3 +297,30 @@ def test_flow_route_agrees_with_exhaustive_exclusion(seed):
         internal = sum(v for (i, j), v in zip(take, qv) if i in members and j in members)
         allowance = sum(qh[i] for i in members)
         assert internal <= 0.5 * (allowance - (1.0 - eps)) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(
+            lambda: build_auxiliary(2, [(0, 1)], [-0.5], [1.0, 1.0], 0.5),
+            r"negative edge mass on \(0, 1\)",
+            id="negative_mass",
+        ),
+        pytest.param(
+            lambda: gomory_hu(np.array([[0, 3], [3, 0]], dtype=np.int64)).mincut(1, 1),
+            "mincut of a vertex with itself",
+            id="mincut_same_vertex",
+        ),
+        pytest.param(
+            lambda: find_dense_odd_sets(
+                3, TRIANGLE, [1, 1, 1], [2, 2, 2], 0.5, [1, 1, 1], check_bounds=True
+            ),
+            "check_bounds requires the small odd-set family",
+            id="check_bounds_without_family",
+        ),
+    ],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

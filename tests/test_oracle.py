@@ -430,3 +430,10 @@ def test_oracle_answers_always_check_clean(seed, penalty):
     else:
         ok, report = check_dual_step(index, u, zeta, out)
         assert ok, report
+
+
+@pytest.mark.parametrize("penalty", [0.0, -1.0])
+def test_input_checks_raise(penalty):
+    _g, _lv, index = _triangle()
+    with pytest.raises(ValueError, match="penalty must be positive"):
+        matching_oracle(index, np.ones(len(index.rows)), np.ones(len(index.vrows)), penalty, 1.0)

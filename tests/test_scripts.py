@@ -38,6 +38,8 @@ def test_run_suite_rows_carry_report_digests(capsys):
         report = sm.solve(random_instance(row["seed"]), sm.SolverConfig())
         text = json.dumps(report.as_dict(), sort_keys=True)
         assert row["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+        text = json.dumps([report.as_dict()["matching"], report.rescaled_weight])
+        assert row["matching_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_run_suite_rejects_nonpositive_count(capsys):

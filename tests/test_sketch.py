@@ -636,3 +636,49 @@ def test_all_cut_values_matches_pure_python(seed):
         w for (i, j), w in zip(take, weights) if (i == 0) != (j == 0)
     )
     assert fast[side - 1] == pytest.approx(manual)
+
+
+def _ledger_with_a_round() -> sm.RoundLedger:
+    ledger = sm.RoundLedger()
+    ledger.begin_round("r")
+    return ledger
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(
+            lambda: all_cut_values(sketch.CUT_VALUES_MAX_N + 1, [(0, 1)], [1.0]),
+            "cut enumeration capped at n <= 24, got 25",
+            id="cuts_too_many_vertices",
+        ),
+        pytest.param(
+            lambda: all_cut_values(1, [], []),
+            "need at least two vertices for a cut",
+            id="cuts_one_vertex",
+        ),
+        pytest.param(
+            lambda: sm.build_streaming_sparsifier(2, [(0, 1)], [1.0], xi=1.0, seed=0),
+            r"xi must be in \(0, 1\), got 1.0",
+            id="streaming_xi",
+        ),
+        pytest.param(
+            lambda: sm.build_streaming_sparsifier(2, [(0, 1)], [0.0], xi=0.5, seed=0),
+            "weight must be positive, got 0.0",
+            id="streaming_weight",
+        ),
+        pytest.param(
+            lambda: sm.build_deferred(2, [(0, 1)], [1.0], chi=2.0, xi=0.0, seed=0),
+            r"xi must be in \(0, 1\), got 0.0",
+            id="deferred_xi",
+        ),
+        pytest.param(
+            lambda: _ledger_with_a_round().record_space(-1),
+            "space must be nonnegative",
+            id="negative_space",
+        ),
+    ],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
