@@ -1,15 +1,22 @@
 """Exact desk-scale oracles: rational LPs, brute force, and dual checks.
 
 Everything in this module is deliberately independent of the solver
-modules: one two-phase simplex over ``fractions.Fraction``
-(``solve_lp_min``), a branch-and-bound integral b-matching solver, an
-odd-set dual feasibility check and a pure-Python cut enumeration.  The
-simplex starts each row on its own slack where the slack can be basic,
-so the matching LPs (``<=`` rows, nonnegative right-hand sides) skip
-phase 1 and only the layered LP's cover rows get artificials.  The
-layered LP also returns its optimal point (``ExactResult.layered_dual``)
-as plain Python values.  The test suite freezes expected values computed
-here and uses them to judge the streaming solver.
+modules (it imports only the graph model): one simplex over
+``fractions.Fraction``, a branch-and-bound integral b-matching solver,
+an odd-set dual feasibility check and a pure-Python cut enumeration.
+The test suite freezes expected values computed here and uses them to
+judge the streaming solver.
+
+Every LP is one packing form, ``max c.x  s.t.  a.x <= b`` with
+``b >= 0`` and ``x >= 0`` (``solve_lp_max``), so the slack basis is a
+feasible start and the simplex runs one phase.  Its odd-set rows are
+generated lazily by one separation loop: the matching LPs add odd-set
+rows, and the layered relaxation is solved on its LP-dual side, adding
+its ``z_{U,l}`` rows.  That side is the program a solver
+``PrimalCertificate`` is checked against: a fractional matching ``y``
+with per-level slacks ``mu`` and caps ``nu`` (its ``y_caps``).  The
+optimal row prices are the layered optimum's point, kept as
+``ExactResult.layered_dual`` in plain Python values.
 """
 
 from __future__ import annotations
@@ -23,13 +30,12 @@ from .graph import Graph, LeveledGraph, OddSet, discretize
 
 __all__ = [
     "ExactResult",
-    "LPInfeasibleError",
     "LPUnboundedError",
     "brute_force_bmatching",
     "check_dual_feasible",
     "enumerate_cuts_check",
     "exact_lp_values",
-    "solve_lp_min",
+    "solve_lp_max",
 ]
 
 
@@ -43,10 +49,6 @@ CUT_CHECK_MAX_N = 16
 
 class LPUnboundedError(RuntimeError):
     """The linear program is unbounded."""
-
-
-class LPInfeasibleError(RuntimeError):
-    """The linear program has no feasible point."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,92 +106,46 @@ def _simplex_min_core(tableau: list[list[Fraction]], basis: list[int], n_vars: i
         obj = tableau[-1]
 
 
-def solve_lp_min(
+def solve_lp_max(
     c: Sequence[Fraction],
-    a_ge: Sequence[Sequence[Fraction]],
-    b_ge: Sequence[Fraction],
-    a_le: Sequence[Sequence[Fraction]] = (),
-    b_le: Sequence[Fraction] = (),
-) -> tuple[Fraction, list[Fraction]]:
-    """Solve ``min c.x  s.t.  a_ge.x >= b_ge, a_le.x <= b_le, x >= 0``.
+    a: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Solve ``max c.x  s.t.  a.x <= b, x >= 0`` for ``b >= 0``.
 
-    Two-phase simplex with Bland's rule; exact rational arithmetic.
-    Each row gets a slack column and is signed so its right-hand side
-    is nonnegative (a row with a zero right-hand side so its slack
-    reads +1).  A row whose slack reads +1 starts with the slack in the
-    basis; only the other rows get an artificial variable, and phase 1
-    runs only if some row has one.  So an LP of ``<=`` rows with
-    nonnegative right-hand sides starts at once from the slack basis.
+    Bland-rule simplex in exact rational arithmetic, started from the
+    slack basis (feasible because ``b >= 0``).
 
     Returns
     -------
-    (value, x)
+    (value, x, prices)
+        ``prices`` are the optimal row prices: the reduced costs of the
+        slack columns in the final objective row, an optimal point of
+        the dual ``min b.p  s.t.  p.a >= c, p >= 0``.
 
     Raises
     ------
-    LPInfeasibleError, LPUnboundedError
+    ValueError
+        If some right-hand side is negative.
+    LPUnboundedError
     """
-    n = len(c)
-    # (row, rhs, slack sign): row.x - s = rhs (>=) or row.x + s = rhs (<=).
-    signed = [(row, bv, -1) for row, bv in zip(a_ge, b_ge)]
-    signed += [(row, bv, +1) for row, bv in zip(a_le, b_le)]
-    m = len(signed)
-    ncols = n + m  # decision + slack/surplus
-    tableau: list[list[Fraction]] = []
-    for r, (row, bv, sense) in enumerate(signed):
-        eq = [Fraction(v) for v in row] + [Fraction(0)] * m + [Fraction(bv)]
-        eq[n + r] = Fraction(sense)
-        if bv < 0 or (bv == 0 and sense < 0):
-            eq = [-v for v in eq]
-        tableau.append(eq)
-    # Rows whose slack cannot start basic get an artificial column.
-    art = [r for r in range(m) if tableau[r][n + r] < 0]
-    total = ncols + len(art)
-    basis = [n + r for r in range(m)]
-    for t, r in enumerate(art):
-        basis[r] = ncols + t
-    for r in range(m):
-        tableau[r][ncols:ncols] = [Fraction(int(basis[r] == j)) for j in range(ncols, total)]
-    if art:
-        # Phase 1: minimize the sum of the artificials.  Reduced costs:
-        # cost 1 on artificials, eliminated against the starting basis.
-        obj = [Fraction(0)] * (total + 1)
-        for r in art:
-            obj = [o - v for o, v in zip(obj, tableau[r])]
-        for j in range(ncols, total):
-            obj[j] += Fraction(1)
-        tableau.append(obj)
-        _simplex_min_core(tableau, basis, total)
-        if tableau[-1][-1] < 0:
-            # Objective row stores -(phase-1 value); negative means value > 0.
-            raise LPInfeasibleError("phase 1 ended with positive artificial sum")
-        tableau.pop()
-        # Drive any artificial still in the basis out (degenerate rows).
-        for r in range(m):
-            if basis[r] >= ncols:
-                piv_col = next((j for j in range(ncols) if tableau[r][j] != 0), -1)
-                if piv_col >= 0:
-                    _pivot(tableau, basis, r, piv_col)
-    keep = [r for r in range(m) if basis[r] < ncols]
-    tableau = [tableau[r][:ncols] + [tableau[r][-1]] for r in keep]
-    basis = [basis[r] for r in keep]
-    # Phase 2 objective: reduced costs c_j - c_B . B^-1 A_j against the
-    # surviving basis.
-    obj2 = [Fraction(v) for v in c] + [Fraction(0)] * m + [Fraction(0)]
-    for r, bv in enumerate(basis):
-        coeff = obj2[bv]
-        if coeff != 0:
-            row = tableau[r]
-            for j in range(ncols + 1):
-                obj2[j] -= coeff * row[j]
-    tableau.append(obj2)
-    _simplex_min_core(tableau, basis, ncols)
+    if any(bv < 0 for bv in b):
+        raise ValueError("right-hand sides must be nonnegative")
+    n, m = len(c), len(a)
+    zeros = [Fraction(0)] * m
+    tableau = [[Fraction(v) for v in row] + zeros + [Fraction(bv)] for row, bv in zip(a, b)]
+    for r, eq in enumerate(tableau):
+        eq[n + r] = Fraction(1)
+    # Minimize -c.x; the objective row's last entry reads the max value.
+    tableau.append([-Fraction(v) for v in c] + zeros + [Fraction(0)])
+    basis = list(range(n, n + m))
+    _simplex_min_core(tableau, basis, n + m)
     x = [Fraction(0)] * n
-    for r, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = tableau[r][-1]
-    value = sum((Fraction(c[j]) * x[j] for j in range(n)), Fraction(0))
-    return value, x
+    for r, col in enumerate(basis):
+        if col < n:
+            x[col] = tableau[r][-1]
+    obj = tableau[-1]
+    return obj[-1], x, obj[n : n + m]
 
 
 # ---------------------------------------------------------------------------
@@ -348,55 +304,87 @@ def _all_odd_sets_masks(n: int, b: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+# A family row ``(plus, minus, bound)`` reads
+# ``sum_{p in plus} v_p - sum_{q in minus} v_q <= bound``.
+FamilyRow = tuple[Sequence[int], Sequence[int], int]
+
+
+def _row_generation(
+    c: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[int],
+    family: Sequence[FamilyRow],
+) -> tuple[Fraction, list[Fraction]]:
+    """Maximize ``c.v`` over ``rows`` and every row of ``family``, adding rows lazily.
+
+    Each round solves the LP over the base rows and the family rows
+    added so far, then scans the whole family and adds its most
+    violated row (ties go to the first).  The scan runs in integers, on
+    ``v`` times its common denominator; a family row becomes a dense
+    ``Fraction`` row only when it is added.
+
+    Returns ``(value, prices)``: the optimum and the price of every
+    row, base rows first, then one per family row in family order (0
+    for a row never generated).
+    """
+    rows, rhs = list(rows), list(rhs)
+    active: list[int] = []
+    for _round in range(4096):
+        value, v, prices = solve_lp_max(c, rows, rhs)
+        den = math.lcm(*(f.denominator for f in v))
+        num = [f.numerator * (den // f.denominator) for f in v]
+        worst = -1
+        worst_excess = 0
+        for t, (plus, minus, bound) in enumerate(family):
+            excess = sum(map(num.__getitem__, plus)) - bound * den
+            # v >= 0, so the minus terms can only lower the excess.
+            if excess > worst_excess:
+                excess -= sum(map(num.__getitem__, minus))
+                if excess > worst_excess:
+                    worst_excess = excess
+                    worst = t
+        if worst < 0:
+            base = len(prices) - len(active)
+            family_prices = [Fraction(0)] * len(family)
+            for t, price in zip(active, prices[base:]):
+                family_prices[t] = price
+            return value, prices[:base] + family_prices
+        if worst in active:
+            raise AssertionError("odd-set row regenerated; separation loop stuck")
+        active.append(worst)
+        plus, minus, bound = family[worst]
+        row = [Fraction(0)] * len(c)
+        for p in plus:
+            row[p] += 1
+        for q in minus:
+            row[q] -= 1
+        rows.append(row)
+        rhs.append(bound)
+    raise AssertionError("odd-set row generation did not converge")
+
+
 def _matching_lp_value(
     n: int,
     b: Sequence[int],
     edges: Sequence[tuple[int, int]],
     weights: Sequence[Fraction],
     odd_sets: Sequence[tuple[int, int]],
-) -> tuple[Fraction, list[Fraction]]:
+) -> Fraction:
     """Fractional b-matching LP optimum via odd-set row generation.
 
-    ``odd_sets`` supplies ``(mask, bnorm)`` candidates to separate over.
-    An empty family gives the bipartite relaxation
-    ``max w.y  s.t.  sum_{e at i} y_e <= b_i``, whose value equals
+    ``max w.y  s.t.  sum_{e at i} y_e <= b_i`` and, for each
+    ``(mask, bnorm)`` of ``odd_sets``, ``sum_{e inside U} y_e <= floor(bnorm/2)``.
+    An empty family gives the bipartite relaxation, whose value equals
     ``min sum b_i x_i  s.t.  x_i + x_j >= w_e`` by strong duality.
     """
-    m = len(edges)
-    rows: list[list[Fraction]] = [[Fraction(0)] * m for _ in range(n)]
+    rows = [[Fraction(0)] * len(edges) for _ in range(n)]
     for e, (i, j) in enumerate(edges):
-        rows[i][e] = Fraction(1)
-        rows[j][e] = Fraction(1)
-    rhs = [Fraction(bv) for bv in b]
-    cost = [-w for w in weights]  # max w.y as min -w.y
-    active: set[int] = set()
-    for _round in range(4096):
-        neg_value, y = solve_lp_min(cost, (), (), rows, rhs)
-        worst_mask = -1
-        worst_excess = Fraction(0)
-        for mask, bn in odd_sets:
-            cap = Fraction(bn // 2)
-            inside = Fraction(0)
-            for e, (i, j) in enumerate(edges):
-                if (mask >> i & 1) and (mask >> j & 1):
-                    inside += y[e]
-            excess = inside - cap
-            if excess > worst_excess:
-                worst_excess = excess
-                worst_mask = mask
-        if worst_mask < 0:
-            return -neg_value, y
-        if worst_mask in active:
-            raise AssertionError("odd-set row regenerated; separation loop stuck")
-        active.add(worst_mask)
-        row = [Fraction(0)] * m
-        for e, (i, j) in enumerate(edges):
-            if (worst_mask >> i & 1) and (worst_mask >> j & 1):
-                row[e] = Fraction(1)
-        rows.append(row)
-        bn = next(bv for mk, bv in odd_sets if mk == worst_mask)
-        rhs.append(Fraction(bn // 2))
-    raise AssertionError("odd-set row generation did not converge")
+        rows[i][e] = rows[j][e] = Fraction(1)
+    ends = [1 << i | 1 << j for i, j in edges]
+    family = [
+        ([e for e, em in enumerate(ends) if mask & em == em], (), bn // 2) for mask, bn in odd_sets
+    ]
+    return _row_generation(weights, rows, b, family)[0]
 
 
 def _layered_lp_value(
@@ -407,21 +395,34 @@ def _layered_lp_value(
     """Exact optimum of the layered per-level dual relaxation, with an optimal point.
 
     ``odd_sets`` supplies the ``(mask, bnorm)`` pairs of the small odd
-    sets.
-
-    Variables: ``x_i(k)`` for each vertex-level row, top ``x_i``, and
-    ``z_{U,l}`` for small odd sets at populated levels.  Constraints:
+    sets.  The relaxation (the minimization) has variables ``x_i(k)``
+    for each vertex-level row, top ``x_i``, and ``z_{U,l}`` for small
+    odd sets at populated levels, and rows
 
     - cover: ``x_i(k) + x_j(k) + sum_{l<=k} sum_{U ni i,j} z_{U,l} >= (1+eps)^k``
       for every retained edge at level ``k``;
     - degree: ``2 x_i(k) + sum_{l<=k} sum_{U ni i} z_{U,l} <= 3 (1+eps)^k``
       for every vertex-level row;
-    - cap: ``x_i >= x_i(k)``.
+    - cap: ``x_i >= x_i(k)``;
 
-    Objective: ``min sum b_i x_i + sum_U floor(||U||_b/2) sum_l z_{U,l}``.
+    objective ``min sum b_i x_i + sum_U floor(||U||_b/2) sum_l z_{U,l}``.
     Layer variables are restricted to populated levels: a layer between
     populated levels enters exactly the same rows as the next populated
     level above it, so the restriction is lossless.
+
+    It is solved on its LP-dual side, a fractional matching ``y`` (one
+    per cover row) with level slacks ``mu`` (per degree row) and caps
+    ``nu`` (per cap row):
+    ``max sum_e (1+eps)^k y_e - 3 sum_{(i,k)} (1+eps)^k mu_i(k)`` s.t.
+
+    - ``x_i(k)``: ``sum_{e at (i,k)} y_e - 2 mu_i(k) - nu_i(k) <= 0``;
+    - ``x_i``: ``sum_k nu_i(k) <= b_i``;
+    - ``z_{U,l}``: ``sum_{e inside U, k >= l} y_e - sum_{i in U, k >= l} mu_i(k)
+      <= floor(||U||_b/2)``, generated lazily.
+
+    The optimal row prices are the point: ``x_i(k)``, ``x_i`` and
+    ``z_{U,l}`` are the prices of their rows, 0 for a row never
+    generated.
 
     Returns ``(value, (x_level, x_top, z))``: the optimum and the point
     that attains it, ``x_level`` keyed by ``(i, k)``, ``x_top`` by
@@ -429,67 +430,38 @@ def _layered_lp_value(
     """
     g = leveled.base
     vrows = leveled.vertex_rows()
+    vrow_index = {ik: t for t, ik in enumerate(vrows)}
     pop_levels = sorted(leveled.levels.keys())
-    xk_index = {ik: t for t, ik in enumerate(vrows)}
-    nxk = len(vrows)
-    x_index = {i: nxk + t for t, i in enumerate(range(g.n))}
-    nx = nxk + g.n
-    z_keys: list[tuple[int, int]] = []  # (odd set idx, level)
-    for s_idx in range(len(odd_sets)):
+    retained = [(i, j, k) for _e, i, j, k in leveled.retained()]
+    m, nv = len(retained), len(vrows)
+    ncols = m + 2 * nv  # y, then mu, then nu
+    lw = {k: (1 + eps) ** k for k in pop_levels}
+
+    c = [lw[k] for _i, _j, k in retained] + [-3 * lw[k] for _i, k in vrows] + [Fraction(0)] * nv
+    rows = [[Fraction(0)] * ncols for _ in range(nv + g.n)]
+    for e, (i, j, k) in enumerate(retained):
+        rows[vrow_index[(i, k)]][e] = rows[vrow_index[(j, k)]][e] = Fraction(1)
+    for t, (i, _k) in enumerate(vrows):
+        rows[t][m + t] = Fraction(-2)
+        rows[t][m + nv + t] = Fraction(-1)
+        rows[nv + i][m + nv + t] = Fraction(1)
+    rhs = [0] * nv + list(g.b)
+
+    family: list[FamilyRow] = []
+    for mask, bn in odd_sets:
+        inside = [(e, k) for e, (i, j, k) in enumerate(retained) if mask >> i & 1 and mask >> j & 1]
+        members = [(m + t, k) for t, (i, k) in enumerate(vrows) if mask >> i & 1]
         for lev in pop_levels:
-            z_keys.append((s_idx, lev))
-    z_index = {key: nx + t for t, key in enumerate(z_keys)}
-    nvars = nx + len(z_keys)
+            plus = [e for e, k in inside if k >= lev]
+            minus = [col for col, k in members if k >= lev]
+            family.append((plus, minus, bn // 2))
 
-    one = Fraction(1)
-    lw = {k: (one + eps) ** k for k in pop_levels}
-
-    a_ge: list[list[Fraction]] = []
-    b_ge: list[Fraction] = []
-    a_le: list[list[Fraction]] = []
-    b_le: list[Fraction] = []
-
-    for _idx, i, j, k in leveled.retained():
-        row = [Fraction(0)] * nvars
-        row[xk_index[(i, k)]] += one
-        row[xk_index[(j, k)]] += one
-        for s_idx, (mask, _bn) in enumerate(odd_sets):
-            if (mask >> i & 1) and (mask >> j & 1):
-                for lev in pop_levels:
-                    if lev <= k:
-                        row[z_index[(s_idx, lev)]] += one
-        a_ge.append(row)
-        b_ge.append(lw[k])
-
-    for (i, k) in vrows:
-        row = [Fraction(0)] * nvars
-        row[xk_index[(i, k)]] += Fraction(2)
-        for s_idx, (mask, _bn) in enumerate(odd_sets):
-            if mask >> i & 1:
-                for lev in pop_levels:
-                    if lev <= k:
-                        row[z_index[(s_idx, lev)]] += one
-        a_le.append(row)
-        b_le.append(Fraction(3) * lw[k])
-
-    for (i, k) in vrows:
-        row = [Fraction(0)] * nvars
-        row[x_index[i]] += one
-        row[xk_index[(i, k)]] -= one
-        a_ge.append(row)
-        b_ge.append(Fraction(0))
-
-    c = [Fraction(0)] * nvars
-    for i in range(g.n):
-        c[x_index[i]] = Fraction(g.b[i])
-    for (s_idx, lev) in z_keys:
-        c[z_index[(s_idx, lev)]] = Fraction(odd_sets[s_idx][1] // 2)
-
-    value, point = solve_lp_min(c, a_ge, b_ge, a_le, b_le)
+    value, prices = _row_generation(c, rows, rhs, family)
+    z_keys = [(mask, lev) for mask, _bn in odd_sets for lev in pop_levels]
     dual = (
-        {ik: point[t] for ik, t in xk_index.items()},
-        {i: point[t] for i, t in x_index.items()},
-        {(odd_sets[s_idx][0], lev): point[t] for (s_idx, lev), t in z_index.items()},
+        dict(zip(vrows, prices[:nv])),
+        dict(zip(range(g.n), prices[nv : nv + g.n])),
+        dict(zip(z_keys, prices[nv + g.n :])),
     )
     return value, dual
 
@@ -523,15 +495,15 @@ def exact_lp_values(
     all_odd = _all_odd_sets_masks(g.n, g.b)
     orig_edges = [(i, j) for (i, j, _w) in g.edges]
     orig_w = [Fraction(w) for (_i, _j, w) in g.edges]
-    beta_star, _ = _matching_lp_value(g.n, g.b, orig_edges, orig_w, all_odd)
-    beta_bip = _matching_lp_value(g.n, g.b, orig_edges, orig_w, [])[0]
+    beta_star = _matching_lp_value(g.n, g.b, orig_edges, orig_w, all_odd)
+    beta_bip = _matching_lp_value(g.n, g.b, orig_edges, orig_w, [])
 
     leveled = discretize(g, epsilon)
     ret = list(leveled.retained())
     lev_edges = [(i, j) for (_e, i, j, _k) in ret]
     lev_w = [(Fraction(1) + eps) ** k for (_e, _i, _j, k) in ret]
-    beta_hat, _ = _matching_lp_value(g.n, g.b, lev_edges, lev_w, all_odd)
-    beta_bip_disc = _matching_lp_value(g.n, g.b, lev_edges, lev_w, [])[0]
+    beta_hat = _matching_lp_value(g.n, g.b, lev_edges, lev_w, all_odd)
+    beta_bip_disc = _matching_lp_value(g.n, g.b, lev_edges, lev_w, [])
 
     layered: Fraction | None = None
     layered_dual: LayeredDual | None = None

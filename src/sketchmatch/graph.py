@@ -45,6 +45,11 @@ class GraphFormatError(ValueError):
     """Raised when graph or capacity input text is malformed."""
 
 
+def _is_int(v: object) -> bool:
+    """True for a Python ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph with positive edge weights and capacities.
@@ -65,15 +70,19 @@ class Graph:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n):
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         if len(self.b) != self.n:
             raise ValueError(f"expected {self.n} capacities, got {len(self.b)}")
         for i, cap in enumerate(self.b):
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            if not _is_int(cap) or cap < 1:
                 raise ValueError(f"capacity of vertex {i} must be an integer >= 1, got {cap!r}")
         seen: set[tuple[int, int]] = set()
         for i, j, w in self.edges:
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"edge ({i!r}, {j!r}) endpoints must be integers")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -97,13 +106,18 @@ class Graph:
         return len(self.edges)
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line number, raw line, fields)`` of each line with data."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, raw, parts
+
+
 def _parse_edge_text(text: str) -> list[tuple[int, int, float]]:
     edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw, parts in _data_lines(text):
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'i j w', got {raw!r}")
         try:
@@ -119,33 +133,29 @@ def _parse_edge_text(text: str) -> list[tuple[int, int, float]]:
             raise GraphFormatError(f"line {lineno}: negative vertex id")
         if i > j:
             i, j = j, i
+        if (i, j) in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({i}, {j})")
+        seen.add((i, j))
         edges.append((i, j, w))
     return edges
 
 
-def _parse_b_text(text: str, n: int) -> list[int]:
-    b = [1] * n
-    assigned: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+def _parse_b_text(text: str) -> dict[int, tuple[int, int]]:
+    """Capacity lines as ``{vertex: (capacity, line number)}``."""
+    caps: dict[int, tuple[int, int]] = {}
+    for lineno, raw, parts in _data_lines(text):
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'i b_i', got {raw!r}")
         try:
             i, cap = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from exc
-        if not 0 <= i < n:
-            raise GraphFormatError(f"line {lineno}: vertex {i} out of range for n={n}")
         if cap < 1:
             raise GraphFormatError(f"line {lineno}: capacity of vertex {i} must be >= 1, got {cap}")
-        if i in assigned:
+        if i in caps:
             raise GraphFormatError(f"line {lineno}: duplicate capacity for vertex {i}")
-        assigned.add(i)
-        b[i] = cap
-    return b
+        caps[i] = (cap, lineno)
+    return caps
 
 
 def load_graph(edge_list_text: str, b_values_text: str | None = None) -> Graph:
@@ -174,29 +184,16 @@ def load_graph(edge_list_text: str, b_values_text: str | None = None) -> Graph:
         out-of-range capacity, or duplicate edge (with line number).
     """
     edges = _parse_edge_text(edge_list_text)
-    max_id = -1
-    for i, j, _ in edges:
-        max_id = max(max_id, j)
-    if b_values_text:
-        for raw in b_values_text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 2:
-                try:
-                    max_id = max(max_id, int(parts[0]))
-                except ValueError:
-                    pass
+    caps = _parse_b_text(b_values_text) if b_values_text else {}
+    max_id = max([j for _i, j, _w in edges] + list(caps), default=-1)
     if max_id < 0:
         raise GraphFormatError("no edges found in input")
     n = max_id + 1
-    seen: set[tuple[int, int]] = set()
-    for i, j, _ in edges:
-        if (i, j) in seen:
-            raise GraphFormatError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-    b = _parse_b_text(b_values_text, n) if b_values_text else [1] * n
+    b = [1] * n
+    for i, (cap, lineno) in caps.items():
+        if i < 0:
+            raise GraphFormatError(f"line {lineno}: vertex {i} out of range for n={n}")
+        b[i] = cap
     return Graph(n=n, edges=tuple(edges), b=tuple(b))
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -12,12 +14,7 @@ from hypothesis import strategies as st
 
 import sketchmatch as sm
 import sketchmatch.exact as exact_mod
-from sketchmatch.exact import (
-    BRUTE_FORCE_MAX_B_TOTAL,
-    LPInfeasibleError,
-    LPUnboundedError,
-    solve_lp_min,
-)
+from sketchmatch.exact import BRUTE_FORCE_MAX_B_TOTAL, LPUnboundedError, solve_lp_max
 from sketchmatch.graph import OddSet
 
 from conftest import EPS, random_instance, set_z_prices, triangle_paper
@@ -172,29 +169,26 @@ def dense_pivot(tableau, basis, row, col) -> None:
 
 class TestSimplex:
     def test_sparse_pivot_matches_dense_pivot(self, monkeypatch):
-        # the layered LP runs phase 1 on its cover rows, then phase 2
         graphs = [triangle_paper(), random_instance(1009)]
         got = [sm.exact_lp_values(g, EPS, include_layered=True) for g in graphs]
         monkeypatch.setattr(exact_mod, "_pivot", dense_pivot)
         assert got == [sm.exact_lp_values(g, EPS, include_layered=True) for g in graphs]
 
-    def test_mixed_senses(self):
-        # x1 - x2 >= 0 (zero right-hand side) starts on its own slack.
-        value, x = solve_lp_min(
-            [1, 1], [[1, 2], [3, 1], [1, -1]], [4, 6, 0], [[1, 0]], [10]
-        )
-        assert (value, x) == (Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)])
+    def test_value_point_and_row_prices(self):
+        # max x1 + x2  s.t.  x1 + 2 x2 <= 4, 3 x1 + x2 <= 6; its dual
+        # min 4 p1 + 6 p2  s.t.  p1 + 3 p2 >= 1, 2 p1 + p2 >= 1.
+        value, x, prices = solve_lp_max([1, 1], [[1, 2], [3, 1]], [4, 6])
+        assert value == Fraction(14, 5)
+        assert x == [Fraction(8, 5), Fraction(6, 5)]
+        assert prices == [Fraction(2, 5), Fraction(1, 5)]
 
-    def test_negative_right_hand_sides(self):
-        # -x >= -3 starts on its slack; -x <= -2 needs an artificial.
-        assert solve_lp_min([-1], [[-1]], [-3]) == (-3, [3])
-        assert solve_lp_min([1], [], [], [[-1]], [-2]) == (2, [2])
+    def test_negative_right_hand_side_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_lp_max([1], [[1]], [-1])
 
-    def test_infeasible_and_unbounded(self):
-        with pytest.raises(LPInfeasibleError):
-            solve_lp_min([1], [[1]], [2], [[1]], [1])
+    def test_unbounded(self):
         with pytest.raises(LPUnboundedError):
-            solve_lp_min([-1], [[1]], [0])
+            solve_lp_max([1, 1], [[1, -1]], [0])
 
 
 class TestExactLpValues:
@@ -274,14 +268,10 @@ class TestExactLpValues:
             value, _ = sm.brute_force_bmatching(g)
             assert float(res.beta_star) >= value - 1e-9
 
-    def test_layered_between_bounds(self):
+    @pytest.mark.parametrize("name", ["diamond_tail", "suite_1003", "suite_1004"])
+    def test_layered_between_bounds(self, name):
         # beta-tilde sandwich vs the discrete odd-set optimum
-        g = sm.Graph(
-            n=4,
-            edges=((0, 1, 16.0), (1, 2, 16.0), (0, 2, 16.0), (2, 3, 8.0)),
-            b=(1, 1, 1, 1),
-        )
-        res = sm.exact_lp_values(g, EPS, include_layered=True)
+        res = sm.exact_lp_values(self.layered_graph(name), EPS, include_layered=True)
         assert res.beta_hat_layered is not None
         eps = Fraction(1, 16)
         assert res.beta_hat_layered >= (1 - 3 * eps) * res.beta_hat_discrete
@@ -316,6 +306,8 @@ class TestExactLpValues:
 
     @staticmethod
     def layered_graph(name: str) -> sm.Graph:
+        if name.startswith("suite_"):
+            return random_instance(int(name.removeprefix("suite_")))
         tri = "0 1 10\n0 2 10\n1 2 10\n"
         return {
             "diamond_tail": sm.Graph(
@@ -339,7 +331,7 @@ class TestExactLpValues:
             assert res.beta_hat_layered == res.beta_hat_discrete
 
 
-    @pytest.mark.parametrize("name", sorted(LAYERED) + ["unit_k5"])
+    @pytest.mark.parametrize("name", sorted(LAYERED) + ["unit_k5", "suite_1003", "suite_1004"])
     def test_layered_dual_is_an_exact_optimum(self, name):
         # Every row of the layered program, rebuilt here in Fractions:
         # the point must satisfy each one exactly and attain the value.
@@ -461,6 +453,26 @@ class TestCutEnumeration:
     def test_cap(self):
         with pytest.raises(ValueError):
             sm.enumerate_cuts_check(20, [], [], 0.5)
+
+
+def test_exact_imports_no_solver_module():
+    # The reference must not share code with the solver it judges: of
+    # the package it may import only the graph model.
+    tree = ast.parse(Path(exact_mod.__file__).read_text())
+    package = exact_mod.__name__.rpartition(".")[0]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            if node.module is None:  # from . import a, b
+                imported.update(f"{module}.{alias.name}" for alias in node.names)
+            else:
+                imported.add(module)
+    ours = {name for name in imported if name == package or name.startswith(package + ".")}
+    assert ours == {f"{package}.graph"}
 
 
 @settings(max_examples=25, deadline=None)

@@ -254,6 +254,20 @@ def _graph(n=3, edges=((0, 1, 1.0),), b=(1, 1, 1)):
             id="bool_b",
         ),
         pytest.param(
+            lambda: _graph(n=2.0, b=(1, 1)), ValueError, "vertex count must be an integer, got 2.0",
+            id="float_n",
+        ),
+        pytest.param(
+            lambda: _graph(edges=((0.0, 1.0, 1.0),)),
+            ValueError, r"edge \(0.0, 1.0\) endpoints must be integers",
+            id="float_ids",
+        ),
+        pytest.param(
+            lambda: _graph(edges=((False, True, 1.0),)),
+            ValueError, r"edge \(False, True\) endpoints must be integers",
+            id="bool_ids",
+        ),
+        pytest.param(
             lambda: _graph(edges=((1, 1, 1.0),)), ValueError, "self-loop at vertex 1",
             id="self_loop",
         ),
@@ -283,6 +297,11 @@ def _graph(n=3, edges=((0, 1, 1.0),), b=(1, 1, 1)):
         pytest.param(
             lambda: sm.load_graph("-1 1 1\n"), GraphFormatError, "line 1: negative vertex id",
             id="negative_id",
+        ),
+        pytest.param(
+            lambda: sm.load_graph("0 1 1\n1 0 2\n"),
+            GraphFormatError, r"line 2: duplicate edge \(0, 1\)",
+            id="duplicate_edge_line",
         ),
         pytest.param(
             lambda: sm.load_graph("0 1 1", "0\n"), GraphFormatError, "line 1: expected 'i b_i'",
