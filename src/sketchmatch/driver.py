@@ -26,11 +26,13 @@
    :meth:`~sketchmatch.mwu.CoveringState.lam_ceiling` over every step
    the remaining rounds allow reaches the target, or while the previous
    round's harvest is not final.  A harvest is final when the round
-   stored every retained edge and there are at most
-   :data:`~sketchmatch.oracle.EXACT_THRESHOLD` of them: it is then the
-   exact leveled optimum, and no later round or certificate lift (a
-   subset of those edges) can replace the matching.  Otherwise the
-   solve stops as ``"cannot_certify"``;
+   stored every retained edge and the harvest is exact
+   (:attr:`~sketchmatch.oracle.BMatching.exact`: a weighted blossom on
+   the vertex-split graph, which every support gets whose split graph
+   fits :data:`~sketchmatch.oracle.MAX_SPLIT_VERTICES`): it is then the
+   exact leveled optimum, and no later
+   round or certificate lift (a subset of those edges) can replace the
+   matching.  Otherwise the solve stops as ``"cannot_certify"``;
 4. report the best integral matching found, in original units and in
    level weights, together with the round/space ledger and traces.
 
@@ -60,7 +62,6 @@ from .mwu import (
     packing_multipliers,
 )
 from .oracle import (
-    EXACT_THRESHOLD,
     BMatching,
     DualStep,
     PrimalCertificate,
@@ -244,7 +245,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     # When the last round's harvest is final (step 3 of the module
     # docstring), no later round can change the matching.
     retained = tuple(sorted(index.row_edge.tolist()))
-    exact_harvest = len(retained) <= EXACT_THRESHOLD
     harvest_final = False
 
     best_matching = BMatching(edges=(), weight=0.0)
@@ -293,7 +293,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         sample = stored_sample(sketch, index.row_of_edge)
         stored = tuple(sorted(sample.edge_ids.tolist()))
         harvest = harvest_of(stored)
-        harvest_final = exact_harvest and stored == retained
+        harvest_final = harvest.exact and stored == retained
         if harvest.weight > best_matching.weight:
             best_matching = harvest
         harvests += 1

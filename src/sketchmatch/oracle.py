@@ -18,8 +18,9 @@ regime where the complementary fractional matching is big.
 
 The module also provides :func:`check_dual_step` and
 :func:`check_primal_certificate` (exhaustive validity checkers used in
-assert mode), maximal-matching based starting points, and small exact
-or greedy integral matchers for harvesting and output extraction.
+assert mode), maximal-matching based starting points, and the exact
+integral b-matching (a weighted blossom on the vertex-split graph) that
+harvests the output, with a greedy matcher for large capacities.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blossom import max_weight_matching
 from .graph import LeveledGraph
 from .oddsets import collect_violated_sets
 from .sketch import prf_uniform
@@ -49,8 +51,8 @@ __all__ = [
 ]
 
 _REL = 1e-9
-# Largest edge list :func:`offline_bmatching` solves exactly.
-EXACT_THRESHOLD = 24
+# Largest vertex-split graph :func:`offline_bmatching` solves exactly.
+MAX_SPLIT_VERTICES = 256
 # Maximal matching rounds: a round samples the live edges at rate
 # ``SAMPLE_RATE_MULT * n^(1+1/p) / |live|``; a run that needs more than
 # ``ROUNDS_MULT * p`` rounds is retried, at most ``MAX_RETRIES`` times.
@@ -417,57 +419,22 @@ def check_primal_certificate(
 
 
 # ---------------------------------------------------------------------------
-# Integral matchings: exact at small size, greedy with local search above
+# Integral matchings: exact by weighted blossom on the vertex-split graph,
+# greedy above the split-size cap
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BMatching:
-    """An integral degree-capped multigraph matching."""
+    """An integral degree-capped multigraph matching.
+
+    ``exact`` is True when ``weight`` is the maximum over every
+    b-matching of the edge list the matching was computed from.
+    """
 
     edges: tuple[tuple[int, int, int], ...]  # (i, j, multiplicity)
     weight: float
-
-
-def _exact_bmatching(
-    edges: Sequence[tuple[int, int, float]], b: Sequence[int]
-) -> BMatching:
-    order = sorted(range(len(edges)), key=lambda t: (-edges[t][2], edges[t][:2]))
-    seq = [edges[t] for t in order]
-    n_edges = len(seq)
-    rem = list(b)
-    best_weight = 0.0
-    best: dict[int, int] = {}
-    chosen: dict[int, int] = {}
-
-    def bound(idx: int) -> float:
-        return sum(
-            w * min(rem[i], rem[j]) for (i, j, w) in seq[idx:] if rem[i] and rem[j]
-        )
-
-    def walk(idx: int, weight: float) -> None:
-        nonlocal best_weight, best
-        if weight > best_weight:
-            best_weight = weight
-            best = dict(chosen)
-        if idx >= n_edges or weight + bound(idx) <= best_weight:
-            return
-        i, j, w = seq[idx]
-        top = min(rem[i], rem[j])
-        for mult in range(top, -1, -1):
-            if mult:
-                rem[i] -= mult
-                rem[j] -= mult
-                chosen[idx] = mult
-            walk(idx + 1, weight + w * mult)
-            if mult:
-                rem[i] += mult
-                rem[j] += mult
-                del chosen[idx]
-
-    walk(0, 0.0)
-    out = sorted((seq[t][0], seq[t][1], m) for t, m in best.items())
-    return BMatching(edges=tuple(out), weight=best_weight)
+    exact: bool = False
 
 
 def _greedy_bmatching(
@@ -533,14 +500,48 @@ def _greedy_bmatching(
 def offline_bmatching(
     edges: Sequence[tuple[int, int, float]], b: Sequence[int]
 ) -> BMatching:
-    """Best-effort integral matching on an explicit edge list.
+    """Maximum-weight integral b-matching on an explicit edge list.
 
-    Exact branch-and-bound up to ``EXACT_THRESHOLD`` edges, greedy with
-    single-unit local search above.
+    Vertex ``i`` splits into ``min(b_i, sum of its neighbours' b)``
+    copies (a vertex never uses more), each edge joins every pair of
+    its ends' copies, and an edge's multiplicity is the number of its
+    copy pairs in a maximum-weight matching of the split graph.  The
+    matching runs on the weights scaled to integers over their common
+    power-of-two denominator, so its optimum is exact for the float
+    weights.  A split graph of more than ``MAX_SPLIT_VERTICES`` vertices
+    (large capacities) gets the greedy matcher instead, and ``exact``
+    is then False.
     """
-    if len(edges) <= EXACT_THRESHOLD:
-        return _exact_bmatching(edges, b)
-    return _greedy_bmatching(edges, b)
+    reach = [0] * len(b)
+    for i, j, _w in edges:
+        reach[i] += b[j]
+        reach[j] += b[i]
+    copies = [min(cap, r) for cap, r in zip(b, reach)]
+    if sum(copies) > MAX_SPLIT_VERTICES:
+        return _greedy_bmatching(edges, b)
+    first = [0]
+    for c in copies:
+        first.append(first[-1] + c)
+    ratios = [w.as_integer_ratio() for (_i, _j, w) in edges]
+    denom = max((d for _num, d in ratios), default=1)
+    split, owner = [], []
+    for t, ((i, j, _w), (num, d)) in enumerate(zip(edges, ratios)):
+        scaled = num * (denom // d)
+        for a in range(first[i], first[i + 1]):
+            for c in range(first[j], first[j + 1]):
+                split.append((a, c, scaled))
+                owner.append(t)
+    mult = [0] * len(edges)
+    for k in max_weight_matching(first[-1], split):
+        mult[owner[k]] += 1
+    # Summed heaviest edge first (ties by ends) in plain float additions,
+    # the order earlier reports used, so their rescaled weights keep
+    # their bits.
+    weight = 0.0
+    for t in sorted(range(len(edges)), key=lambda t: (-edges[t][2], edges[t][:2])):
+        weight += edges[t][2] * mult[t]
+    out = sorted((edges[t][0], edges[t][1], m) for t, m in enumerate(mult) if m > 0)
+    return BMatching(edges=tuple(out), weight=weight, exact=True)
 
 
 def extract_integral(leveled: LeveledGraph, edge_ids: Sequence[int]) -> BMatching:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from typing import Mapping, Sequence
@@ -413,6 +414,20 @@ def lp_dual_start(monkeypatch, g: sm.Graph, share: float = WARM_START_SHARE) -> 
     """Patch ``driver.initial_solution`` with ``share`` times the exact layered dual of ``g``."""
     dual = sm.exact_lp_values(g, EPS, include_layered=True).layered_dual
     _patch_start(monkeypatch, "lp-dual-start", lambda index: layered_dual_iterate(index, dual, share))
+
+
+def inexact_harvests(monkeypatch) -> None:
+    """Mark every harvest of ``driver.solve`` inexact.
+
+    No harvest is then final, so a solve that cannot certify runs every
+    round up to its cap instead of stopping after its first solve round.
+    """
+    real = driver.extract_integral
+    monkeypatch.setattr(
+        driver,
+        "extract_integral",
+        lambda lv, ids: dataclasses.replace(real(lv, ids), exact=False),
+    )
 
 
 def count_oracle_answers(monkeypatch) -> dict[str, int]:

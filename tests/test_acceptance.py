@@ -20,7 +20,7 @@ import pytest
 import sketchmatch as sm
 from sketchmatch.mwu import CoveringProblem, solve_covering
 from sketchmatch.oddsets import build_auxiliary, collect_violated_sets, gomory_hu, max_flow
-from sketchmatch.oracle import EXACT_THRESHOLD, initial_solution
+from sketchmatch.oracle import initial_solution
 from sketchmatch.sketch import all_cut_values, prf_u64
 
 from conftest import EPS, oddset_wide_instance, triangle_paper
@@ -351,12 +351,12 @@ def _matching_digest(reports) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-# Matchings of the solves that ran to the round cap before the
-# ``cannot_certify`` stop existed; the stop must not change them.
+# Matchings of the exact harvest: the leveled optimum of every graph
+# below, with ties broken by the weighted blossom.
 PINNED_MATCHINGS = {
-    "suite": "88f828357a40cabbb418919ec336c61696ad3ae2fcc79f9b7c1e63cfab621db2",
-    "triangles": "18136a45b0aefb0ab367e36cdc0738e0860201967da3ef3686e1db03f16116a1",
-    "oddset_wide": "3227d9afc6a2881094bb0ecdd5ba420d3f389fb61ed14cf95318d132b2f073c3",
+    "suite": "8734c39fdc1e8c3b616e98329e9def6db1feaf39b1ef5aad5dba9a78318aee10",
+    "triangles": "4b306eaec42075fa00e204dc0655e679aeacd3330a80f94fbbe4af314c39ad8d",
+    "oddset_wide": "66fa873607dd0b0de85e00052112d49410d8910d975b7407d701e5f734577f06",
 }
 
 
@@ -365,28 +365,54 @@ def oddset_wide_report():
     return sm.solve(oddset_wide_instance(0, 16), sm.SolverConfig())
 
 
-def test_matchings_pinned(suite_instances, suite_reports, oddset_wide_report):
+@pytest.fixture(scope="module")
+def plain_reports(suite_instances):
+    return [sm.solve(g, sm.SolverConfig()) for g in suite_instances]
+
+
+def test_matchings_pinned(suite_reports, plain_reports, oddset_wide_report):
     reports, _elapsed = suite_reports
-    plain = [sm.solve(g, sm.SolverConfig()) for g in suite_instances]
     triangles = [
         sm.solve(g, sm.SolverConfig())
         for g in (triangle_paper(), sm.load_graph("0 1 5\n1 2 5\n0 2 5\n"))
     ]
-    assert _matching_digest(plain) == PINNED_MATCHINGS["suite"]
+    assert _matching_digest(plain_reports) == PINNED_MATCHINGS["suite"]
     assert _matching_digest(reports) == PINNED_MATCHINGS["suite"]
     assert _matching_digest(triangles) == PINNED_MATCHINGS["triangles"]
     assert _matching_digest([oddset_wide_report]) == PINNED_MATCHINGS["oddset_wide"]
-    # the stop fires on exactly the graphs whose harvest is exact
-    stops = [rep.stop_reason for rep in plain]
-    assert [rep.stop_reason for rep in reports] == stops
-    for g, rep in zip(suite_instances, plain):
-        greedy = sm.discretize(g, EPS).retained_count > EXACT_THRESHOLD
-        assert (rep.stop_reason == "round_cap") == greedy
-        assert (rep.rounds == rep.round_cap) == greedy
+    assert [rep.stop_reason for rep in reports] == [rep.stop_reason for rep in plain_reports]
 
 
-def test_greedy_support_runs_to_the_round_cap(oddset_wide_report):
-    rep = oddset_wide_report
-    assert rep.m == 48
-    assert rep.rounds == rep.round_cap
-    assert rep.stop_reason == "round_cap"
+def test_every_solve_stops_after_one_solve_round(plain_reports, oddset_wide_report):
+    # Every harvest is exact and its round stores every retained edge, so
+    # the first solve round's harvest is final.
+    assert oddset_wide_report.m == 48
+    for rep in [*plain_reports, oddset_wide_report]:
+        assert rep.stop_reason == "cannot_certify"
+        assert rep.harvests == len(rep.lambda_trace) - 1 == 1
+        assert rep.rounds == 2 < rep.round_cap
+
+
+def _level_weight_of(lv: sm.LeveledGraph, matching) -> Fraction:
+    level = {(i, j): lv.level_weight(k) for (_e, i, j, k) in lv.retained()}
+    return sum((Fraction(level[(i, j)]) * m for (i, j, m) in matching), Fraction(0))
+
+
+def test_harvest_is_the_leveled_optimum(suite_instances, plain_reports, oddset_wide_report):
+    # Brute force on the level weights of the retained edges, compared in
+    # exact arithmetic; float sums of two optimal matchings may differ in
+    # the last bit.
+    cases = [(g, rep, 14) for g, rep in zip(suite_instances, plain_reports)]
+    for g in (triangle_paper(), sm.load_graph("0 1 5\n1 2 5\n0 2 5\n")):
+        cases.append((g, sm.solve(g, sm.SolverConfig()), 14))
+    cases.append((oddset_wide_instance(0, 16), oddset_wide_report, 18))
+    for g, rep, max_n in cases:
+        lv = sm.discretize(g, EPS)
+        leveled = sm.Graph(
+            n=g.n,
+            edges=tuple((i, j, lv.level_weight(k)) for (_e, i, j, k) in sorted(lv.retained())),
+            b=g.b,
+        )
+        opt, witness = sm.brute_force_bmatching(leveled, max_n=max_n)
+        assert _level_weight_of(lv, rep.matching) == _level_weight_of(lv, witness)
+        assert rep.rescaled_weight == pytest.approx(opt, rel=1e-12)

@@ -24,6 +24,7 @@ from conftest import (
     WARM_START_GRAPHS,
     build_deferred_reference,
     build_deferred_stack_reference,
+    inexact_harvests,
     random_instance,
     refine_deferred_reference,
     triangle_paper,
@@ -212,8 +213,8 @@ class TestSolve:
     def test_sketches_built_once_per_round(self, monkeypatch):
         from sketchmatch import driver
 
-        # 26 retained edges: the greedy harvest is never final, so the
-        # solve runs every round up to its cap.
+        # With no harvest final, the solve runs every round up to its cap.
+        inexact_harvests(monkeypatch)
         g = random_instance(1000)
         calls = []
         real = driver.build_deferred
@@ -279,8 +280,7 @@ class TestSolve:
         from sketchmatch import driver
         from sketchmatch.oracle import BMatching, extract_integral
 
-        # 26 retained edges: the greedy harvest is never final, so the
-        # solve runs every round up to its cap.
+        # With no harvest final, the solve runs every round up to its cap.
         g = random_instance(1000)
         supports, built = [], []
         monkeypatch.setattr(
@@ -288,6 +288,7 @@ class TestSolve:
             "extract_integral",
             lambda lv, ids: supports.append(tuple(ids)) or extract_integral(lv, ids),
         )
+        inexact_harvests(monkeypatch)
         real_build = driver.build_deferred
         monkeypatch.setattr(
             driver,
@@ -407,11 +408,12 @@ class TestSolve:
         # every refinement ends in exactly one accepted step
         assert len(calls) == rep.steps > 0
 
-    def test_stop_reasons(self):
+    def test_stop_reasons(self, monkeypatch):
         tri = sm.solve(sm.load_graph(TRIANGLE), sm.SolverConfig())
         assert tri.stop_reason == "cannot_certify" and not tri.certified
         assert tri.rounds < tri.round_cap and tri.weight == 5.0
-        # 26 retained edges: a greedy harvest is never final
+        # an inexact harvest is never final
+        inexact_harvests(monkeypatch)
         wide = sm.solve(random_instance(1000), sm.SolverConfig(max_rounds=12))
         assert wide.stop_reason == "round_cap" and wide.rounds == 12
 
@@ -472,7 +474,7 @@ class TestSolve:
             return out
 
         monkeypatch.setattr(driver, "lagrangian_search", drift_limited)
-        monkeypatch.setattr(driver, "EXACT_THRESHOLD", -1)
+        inexact_harvests(monkeypatch)
         g = triangle_paper() if graph == "triangle" else random_instance(1003)
         rep = sm.solve(g, sm.SolverConfig(assert_mode=True))
         assert rep.rounds == rep.round_cap == 256
@@ -564,22 +566,15 @@ def edge_case_texts(draw):
 
     Vertices at or above ``n_used`` touch no edge and exist only through
     their capacity lines.  Weights in ``[1, 10**6]`` make ``discretize``
-    drop the light edges of many draws.  Capacities up to ``10**6`` go
-    to the isolated vertices and to one edge vertex, the hub; the other
-    edge vertices get 1 to 3.  The exact harvest tries every
-    multiplicity of every edge, so two adjacent large capacities make it
-    run for minutes.
+    drop the light edges of many draws.  Every vertex draws a capacity
+    up to ``10**6``.
     """
     n = draw(st.integers(2, 7))
     n_used = draw(st.integers(2, n))
     pairs = [(i, j) for i in range(n_used) for j in range(i + 1, n_used)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     weights = draw(st.lists(st.floats(1.0, 1e6), min_size=len(edges), max_size=len(edges)))
-    hub = draw(st.integers(0, n_used - 1))
-    caps = [
-        draw(st.integers(1, 10**6) if i == hub or i >= n_used else st.integers(1, 3))
-        for i in range(n)
-    ]
+    caps = [draw(st.integers(1, 10**6)) for _ in range(n)]
     edge_text = "".join(f"{i} {j} {w!r}\n" for (i, j), w in zip(edges, weights))
     b_text = "".join(f"{i} {b}\n" for i, b in enumerate(caps))
     return edge_text, b_text
@@ -602,6 +597,19 @@ class TestSolveEdgeCases:
         if g.B <= 24:
             opt, _ = sm.brute_force_bmatching(g)
             assert rep.weight >= (1.0 - 14.0 * EPS) * opt - 1e-9
+
+    def test_large_capacity_triangle_finishes(self):
+        # b = 10**6 splits each vertex past the exact harvest's cap, so
+        # the harvest is greedy, never final, and the solve runs to the cap.
+        g = sm.load_graph(TRIANGLE, "0 1000000\n1 1000000\n2 1000000\n")
+        rep = sm.solve(g, sm.SolverConfig())
+        assert rep.stop_reason == "round_cap" and rep.rounds == rep.round_cap
+        load = [0, 0, 0]
+        for i, j, mult in rep.matching:
+            load[i] += mult
+            load[j] += mult
+        assert max(load) <= 10**6
+        assert rep.weight >= (1.0 - 14.0 * EPS) * 7.5e6
 
 
 class TestCoverageExamples:

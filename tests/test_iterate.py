@@ -30,6 +30,7 @@ from sketchmatch.oracle import (
 
 from conftest import (
     EPS,
+    inexact_harvests,
     oddset_wide_instance,
     profile_edge_graphs,
     random_instance,
@@ -310,12 +311,14 @@ def first_vertex_steps_match(monkeypatch, graph) -> None:
 
 
 def test_vertex_steps_of_a_solve_match_dict_loop(monkeypatch):
-    # 26 retained edges: the solve runs every round up to its cap
+    # with no harvest final, the solve runs every round up to its cap
+    inexact_harvests(monkeypatch)
     first_vertex_steps_match(monkeypatch, random_instance(1000))
 
 
 def test_vertex_steps_of_an_oddset_wide_solve_match_dict_loop(monkeypatch):
     # n = 16, m = 48, b = 1: the shape of the oddset_wide benchmark graphs
+    inexact_harvests(monkeypatch)
     first_vertex_steps_match(monkeypatch, oddset_wide_instance(0, 16))
 
 
