@@ -3,7 +3,11 @@
 :func:`solve` runs the full pipeline on a loaded graph:
 
 1. discretize weights into geometric levels and index the constraint
-   system together with the small odd-set family;
+   system.  The small odd-set family is enumerated only when the solve
+   first reads it (an odd step, a certificate, or an assert-mode check
+   of an iterate with a positive odd-set price), so a solve that takes
+   only vertex steps never builds it; a graph past the enumeration cap
+   is still rejected up front;
 2. build a starting dual point from per-level maximal matchings
    (counted as sampling rounds against the round ledger);
 3. repeat super-rounds until the dual coverage certifies, the round
@@ -54,7 +58,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import Graph, discretize, enumerate_small_odd_sets
+from .graph import Graph, check_enumerable, discretize, enumerate_small_odd_sets
 from .mwu import (
     CoveringState,
     covering_multipliers,
@@ -194,15 +198,18 @@ def _original_weight(g: Graph, matching: BMatching) -> float:
 def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     """Approximately solve maximum-weight degree-capped matching on ``g``.
 
-    Raises ``ValueError`` when the round cap leaves no round after the
-    initial solution.  In assert mode, raises ``ContractViolation`` as
+    Raises ``ValueError`` when the graph is past the odd-set enumeration
+    cap, or when the round cap leaves no round after the initial
+    solution.  In assert mode, raises ``ContractViolation`` as
     soon as a recorded round holds more than the space cap.
     """
     cfg = config or SolverConfig()
     eps = cfg.epsilon
     lv = discretize(g, eps)
-    odd = enumerate_small_odd_sets(g, eps)
-    index = SystemIndex(lv, eps, odd)
+    check_enumerable(g, eps)
+    # The index enumerates through this module's name, so a wrapper
+    # installed under it sees every enumeration a solve makes.
+    index = SystemIndex(lv, eps, enumerate_small_odd_sets)
     n = g.n
     b = g.b
     ledger = RoundLedger()

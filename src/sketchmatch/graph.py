@@ -24,6 +24,7 @@ __all__ = [
     "LeveledGraph",
     "OddSet",
     "OddSetFamily",
+    "check_enumerable",
     "count_small_odd_sets",
     "discretize",
     "enumerate_small_odd_sets",
@@ -423,6 +424,22 @@ def count_small_odd_sets(g: Graph, epsilon: float) -> int:
     return sum(ways[1::2])
 
 
+def check_enumerable(g: Graph, epsilon: float) -> None:
+    """Raise ``ValueError`` when :func:`enumerate_small_odd_sets` cannot list ``g``'s family.
+
+    That is when ``n`` is past ``MAX_ENUMERATION_N``, or when the
+    clipped capacities overflow int64.  The solver builds the family
+    only when it first reads it, so it calls this up front.
+    """
+    if g.n > MAX_ENUMERATION_N:
+        raise ValueError(
+            f"odd-set enumeration capped at n <= {MAX_ENUMERATION_N}, got n={g.n}"
+        )
+    limit = math.floor(4.0 / epsilon)
+    if sum(min(bi, limit + 1) for bi in g.b) >= 1 << 63:
+        raise ValueError("capacities overflow the 64-bit odd-set enumeration")
+
+
 def enumerate_small_odd_sets(g: Graph, epsilon: float) -> OddSetFamily:
     """Enumerate every vertex set with odd total capacity at most ``4/eps``.
 
@@ -450,15 +467,10 @@ def enumerate_small_odd_sets(g: Graph, epsilon: float) -> OddSetFamily:
     OddSetFamily
         Sets in increasing bitmask order (deterministic).
     """
-    if g.n > MAX_ENUMERATION_N:
-        raise ValueError(
-            f"odd-set enumeration capped at n <= {MAX_ENUMERATION_N}, got n={g.n}"
-        )
+    check_enumerable(g, epsilon)
     total = 1 << g.n
     limit = math.floor(4.0 / epsilon)
     clipped = [min(bi, limit + 1) for bi in g.b]
-    if sum(clipped) >= 1 << 63:
-        raise ValueError("capacities overflow the 64-bit odd-set enumeration")
     cap = np.zeros(total, dtype=np.int64)
     for i, bi in enumerate(clipped):
         cap[1 << i : 2 << i] = cap[: 1 << i] + bi

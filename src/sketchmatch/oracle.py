@@ -357,11 +357,14 @@ def check_dual_step(
         (deg <= index.degree_rhs_inner * (1.0 + tol) + 1e-12).all()
     )
     # Priced sets are disjoint at every level: no (level, vertex) cell
-    # is covered by two positively priced sets.
+    # is covered by two positively priced sets.  Only a positive price
+    # reads the family, so an iterate without one leaves it unbuilt.
     positive = it.z_value > 0.0
-    pair, members = np.nonzero(index.odd_sets.member[it.z_set[positive]])
-    cells = it.z_level[positive][pair] * len(index.capacity) + members
-    report["level_disjoint"] = len(np.unique(cells)) == len(cells)
+    report["level_disjoint"] = True
+    if positive.any():
+        pair, members = np.nonzero(index.odd_sets.member[it.z_set[positive]])
+        cells = it.z_level[positive][pair] * len(index.capacity) + members
+        report["level_disjoint"] = len(np.unique(cells)) == len(cells)
     balance_ok, worst = index.cut_balance_ok(u_sparse, it)
     report["support_balance"] = balance_ok
     report["support_balance_worst"] = worst

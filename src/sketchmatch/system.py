@@ -11,8 +11,10 @@ odd-set prices are three parallel arrays ``z_set``, ``z_level`` and
 ``z_value``, one entry per priced ``(set, level)`` pair, because a step
 prices only a few sets out of a family of up to ``2^n``.  Blending and
 row evaluation are whole-array operations.  The family is a
-:class:`~sketchmatch.graph.OddSetFamily`; a priced set's internal and
-boundary cover rows are derived from its membership row when needed.
+:class:`~sketchmatch.graph.OddSetFamily`, which the index enumerates
+when it is first read (an iterate that prices no set never reads it); a
+priced set's internal and boundary cover rows are derived from its
+membership row when needed.
 The rows are:
 
 - cover rows, one per retained edge ``(i, j)`` at level ``k``:
@@ -27,12 +29,13 @@ The rows are:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .graph import LeveledGraph, OddSet, OddSetFamily
+from .graph import Graph, LeveledGraph, OddSet, OddSetFamily, enumerate_small_odd_sets
 
 __all__ = [
     "CHECK_TOL",
@@ -154,13 +157,22 @@ class SystemIndex:
     cell ``(i, l)`` to the flat slot of ``i``'s last degree row at a level
     ``<= l`` (slot 0 if none); ``grid_weights`` holds ``w_l`` in every
     cell ``(i, l)`` (a same-shape product is cheaper than a broadcast
-    one at this size).  Only :meth:`set_matrices` is built on
-    first use; every evaluator is deterministic given the same iterate.
+    one at this size).  Every evaluator is deterministic given the same
+    iterate.
+
+    The odd-set family (:attr:`odd_sets`) and :meth:`set_matrices` are
+    built on first use and cached, so a solve that never reads them, as
+    one that takes only vertex steps, never pays for them.  ``family`` is
+    the family itself, or the function that enumerates it from the
+    leveled graph's base graph and ``epsilon`` (by default
+    :func:`~sketchmatch.graph.enumerate_small_odd_sets`).
     """
 
     leveled: LeveledGraph
     epsilon: float
-    odd_sets: OddSetFamily
+    family: InitVar[OddSetFamily | Callable[[Graph, float], OddSetFamily]] = (
+        enumerate_small_odd_sets
+    )
     rows: tuple[tuple[int, int, int, int], ...] = field(init=False)
     row_edge: np.ndarray = field(init=False)
     row_ends: np.ndarray = field(init=False)
@@ -183,7 +195,10 @@ class SystemIndex:
     level_gather: np.ndarray = field(init=False)
     grid_weights: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(
+        self, family: OddSetFamily | Callable[[Graph, float], OddSetFamily]
+    ) -> None:
+        self._family = family
         lv = self.leveled
         eps = self.epsilon
         n_levels = lv.L + 1
@@ -234,6 +249,12 @@ class SystemIndex:
             np.arange(n) * width - first
         )[:, None]
         self.grid_weights = np.tile(self.level_weights, (n, 1))
+
+    @cached_property
+    def odd_sets(self) -> OddSetFamily:
+        """The small odd-set family, enumerated on first read if not given."""
+        family = self._family
+        return family(self.leveled.base, self.epsilon) if callable(family) else family
 
     def set_rows(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Internal and boundary cover rows of the set(s) with membership ``member``.
@@ -422,6 +443,7 @@ def convert_to_matching_dual(
     covers every edge row to ``(1 - 3 eps)``.  Vertices whose prices
     are all zero are left out of ``x``; ``z`` holds the sets with a
     nonzero price, in first-priced order, each summed in array order.
+    An iterate with no nonzero odd-set price does not read the family.
     """
     denom = 1.0 - 3.0 * index.epsilon
     top = it.x_top.copy()
@@ -431,6 +453,8 @@ def convert_to_matching_dual(
     sets, first, where = np.unique(it.z_set[priced], return_index=True, return_inverse=True)
     totals = np.zeros(len(sets))
     np.add.at(totals, where, it.z_value[priced] / denom)
+    if not len(sets):
+        return x, {}
     members, b = index.odd_sets.members, index.leveled.base.b
     z = {OddSet.from_members(members(sets[k]), b): float(totals[k]) for k in np.argsort(first)}
     return x, z

@@ -598,6 +598,19 @@ class TestSolveEdgeCases:
             opt, _ = sm.brute_force_bmatching(g)
             assert rep.weight >= (1.0 - 14.0 * EPS) * opt - 1e-9
 
+    def test_graph_past_the_enumeration_cap_is_rejected_up_front(self, monkeypatch):
+        # The family is enumerated lazily, but the cap still fails the
+        # solve before the initial solution's rounds.
+        from sketchmatch import driver
+
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(driver, "initial_solution", no_rounds)
+        g = sm.Graph(n=21, edges=tuple((i, i + 1, 1.0) for i in range(20)), b=(1,) * 21)
+        with pytest.raises(ValueError, match="n <= 20"):
+            sm.solve(g)
+
     def test_large_capacity_triangle_finishes(self):
         # b = 10**6 splits each vertex past the exact harvest's cap, so
         # the harvest is greedy, never final, and the solve runs to the cap.

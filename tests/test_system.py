@@ -314,6 +314,50 @@ def test_matching_dual_sums_each_set_in_price_order(name):
         assert list(z.items()) == list(want.items())
 
 
+def test_default_family_is_the_enumerated_one():
+    g = random_instance(1004)
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
+    want = sm.enumerate_small_odd_sets(g, EPS)
+    assert np.array_equal(index.odd_sets.member, want.member)
+    assert np.array_equal(index.odd_sets.bnorm, want.bnorm)
+
+
+def test_family_is_enumerated_once_on_first_read():
+    g = random_instance(1004)
+    calls = []
+
+    def enumerate_counted(graph, epsilon):
+        calls.append((graph, epsilon))
+        return sm.enumerate_small_odd_sets(graph, epsilon)
+
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, enumerate_counted)
+    assert calls == []
+    assert index.odd_sets is index.odd_sets
+    index.set_matrices()
+    assert calls == [(g, EPS)]
+
+
+def test_family_passed_in_is_used_as_given():
+    # n = 70 is past the enumeration cap, so only the given family works.
+    g, family = path70()
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, family)
+    assert index.odd_sets is family
+
+
+def test_matching_dual_without_odd_prices_leaves_the_family_unread():
+    def refuse(graph, epsilon):
+        raise AssertionError("the odd-set family was read")
+
+    index = sm.SystemIndex(sm.discretize(random_instance(1004), EPS), EPS, refuse)
+    it = sm.DualIterate.zeros(index)
+    it.x_level[:] = 1.0
+    it.x_top[:] = 1.0
+    assert sm.convert_to_matching_dual(index, it)[1] == {}
+    # a priced pair whose price is zero reads no set either
+    it.z_set, it.z_level, it.z_value = np.array([0]), np.array([0]), np.array([0.0])
+    assert sm.convert_to_matching_dual(index, it)[1] == {}
+
+
 def test_cut_balance_flags_planted_set_rows(monkeypatch):
     # The member degree mass comes from the degree rows, not from
     # set_rows, so set_rows that lose the boundary break the identity.
