@@ -383,13 +383,14 @@ def collect_violated_sets(
     """
     eps = index.epsilon
     family = index.odd_sets
-    member_mat, internal_mat, bnorms = index.set_matrices()
     short = np.flatnonzero(q_hat < index.capacity - 1e-9)
     if short.size:
         raise AssertionError(f"allowance of vertex {short[0]} below its capacity")
-    internal = internal_mat @ q_rows
-    allowance = member_mat @ q_hat
-    values = internal - 0.5 * (allowance - bnorms)
+    internal, allowance = np.empty((2, len(family)))
+    for sets, member_mat, internal_mat in index.set_blocks():
+        internal[sets] = internal_mat @ q_rows
+        allowance[sets] = member_mat @ q_hat
+    values = internal - 0.5 * (allowance - family.bnorm)
     # Candidates: internal mass beyond the exclusion bar.
     bars = 0.5 * (allowance - (1.0 - eps))
     cand = np.nonzero(internal > bars + 1e-12)[0]
@@ -418,7 +419,7 @@ def collect_violated_sets(
     # any set disjoint from the selection must sit at or below the bar
     # (it would have been selected otherwise).
     untouched = ~family.member[:, used].any(axis=1)
-    ceiling = np.floor(bnorms / 2.0) + eps / 2.0 + 1e-12
+    ceiling = np.floor(family.bnorm / 2.0) + eps / 2.0 + 1e-12
     over = np.flatnonzero(untouched & (values > ceiling))
     if over.size:
         raise AssertionError(

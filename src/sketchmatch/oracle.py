@@ -397,21 +397,21 @@ def check_primal_certificate(
     report["capacity_rows"] = bool(
         (per_vertex <= index.capacity * (1.0 + tol) + 1e-12).all()
     )
-    # Odd-set rows, every set at every level, via suffix accumulations;
-    # each level adds its support rows in row order.
-    member_mat, internal_mat, bnorms = index.set_matrices()
-    y_by_level = np.zeros((len(index.odd_sets), len(index.level_weights)))
+    # Odd-set rows, every set at every level, via suffix accumulations
+    # per block of sets; each level adds its support rows in row order.
     support = np.flatnonzero(cert.y)
-    np.add.at(
-        y_by_level,
-        (slice(None), index.row_levels[support]),
-        internal_mat[:, support] * cert.y[support],
-    )
-    inner = y_by_level - member_mat @ cert.mu
-    suffix = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
-    floors = np.floor(bnorms / 2.0)
-    report["odd_set_rows"] = bool((suffix <= floors[:, None] * (1.0 + tol) + 1e-9).all())
-    report["odd_set_worst"] = float(np.max(suffix - floors[:, None]))
+    levels, y_support = index.row_levels[support], cert.y[support]
+    rows_ok, worst = True, []
+    for sets, member_mat, internal_mat in index.set_blocks():
+        y_by_level = np.zeros((len(member_mat), len(index.level_weights)))
+        np.add.at(y_by_level, (slice(None), levels), internal_mat[:, support] * y_support)
+        inner = y_by_level - member_mat @ cert.mu
+        suffix = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
+        floors = np.floor(index.odd_sets.bnorm[sets] / 2.0)
+        rows_ok &= bool((suffix <= floors[:, None] * (1.0 + tol) + 1e-9).all())
+        worst.append(np.max(suffix - floors[:, None]))
+    report["odd_set_rows"] = rows_ok
+    report["odd_set_worst"] = float(np.max(worst, initial=-np.inf))
     objective = _objective(index, cert.y, cert.mu)
     report["objective_stated"] = math.isclose(
         objective, cert.objective, rel_tol=1e-9, abs_tol=1e-12

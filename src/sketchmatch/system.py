@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -47,6 +47,9 @@ __all__ = [
 
 # Relative tolerance of every contract checker.
 CHECK_TOL = 1e-9
+
+# Float cells of one block of the odd-set family (see SystemIndex.set_blocks).
+SET_BLOCK_CELLS = 1 << 20
 
 # The (empty) odd-set prices of every iterate that prices no set.
 _NO_SETS = np.zeros(0, dtype=np.int64)
@@ -160,9 +163,9 @@ class SystemIndex:
     one at this size).  Every evaluator is deterministic given the same
     iterate.
 
-    The odd-set family (:attr:`odd_sets`) and :meth:`set_matrices` are
-    built on first use and cached, so a solve that never reads them, as
-    one that takes only vertex steps, never pays for them.  ``family`` is
+    The odd-set family (:attr:`odd_sets`) is enumerated on first read
+    and cached, so a solve that never reads it, as one that takes only
+    vertex steps, never pays for it.  ``family`` is
     the family itself, or the function that enumerates it from the
     leveled graph's base graph and ``epsilon`` (by default
     :func:`~sketchmatch.graph.enumerate_small_odd_sets`).
@@ -263,12 +266,29 @@ class SystemIndex:
         internal to a set when both its ends are members, and on its
         boundary when exactly one is.  `take` gives row-major results
         (fancy indexing on the last axis gives column-major ones); the
-        float copy in `set_matrices` inherits the layout, and the order
-        in which BLAS sums a product depends on it.
+        float blocks of :meth:`set_blocks` inherit the layout, and the
+        order in which BLAS sums a product depends on it.
         """
         i_in = member.take(self.row_ends[:, 0], axis=-1)
         j_in = member.take(self.row_ends[:, 1], axis=-1)
         return i_in & j_in, i_in ^ j_in
+
+    def set_blocks(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """The odd-set family as float matrices, one block of sets at a time.
+
+        Yields each block's slice and its 0/1 member and internal-row
+        matrices (:meth:`set_rows`), about ``SET_BLOCK_CELLS`` cells over
+        rows, vertices and levels.  Whole groups of 8 sets and no lone set
+        per block keep the row groups BLAS kernels see in a whole product.
+        """
+        n_sets = len(self.odd_sets)
+        width = len(self.rows) + len(self.capacity) + len(self.level_weights)
+        size = max(8, SET_BLOCK_CELLS // width // 8 * 8)
+        bounds = [*range(0, n_sets - (n_sets > 1), size), n_sets]
+        for start, stop in zip(bounds, bounds[1:]):
+            block = self.odd_sets.member[start:stop]
+            internal, _boundary = self.set_rows(block)
+            yield slice(start, stop), block.astype(float), internal.astype(float)
 
     # -- row evaluation -----------------------------------------------------
 
@@ -404,28 +424,6 @@ class SystemIndex:
     def multiplier_cover_target(self, u_vec: np.ndarray) -> float:
         """``u . c`` where ``c`` is the cover right-hand side."""
         return float(u_vec @ self.cover_rhs)
-
-    def set_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense odd-set geometry: (member, internal, capacity) arrays.
-
-        ``member`` is ``(n_sets, n)`` 0/1, ``internal`` is ``(n_sets,
-        n_rows)`` 0/1 over cover rows, ``capacity`` is the odd total
-        capacity per set.  Built lazily and cached; guarded against
-        blowup.
-        """
-        cached = getattr(self, "_set_matrices", None)
-        if cached is not None:
-            return cached
-        family = self.odd_sets
-        if len(family) * max(len(self.rows), self.leveled.base.n) > 1 << 24:
-            raise ValueError("odd-set matrices would be too large; reduce the family")
-        internal, _boundary = self.set_rows(family.member)
-        self._set_matrices = (
-            family.member.astype(float),
-            internal.astype(float),
-            family.bnorm.astype(float),
-        )
-        return self._set_matrices
 
     def zeta_degree_target(self, zeta_vec: np.ndarray) -> float:
         """``zeta . q`` where ``q`` is the outer degree right-hand side."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +202,48 @@ class TestCheckPrimalCertificate:
         y_caps[t] *= 0.5
         tampered = dataclasses.replace(cert, y_caps=y_caps)
         self._assert_only_fails(index, tampered, "level_rows")
+
+
+    def test_empty_family_has_no_odd_set_row(self):
+        # every capacity even: no set is odd, so no odd-set row can fail
+        g = sm.load_graph("0 1 5\n1 2 5\n0 2 5\n")
+        g = sm.Graph(n=g.n, edges=g.edges, b=(2, 2, 2))
+        index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
+        assert len(index.odd_sets) == 0
+        u, zeta = np.ones(len(index.rows)), np.ones(len(index.vrows))
+        cert = matching_oracle(index, u, zeta, 1e-5, 1.0)
+        ok, report = check_primal_certificate(index, cert)
+        assert ok, report
+        assert report["odd_set_rows"] is True and report["odd_set_worst"] == -math.inf
+
+
+def wide_family_graph(m: int) -> sm.Graph:
+    """n = 20, b = 1 (524,288 small odd sets): ``m`` shuffled pairs, weights 1..100."""
+    rng = random.Random(0)
+    pairs = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+    rng.shuffle(pairs)
+    edges = tuple((i, j, float(rng.randint(1, 100))) for (i, j) in sorted(pairs[:m]))
+    return sm.Graph(n=20, edges=edges, b=(1,) * 20)
+
+
+@pytest.mark.parametrize("m", [33, 60])
+def test_widest_family_certifies_in_bounded_memory(m):
+    # The float odd-set geometry is built block by block, so the odd
+    # branch and the certificate check work at the n = 20 cap whatever
+    # the edge count, in bounded memory.
+    index = sm.SystemIndex(sm.discretize(wide_family_graph(m), EPS), EPS)
+    assert len(index.rows) == m and len(index.odd_sets) == 1 << 19
+    u, zeta = np.ones(len(index.rows)), np.ones(len(index.vrows))
+    tracemalloc.start()
+    try:
+        cert = matching_oracle(index, u, zeta, 1e-5, 1.0)
+        ok, report = check_primal_certificate(index, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(cert, PrimalCertificate)
+    assert ok, report
+    assert peak < 150 * 2**20
 
 
 class TestCertificateConstruction:

@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 import sketchmatch as sm
+from sketchmatch import system
 from sketchmatch.graph import OddSet
 from sketchmatch.oddsets import collect_violated_sets
+from sketchmatch.oracle import check_primal_certificate
 
 from conftest import EPS, profile_edge_graphs, random_instance, set_z_prices, z_prices
 
@@ -288,8 +290,13 @@ def test_odd_set_evaluators_match_loops(name):
             want = loop_cut_mass(index, geo, u_vec, t, level)
             assert index.cut_mass(u_vec, t, level) == want
     assert index.cut_balance_ok(u_vec, it) == loop_cut_balance(index, geo, u_vec, z_prices(it))
-    for got, want in zip(index.set_matrices(), loop_set_matrices(index, geo)):
+    sets, members, internals = zip(*index.set_blocks())
+    assert [s.start for s in sets] == [0] + [s.stop for s in sets[:-1]]
+    assert sets[-1].stop == len(index.odd_sets)
+    member_mat, internal_mat, bnorms = loop_set_matrices(index, geo)
+    for got, want in zip(map(np.concatenate, (members, internals)), (member_mat, internal_mat)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(index.odd_sets.bnorm, bnorms)
 
 
 def loop_matching_dual_z(index, it):
@@ -332,8 +339,12 @@ def test_family_is_enumerated_once_on_first_read():
 
     index = sm.SystemIndex(sm.discretize(g, EPS), EPS, enumerate_counted)
     assert calls == []
+    blocks = index.set_blocks()
+    assert calls == []  # a reader enumerates when first advanced
+    next(blocks)
+    assert calls == [(g, EPS)]
     assert index.odd_sets is index.odd_sets
-    index.set_matrices()
+    list(index.set_blocks())
     assert calls == [(g, EPS)]
 
 
@@ -427,6 +438,69 @@ def test_strict_collect_violated_sets_matches_loop(name):
     assert picked  # the draws select some sets, so the scan has work to do
 
 
+def blocked_answers(index, g, seed: int) -> list[str]:
+    """``repr`` of the violated-set selections and certificate reports of fixed draws."""
+    rng = np.random.default_rng(seed)
+    n_rows = len(index.rows)
+    out = []
+    for _trial in range(3):
+        q_rows = np.where(rng.random(n_rows) < 0.6, 2.0 * rng.random(n_rows), 0.0)
+        load = np.bincount(index.row_ends.ravel(), np.repeat(q_rows, 2), g.n)
+        q_hat = np.maximum(np.asarray(g.b, dtype=float), load)
+        selected, values = collect_violated_sets(index, q_rows, q_hat)
+        out.append(repr((selected, values.tobytes())))
+        shape = index.level_capacity.shape
+        mu = np.where(rng.random(shape) < 0.5, rng.random(shape), 0.0)
+        cert = sm.PrimalCertificate(
+            y=q_rows, mu=mu, y_caps=rng.random(len(index.vrows)), objective=1.0, beta=1.0
+        )
+        out.append(repr(check_primal_certificate(index, cert)))
+    return out
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_set_block_seams_change_no_value(monkeypatch, name):
+    # one block, then blocks of every smaller size: every selection,
+    # value and certificate report (odd_set_worst included) is the same
+    g, _lv, index = case(name)
+    n_sets = len(index.odd_sets)
+    width = len(index.rows) + g.n + len(index.level_weights)
+    monkeypatch.setattr(system, "SET_BLOCK_CELLS", (n_sets + 8) * width)
+    assert len(list(index.set_blocks())) == 1
+    whole = blocked_answers(index, g, seed=len(name))
+    partial_tails = 0
+    for cells in range(1, n_sets):
+        # blocks of whole groups of 8 sets, at least one group
+        size = max(8, cells // 8 * 8)
+        monkeypatch.setattr(system, "SET_BLOCK_CELLS", cells * width)
+        sets = [s for s, _member, _internal in index.set_blocks()]
+        lengths = [s.stop - s.start for s in sets]
+        assert [s.start for s in sets] == list(range(0, n_sets - 1, size))
+        assert sets[-1].stop == n_sets and set(lengths[:-1]) <= {size}
+        assert 2 <= lengths[-1] <= size + 1  # a one-set tail joins its neighbour
+        partial_tails += len(sets) > 1 and lengths[-1] < size
+        assert blocked_answers(index, g, seed=len(name)) == whole
+    assert partial_tails
+
+
+@pytest.mark.parametrize("name", CASES[:3])
+def test_one_set_tail_joins_the_block_before_it(monkeypatch, name):
+    # 41 sets in blocks of 8: the last block takes sets 32..40, and every
+    # answer equals the one-block answer
+    g, lv, index = case(name)
+    family = index.odd_sets
+    cut = sm.SystemIndex(
+        lv, EPS, sm.OddSetFamily(member=family.member[:41], bnorm=family.bnorm[:41])
+    )
+    width = len(index.rows) + g.n + len(index.level_weights)
+    monkeypatch.setattr(system, "SET_BLOCK_CELLS", 48 * width)
+    whole = blocked_answers(cut, g, seed=len(name))
+    monkeypatch.setattr(system, "SET_BLOCK_CELLS", 8 * width)
+    sets = [s for s, _member, _internal in cut.set_blocks()]
+    assert sets == [slice(a, a + 8) for a in range(0, 32, 8)] + [slice(32, 41)]
+    assert blocked_answers(cut, g, seed=len(name)) == whole
+
+
 # -- packed level profiles ----------------------------------------------------
 
 
@@ -447,7 +521,10 @@ def profile_case(name: str):
     if name in CASES:
         return case(name)[2]
     lv = sm.discretize(profile_edge_graphs()[name], EPS)
-    return sm.SystemIndex(lv, EPS, ())
+    empty = sm.OddSetFamily(
+        member=np.zeros((0, lv.base.n), dtype=bool), bnorm=np.zeros(0, dtype=np.int64)
+    )
+    return sm.SystemIndex(lv, EPS, empty)
 
 
 @pytest.mark.parametrize("name", PROFILE_CASES)
