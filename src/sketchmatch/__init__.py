@@ -20,7 +20,6 @@ from .graph import (
     Graph,
     GraphFormatError,
     LeveledGraph,
-    OddSet,
     OddSetFamily,
     count_small_odd_sets,
     discretize,
@@ -61,7 +60,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "LeveledGraph",
-    "OddSet",
     "OddSetFamily",
     "PrimalCertificate",
     "RoundLedger",

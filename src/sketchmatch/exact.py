@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .graph import Graph, LeveledGraph, OddSet, discretize
+from .graph import Graph, LeveledGraph, discretize
 
 __all__ = [
     "ExactResult",
@@ -530,13 +530,14 @@ def exact_lp_values(
 def check_dual_feasible(
     leveled: LeveledGraph,
     x: Mapping[int, float],
-    z: Mapping[OddSet, float],
+    z: Mapping[int, float],
     *,
     tol: float = 1e-9,
 ) -> tuple[bool, float, float]:
     """Check feasibility of ``(x, z)`` for the odd-set dual on leveled edges.
 
-    The constraint per retained edge ``(i, j)`` at level ``k`` is
+    ``z`` is keyed by the member bitmask of ``U`` (a Python int).  The
+    constraint per retained edge ``(i, j)`` at level ``k`` is
     ``x_i + x_j + sum_{U containing i and j} z_U >= (1+eps)^k``.
 
     Returns
@@ -548,12 +549,15 @@ def check_dual_feasible(
     for _e, i, j, k in leveled.retained():
         need = leveled.level_weight(k)
         have = x.get(i, 0.0) + x.get(j, 0.0)
-        for u, zv in z.items():
-            if (u.mask >> i & 1) and (u.mask >> j & 1):
+        for mask, zv in z.items():
+            if (mask >> i & 1) and (mask >> j & 1):
                 have += zv
         worst = max(worst, (need - have) / need)
-    objective = sum(leveled.base.b[i] * xv for i, xv in x.items())
-    objective += sum(u.half_capacity * zv for u, zv in z.items())
+    b = leveled.base.b
+    objective = sum(b[i] * xv for i, xv in x.items())
+    objective += sum(
+        sum(b[i] for i in range(len(b)) if mask >> i & 1) // 2 * zv for mask, zv in z.items()
+    )
     return worst <= tol, worst, objective
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "LeveledGraph",
-    "OddSet",
     "OddSetFamily",
     "check_enumerable",
     "count_small_odd_sets",
@@ -344,43 +343,6 @@ def discretize(g: Graph, epsilon: float) -> LeveledGraph:
         levels={k: tuple(v) for k, v in sorted(levels.items())},
         L=max_level,
     )
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class OddSet:
-    """One vertex set with odd total capacity, as Python values.
-
-    The reference type of :mod:`sketchmatch.exact` and of the matching
-    dual :func:`sketchmatch.system.convert_to_matching_dual` returns;
-    the solver holds its family as an :class:`OddSetFamily`.
-
-    Attributes
-    ----------
-    members:
-        Sorted vertex tuple.
-    bnorm:
-        Total capacity ``sum_{i in U} b_i`` (odd).
-    mask:
-        Bitmask of the members (a Python int, so any ``n``).
-    """
-
-    members: tuple[int, ...]
-    bnorm: int
-    mask: int
-
-    @staticmethod
-    def from_members(members: Sequence[int], b: Sequence[int]) -> "OddSet":
-        ms = tuple(sorted(members))
-        bn = sum(b[i] for i in ms)
-        mask = 0
-        for i in ms:
-            mask |= 1 << i
-        return OddSet(members=ms, bnorm=bn, mask=mask)
-
-    @property
-    def half_capacity(self) -> int:
-        """The odd-set constraint bound ``floor(bnorm / 2)``."""
-        return self.bnorm // 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -257,7 +257,6 @@ def find_dense_odd_sets(
     eps: float,
     b: Sequence[int],
     *,
-    check_bounds: bool = False,
     odd_sets: OddSetFamily | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Find a disjoint family of dense odd sets via the flow reduction.
@@ -273,8 +272,8 @@ def find_dense_odd_sets(
     and allowances are untouched), so each pass can only expose sets
     the previous tree hid behind an apex-side partition.
 
-    With ``check_bounds=True`` (requires ``odd_sets``), asserts the
-    density guarantees: every returned set has internal mass at least
+    Given the small odd-set family ``odd_sets``, asserts the density
+    guarantees: every returned set has internal mass at least
     ``(sum q_hat - 1) / 2``, and every small odd set untouched by the
     returned family has internal mass at most
     ``(sum q_hat - (1 - eps)) / 2``.
@@ -323,9 +322,7 @@ def find_dense_odd_sets(
         if not added:
             break
 
-    if check_bounds:
-        if odd_sets is None:
-            raise ValueError("check_bounds requires the small odd-set family")
+    if odd_sets is not None:
 
         def internal_mass(members: frozenset[int]) -> float:
             return math.fsum(

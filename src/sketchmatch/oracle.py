@@ -50,7 +50,6 @@ __all__ = [
     "offline_bmatching",
 ]
 
-_REL = 1e-9
 # Largest vertex-split graph :func:`offline_bmatching` solves exactly.
 MAX_SPLIT_VERTICES = 256
 # Maximal matching rounds: a round samples the live edges at rate
@@ -198,11 +197,11 @@ def matching_oracle(
         it.x_level = np.where(priced, level_price[np.minimum(vl, k_star[vv])], 0.0)
         it.x_top = np.where(violated, level_price[k_star], 0.0)
         lag = math.fsum((it.x_level * surplus).tolist())
-        if not math.isclose(lag, gamma, rel_tol=_REL):
+        if not math.isclose(lag, gamma, rel_tol=CHECK_TOL):
             raise AssertionError("vertex step does not meet the penalized target")
-        if budget_value(index, it) > beta * (1.0 + _REL):
+        if budget_value(index, it) > beta * (1.0 + CHECK_TOL):
             raise AssertionError("vertex step exceeds the budget")
-        if (it.x_level > index.vrow_price_cap * (1.0 + _REL)).any():
+        if (it.x_level > index.vrow_price_cap * (1.0 + CHECK_TOL)).any():
             raise AssertionError("vertex price exceeds its width cap")
         return DualStep(it, "vertex", penalty, gamma, beta)
 
@@ -212,9 +211,9 @@ def matching_oracle(
     raise_mask = priced & (vl <= k_star[vv])
     zeta_bar[raise_mask] = edge_mass[raise_mask] / (2.0 * penalty)
     gamma_p = usc - penalty * float(zeta_bar @ q_outer)
-    if gamma_p < gamma - 1.5 * gamma_v * (1.0 + _REL) - 1e-12:
+    if gamma_p < gamma - 1.5 * gamma_v * (1.0 + CHECK_TOL) - 1e-12:
         raise AssertionError("raised multipliers overshoot the surplus accounting")
-    if gamma_p < (1.0 - eps / 16.0) * gamma * (1.0 - _REL):
+    if gamma_p < (1.0 - eps / 16.0) * gamma * (1.0 - CHECK_TOL):
         raise AssertionError("raised-multiplier target lost too much mass")
 
     # Dense odd sets per level, one disjoint family per populated
@@ -247,9 +246,9 @@ def matching_oracle(
         lag_bar = math.fsum((it.z_value * z_dval).tolist())
         if not math.isclose(lag_bar, gamma_p, rel_tol=1e-6):
             raise AssertionError("odd-set step does not meet the raised target")
-        if budget_value(index, it) > (1.0 - eps / 4.0) * beta * (1.0 + _REL):
+        if budget_value(index, it) > (1.0 - eps / 4.0) * beta * (1.0 + CHECK_TOL):
             raise AssertionError("odd-set step exceeds the budget")
-        if (it.z_value > 24.0 / eps * w_of[z_level] * (1.0 + _REL)).any():
+        if (it.z_value > 24.0 / eps * w_of[z_level] * (1.0 + CHECK_TOL)).any():
             raise AssertionError("odd-set price exceeds its width cap")
         cov = index.cover_values(it)
         deg = index.degree_values(it)
@@ -261,7 +260,7 @@ def matching_oracle(
     # Neither surplus is large: the complementary fractional matching
     # is a certificate.
     cert = _certificate(index, u_sparse, zeta_bar, z_set, z_level, gamma, penalty, beta)
-    if cert.objective < (1.0 - eps) * beta * (1.0 - _REL):
+    if cert.objective < (1.0 - eps) * beta * (1.0 - CHECK_TOL):
         raise AssertionError(
             f"certificate objective {cert.objective} below (1 - eps) * {beta}"
         )
@@ -669,6 +668,6 @@ def initial_solution(
     beta0 = budget_value(index, it)
     cov = index.cover_values(it)
     lambda0, _arg = index.coverage_lambda(cov)
-    if lambda0 < r * (1.0 - _REL):
+    if lambda0 < r * (1.0 - CHECK_TOL):
         raise AssertionError("starting point fails to cover some row")
     return it, beta0, lambda0

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .graph import Graph, LeveledGraph, OddSet, OddSetFamily, enumerate_small_odd_sets
+from .graph import Graph, LeveledGraph, OddSetFamily, enumerate_small_odd_sets
 
 __all__ = [
     "CHECK_TOL",
@@ -165,15 +165,14 @@ class SystemIndex:
 
     The odd-set family (:attr:`odd_sets`) is enumerated on first read
     and cached, so a solve that never reads it, as one that takes only
-    vertex steps, never pays for it.  ``family`` is
-    the family itself, or the function that enumerates it from the
-    leveled graph's base graph and ``epsilon`` (by default
+    vertex steps, never pays for it.  ``enumerate_family`` builds it
+    from the leveled graph's base graph and ``epsilon`` (by default
     :func:`~sketchmatch.graph.enumerate_small_odd_sets`).
     """
 
     leveled: LeveledGraph
     epsilon: float
-    family: InitVar[OddSetFamily | Callable[[Graph, float], OddSetFamily]] = (
+    enumerate_family: InitVar[Callable[[Graph, float], OddSetFamily]] = (
         enumerate_small_odd_sets
     )
     rows: tuple[tuple[int, int, int, int], ...] = field(init=False)
@@ -198,10 +197,8 @@ class SystemIndex:
     level_gather: np.ndarray = field(init=False)
     grid_weights: np.ndarray = field(init=False)
 
-    def __post_init__(
-        self, family: OddSetFamily | Callable[[Graph, float], OddSetFamily]
-    ) -> None:
-        self._family = family
+    def __post_init__(self, enumerate_family: Callable[[Graph, float], OddSetFamily]) -> None:
+        self._enumerate_family = enumerate_family
         lv = self.leveled
         eps = self.epsilon
         n_levels = lv.L + 1
@@ -255,9 +252,8 @@ class SystemIndex:
 
     @cached_property
     def odd_sets(self) -> OddSetFamily:
-        """The small odd-set family, enumerated on first read if not given."""
-        family = self._family
-        return family(self.leveled.base, self.epsilon) if callable(family) else family
+        """The small odd-set family, enumerated on first read."""
+        return self._enumerate_family(self.leveled.base, self.epsilon)
 
     def set_rows(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Internal and boundary cover rows of the set(s) with membership ``member``.
@@ -351,7 +347,12 @@ class SystemIndex:
         return bool((it.x_top[self.vrow_vertex] >= it.x_level - slack).all())
 
     def multiplier_vector(self, u: Mapping[int, float]) -> np.ndarray:
-        """Dense multiplier vector aligned with cover rows from an edge map."""
+        """Dense multiplier vector aligned with cover rows from an edge map.
+
+        No solver path calls it: it stays only because
+        ``perfbench/tracing.py`` wraps it by name, and goes with that
+        tracer entry.
+        """
         out = np.zeros(len(self.rows))
         for e, val in u.items():
             r = int(self.row_of_edge[e]) if 0 <= e < len(self.row_of_edge) else -1
@@ -432,7 +433,7 @@ class SystemIndex:
 
 def convert_to_matching_dual(
     index: SystemIndex, it: DualIterate
-) -> tuple[dict[int, float], dict[OddSet, float]]:
+) -> tuple[dict[int, float], dict[int, float]]:
     """Flatten a layered iterate into a matching dual on ``(x_i, z_U)``.
 
     With ``eps`` the system parameter, ``x_i = max_l x_i(l) / (1 - 3 eps)``
@@ -440,8 +441,9 @@ def convert_to_matching_dual(
     odd-set dual on the leveled edges whenever the layered iterate
     covers every edge row to ``(1 - 3 eps)``.  Vertices whose prices
     are all zero are left out of ``x``; ``z`` holds the sets with a
-    nonzero price, in first-priced order, each summed in array order.
-    An iterate with no nonzero odd-set price does not read the family.
+    nonzero price, keyed by member bitmask (a Python int, so any ``n``),
+    in first-priced order, each summed in array order.  An iterate with
+    no nonzero odd-set price does not read the family.
     """
     denom = 1.0 - 3.0 * index.epsilon
     top = it.x_top.copy()
@@ -453,6 +455,7 @@ def convert_to_matching_dual(
     np.add.at(totals, where, it.z_value[priced] / denom)
     if not len(sets):
         return x, {}
-    members, b = index.odd_sets.members, index.leveled.base.b
-    z = {OddSet.from_members(members(sets[k]), b): float(totals[k]) for k in np.argsort(first)}
-    return x, z
+    members = index.odd_sets.members
+    return x, {
+        sum(1 << i for i in members(sets[k])): float(totals[k]) for k in np.argsort(first)
+    }

@@ -189,7 +189,7 @@ def test_criterion_5_self_checked_suite(suite_instances, suite_reports):
     cert_ok = True
     for g in suite_instances[:5]:
         lv = sm.discretize(g, EPS)
-        index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(lv, EPS)
         u = np.ones(len(index.rows))
         zeta = np.ones(len(index.vrows))
         out = matching_oracle(index, u, zeta, 1e-5, 1.0)
@@ -215,7 +215,7 @@ def test_criterion_6_initial_solution_sandwich(suite_instances):
         if g.n > 10:
             continue
         lv = sm.discretize(g, EPS)
-        index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(lv, EPS)
         it0, beta0, _lam0 = initial_solution(index, 2.0, 0)
         vals = sm.exact_lp_values(g, EPS)
         bip = float(vals.beta_bipartite_discrete)
@@ -264,8 +264,7 @@ def test_criterion_8_odd_set_detection_against_exhaustive_scan():
     g = sm.load_graph("0 1 4\n0 2 4\n1 2 4\n3 4 4\n3 5 4\n4 5 4\n")
     eps = 0.5
     lv = sm.discretize(g, eps)
-    odd = sm.enumerate_small_odd_sets(g, eps)
-    index = sm.SystemIndex(lv, eps, odd)
+    index = sm.SystemIndex(lv, eps)
     q = np.full(len(index.rows), 0.95)
     q_hat = np.full(6, 2.0)
     selected, values = collect_violated_sets(index, q, q_hat)

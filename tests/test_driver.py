@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +72,15 @@ def covering_states(monkeypatch) -> list:
         CoveringState, "__post_init__", lambda self: states.append(self) or real(self)
     )
     return states
+
+
+def test_star_import_resolves_every_export():
+    # a name left in __all__ after its object is gone fails the import
+    modules = [f"sketchmatch.{m.name}" for m in pkgutil.iter_modules(sm.__path__)]
+    for module in ["sketchmatch", *modules]:
+        names: dict[str, object] = {}
+        exec(f"from {module} import *", names)
+        assert set(importlib.import_module(module).__all__) <= set(names), module
 
 
 class TestSolve:
@@ -176,7 +187,7 @@ class TestSolve:
         from sketchmatch import driver
 
         g = sm.load_graph("0 1 10\n0 2 10\n1 2 10\n")
-        index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
         cert = driver.matching_oracle(
             index, np.ones(len(index.rows)), np.ones(len(index.vrows)), 1e-4, 1.0
         )
@@ -243,9 +254,7 @@ class TestSolve:
         )
         sm.solve(g, sm.SolverConfig())
         # reference: the first round's snapshot multipliers, copied per row
-        index = sm.SystemIndex(
-            sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS)
-        )
+        index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
         it, _beta, _lam = initial_solution(index, 2.0, 0)
         c = index.cover_rhs
         state = CoveringState(
@@ -355,9 +364,7 @@ class TestSolve:
         # reference: every refinement of the first round through the
         # per-row dicts, one sketch per level and the per-entry
         # refinement loop
-        index = sm.SystemIndex(
-            sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS)
-        )
+        index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
         c = index.cover_rhs
         levels = sorted({k for (_e, _i, _j, k) in index.rows})
         assert len(levels) > 1
@@ -629,7 +636,7 @@ class TestCoverageExamples:
     def test_start_coverage_single_edge(self):
         g = sm.load_graph("0 1 7\n")
         lv = sm.discretize(g, EPS)
-        index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(lv, EPS)
         it, _beta0, _lam0 = sm.initial_solution(index, 2.0, 0)
         lam, _row = index.coverage_lambda(index.cover_values(it))
         assert lam == pytest.approx(EPS / 128.0)
@@ -637,7 +644,7 @@ class TestCoverageExamples:
     def test_coverage_scales_linearly(self):
         g = sm.load_graph("0 1 7\n")
         lv = sm.discretize(g, EPS)
-        index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(lv, EPS)
         it, _beta0, _lam0 = sm.initial_solution(index, 2.0, 0)
         doubled = dataclasses.replace(it, x_level=2.0 * it.x_level, x_top=2.0 * it.x_top)
         lam1, _ = index.coverage_lambda(index.cover_values(it))
@@ -647,7 +654,7 @@ class TestCoverageExamples:
     def test_uncovered_row_gives_zero(self):
         g = sm.load_graph("0 1 7\n0 2 7\n")
         lv = sm.discretize(g, EPS)
-        index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(lv, EPS)
         it = sm.DualIterate.zeros(index)
         # price only vertex 1: the (0, 2) row stays uncovered
         (e, i, j, k) = next(iter(lv.retained()))

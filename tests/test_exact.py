@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import sketchmatch as sm
 import sketchmatch.exact as exact_mod
 from sketchmatch.exact import BRUTE_FORCE_MAX_B_TOTAL, LPUnboundedError, solve_lp_max
-from sketchmatch.graph import OddSet
 
 from conftest import EPS, random_instance, set_z_prices, triangle_paper
 
@@ -393,8 +392,7 @@ class TestDualFeasible:
         # must give a feasible leveled dual.
         g = sm.load_graph("0 1 4\n1 2 8\n0 2 6")
         lv = sm.discretize(g, EPS)
-        odd = sm.enumerate_small_odd_sets(g, EPS)
-        index = sm.SystemIndex(lv, EPS, odd)
+        index = sm.SystemIndex(lv, EPS)
         it = sm.DualIterate.zeros(index)
         for _e, i, j, k in index.rows:
             w = lv.level_weight(k)
@@ -419,7 +417,7 @@ class TestDualFeasible:
         lv = sm.discretize(g, EPS)
         (k,) = lv.levels
         w_k = lv.level_weight(k)
-        whole = OddSet.from_members((0, 1, 2), g.b)
+        whole = 0b111
         ok, worst, objective = sm.check_dual_feasible(lv, {}, {whole: w_k})
         assert ok and worst == 0.0 and objective == w_k
         ok, worst, objective = sm.check_dual_feasible(lv, {}, {whole: 0.99 * w_k})
@@ -427,7 +425,7 @@ class TestDualFeasible:
         assert worst == pytest.approx(0.01)
         assert objective == 0.99 * w_k
 
-        index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(lv, EPS)
         family = index.odd_sets
         (row,) = [t for t in range(len(family)) if family.members(t) == (0, 1, 2)]
         it = set_z_prices(sm.DualIterate.zeros(index), {(row, k): (1.0 - 3.0 * EPS) * w_k})

@@ -214,9 +214,11 @@ class TestEnumerateSmallOddSets:
         assert sm.count_small_odd_sets(g, eps) == len(sm.enumerate_small_odd_sets(g, eps))
 
     def test_half_capacity(self):
-        b = (2, 1, 1)
-        assert sm.OddSet.from_members((0, 1), b).half_capacity == 1
-        assert sm.OddSet.from_members((1,), b).half_capacity == 0
+        # the odd-set bound floor(bnorm / 2) of {0, 1} and {1}
+        family = sm.enumerate_small_odd_sets(sm.Graph(n=3, edges=(), b=(2, 1, 1)), EPS)
+        half = {family.members(t): int(bn) // 2 for t, bn in enumerate(family.bnorm)}
+        assert half[(0, 1)] == 1
+        assert half[(1,)] == 0
 
 
 class TestLevelCount:

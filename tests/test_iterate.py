@@ -159,7 +159,7 @@ def dict_initial_prices(index, p, seed):
 def suite_index(seed: int):
     g = random_instance(seed)
     lv = sm.discretize(g, EPS)
-    return sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+    return sm.SystemIndex(lv, EPS)
 
 
 def random_dict_iterate(index, rng: random.Random, beta: float) -> DictIterate:
@@ -225,7 +225,7 @@ def test_vrow_mass_matches_two_scatters():
     # one weight level, so every degree row sums many cover rows
     k9_edges = tuple((i, j, 1.0) for i in range(9) for j in range(i + 1, 9))
     k9 = sm.Graph(n=9, edges=k9_edges, b=(1,) * 9)
-    k9_index = sm.SystemIndex(sm.discretize(k9, EPS), EPS, ())
+    k9_index = sm.SystemIndex(sm.discretize(k9, EPS), EPS)
     for seed in range(1000, 1010):
         index = suite_index(seed) if seed % 2 else k9_index
         # magnitudes far apart, so a different addition order shows in the bits
@@ -285,7 +285,7 @@ def test_vertex_step_matches_dict_loop_on_packed_row_edge_cases(name):
     # an isolated vertex, a vertex whose edges are all dropped (its
     # packed row is slot 0 alone), and degree rows at levels 0 and L
     g = profile_edge_graphs()[name]
-    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
     fired = vertex_steps_match(index, random_queries(index, np.random.default_rng(7), 40))
     assert fired > 0
 
@@ -340,7 +340,7 @@ def test_initial_prices_match_dict_loop():
 def _triangle_vertex_step():
     g = sm.load_graph("0 1 10\n0 2 10\n1 2 10\n")
     lv = sm.discretize(g, EPS)
-    index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+    index = sm.SystemIndex(lv, EPS)
     u = np.ones(len(index.rows))
     zeta = np.ones(len(index.vrows))
     step = matching_oracle(index, u, zeta, 0.3, 20.0)
@@ -386,7 +386,7 @@ def test_check_dual_step_flags_planted_cap_violation():
 def test_verify_switch_flags_planted_shape_violation():
     g = sm.load_graph("0 1 4\n1 2 8\n0 2 6\n2 3 5\n1 3 7\n")
     lv = sm.discretize(g, EPS)
-    index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+    index = sm.SystemIndex(lv, EPS)
     u = np.ones(len(index.rows))
     it = sm.DualIterate.zeros(index)
     for t, (i, k) in enumerate(index.vrows):

@@ -284,9 +284,7 @@ class TestCoveringState:
 
 def _triangle_index(eps: float = EPS):
     g = sm.load_graph("0 1 10\n0 2 10\n1 2 10\n")
-    lv = sm.discretize(g, eps)
-    odd = sm.enumerate_small_odd_sets(g, eps)
-    return sm.SystemIndex(lv, eps, odd)
+    return sm.SystemIndex(sm.discretize(g, eps), eps)
 
 
 class TestLagrangianSearch:
@@ -390,7 +388,7 @@ class TestPenaltyBracket:
     @staticmethod
     def _query(seed_instance: int, seed: int, beta: float):
         g = random_instance(seed_instance)
-        index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+        index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
         rng = np.random.default_rng(seed)
         u = rng.random(len(index.rows)) ** 4
         zeta = rng.random(len(index.vrows)) ** 16

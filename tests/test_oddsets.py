@@ -202,9 +202,7 @@ class TestFindDenseOddSets:
             btext = "\n".join(f"{i} {bvec[i]}" for i in range(n))
             g = sm.load_graph(lines + "\n", btext)
             odd = sm.enumerate_small_odd_sets(g, eps)
-            find_dense_odd_sets(
-                g.n, take, qv, qh, eps, bvec, check_bounds=True, odd_sets=odd
-            )
+            find_dense_odd_sets(g.n, take, qv, qh, eps, bvec, odd_sets=odd)
             runs += 1
         assert runs >= 40
 
@@ -212,8 +210,7 @@ class TestFindDenseOddSets:
 def _index_for(text: str, eps: float = EPS, btext: str | None = None):
     g = sm.load_graph(text, btext)
     lv = sm.discretize(g, eps)
-    odd = sm.enumerate_small_odd_sets(g, eps)
-    return g, lv, sm.SystemIndex(lv, eps, odd)
+    return g, lv, sm.SystemIndex(lv, eps)
 
 
 class TestCollectViolatedSets:
@@ -286,9 +283,7 @@ def test_flow_route_agrees_with_exhaustive_exclusion(seed):
     lines = "\n".join(f"{i} {j} 1" for i, j in take)
     g = sm.load_graph(lines + "\n")
     odd = sm.enumerate_small_odd_sets(g, eps)
-    chosen = find_dense_odd_sets(
-        g.n, take, qv, qh, eps, [1] * n, check_bounds=True, odd_sets=odd
-    )
+    chosen = find_dense_odd_sets(g.n, take, qv, qh, eps, [1] * n, odd_sets=odd)
     # independent restatement of the exclusion bound
     for t in range(len(odd)):
         members = odd.members(t)
@@ -311,13 +306,6 @@ def test_flow_route_agrees_with_exhaustive_exclusion(seed):
             lambda: gomory_hu(np.array([[0, 3], [3, 0]], dtype=np.int64)).mincut(1, 1),
             "mincut of a vertex with itself",
             id="mincut_same_vertex",
-        ),
-        pytest.param(
-            lambda: find_dense_odd_sets(
-                3, TRIANGLE, [1, 1, 1], [2, 2, 2], 0.5, [1, 1, 1], check_bounds=True
-            ),
-            "check_bounds requires the small odd-set family",
-            id="check_bounds_without_family",
         ),
     ],
 )

@@ -33,8 +33,7 @@ from conftest import EPS, set_z_prices, z_prices
 def _index_for(text: str, eps: float = EPS):
     g = sm.load_graph(text)
     lv = sm.discretize(g, eps)
-    odd = sm.enumerate_small_odd_sets(g, eps)
-    return g, lv, sm.SystemIndex(lv, eps, odd)
+    return g, lv, sm.SystemIndex(lv, eps)
 
 
 def _triangle():
@@ -462,7 +461,7 @@ def test_oracle_answers_always_check_clean(seed, penalty):
     text = "\n".join(f"{i} {j} {int(rng.integers(1, 50))}" for i, j in take)
     g = sm.load_graph(text + "\n")
     lv = sm.discretize(g, EPS)
-    index = sm.SystemIndex(lv, EPS, sm.enumerate_small_odd_sets(g, EPS))
+    index = sm.SystemIndex(lv, EPS)
     u = rng.random(len(index.rows))
     zeta = rng.random(len(index.vrows)) + 0.01
     beta = float(rng.choice([0.5, 2.0, 20.0]))

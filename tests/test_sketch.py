@@ -565,8 +565,7 @@ def _hand_sketch() -> sm.DeferredSketch:
 def _switch_fixture():
     g = sm.load_graph("0 1 4\n1 2 8\n0 2 6\n2 3 5\n1 3 7\n")
     lv = sm.discretize(g, EPS)
-    odd = sm.enumerate_small_odd_sets(g, EPS)
-    index = sm.SystemIndex(lv, EPS, odd)
+    index = sm.SystemIndex(lv, EPS)
     return g, lv, index
 
 

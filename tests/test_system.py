@@ -19,7 +19,6 @@ import pytest
 
 import sketchmatch as sm
 from sketchmatch import system
-from sketchmatch.graph import OddSet
 from sketchmatch.oddsets import collect_violated_sets
 from sketchmatch.oracle import check_primal_certificate
 
@@ -174,12 +173,13 @@ def light_edge_graph(seed: int) -> sm.Graph:
     return sm.Graph(n=g.n, edges=edges, b=g.b)
 
 
-def family_of(sets, n: int) -> sm.OddSetFamily:
-    """The family holding the hand-built ``OddSet`` list ``sets``."""
-    member = np.zeros((len(sets), n), dtype=bool)
-    for t, u in enumerate(sets):
-        member[t, list(u.members)] = True
-    return sm.OddSetFamily(member=member, bnorm=np.array([u.bnorm for u in sets]))
+def family_of(groups, b) -> sm.OddSetFamily:
+    """The family holding the hand-built member lists ``groups`` (capacities ``b``)."""
+    member = np.zeros((len(groups), len(b)), dtype=bool)
+    for t, ms in enumerate(groups):
+        member[t, ms] = True
+    bnorm = np.array([sum(b[i] for i in ms) for ms in groups])
+    return sm.OddSetFamily(member=member, bnorm=bnorm)
 
 
 def path70():
@@ -192,17 +192,17 @@ def path70():
         [0], [0, 1, 2], [1, 2, 3], [33, 34, 35], [64, 65, 66, 67, 68],
         [66, 67, 68], [67, 68, 69], [0, 35, 69], list(range(50, 69)), [69],
     )
-    return g, family_of([OddSet.from_members(ms, g.b) for ms in groups], n)
+    return g, family_of(groups, g.b)
 
 
 def case(name: str):
     if name == "path70":
         g, family = path70()
-    else:
-        g = light_edge_graph(int(name.split("-")[1]))
-        family = sm.enumerate_small_odd_sets(g, EPS)
+        lv = sm.discretize(g, EPS)
+        return g, lv, sm.SystemIndex(lv, EPS, lambda graph, epsilon: family)
+    g = light_edge_graph(int(name.split("-")[1]))
     lv = sm.discretize(g, EPS)
-    return g, lv, sm.SystemIndex(lv, EPS, family)
+    return g, lv, sm.SystemIndex(lv, EPS)
 
 
 def priced_iterate(index, seed: int) -> sm.DualIterate:
@@ -299,15 +299,19 @@ def test_odd_set_evaluators_match_loops(name):
     assert np.array_equal(index.odd_sets.bnorm, bnorms)
 
 
-def loop_matching_dual_z(index, it):
-    """The odd-set half of ``convert_to_matching_dual``, one loop over the prices."""
+def loop_set_prices(index, it) -> dict[int, float]:
+    """The flattened odd-set prices of ``it`` keyed by family row, one loop over the prices."""
     denom = 1.0 - 3.0 * index.epsilon
     z_of: dict[int, float] = {}
     for (t, _lev), v in z_prices(it).items():
         if v != 0.0:
             z_of[t] = z_of.get(t, 0.0) + v / denom
-    b = index.leveled.base.b
-    return {OddSet.from_members(index.odd_sets.members(t), b): v for t, v in z_of.items()}
+    return z_of
+
+
+def loop_matching_dual_z(index, it):
+    """The odd-set half of ``convert_to_matching_dual``, keyed by member bitmask."""
+    return {mask_of(index, t): v for t, v in loop_set_prices(index, it).items()}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -319,6 +323,34 @@ def test_matching_dual_sums_each_set_in_price_order(name):
         _x, z = sm.convert_to_matching_dual(index, it)
         want = loop_matching_dual_z(index, it)
         assert list(z.items()) == list(want.items())
+
+
+def loop_dual_check(index, x, z_of):
+    """``check_dual_feasible`` as a loop over member sets, ``z_of`` keyed by family row."""
+    members = {t: set(index.odd_sets.members(t)) for t in z_of}
+    worst = 0.0
+    for _e, i, j, k in index.rows:
+        need = index.leveled.level_weight(k)
+        have = x.get(i, 0.0) + x.get(j, 0.0)
+        for t, v in z_of.items():
+            if i in members[t] and j in members[t]:
+                have += v
+        worst = max(worst, (need - have) / need)
+    objective = sum(index.leveled.base.b[i] * v for i, v in x.items())
+    objective += sum(int(index.odd_sets.bnorm[t]) // 2 * v for t, v in z_of.items())
+    return worst <= 1e-9, worst, objective
+
+
+def test_wide_masks_reach_the_dual_check():
+    # path70's sets hold vertices past bit 63, so their mask keys need
+    # Python ints; the check reads the same sets and capacities from them
+    _g, lv, index = case("path70")
+    for seed in range(4):
+        it = priced_iterate(index, seed)
+        x, z = sm.convert_to_matching_dual(index, it)
+        assert max(z).bit_length() > 64
+        want = loop_dual_check(index, x, loop_set_prices(index, it))
+        assert sm.check_dual_feasible(lv, x, z) == want
 
 
 def test_default_family_is_the_enumerated_one():
@@ -351,7 +383,7 @@ def test_family_is_enumerated_once_on_first_read():
 def test_family_passed_in_is_used_as_given():
     # n = 70 is past the enumeration cap, so only the given family works.
     g, family = path70()
-    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, family)
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, lambda graph, epsilon: family)
     assert index.odd_sets is family
 
 
@@ -373,7 +405,7 @@ def test_cut_balance_flags_planted_set_rows(monkeypatch):
     # The member degree mass comes from the degree rows, not from
     # set_rows, so set_rows that lose the boundary break the identity.
     g = random_instance(1000)
-    index = sm.SystemIndex(sm.discretize(g, EPS), EPS, sm.enumerate_small_odd_sets(g, EPS))
+    index = sm.SystemIndex(sm.discretize(g, EPS), EPS)
     u_vec = np.random.default_rng(3).random(len(index.rows))
     _ins, bnd = index.set_rows(index.odd_sets.member)
     t = int(np.flatnonzero(bnd.any(axis=1))[0])
@@ -489,9 +521,8 @@ def test_one_set_tail_joins_the_block_before_it(monkeypatch, name):
     # answer equals the one-block answer
     g, lv, index = case(name)
     family = index.odd_sets
-    cut = sm.SystemIndex(
-        lv, EPS, sm.OddSetFamily(member=family.member[:41], bnorm=family.bnorm[:41])
-    )
+    first = sm.OddSetFamily(member=family.member[:41], bnorm=family.bnorm[:41])
+    cut = sm.SystemIndex(lv, EPS, lambda graph, epsilon: first)
     width = len(index.rows) + g.n + len(index.level_weights)
     monkeypatch.setattr(system, "SET_BLOCK_CELLS", 48 * width)
     whole = blocked_answers(cut, g, seed=len(name))
@@ -524,7 +555,7 @@ def profile_case(name: str):
     empty = sm.OddSetFamily(
         member=np.zeros((0, lv.base.n), dtype=bool), bnorm=np.zeros(0, dtype=np.int64)
     )
-    return sm.SystemIndex(lv, EPS, empty)
+    return sm.SystemIndex(lv, EPS, lambda graph, epsilon: empty)
 
 
 @pytest.mark.parametrize("name", PROFILE_CASES)
