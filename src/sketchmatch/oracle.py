@@ -578,6 +578,10 @@ def maximal_bmatching_rounds(
     saturating multiplicity; edges with a saturated endpoint die.  The
     expected number of rounds is ``O(p)``; a run that exceeds
     ``ROUNDS_MULT * p`` rounds is retried under a fresh sampling salt.
+    A round at rate 1 takes every live edge without a draw (a draw lies
+    in ``[0, 1)`` and cannot reject), and is the last round, as each
+    taken edge saturates an end.  At ``p = 2`` every round of an
+    ``n <= 64`` graph has rate 1: ``4 n^1.5 >= n (n - 1) / 2 >= |live|``.
 
     Returns the multiplicity map and the per-round sample counts (the
     space the rounds consumed).
@@ -591,12 +595,14 @@ def maximal_bmatching_rounds(
         for rnd in range(1, cap + 1):
             if not live:
                 break
-            rate = min(1.0, SAMPLE_RATE_MULT * n ** (1.0 + 1.0 / p) / len(live))
-            sampled = [
-                t
-                for t in live
-                if prf_uniform(seed, "maximal", salt, attempt, rnd, t[0]) < rate
-            ]
+            rate = SAMPLE_RATE_MULT * n ** (1.0 + 1.0 / p) / len(live)
+            sampled = live
+            if rate < 1.0:
+                sampled = [
+                    t
+                    for t in live
+                    if prf_uniform(seed, "maximal", salt, attempt, rnd, t[0]) < rate
+                ]
             samples.append(len(sampled))
             for e, i, j in sampled:
                 m = min(rem[i], rem[j])
@@ -626,44 +632,35 @@ def initial_solution(
     eps / START_RATE_DIVISOR``; tops are the per-vertex maxima.  Every
     edge row is then covered to at least ``rate`` of its target, and the
     budget of the start is a bounded fraction of the bipartite relaxation.
+    The cover rows are split by level in one pass, and saturation is
+    priced for all levels at once from each row's take.  A round at rate
+    1 takes every live edge without a draw; at ``p = 2`` every level of
+    an ``n <= 64`` graph has one such round, as ``4 n^1.5 >= n (n - 1) / 2``.
 
     Returns ``(iterate, start_budget, start_coverage)``.
     """
-    lv = index.leveled
-    eps = index.epsilon
-    r = eps / START_RATE_DIVISOR
-    b = lv.base.b
-    n = lv.base.n
-    # (edge, i, j) of the cover rows, split by level.
-    edge_rows = np.column_stack((index.row_edge, index.row_ends))
-    by_level = {
-        k: [tuple(t) for t in edge_rows[index.row_levels == k].tolist()]
-        for k in sorted(lv.levels)
-    }
-    results: dict[int, tuple[dict[int, int], list[int]]] = {}
-    for k in by_level:
-        results[k] = maximal_bmatching_rounds(
-            n,
-            by_level[k],
-            b,
-            p,
-            seed,
-            salt=f"init-{k}",
-        )
+    g = index.leveled.base
+    r = index.epsilon / START_RATE_DIVISOR
+    by_level: dict[int, list[tuple[int, int, int]]] = {}
+    for e, i, j, k in index.rows:
+        by_level.setdefault(k, []).append((e, i, j))
+    results = [
+        maximal_bmatching_rounds(g.n, edges, g.b, p, seed, salt=f"init-{k}")
+        for k, edges in by_level.items()
+    ]
     if ledger is not None:
-        depth = max((len(s) for _t, s in results.values()), default=0)
+        depth = max((len(s) for _t, s in results), default=0)
         for rnd in range(depth):
             ledger.begin_round(f"init-{rnd}")
-            ledger.record_space(
-                sum(s[rnd] for _t, s in results.values() if rnd < len(s))
-            )
+            ledger.record_space(sum(s[rnd] for _t, s in results if rnd < len(s)))
+    row_take = np.zeros(len(index.row_edge), dtype=np.int64)
+    for take, _samples in results:
+        row_take[index.row_of_edge[list(take)]] = list(take.values())
+    used = np.zeros(len(index.vrow_vertex), dtype=np.int64)
+    np.add.at(used, index.row_vrow, row_take[:, None])
     it = DualIterate.zeros(index)
-    for k, (take, _samples) in results.items():
-        used = np.zeros(n, dtype=np.int64)
-        for e, m in take.items():
-            used[index.row_ends[index.row_of_edge[e]]] += m
-        saturated = (used == index.capacity)[index.vrow_vertex] & (index.vrow_level == k)
-        it.x_level[saturated] = r * lv.level_weight(k)
+    saturated = used == index.capacity[index.vrow_vertex]
+    it.x_level[saturated] = r * index.level_weights[index.vrow_level[saturated]]
     np.maximum.at(it.x_top, index.vrow_vertex, it.x_level)
     beta0 = budget_value(index, it)
     cov = index.cover_values(it)
