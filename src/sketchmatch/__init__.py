@@ -37,6 +37,7 @@ from .oracle import (
     initial_solution,
     matching_oracle,
     offline_bmatching,
+    verify_switch,
 )
 from .sketch import (
     DeferredSketch,
@@ -46,7 +47,6 @@ from .sketch import (
     build_streaming_sparsifier,
     refine_deferred,
     stored_sample,
-    verify_switch,
 )
 from .system import DualIterate, SystemIndex, budget_value, convert_to_matching_dual
 

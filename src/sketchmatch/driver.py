@@ -74,14 +74,9 @@ from .oracle import (
     extract_integral,
     initial_solution,
     matching_oracle,
-)
-from .sketch import (
-    RoundLedger,
-    build_deferred,
-    refine_deferred,
-    stored_sample,
     verify_switch,
 )
+from .sketch import RoundLedger, build_deferred, refine_deferred, stored_sample
 from .system import SystemIndex
 
 __all__ = ["SolverConfig", "SolveReport", "solve", "round_cap_for", "space_cap_for"]
@@ -233,7 +228,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     edge_ends = np.array([(i, j) for (i, j, _w) in g.edges], dtype=np.int64).reshape(-1, 2)
     # The populated levels; a cover row's multiplier is promised in the
     # round's promise row of its level.
-    levels = sorted(lv.levels)
+    levels = lv.levels
     level_pos = np.searchsorted(levels, index.row_levels)
     q_outer = index.degree_rhs_outer
     log_q_outer = np.log(q_outer)
@@ -369,9 +364,9 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                 ok, rep = check_dual_step(index, u_sparse, zeta, step)
                 if not ok:
                     raise ContractViolation(f"dual step check failed: {rep}")
-                switch = verify_switch(index, u_now, u_sparse, step.iterate)
-                if not switch.ok:
-                    raise ContractViolation(f"multiplier switch failed: {switch}")
+                ok, rep = verify_switch(index, u_now, u_sparse, step.iterate)
+                if not ok:
+                    raise ContractViolation(f"multiplier switch failed: {rep}")
                 ceiling = state.lam_ceiling(lam0, state.steps)
                 if state.lam > ceiling:
                     raise ContractViolation(

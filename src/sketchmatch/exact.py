@@ -431,7 +431,7 @@ def _layered_lp_value(
     g = leveled.base
     vrows = leveled.vertex_rows()
     vrow_index = {ik: t for t, ik in enumerate(vrows)}
-    pop_levels = sorted(leveled.levels.keys())
+    pop_levels = leveled.levels
     retained = [(i, j, k) for _e, i, j, k in leveled.retained()]
     m, nv = len(retained), len(vrows)
     ncols = m + 2 * nv  # y, then mu, then nu

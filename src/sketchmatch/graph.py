@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +39,11 @@ REL_TOL = 1e-9
 #: Largest vertex count :func:`enumerate_small_odd_sets` enumerates
 #: (it examines all ``2^n`` subsets).
 MAX_ENUMERATION_N = 20
+#: Largest level-index bound ``log(B/eps)/log1p(eps) + 1`` that
+#: :func:`discretize` accepts.  A finer epsilon would have the solver
+#: build that many levels, and once ``1 + eps`` rounds to 1 the search
+#: for an edge's level cannot end.
+MAX_LEVELS = 2**18
 
 
 class GraphFormatError(ValueError):
@@ -262,7 +267,7 @@ class LeveledGraph:
     level_of:
         Per source-edge level index; ``-1`` marks dropped edges.
     levels:
-        Map ``k -> tuple of edge indices`` for populated levels only.
+        The populated level indices, in increasing order.
     L:
         Largest populated level index.
     """
@@ -272,7 +277,7 @@ class LeveledGraph:
     Wstar: float
     scale: float
     level_of: tuple[int, ...]
-    levels: Mapping[int, tuple[int, ...]]
+    levels: tuple[int, ...]
     L: int
 
     def level_weight(self, k: int) -> float:
@@ -320,18 +325,28 @@ def discretize(g: Graph, epsilon: float) -> LeveledGraph:
     LeveledGraph
         Edges with ``w >= eps * Wstar / B`` carry a unique level
         ``k >= 0``; lighter edges are dropped.
+
+    Raises
+    ------
+    ValueError
+        If ``epsilon`` is outside ``(0, 1)``, or so small that the level
+        bound ``log(B/eps)/log1p(eps) + 1`` exceeds ``MAX_LEVELS``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     _, wstar = find_max_weight(g)
+    # Compared as a float: at a subnormal epsilon the bound is infinite.
+    top_level = math.log(g.B / epsilon) / math.log1p(epsilon)
+    if top_level + 1 > MAX_LEVELS:
+        raise ValueError(
+            f"epsilon {epsilon} needs up to {top_level + 1:.4g} weight levels "
+            f"at total capacity {g.B}; at most {MAX_LEVELS} are supported"
+        )
     scale = epsilon * wstar / g.B
     level_of = tuple(_weight_level(w, scale, epsilon) for (_i, _j, w) in g.edges)
-    levels: dict[int, list[int]] = {}
-    for idx, k in enumerate(level_of):
-        if k >= 0:
-            levels.setdefault(k, []).append(idx)
-    max_level = max(levels) if levels else 0
-    bound = math.ceil(math.log(g.B / epsilon) / math.log1p(epsilon)) + 1
+    levels = tuple(sorted({k for k in level_of if k >= 0}))
+    max_level = levels[-1] if levels else 0
+    bound = math.ceil(top_level) + 1
     if max_level > bound:
         raise AssertionError(f"level index {max_level} exceeds bound {bound}")
     return LeveledGraph(
@@ -340,7 +355,7 @@ def discretize(g: Graph, epsilon: float) -> LeveledGraph:
         Wstar=wstar,
         scale=scale,
         level_of=level_of,
-        levels={k: tuple(v) for k, v in sorted(levels.items())},
+        levels=levels,
         L=max_level,
     )
 

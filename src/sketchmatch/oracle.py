@@ -16,11 +16,15 @@ Both step kinds beat the penalized multiplier target; the certificate
 is returned exactly when neither surplus is large enough, which is the
 regime where the complementary fractional matching is big.
 
-The module also provides :func:`check_dual_step` and
-:func:`check_primal_certificate` (exhaustive validity checkers used in
-assert mode), maximal-matching based starting points, and the exact
-integral b-matching (a weighted blossom on the vertex-split graph) that
-harvests the output, with a greedy matcher for large capacities.
+The module also holds the three contract checkers that assert mode
+runs on every answer, each returning ``(ok, report)``:
+:func:`check_dual_step` (a step against its full contract),
+:func:`check_primal_certificate` (a certificate against the relaxed
+matching program) and :func:`verify_switch` (the sketched multipliers
+may stand in for the full ones).  It also builds the maximal-matching
+starting point, and the exact integral b-matching (a weighted blossom on
+the vertex-split graph) that harvests the output, with a greedy matcher
+for large capacities.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "matching_oracle",
     "maximal_bmatching_rounds",
     "offline_bmatching",
+    "verify_switch",
 ]
 
 # Largest vertex-split graph :func:`offline_bmatching` solves exactly.
@@ -118,12 +123,12 @@ def _objective(index: SystemIndex, y: np.ndarray, mu: np.ndarray) -> float:
 def _populated_segments(index: SystemIndex) -> list[tuple[int, int]]:
     """Level ranges ``[lo, p]`` sharing the suffix mask ``k >= p``.
 
-    ``p`` runs over the populated levels (the keys of
-    ``LeveledGraph.levels``) in decreasing order; for every level ``l``
-    in ``[lo, p]`` the populated levels ``>= l`` are exactly those
-    ``>= p``, so per-level quantities are constant on the range.
+    ``p`` runs over the populated levels (``LeveledGraph.levels``) in
+    decreasing order; for every level ``l`` in ``[lo, p]`` the populated
+    levels ``>= l`` are exactly those ``>= p``, so per-level quantities
+    are constant on the range.
     """
-    pop = sorted(index.leveled.levels, reverse=True)
+    pop = index.leveled.levels[::-1]
     lows = [p + 1 for p in pop[1:]] + [0]
     return list(zip(lows, pop))
 
@@ -418,6 +423,58 @@ def check_primal_certificate(
     report["objective_bound"] = objective >= (1.0 - index.epsilon) * cert.beta * (1.0 - tol)
     ok = all(v for k, v in report.items() if isinstance(v, bool))
     return ok, report
+
+
+def verify_switch(
+    index: SystemIndex,
+    u_full: np.ndarray,
+    u_sparse: np.ndarray,
+    it: DualIterate,
+) -> tuple[bool, dict[str, object]]:
+    """Check that sparsified multipliers can stand in for the full ones.
+
+    Both multiplier vectors are aligned with the cover rows.
+
+    Hypothesis (on the sparsified multipliers ``u_sparse`` and iterate
+    ``x``): the cover product satisfies
+    ``u_s . (rows of x) >= (1 - eps/8) u_s . rhs``; every positively
+    priced odd set has internal multiplier mass at least its boundary
+    mass; and the iterate is shaped (``x_i >= x_i(k)``, nonnegative).
+
+    Conclusion (on the full multipliers): ``u . (rows of x) >= (1 -
+    eps/2) u . rhs``.
+
+    The report holds the three hypothesis parts, the conclusion, and
+    both products with their targets.  ``ok`` is true when the
+    implication holds (hypothesis false, or conclusion true).
+
+    As a side effect, :meth:`SystemIndex.cut_balance_ok` asserts for
+    every priced set that its cover-row masses match its members'
+    degree-row mass (``2*internal + boundary == degree``).  Bounds hold
+    to the relative tolerance ``CHECK_TOL``.
+    """
+    tol = CHECK_TOL
+    eps = index.epsilon
+    cover = index.cover_values(it)
+    sparse_product = float(u_sparse @ cover)
+    sparse_target = index.multiplier_cover_target(u_sparse)
+    full_product = float(u_full @ cover)
+    full_target = index.multiplier_cover_target(u_full)
+    hyp_cover = sparse_product >= (1.0 - eps / 8.0) * sparse_target - tol * max(1.0, abs(sparse_target))
+    balance_ok, _worst = index.cut_balance_ok(u_sparse, it)
+    shape_ok = it.is_nonnegative(tol) and index.is_shaped(it, atol=tol, rtol=tol)
+    conclusion = full_product >= (1.0 - eps / 2.0) * full_target - tol * max(1.0, abs(full_target))
+    report: dict[str, object] = {
+        "hypothesis_cover": hyp_cover,
+        "hypothesis_balance": balance_ok,
+        "hypothesis_shape": shape_ok,
+        "conclusion": conclusion,
+        "sparse_product": sparse_product,
+        "sparse_target": sparse_target,
+        "full_product": full_product,
+        "full_target": full_target,
+    }
+    return not (hyp_cover and balance_ok and shape_ok) or conclusion, report
 
 
 # ---------------------------------------------------------------------------

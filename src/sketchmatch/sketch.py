@@ -37,6 +37,11 @@ depth, read from its layer draw.
 Forests still run for a class of ``k`` or more edges; at desk scale
 (``k`` = 422 at ``n = 12``, ``xi = 0.5``) that needs a graph far denser
 than the solver's levels hold.
+
+The module imports nothing from the rest of the package: it works on
+edge lists and weight vectors.  The solver's check that the sketched
+multipliers may stand in for the full ones is
+:func:`sketchmatch.oracle.verify_switch`.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .system import CHECK_TOL, DualIterate, SystemIndex
-
 __all__ = [
     "DEFERRED_ENTRY",
     "DeferredSketch",
@@ -60,7 +63,6 @@ __all__ = [
     "RoundLedger",
     "Sparsifier",
     "StoredSample",
-    "SwitchReport",
     "UnionFind",
     "all_cut_values",
     "build_deferred",
@@ -70,7 +72,6 @@ __all__ = [
     "prf_uniform",
     "refine_deferred",
     "stored_sample",
-    "verify_switch",
 ]
 
 
@@ -223,8 +224,6 @@ class Sparsifier:
         ``(i, j)`` per kept edge.
     weights:
         Reweighted edge weights ``w_e * 2^depth(e)``.
-    depths:
-        Subsampling depth assigned to each kept edge.
     stored_total:
         Total entries held across all forests while streaming (space).
     """
@@ -236,7 +235,6 @@ class Sparsifier:
     edge_ids: tuple[int, ...]
     endpoints: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
-    depths: tuple[int, ...]
     stored_total: int
 
 
@@ -392,7 +390,6 @@ def build_streaming_sparsifier(
         edge_ids=tuple(kept),
         endpoints=tuple(edges[e] for e in kept),
         weights=tuple((w[kept] * 2.0 ** depth[kept]).tolist()),
-        depths=tuple(depth[kept].tolist()),
         stored_total=stored_total,
     )
 
@@ -601,80 +598,6 @@ def refine_deferred(sample: StoredSample, values: np.ndarray) -> np.ndarray:
     out = np.zeros(len(values))
     out[sample.slots] = v / sample.p_keep
     return out
-
-
-# ---------------------------------------------------------------------------
-# Multiplier-switch verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SwitchReport:
-    """Outcome of :func:`verify_switch`.
-
-    The hypothesis fields describe the sparsified multipliers; the
-    conclusion fields describe the full multipliers.  ``ok`` is true
-    when the implication holds (hypothesis false, or conclusion true).
-    """
-
-    hypothesis_cover: bool
-    hypothesis_balance: bool
-    hypothesis_shape: bool
-    conclusion: bool
-    sparse_product: float
-    sparse_target: float
-    full_product: float
-    full_target: float
-    ok: bool
-
-
-def verify_switch(
-    index: SystemIndex,
-    u_full: np.ndarray,
-    u_sparse: np.ndarray,
-    it: DualIterate,
-) -> SwitchReport:
-    """Check that sparsified multipliers can stand in for the full ones.
-
-    Both multiplier vectors are aligned with the cover rows.
-
-    Hypothesis (on the sparsified multipliers ``u_sparse`` and iterate
-    ``x``): the cover product satisfies
-    ``u_s . (rows of x) >= (1 - eps/8) u_s . rhs``; every positively
-    priced odd set has internal multiplier mass at least its boundary
-    mass; and the iterate is shaped (``x_i >= x_i(k)``, nonnegative).
-
-    Conclusion (on the full multipliers): ``u . (rows of x) >= (1 -
-    eps/2) u . rhs``.
-
-    As a side effect, :meth:`SystemIndex.cut_balance_ok` asserts for
-    every priced set that its cover-row masses match its members'
-    degree-row mass (``2*internal + boundary == degree``).  Bounds hold
-    to the relative tolerance ``CHECK_TOL``.
-    """
-    tol = CHECK_TOL
-    eps = index.epsilon
-    cover = index.cover_values(it)
-    sparse_product = float(u_sparse @ cover)
-    sparse_target = index.multiplier_cover_target(u_sparse)
-    full_product = float(u_full @ cover)
-    full_target = index.multiplier_cover_target(u_full)
-    hyp_cover = sparse_product >= (1.0 - eps / 8.0) * sparse_target - tol * max(1.0, abs(sparse_target))
-    balance_ok, _worst = index.cut_balance_ok(u_sparse, it)
-    shape_ok = it.is_nonnegative(tol) and index.is_shaped(it, atol=tol, rtol=tol)
-    conclusion = full_product >= (1.0 - eps / 2.0) * full_target - tol * max(1.0, abs(full_target))
-    hypothesis = hyp_cover and balance_ok and shape_ok
-    return SwitchReport(
-        hypothesis_cover=hyp_cover,
-        hypothesis_balance=balance_ok,
-        hypothesis_shape=shape_ok,
-        conclusion=conclusion,
-        sparse_product=sparse_product,
-        sparse_target=sparse_target,
-        full_product=full_product,
-        full_target=full_target,
-        ok=(not hypothesis) or conclusion,
-    )
 
 
 # ---------------------------------------------------------------------------

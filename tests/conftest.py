@@ -215,7 +215,6 @@ def build_streaming_sparsifier_reference(
         edge_ids=tuple(kept),
         endpoints=tuple(edges[e] for e in kept),
         weights=tuple(weights[e] * float(2 ** depth_of[e]) for e in kept),
-        depths=tuple(depth_of[e] for e in kept),
         stored_total=stored_total,
     )
 

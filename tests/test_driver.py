@@ -141,6 +141,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             sm.SolverConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("eps", [1e-17, 1e-9, 5e-324])
+    def test_too_fine_epsilon_rejected_up_front(self, eps):
+        with pytest.raises(ValueError, match="weight levels"):
+            sm.solve(triangle_paper(), sm.SolverConfig(epsilon=eps))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -220,6 +225,27 @@ class TestSolve:
             sm.solve(g, sm.SolverConfig(assert_mode=True, max_rounds=8))
         assert "'budget': False" in str(err.value)
         assert "'penalized_target': True" in str(err.value)
+
+    def test_assert_mode_checks_the_multiplier_switch(self, monkeypatch):
+        # The full multipliers handed to the switch check weight only the
+        # rows the step leaves uncovered, so its conclusion fails while
+        # the sketched hypothesis still holds.
+        from sketchmatch import driver
+
+        real = driver.verify_switch
+
+        def uncovered_rows_only(index, u_full, u_sparse, it):
+            uncovered = np.where(index.cover_values(it) == 0.0, 1.0, 0.0)
+            assert uncovered.any()
+            return real(index, uncovered, u_sparse, it)
+
+        monkeypatch.setattr(driver, "verify_switch", uncovered_rows_only)
+        g = triangle_paper()
+        sm.solve(g, sm.SolverConfig(max_rounds=8))
+        with pytest.raises(ContractViolation, match="multiplier switch failed") as err:
+            sm.solve(g, sm.SolverConfig(assert_mode=True, max_rounds=8))
+        assert "'conclusion': False" in str(err.value)
+        assert "'hypothesis_cover': True" in str(err.value)
 
     def test_sketches_built_once_per_round(self, monkeypatch):
         from sketchmatch import driver
@@ -793,6 +819,12 @@ class TestCli:
         payload = json.loads(out)
         assert payload["n"] == 3
         assert payload["m"] == 2
+
+    def test_stats_too_fine_epsilon_exits_1(self, tmp_path, capsys):
+        path = _write_graph(tmp_path, text="0 1 5\n1 2 5\n0 2 5\n")
+        code = main(["stats", "--input", path, "--epsilon", "1e-17"])
+        assert code == 1
+        assert "weight levels" in capsys.readouterr().err
 
     def test_stats_past_the_enumeration_cap(self, tmp_path, capsys):
         # a 25-vertex path: every odd-size set is small at b = 1

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sketchmatch as sm
-from sketchmatch.graph import GraphFormatError
+from sketchmatch.graph import MAX_LEVELS, GraphFormatError
 
 from conftest import EPS, random_instance, triangle_paper
 
@@ -228,6 +228,19 @@ class TestLevelCount:
             lv = sm.discretize(g, EPS)
             bound = math.ceil(math.log(g.B / EPS) / math.log1p(EPS)) + 1
             assert lv.L <= bound
+
+    @pytest.mark.parametrize("eps", [1e-17, 1e-9, 5e-324])
+    def test_too_fine_epsilon_rejected_before_levelling(self, eps):
+        # 1 + 1e-17 rounds to 1, so no level search could end; 1e-9 needs
+        # 2.2e10 levels; at 5e-324 the bound is infinite.
+        with pytest.raises(ValueError, match="weight levels"):
+            sm.discretize(triangle_paper(), eps)
+
+    def test_fine_epsilon_accepted_at_large_capacity(self):
+        g = sm.Graph(n=3, edges=((0, 1, 5.0), (1, 2, 5.0), (0, 2, 5.0)), b=(10**6,) * 3)
+        bound = math.ceil(math.log(g.B / 1e-4) / math.log1p(1e-4)) + 1
+        assert bound == 241_258 < MAX_LEVELS
+        assert sm.discretize(g, 1e-4).L <= bound
 
 
 def _graph(n=3, edges=((0, 1, 1.0),), b=(1, 1, 1)):

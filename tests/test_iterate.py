@@ -392,10 +392,10 @@ def test_verify_switch_flags_planted_shape_violation():
     for t, (i, k) in enumerate(index.vrows):
         it.x_level[t] = lv.level_weight(k)
         it.x_top[i] = max(it.x_top[i], it.x_level[t])
-    assert sm.verify_switch(index, u, u, it).hypothesis_shape
+    assert sm.verify_switch(index, u, u, it)[1]["hypothesis_shape"]
     it.x_top[index.vrows[0][0]] *= 0.5
-    rep = sm.verify_switch(index, u, u, it)
-    assert not rep.hypothesis_shape
+    _ok, rep = sm.verify_switch(index, u, u, it)
+    assert not rep["hypothesis_shape"]
 
 
 def test_shape_slack_is_absolute_or_relative():

@@ -25,6 +25,7 @@ from sketchmatch.oracle import (
     matching_oracle,
     maximal_bmatching_rounds,
     offline_bmatching,
+    verify_switch,
 )
 
 from conftest import EPS, set_z_prices, z_prices
@@ -214,6 +215,65 @@ class TestCheckPrimalCertificate:
         ok, report = check_primal_certificate(index, cert)
         assert ok, report
         assert report["odd_set_rows"] is True and report["odd_set_worst"] == -math.inf
+
+
+class TestVerifySwitch:
+    GRAPH = "0 1 4\n1 2 8\n0 2 6\n2 3 5\n1 3 7\n"
+
+    def test_zero_iterate_vacuous(self):
+        _g, _lv, index = _index_for(self.GRAPH)
+        u = np.ones(len(index.rows))
+        it = sm.DualIterate.zeros(index)
+        ok, rep = verify_switch(index, u, u, it)
+        assert not rep["hypothesis_cover"]
+        assert ok  # implication holds vacuously
+        target = index.multiplier_cover_target(u)
+        assert rep == {
+            "hypothesis_cover": False,
+            "hypothesis_balance": True,
+            "hypothesis_shape": True,
+            "conclusion": False,
+            "sparse_product": 0.0,
+            "sparse_target": target,
+            "full_product": 0.0,
+            "full_target": target,
+        }
+
+    def test_identity_sparsifier(self):
+        _g, lv, index = _index_for(self.GRAPH)
+        u = np.ones(len(index.rows))
+        it = sm.DualIterate.zeros(index)
+        for _e, i, j, k in index.rows:
+            w = lv.level_weight(k)
+            ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))
+            it.x_level[ti] = max(it.x_level[ti], w)
+            it.x_level[tj] = max(it.x_level[tj], w)
+        for i in range(lv.base.n):
+            tops = [v for (vi, _k), v in zip(index.vrows, it.x_level) if vi == i]
+            if tops:
+                it.x_top[i] = max(tops)
+        ok, rep = verify_switch(index, u, u, it)
+        assert rep["hypothesis_cover"] and rep["conclusion"] and ok
+
+    def test_good_sparsifier_implication(self):
+        _g, lv, index = _index_for(self.GRAPH)
+        u = np.ones(len(index.rows))
+        # a (1 +- eps/16)-accurate reweighting stands in for u
+        u_s = np.array(
+            [1.0 * (1 + (EPS / 16 if e % 2 else -EPS / 16)) for (e, _i, _j, _k) in index.rows]
+        )
+        it = sm.DualIterate.zeros(index)
+        for _e, i, j, k in index.rows:
+            w = lv.level_weight(k)
+            ti, tj = index.vrows.index((i, k)), index.vrows.index((j, k))
+            it.x_level[ti] = max(it.x_level[ti], w / 2)
+            it.x_level[tj] = max(it.x_level[tj], w / 2)
+        for i in range(lv.base.n):
+            tops = [v for (vi, _k), v in zip(index.vrows, it.x_level) if vi == i]
+            if tops:
+                it.x_top[i] = max(tops)
+        ok, rep = verify_switch(index, u, u_s, it)
+        assert rep["hypothesis_cover"] and ok and rep["conclusion"]
 
 
 def wide_family_graph(m: int) -> sm.Graph:
