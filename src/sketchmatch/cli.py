@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .driver import SolverConfig, solve
-from .exact import brute_force_bmatching, exact_lp_values
+from .exact import EXACT_LP_MAX_N, brute_force_bmatching, exact_lp_values
 from .graph import (
     Graph,
     GraphFormatError,
@@ -216,7 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "space_cap": report.space_cap,
         "checks": checks,
     }
-    if g.n <= 12:
+    if g.n <= EXACT_LP_MAX_N:
         exact = exact_lp_values(g, eps)
         payload["beta_star"] = float(exact.beta_star)
         payload["beta_bipartite"] = float(exact.beta_bipartite)

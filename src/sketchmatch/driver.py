@@ -6,8 +6,8 @@
    system.  The small odd-set family is enumerated only when the solve
    first reads it (an odd step, a certificate, or an assert-mode check
    of an iterate with a positive odd-set price), so a solve that takes
-   only vertex steps never builds it; a graph past the enumeration cap
-   is still rejected up front;
+   only vertex steps never builds it, and a graph past the enumeration
+   cap is rejected only by a solve that reads it;
 2. build a starting dual point from per-level maximal matchings
    (counted as sampling rounds against the round ledger);
 3. repeat super-rounds until the dual coverage certifies, the round
@@ -33,7 +33,7 @@
    stored every retained edge and the harvest is exact
    (:attr:`~sketchmatch.oracle.BMatching.exact`: a weighted blossom on
    the vertex-split graph, which every support gets whose split graph
-   fits :data:`~sketchmatch.oracle.MAX_SPLIT_VERTICES`): it is then the
+   fits :data:`~sketchmatch.oracle.MAX_SPLIT_WORK`): it is then the
    exact leveled optimum, and no later
    round or certificate lift (a subset of those edges) can replace the
    matching.  Otherwise the solve stops as ``"cannot_certify"``;
@@ -58,7 +58,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import Graph, check_enumerable, discretize, enumerate_small_odd_sets
+from .graph import Graph, discretize, enumerate_small_odd_sets
 from .mwu import (
     CoveringState,
     covering_multipliers,
@@ -193,15 +193,15 @@ def _original_weight(g: Graph, matching: BMatching) -> float:
 def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     """Approximately solve maximum-weight degree-capped matching on ``g``.
 
-    Raises ``ValueError`` when the graph is past the odd-set enumeration
-    cap, or when the round cap leaves no round after the initial
-    solution.  In assert mode, raises ``ContractViolation`` as
-    soon as a recorded round holds more than the space cap.
+    Raises ``ValueError`` when the round cap leaves no round after the
+    initial solution, or when the solve reads the odd-set family of a
+    graph past the enumeration cap (step 1 of the module docstring).
+    In assert mode, raises ``ContractViolation`` as soon as a recorded
+    round holds more than the space cap.
     """
     cfg = config or SolverConfig()
     eps = cfg.epsilon
     lv = discretize(g, eps)
-    check_enumerable(g, eps)
     # The index enumerates through this module's name, so a wrapper
     # installed under it sees every enumeration a solve makes.
     index = SystemIndex(lv, eps, enumerate_small_odd_sets)

@@ -23,7 +23,6 @@ __all__ = [
     "GraphFormatError",
     "LeveledGraph",
     "OddSetFamily",
-    "check_enumerable",
     "count_small_odd_sets",
     "discretize",
     "enumerate_small_odd_sets",
@@ -401,27 +400,12 @@ def count_small_odd_sets(g: Graph, epsilon: float) -> int:
     return sum(ways[1::2])
 
 
-def check_enumerable(g: Graph, epsilon: float) -> None:
-    """Raise ``ValueError`` when :func:`enumerate_small_odd_sets` cannot list ``g``'s family.
-
-    That is when ``n`` is past ``MAX_ENUMERATION_N``, or when the
-    clipped capacities overflow int64.  The solver builds the family
-    only when it first reads it, so it calls this up front.
-    """
-    if g.n > MAX_ENUMERATION_N:
-        raise ValueError(
-            f"odd-set enumeration capped at n <= {MAX_ENUMERATION_N}, got n={g.n}"
-        )
-    limit = math.floor(4.0 / epsilon)
-    if sum(min(bi, limit + 1) for bi in g.b) >= 1 << 63:
-        raise ValueError("capacities overflow the 64-bit odd-set enumeration")
-
-
 def enumerate_small_odd_sets(g: Graph, epsilon: float) -> OddSetFamily:
     """Enumerate every vertex set with odd total capacity at most ``4/eps``.
 
     This is the verification-scale path: all ``2^n`` subsets are
-    examined, so ``n`` is capped at ``MAX_ENUMERATION_N``.
+    examined, so ``n`` past ``MAX_ENUMERATION_N`` raises ``ValueError``,
+    as do clipped capacities that overflow int64.
 
     The capacity of every mask is computed with numpy, one pass per
     vertex ``i``: masks ``[2^i, 2^(i+1))`` are masks ``[0, 2^i)`` plus
@@ -444,11 +428,15 @@ def enumerate_small_odd_sets(g: Graph, epsilon: float) -> OddSetFamily:
     OddSetFamily
         Sets in increasing bitmask order (deterministic).
     """
-    check_enumerable(g, epsilon)
-    total = 1 << g.n
+    if g.n > MAX_ENUMERATION_N:
+        raise ValueError(
+            f"odd-set enumeration capped at n <= {MAX_ENUMERATION_N}, got n={g.n}"
+        )
     limit = math.floor(4.0 / epsilon)
     clipped = [min(bi, limit + 1) for bi in g.b]
-    cap = np.zeros(total, dtype=np.int64)
+    if sum(clipped) >= 1 << 63:
+        raise ValueError("capacities overflow the 64-bit odd-set enumeration")
+    cap = np.zeros(1 << g.n, dtype=np.int64)
     for i, bi in enumerate(clipped):
         cap[1 << i : 2 << i] = cap[: 1 << i] + bi
     masks = np.flatnonzero(((cap & 1) == 1) & (cap <= min(limit, sum(clipped))))

@@ -48,6 +48,29 @@ def oddset_wide_instance(seed: int, n: int) -> sm.Graph:
     return sm.Graph(n=n, edges=edges, b=(1,) * n)
 
 
+def wide_random_instance(n: int) -> sm.Graph:
+    """A graph past the odd-set enumeration cap: b = 1, 3n distinct edges, weights 1..100.
+
+    Pairs are drawn as ``sorted(rng.sample(range(n), 2))`` from seed 1, a
+    repeat skipped, and each new pair draws its weight at once.
+    """
+    rng = random.Random(1)
+    weight: dict[tuple[int, int], float] = {}
+    while len(weight) < 3 * n:
+        pair = tuple(sorted(rng.sample(range(n), 2)))
+        if pair not in weight:
+            weight[pair] = float(rng.randint(1, 100))
+    return sm.Graph(n=n, edges=tuple((i, j, w) for (i, j), w in sorted(weight.items())), b=(1,) * n)
+
+
+def networkx_matching_weight(g: sm.Graph) -> float:
+    """Maximum matching weight of a b = 1 graph, by networkx (a test-only cross-check)."""
+    nx = pytest.importorskip("networkx")
+    reference = nx.Graph()
+    reference.add_weighted_edges_from(g.edges)
+    return sum(reference[i][j]["weight"] for i, j in nx.max_weight_matching(reference))
+
+
 def profile_edge_graphs() -> dict[str, sm.Graph]:
     """Graphs whose packed degree rows take their edge shapes.
 

@@ -23,7 +23,13 @@ from sketchmatch.oddsets import build_auxiliary, collect_violated_sets, gomory_h
 from sketchmatch.oracle import initial_solution
 from sketchmatch.sketch import all_cut_values, prf_u64
 
-from conftest import EPS, oddset_wide_instance, triangle_paper
+from conftest import (
+    EPS,
+    networkx_matching_weight,
+    oddset_wide_instance,
+    triangle_paper,
+    wide_random_instance,
+)
 
 
 def _verdict(ok: bool, label: str) -> None:
@@ -390,6 +396,20 @@ def test_every_solve_stops_after_one_solve_round(plain_reports, oddset_wide_repo
         assert rep.stop_reason == "cannot_certify"
         assert rep.harvests == len(rep.lambda_trace) - 1 == 1
         assert rep.rounds == 2 < rep.round_cap
+
+
+@pytest.mark.parametrize("assert_mode", [False, True], ids=["plain", "assert"])
+def test_graph_past_the_enumeration_cap_stops_after_one_solve_round(assert_mode):
+    # n = 300 is past the odd-set enumeration cap, but a solve that takes
+    # only vertex steps never reads the family, and its b = 1 split graph
+    # fits the exact harvest, so the first solve round's harvest is final.
+    g = wide_random_instance(300)
+    rep = sm.solve(g, sm.SolverConfig(assert_mode=assert_mode))
+    opt = networkx_matching_weight(g)
+    assert rep.stop_reason == "cannot_certify" and rep.rounds == 2
+    assert rep.weight >= (1.0 - 14.0 * EPS) * opt
+    print(f"\nn = 300: weight {rep.weight:g} / optimum {opt:g} = {rep.weight / opt:.5f}; "
+          f"clears 1 - eps: {rep.weight >= (1.0 - EPS) * opt}")
 
 
 def _level_weight_of(lv: sm.LeveledGraph, matching) -> Fraction:

@@ -12,9 +12,9 @@ import pytest
 
 import sketchmatch as sm
 from sketchmatch.blossom import _Search, max_weight_matching
-from sketchmatch.oracle import MAX_SPLIT_VERTICES, BMatching, offline_bmatching
+from sketchmatch.oracle import MAX_SPLIT_WORK, BMatching, offline_bmatching
 
-from conftest import EPS, random_instance
+from conftest import EPS, networkx_matching_weight, random_instance, wide_random_instance
 
 
 def _exact_bmatching(
@@ -254,13 +254,35 @@ class TestOfflineBMatching:
         assert got.edges == ((0, 1, 2), (0, 2, 1), (1, 2, 1))
         assert got.weight == 10.0
 
-    def test_large_capacities_go_to_greedy(self):
+    def test_split_work_cap_boundary(self):
+        # One edge between capacities k splits into K_{k,k}: V * E = 2k^3,
+        # which is 8,346,562 at k = 161 and 8,503,056 at k = 162.
+        assert 2 * 161**3 <= MAX_SPLIT_WORK < 2 * 162**3
+        under = offline_bmatching([(0, 1, 5.0)], [161, 161])
+        assert under.exact and under.edges == ((0, 1, 161),)
+        over = offline_bmatching([(0, 1, 5.0)], [162, 162])
+        assert not over.exact and over.edges == ((0, 1, 162),)
         # a vertex splits into at most its neighbours' total capacity
-        half = MAX_SPLIT_VERTICES // 2
-        at_cap = offline_bmatching([(0, 1, 5.0)], [half, 10**6])
-        assert at_cap.exact and at_cap.edges == ((0, 1, half),)
-        assert not offline_bmatching([(0, 1, 5.0), (1, 2, 5.0)], [half, half, 1]).exact
+        assert offline_bmatching([(0, 1, 5.0)], [161, 10**6]).exact
+
+    def test_every_split_graph_up_to_256_vertices_is_exact(self):
+        # K_256 at b = 1 is the largest simple split graph on 256 vertices.
+        assert MAX_SPLIT_WORK >= 256 * (256 * 255 // 2)
+        rng = random.Random(256)
+        edges = [(i, j, float(rng.randint(1, 100))) for i in range(256) for j in range(i + 1, 256)]
+        got = offline_bmatching(edges, [1] * 256)
+        used = collections.Counter(v for (i, j, _m) in got.edges for v in (i, j))
+        assert got.exact and len(got.edges) == 128 and max(used.values()) == 1
+
+    @pytest.mark.parametrize("cap", [100, 10**6])
+    def test_large_capacity_triangles_go_to_greedy(self, cap):
+        # b = 100 splits into V * E = 300 * 30,000 = 9.0e6, just over the cap.
         edges = [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 5.0)]
-        big = offline_bmatching(edges, [10**6] * 3)
-        assert not big.exact
-        assert big.weight == math.fsum(5.0 * m for (_i, _j, m) in big.edges)
+        got = offline_bmatching(edges, [cap] * 3)
+        assert not got.exact
+        assert got.weight == math.fsum(5.0 * m for (_i, _j, m) in got.edges)
+
+    def test_matches_networkx_past_the_enumeration_cap(self):
+        g = wide_random_instance(300)
+        got = offline_bmatching(g.edges, g.b)
+        assert got.exact and got.weight == networkx_matching_weight(g) == 11339.0

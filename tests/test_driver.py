@@ -631,16 +631,16 @@ class TestSolveEdgeCases:
             opt, _ = sm.brute_force_bmatching(g)
             assert rep.weight >= (1.0 - 14.0 * EPS) * opt - 1e-9
 
-    def test_graph_past_the_enumeration_cap_is_rejected_up_front(self, monkeypatch):
-        # The family is enumerated lazily, but the cap still fails the
-        # solve before the initial solution's rounds.
-        from sketchmatch import driver
-
-        def no_rounds(*args, **kwargs):
-            raise AssertionError("a round ran")
-
-        monkeypatch.setattr(driver, "initial_solution", no_rounds)
-        g = sm.Graph(n=21, edges=tuple((i, i + 1, 1.0) for i in range(20)), b=(1,) * 21)
+    def test_graph_past_the_enumeration_cap_is_rejected_when_its_family_is_read(self, monkeypatch):
+        # Seven planted unit triangles (n = 21): the warm start prices each
+        # one as an odd set, so it reads the family, which n = 21 is past.
+        groups = [(3 * t, 3 * t + 1, 3 * t + 2) for t in range(7)]
+        g = sm.Graph(
+            n=21,
+            edges=tuple((i, j, 1.0) for (a, c, d) in groups for (i, j) in ((a, c), (a, d), (c, d))),
+            b=(1,) * 21,
+        )
+        warm_start(monkeypatch, groups)
         with pytest.raises(ValueError, match="n <= 20"):
             sm.solve(g)
 
@@ -844,6 +844,14 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert all(payload["checks"].values())
+
+    def test_verify_runs_the_lp_check_up_to_its_cap(self, tmp_path, capsys):
+        # n = 13 is past the old literal 12 but within EXACT_LP_MAX_N = 14.
+        text = "".join(f"{i} {(i + 1) % 13} {i + 1}\n" for i in range(13))
+        code = main(["verify", "--input", _write_graph(tmp_path, text=text), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert "beta_star" in payload and payload["checks"]["relaxation_order"]
 
     def test_verify_external_matching(self, tmp_path, capsys):
         path = _write_graph(tmp_path, text="0 1 5\n2 3 4\n")

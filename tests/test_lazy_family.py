@@ -3,8 +3,9 @@
 ``driver.solve`` hands ``SystemIndex`` its own ``enumerate_small_odd_sets``
 name, so patching that name sees every enumeration a solve makes.  A
 solve that takes only vertex steps, as every plain and assert-mode
-suite and ``oddset_wide`` solve does, never reads the family; a solve
-that takes odd steps enumerates it once.
+suite and ``oddset_wide`` solve does, never reads the family, so a
+graph past the enumeration cap solves too; a solve that takes odd steps
+enumerates it once.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import pytest
 import sketchmatch as sm
 from sketchmatch import driver
 
-from conftest import WARM_START_GRAPHS, oddset_wide_instance, random_instance
+from conftest import WARM_START_GRAPHS, oddset_wide_instance, random_instance, wide_random_instance
 from test_warm_start import warm_solve, without_harvest
 
-VERTEX_ONLY = [random_instance(1000 + s) for s in range(20)] + [oddset_wide_instance(0, 16)]
+VERTEX_ONLY = [random_instance(1000 + s) for s in range(20)] + [
+    oddset_wide_instance(0, 16),
+    wide_random_instance(300),
+]
 
 
 def count_enumerations(monkeypatch) -> list[int]:
