@@ -195,8 +195,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         _emit(payload, args, human)
         return 0 if ok else 1
-    report = solve(g, _solver_config(args, assert_mode=True))
+    # The brute force refuses a graph past its caps; refuse before solving.
     exact_weight, exact_edges = brute_force_bmatching(g)
+    report = solve(g, _solver_config(args, assert_mode=True))
     ratio = report.weight / exact_weight if exact_weight > 0 else 1.0
     checks = {
         "solver_vs_exact": ratio >= 1.0 - 14.0 * eps - 1e-9,

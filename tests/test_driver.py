@@ -853,6 +853,28 @@ class TestCli:
         assert code == 0
         assert "beta_star" in payload and payload["checks"]["relaxation_order"]
 
+    @pytest.mark.parametrize(
+        "text, btext",
+        [
+            pytest.param("".join(f"{i} {i + 1} 1\n" for i in range(14)), None, id="n15_path"),
+            pytest.param(TRIANGLE, "0 10\n1 10\n2 10\n", id="triangle_b10"),
+        ],
+    )
+    def test_verify_refuses_past_brute_force_before_solving(
+        self, tmp_path, capsys, monkeypatch, text, btext
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify solved a graph brute force refuses")
+
+        monkeypatch.setattr("sketchmatch.cli.solve", no_solve)
+        argv = ["verify", "--input", _write_graph(tmp_path, text=text), "--json"]
+        if btext is not None:
+            argv += ["--b", _write_graph(tmp_path, name="b.txt", text=btext)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "brute force capped" in err
+        assert "contract violation" not in err
+
     def test_verify_external_matching(self, tmp_path, capsys):
         path = _write_graph(tmp_path, text="0 1 5\n2 3 4\n")
         mpath = tmp_path / "m.json"

@@ -1,10 +1,13 @@
-"""The command-line scripts under ``scripts/``."""
+"""The command-line scripts under ``scripts/`` and what the package imports."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,19 @@ def test_run_suite_rejects_nonpositive_count(capsys):
             run_suite.main(["--count", count])
         assert exc.value.code == 2
         assert "--count must be at least 1" in capsys.readouterr().err
+
+
+def test_package_imports_no_test_only_dependency():
+    # networkx and scipy are cross-checks for the tests, never solver code.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    probe = (
+        "import sys, sketchmatch, sketchmatch.cli; "
+        "print(sorted({'networkx', 'scipy', 'hypothesis', 'pytest'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
