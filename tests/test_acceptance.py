@@ -338,6 +338,14 @@ PINNED_MATCHINGS = {
     "suite": "8734c39fdc1e8c3b616e98329e9def6db1feaf39b1ef5aad5dba9a78318aee10",
     "triangles": "4b306eaec42075fa00e204dc0655e679aeacd3330a80f94fbbe4af314c39ad8d",
     "oddset_wide": "66fa873607dd0b0de85e00052112d49410d8910d975b7407d701e5f734577f06",
+    # The six oddset_wide benchmark graphs, oddset_wide_instance(k, 16 + k % 3).
+    "oddset_wide_bench": "25b9501ea3f358a95c2ae6630ab518661e25f8b32401430cbc967d282b1de58b",
+    "wide_300": "a74546c1ee7052149be10011f254197257637633aed32ac070c927d948bc10e8",
+    # Warm and LP-dual starts (tests/test_warm_start.py) that keep their
+    # harvest; both starts harvest the same matching.
+    "warm_start/k3": "0a9fde5bd7c1a6115fdfc8df3da680d3defaca46f3761e0537bf7228b148c5c5",
+    "warm_start/k5": "6c9c1dbff5ee5613c2c532cd20928b74c1063ac21fdd41d2be71e55b7e7f3964",
+    "warm_start/two_triangles": "6a629df364833c5780efd7be89048eccb286daf2017f59ac9927095f03b67cf9",
 }
 
 
@@ -361,6 +369,8 @@ def test_matchings_pinned(suite_reports, plain_reports, oddset_wide_report):
     assert _matching_digest(reports) == PINNED_MATCHINGS["suite"]
     assert _matching_digest(triangles) == PINNED_MATCHINGS["triangles"]
     assert _matching_digest([oddset_wide_report]) == PINNED_MATCHINGS["oddset_wide"]
+    bench = [sm.solve(oddset_wide_instance(k, 16 + k % 3), sm.SolverConfig()) for k in range(6)]
+    assert _matching_digest(bench) == PINNED_MATCHINGS["oddset_wide_bench"]
     assert [rep.stop_reason for rep in reports] == [rep.stop_reason for rep in plain_reports]
 
 
@@ -384,6 +394,7 @@ def test_graph_past_the_enumeration_cap_stops_after_one_solve_round(assert_mode)
     opt = networkx_matching_weight(g)
     assert rep.stop_reason == "cannot_certify" and rep.rounds == 2
     assert rep.weight >= (1.0 - 14.0 * EPS) * opt
+    assert _matching_digest([rep]) == PINNED_MATCHINGS["wide_300"]
     print(f"\nn = 300: weight {rep.weight:g} / optimum {opt:g} = {rep.weight / opt:.5f}; "
           f"clears 1 - eps: {rep.weight >= (1.0 - EPS) * opt}")
 

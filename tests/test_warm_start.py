@@ -17,6 +17,7 @@ import sketchmatch as sm
 from sketchmatch import driver
 
 from conftest import WARM_START_GRAPHS, count_oracle_answers, lp_dual_start, warm_start
+from test_acceptance import PINNED_MATCHINGS, _matching_digest
 
 WARM_CONFIG = sm.SolverConfig(assert_mode=True, max_rounds=40)
 
@@ -43,6 +44,7 @@ def test_warm_start_takes_odd_steps(monkeypatch, name):
     report, counts = warm_solve(monkeypatch, name)
     assert counts.get("odd", 0) > 0
     assert sum(counts.values()) == report.steps + report.certificates
+    assert _matching_digest([report]) == PINNED_MATCHINGS[f"warm_start/{name}"]
 
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
@@ -58,6 +60,7 @@ def test_lp_dual_start_takes_odd_steps(monkeypatch, name):
     report, counts = warm_solve(monkeypatch, name, lp_dual=True)
     assert counts.get("odd", 0) > 0
     assert sum(counts.values()) == report.steps + report.certificates
+    assert _matching_digest([report]) == PINNED_MATCHINGS[f"warm_start/{name}"]
 
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
