@@ -18,10 +18,19 @@ Edge ``k`` has the two *endpoints* ``2k`` (its first vertex) and
 ``2k + 1`` (its second); ``p ^ 1`` is the other endpoint of the same
 edge.  A vertex's ``mate`` and a blossom's ``label_end`` hold the
 endpoint at the far side of their edge.
+
+The inner loops of a stage run on local lists, with the slack of an
+edge computed in place.  A dual update reads only the live top-level
+blossoms (the nontrivial ones are kept in an ascending id list), and a
+zero ``delta`` changes no dual.  The candidates for ``delta`` are
+visited in blossom-id order, vertices first, and only a strictly
+smaller candidate replaces the one found first, so ties resolve as in
+a scan of every id.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 __all__ = ["max_weight_matching"]
@@ -74,6 +83,7 @@ class _Search:
         self.links: list[list[int] | None] = [None] * (2 * n)
         self.base = list(range(n)) + [-1] * n
         self.spare = list(range(2 * n - 1, n - 1, -1))
+        self.live: list[int] = []  # nontrivial blossom ids in use, ascending
         self.label = [FREE] * (2 * n)
         self.label_end = [-1] * (2 * n)
         # best[b]: least-slack edge from outer blossom b to another outer
@@ -151,6 +161,7 @@ class _Search:
         """Contract the odd cycle closed by tight edge ``k`` into a new outer blossom."""
         outer, label_end, ends = self.outer, self.label_end, self.ends
         b = self.spare.pop()
+        bisect.insort(self.live, b)
         root = outer[base]
         self.base[b], self.parent[b], self.parent[root] = base, -1, b
         # From the root to the first end of k (walked back, then reversed),
@@ -253,6 +264,7 @@ class _Search:
         self.children[b] = self.links[b] = self.best_list[b] = None
         self.label[b], self.label_end[b], self.base[b], self.best[b] = FREE, -1, -1, -1
         self.spare.append(b)
+        self.live.remove(b)
 
     def rebase(self, b: int, v: int) -> None:
         """Flip the even path from vertex ``v`` to the base of ``b``; ``v`` becomes the base."""
@@ -303,19 +315,24 @@ class _Search:
     # -- stages ------------------------------------------------------------
 
     def run(self) -> None:
-        n = self.n
+        n, mate, outer, label_end = self.n, self.mate, self.outer, self.label_end
         for _stage in range(n):
-            self.label = [FREE] * (2 * n)
+            self.label = label = [FREE] * (2 * n)
             self.best = [-1] * (2 * n)
             self.best_list[n:] = [None] * n
             self.tight = [False] * len(self.weight)
-            self.queue = []
+            self.queue = queue = []
             for v in range(n):
-                if self.mate[v] == -1 and self.label[self.outer[v]] == FREE:
-                    self.assign(v, OUTER, -1)
+                if mate[v] == -1 and label[outer[v]] == FREE:
+                    if outer[v] == v:
+                        # what assign(v, OUTER, -1) does to a lone vertex
+                        label[v], label_end[v] = OUTER, -1
+                        queue.append(v)
+                    else:
+                        self.assign(v, OUTER, -1)
             if not self.grow():
                 return
-            for b in range(n, 2 * n):
+            for b in list(self.live):
                 if (
                     self.parent[b] == -1
                     and self.base[b] >= 0
@@ -326,20 +343,24 @@ class _Search:
 
     def grow(self) -> bool:
         """Grow the trees and update duals until an augmentation (True) or optimality (False)."""
-        n, ends, outer, label = self.n, self.ends, self.outer, self.label
+        n, ends, outer, label, dual = self.n, self.ends, self.outer, self.label, self.dual
+        weight, incident, tight, best = self.weight, self.incident, self.tight, self.best
+        parent, label_end, queue, live = self.parent, self.label_end, self.queue, self.live
         while True:
-            while self.queue:
-                v = self.queue.pop()
-                for p in self.incident[v]:
-                    k, w = p >> 1, ends[p]
-                    if outer[v] == outer[w]:
+            while queue:
+                v = queue.pop()
+                dual_v = dual[v]
+                for p in incident[v]:
+                    w = ends[p]
+                    bv, bw = outer[v], outer[w]
+                    if bv == bw:
                         continue
-                    if not self.tight[k]:
-                        slack = self.slack(k)
+                    k = p >> 1
+                    if not tight[k]:
+                        slack = dual_v + dual[w] - 2 * weight[k]
                         if slack <= 0:
-                            self.tight[k] = True
-                    if self.tight[k]:
-                        bw = outer[w]
+                            tight[k] = True
+                    if tight[k]:
                         if label[bw] == FREE:
                             self.assign(w, INNER, p ^ 1)
                         elif label[bw] == OUTER:
@@ -351,56 +372,68 @@ class _Search:
                         elif label[w] == FREE:
                             # w is inside an inner blossom: remember how it
                             # was reached, for when that blossom expands
-                            label[w], self.label_end[w] = INNER, p ^ 1
-                    elif label[outer[w]] == OUTER:
-                        b = outer[v]
-                        if self.best[b] == -1 or slack < self.slack(self.best[b]):
-                            self.best[b] = k
+                            label[w], label_end[w] = INNER, p ^ 1
+                    elif label[bw] == OUTER:
+                        e = best[bv]
+                        if e == -1 or slack < (
+                            dual[ends[2 * e]] + dual[ends[2 * e + 1]] - 2 * weight[e]
+                        ):
+                            best[bv] = k
                     elif label[w] == FREE:
-                        if self.best[w] == -1 or slack < self.slack(self.best[w]):
-                            self.best[w] = k
+                        e = best[w]
+                        if e == -1 or slack < (
+                            dual[ends[2 * e]] + dual[ends[2 * e + 1]] - 2 * weight[e]
+                        ):
+                            best[w] = k
 
             # No tight edge is left to scan: the largest safe dual change.
-            kind, delta, arg = 1, min(self.dual[:n]), -1
+            # Candidates are visited in blossom-id order (vertices, then
+            # live blossoms), and only a smaller one replaces the first.
+            top_label = [label[b] for b in outer]
+            kind, delta, arg = 1, min(dual[:n]), -1
             for v in range(n):
-                if label[outer[v]] == FREE and self.best[v] != -1:
-                    d = self.slack(self.best[v])
+                e = best[v]
+                if e != -1 and top_label[v] == FREE:
+                    d = dual[ends[2 * e]] + dual[ends[2 * e + 1]] - 2 * weight[e]
                     if d < delta:
-                        kind, delta, arg = 2, d, self.best[v]
-            for b in range(2 * n):
-                if self.parent[b] == -1 and label[b] == OUTER and self.best[b] != -1:
-                    # both ends are outer, so the slack is even
-                    d = self.slack(self.best[b]) // 2
+                        kind, delta, arg = 2, d, e
+            # both ends of an outer blossom's best edge are outer, so its
+            # slack is even
+            for v in range(n):
+                e = best[v]
+                if e != -1 and parent[v] == -1 and label[v] == OUTER:
+                    d = (dual[ends[2 * e]] + dual[ends[2 * e + 1]] - 2 * weight[e]) // 2
                     if d < delta:
-                        kind, delta, arg = 3, d, self.best[b]
-            for b in range(n, 2 * n):
-                if (
-                    self.base[b] >= 0
-                    and self.parent[b] == -1
-                    and label[b] == INNER
-                    and self.dual[b] < delta
-                ):
-                    kind, delta, arg = 4, self.dual[b], b
+                        kind, delta, arg = 3, d, e
+            tops = [b for b in live if parent[b] == -1]
+            for b in tops:
+                e = best[b]
+                if e != -1 and label[b] == OUTER:
+                    d = (dual[ends[2 * e]] + dual[ends[2 * e + 1]] - 2 * weight[e]) // 2
+                    if d < delta:
+                        kind, delta, arg = 3, d, e
+            for b in tops:
+                if label[b] == INNER and dual[b] < delta:
+                    kind, delta, arg = 4, dual[b], b
 
-            for v in range(n):
-                if label[outer[v]] == OUTER:
-                    self.dual[v] -= delta
-                elif label[outer[v]] == INNER:
-                    self.dual[v] += delta
-            for b in range(n, 2 * n):
-                if self.base[b] >= 0 and self.parent[b] == -1:
+            if delta:
+                dual[:n] = [
+                    y - delta if lab == OUTER else y + delta if lab == INNER else y
+                    for y, lab in zip(dual, top_label)
+                ]
+                for b in tops:
                     if label[b] == OUTER:
-                        self.dual[b] += delta
+                        dual[b] += delta
                     elif label[b] == INNER:
-                        self.dual[b] -= delta
+                        dual[b] -= delta
 
             if kind == 1:
                 return False  # a vertex dual reached 0: the matching is optimal
             if kind == 4:
                 self.expand(arg, False)
             else:
-                self.tight[arg] = True
+                tight[arg] = True
                 i = ends[2 * arg]
                 if label[outer[i]] != OUTER:
                     i = ends[2 * arg + 1]
-                self.queue.append(i)
+                queue.append(i)

@@ -401,7 +401,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         beta_trace=beta_trace,
         round_spaces=[r["space"] for r in ledger.as_dict()["rounds"]],
         weight_vs_beta=best_matching.weight / beta if beta > 0 else 0.0,
-        config_echo=asdict(cfg),
+        config_echo=dict(vars(cfg)),
         n=n,
         m=g.m,
         levels=lv.L + 1,

@@ -429,7 +429,8 @@ def _layered_lp_value(
     vertex and ``z`` by ``(mask, level)``, every variable included.
     """
     g = leveled.base
-    vrows = leveled.vertex_rows()
+    # One degree row per (vertex, level) with edges there, sorted.
+    vrows = sorted({(v, k) for _e, i, j, k in leveled.retained() for v in (i, j)})
     vrow_index = {ik: t for t, ik in enumerate(vrows)}
     pop_levels = leveled.levels
     retained = [(i, j, k) for _e, i, j, k in leveled.retained()]

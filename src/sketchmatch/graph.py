@@ -12,6 +12,7 @@ The family is an :class:`OddSetFamily`: one boolean membership matrix
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -217,32 +218,6 @@ def find_max_weight(g: Graph) -> tuple[tuple[int, int, float], float]:
     return best, best[2]
 
 
-def _weight_level(w: float, scale: float, eps: float) -> int:
-    """Level index of weight ``w``, or -1 if the edge is dropped.
-
-    Level ``k`` is the unique integer with
-    ``scale * (1+eps)^k <= w < scale * (1+eps)^(k+1)``; a weight within
-    relative tolerance of the left endpoint belongs to that level
-    (closed-left convention), so ``w == scale`` maps to level 0 and
-    ``w`` just below ``scale`` (beyond tolerance) is dropped.
-    """
-    r = w / scale
-    tol = 1.0 + REL_TOL
-    if r * tol < 1.0:
-        return -1
-    base = math.log1p(eps)
-    k = int(math.floor(math.log(max(r, 1.0)) / base))
-    # Float fixups around the log: nudge until the sandwich holds with
-    # the closed-left tolerance.
-    while (1.0 + eps) ** (k + 1) <= r * tol:
-        k += 1
-    while k > 0 and (1.0 + eps) ** k > r * tol:
-        k -= 1
-    if k == 0 and 1.0 > r * tol:
-        return -1
-    return k
-
-
 @dataclass(frozen=True)
 class LeveledGraph:
     """A graph with edges bucketed into geometric weight levels.
@@ -250,7 +225,8 @@ class LeveledGraph:
     Every retained edge ``(i, j)`` has a unique level ``k >= 0`` with
     ``scale * (1+eps)^k <= w_ij < scale * (1+eps)^(k+1)`` where
     ``scale = eps * Wstar / B``; edges below ``scale`` are dropped.
-    The level weight is ``(1+eps)^k`` in rescaled units.
+    The level weight is ``(1+eps)^k`` in rescaled units; the table
+    ``level_weights`` holds it for every level up to ``L``.
 
     Attributes
     ----------
@@ -269,6 +245,8 @@ class LeveledGraph:
         The populated level indices, in increasing order.
     L:
         Largest populated level index.
+    level_weights:
+        ``(1+eps)^k`` for ``k = 0..L``, each equal to :meth:`level_weight`.
     """
 
     base: Graph
@@ -278,6 +256,7 @@ class LeveledGraph:
     level_of: tuple[int, ...]
     levels: tuple[int, ...]
     L: int
+    level_weights: tuple[float, ...]
 
     def level_weight(self, k: int) -> float:
         """Rescaled weight ``(1+eps)^k`` of level ``k``."""
@@ -293,18 +272,6 @@ class LeveledGraph:
     @property
     def retained_count(self) -> int:
         return sum(1 for k in self.level_of if k >= 0)
-
-    def vertex_rows(self) -> tuple[tuple[int, int], ...]:
-        """Sorted ``(i, k)`` pairs where vertex ``i`` has level-``k`` edges.
-
-        These index the per-vertex degree constraints: rows exist only
-        where a vertex actually has incident edges of that level.
-        """
-        rows: set[tuple[int, int]] = set()
-        for _idx, i, j, k in self.retained():
-            rows.add((i, k))
-            rows.add((j, k))
-        return tuple(sorted(rows))
 
 
 def discretize(g: Graph, epsilon: float) -> LeveledGraph:
@@ -342,10 +309,16 @@ def discretize(g: Graph, epsilon: float) -> LeveledGraph:
             f"at total capacity {g.B}; at most {MAX_LEVELS} are supported"
         )
     scale = epsilon * wstar / g.B
-    level_of = tuple(_weight_level(w, scale, epsilon) for (_i, _j, w) in g.edges)
+    bound = math.ceil(top_level) + 1
+    # An edge's level is the last k with (1+eps)^k <= (w / scale) * (1 +
+    # REL_TOL): the closed-left convention, with the tolerance; -1 (none)
+    # drops the edge.  Every w / scale is at most B/eps = (1+eps)^top_level,
+    # so the powers up to bound + 1 bracket each one.
+    powers = [(1.0 + epsilon) ** k for k in range(bound + 2)]
+    tol = 1.0 + REL_TOL
+    level_of = tuple(bisect.bisect_right(powers, w / scale * tol) - 1 for (_i, _j, w) in g.edges)
     levels = tuple(sorted({k for k in level_of if k >= 0}))
     max_level = levels[-1] if levels else 0
-    bound = math.ceil(top_level) + 1
     if max_level > bound:
         raise AssertionError(f"level index {max_level} exceeds bound {bound}")
     return LeveledGraph(
@@ -356,6 +329,7 @@ def discretize(g: Graph, epsilon: float) -> LeveledGraph:
         level_of=level_of,
         levels=levels,
         L=max_level,
+        level_weights=tuple(powers[: max_level + 1]),
     )
 
 

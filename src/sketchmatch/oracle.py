@@ -191,7 +191,7 @@ def matching_oracle(
     delta = index.level_profiles(surplus_pos)
     qualifies = delta > (gamma / beta) * index.level_capacity
     k_star = (n_levels - 1) - qualifies[:, ::-1].argmax(axis=1)
-    at_k_star = k_star + np.arange(0, n * n_levels, n_levels)
+    at_k_star = k_star + index.grid_row_offsets
     violated = qualifies.take(at_k_star)
     gamma_v = float(delta.take(at_k_star)[violated].sum())
     priced = (surplus > 0.0) & violated[vv]
@@ -201,15 +201,16 @@ def matching_oracle(
         # rows and vertices get 0.0; zeros change neither the exact sum
         # of the target check nor the cap check.
         level_price = gamma * w_of / gamma_v
-        it = DualIterate.zeros(index)
-        it.x_level = np.where(priced, level_price[np.minimum(vl, k_star[vv])], 0.0)
-        it.x_top = np.where(violated, level_price[k_star], 0.0)
+        it = DualIterate(
+            np.where(priced, level_price[np.minimum(vl, k_star[vv])], 0.0),
+            np.where(violated, level_price[k_star], 0.0),
+        )
         lag = math.fsum((it.x_level * surplus).tolist())
         if not math.isclose(lag, gamma, rel_tol=CHECK_TOL):
             raise AssertionError("vertex step does not meet the penalized target")
         if budget_value(index, it) > beta * (1.0 + CHECK_TOL):
             raise AssertionError("vertex step exceeds the budget")
-        if (it.x_level > index.vrow_price_cap * (1.0 + CHECK_TOL)).any():
+        if (it.x_level > index.vrow_price_limit).any():
             raise AssertionError("vertex price exceeds its width cap")
         return DualStep(it, "vertex", penalty, gamma, beta)
 
@@ -357,7 +358,7 @@ def check_dual_step(
     report["nonnegative"] = it.is_nonnegative(1e-12)
     report["price_shape"] = index.is_shaped(it, atol=1e-12)
     report["budget"] = budget_value(index, it) <= step.beta * (1.0 + tol)
-    report["x_caps"] = bool((it.x_level <= index.vrow_price_cap * (1.0 + tol)).all())
+    report["x_caps"] = bool((it.x_level <= index.vrow_price_limit).all())
     z_caps = 24.0 / eps * index.level_weights[it.z_level] * (1.0 + tol)
     report["z_caps"] = bool((it.z_value <= z_caps).all())
     report["inner_rows"] = bool(
@@ -592,11 +593,13 @@ def offline_bmatching(
     first = list(itertools.accumulate(copies, initial=0))
     if first[-1] * sum(copies[i] * copies[j] for i, j, _w in edges) > MAX_SPLIT_WORK:
         return _greedy_bmatching(edges, b)
-    ratios = [w.as_integer_ratio() for (_i, _j, w) in edges]
-    denom = max((d for _num, d in ratios), default=1)
+    # Each distinct weight's integer ratio, then its scaled integer.
+    ratios = {w: w.as_integer_ratio() for (_i, _j, w) in edges}
+    denom = max((d for _num, d in ratios.values()), default=1)
+    scaled_of = {w: num * (denom // d) for w, (num, d) in ratios.items()}
     split, owner = [], []
-    for t, ((i, j, _w), (num, d)) in enumerate(zip(edges, ratios)):
-        scaled = num * (denom // d)
+    for t, (i, j, w) in enumerate(edges):
+        scaled = scaled_of[w]
         for a in range(first[i], first[i + 1]):
             for c in range(first[j], first[j + 1]):
                 split.append((a, c, scaled))
@@ -615,13 +618,18 @@ def offline_bmatching(
 
 
 def extract_integral(leveled: LeveledGraph, edge_ids: Sequence[int]) -> BMatching:
-    """Integral matching on a retained-edge support, in level weights."""
-    by_id = {e: (i, j, k) for (e, i, j, k) in leveled.retained()}
+    """Integral matching, in level weights, on the retained edges among ``edge_ids``.
+
+    ``edge_ids`` are edge indices of ``leveled.base``; dropped edges are
+    skipped.
+    """
+    level_of, edges, weights = leveled.level_of, leveled.base.edges, leveled.level_weights
     chosen = []
     for e in sorted(set(edge_ids)):
-        if e in by_id:
-            i, j, k = by_id[e]
-            chosen.append((i, j, leveled.level_weight(k)))
+        k = level_of[e]
+        if k >= 0:
+            i, j, _w = edges[e]
+            chosen.append((i, j, weights[k]))
     return offline_bmatching(chosen, leveled.base.b)
 
 
@@ -648,22 +656,25 @@ def maximal_bmatching_rounds(
     ``ROUNDS_MULT * p`` rounds is retried under a fresh sampling salt.
     A round at rate 1 takes every live edge without a draw (a draw lies
     in ``[0, 1)`` and cannot reject), and is the last round, as each
-    taken edge saturates an end.  At ``p = 2`` every round of an
-    ``n <= 64`` graph has rate 1: ``4 n^1.5 >= n (n - 1) / 2 >= |live|``.
+    taken edge saturates an end, so it returns without listing the
+    edges still live.  At ``p = 2`` every round of an ``n <= 64`` graph
+    has rate 1: ``4 n^1.5 >= n (n - 1) / 2 >= |live|``.  Remaining
+    capacities are kept only for the vertices a take touched.
 
     Returns the multiplicity map and the per-round sample counts (the
     space the rounds consumed).
     """
     cap = math.ceil(ROUNDS_MULT * p)
+    budget = SAMPLE_RATE_MULT * n ** (1.0 + 1.0 / p)
     for attempt in range(MAX_RETRIES + 1):
-        rem = list(b)
+        rem: dict[int, int] = {}
         take: dict[int, int] = {}
-        live = list(edges)
+        live = edges
         samples: list[int] = []
         for rnd in range(1, cap + 1):
             if not live:
                 break
-            rate = SAMPLE_RATE_MULT * n ** (1.0 + 1.0 / p) / len(live)
+            rate = budget / len(live)
             sampled = live
             if rate < 1.0:
                 sampled = [
@@ -673,12 +684,14 @@ def maximal_bmatching_rounds(
                 ]
             samples.append(len(sampled))
             for e, i, j in sampled:
-                m = min(rem[i], rem[j])
+                rem_i, rem_j = rem.get(i, b[i]), rem.get(j, b[j])
+                m = min(rem_i, rem_j)
                 if m > 0:
                     take[e] = take.get(e, 0) + m
-                    rem[i] -= m
-                    rem[j] -= m
-            live = [(e, i, j) for (e, i, j) in live if rem[i] > 0 and rem[j] > 0]
+                    rem[i], rem[j] = rem_i - m, rem_j - m
+            if rate >= 1.0:
+                return take, samples
+            live = [t for t in live if rem.get(t[1], b[t[1]]) > 0 and rem.get(t[2], b[t[2]]) > 0]
         if not live:
             return take, samples
     raise RuntimeError("maximal matching did not finish within its round budget")
@@ -721,9 +734,10 @@ def initial_solution(
         for rnd in range(depth):
             ledger.begin_round(f"init-{rnd}")
             ledger.record_space(sum(s[rnd] for _t, s in results if rnd < len(s)))
+    # Levels share no edge, so their take maps merge into one.
+    taken = {e: m for take, _samples in results for e, m in take.items()}
     row_take = np.zeros(len(index.row_edge), dtype=np.int64)
-    for take, _samples in results:
-        row_take[index.row_of_edge[list(take)]] = list(take.values())
+    row_take[index.row_of_edge[list(taken)]] = list(taken.values())
     used = np.zeros(len(index.vrow_vertex), dtype=np.int64)
     np.add.at(used, index.row_vrow, row_take[:, None])
     it = DualIterate.zeros(index)

@@ -74,25 +74,20 @@ class DualIterate:
         pairs keep the order in which they were first priced, so every
         row sum adds its prices in that order.
 
+    The odd-set arrays default to empty: such an iterate prices no set.
     An iterate carries no budget: the budget an oracle answer was
     computed against is recorded on the answer (``DualStep.beta``).
     """
 
     x_level: np.ndarray
     x_top: np.ndarray
-    z_set: np.ndarray
-    z_level: np.ndarray
-    z_value: np.ndarray
+    z_set: np.ndarray = field(default_factory=lambda: _NO_SETS)
+    z_level: np.ndarray = field(default_factory=lambda: _NO_SETS)
+    z_value: np.ndarray = field(default_factory=lambda: _NO_VALUES)
 
     @staticmethod
     def zeros(index: "SystemIndex") -> "DualIterate":
-        return DualIterate(
-            x_level=np.zeros(len(index.vrows)),
-            x_top=np.zeros(index.leveled.base.n),
-            z_set=_NO_SETS,
-            z_level=_NO_SETS,
-            z_value=_NO_VALUES,
-        )
+        return DualIterate(np.zeros(len(index.vrows)), np.zeros(index.leveled.base.n))
 
     def blend(self, other: "DualIterate", sigma: float) -> "DualIterate":
         """Return ``(1 - sigma) * self + sigma * other``.
@@ -143,14 +138,17 @@ class SystemIndex:
     """Row layout of the constraint system, built once per solve as arrays.
 
     Cover rows (tuples ``(edge, i, j, level)`` in ``rows``) follow edge
-    order; ``row_vrow`` holds the degree rows of a row's two ends
-    (``end_vrow``: every row's first end, then every row's second end),
-    and ``row_of_edge`` the cover row of an edge id (``-1``: dropped).
-    Degree rows (tuples ``(vertex, level)`` in ``vrows``) are sorted by
-    vertex, then level; ``vrow_price_cap`` is the width cap
-    ``(24/eps) w_k`` of a degree row's x price.  ``level_weights`` holds
-    ``(1+eps)^k`` for ``k = 0..L``, ``capacity`` the floats ``b_i`` and
-    ``level_capacity`` their ``n x (L+1)`` products.
+    order; ``row_vrow`` holds the degree rows of a row's two ends, as a
+    view of ``end_vrow`` (every row's first end, then every row's second
+    end), so each of its columns is contiguous; ``row_of_edge`` holds the
+    cover row of an edge id (``-1``: dropped).  Degree rows (tuples
+    ``(vertex, level)`` in ``vrows``) are the row ends' distinct
+    ``(vertex, level)`` pairs, sorted by vertex, then level;
+    ``vrow_price_limit`` is the width cap ``(24/eps) w_k`` of a degree
+    row's x price, times ``1 + CHECK_TOL``.  ``level_weights`` holds
+    ``(1+eps)^k`` for ``k = 0..L`` (the leveled graph's table),
+    ``capacity`` the floats ``b_i`` and ``level_capacity`` their
+    ``n x (L+1)`` products.
 
     :meth:`level_profiles` works on packed degree rows: every vertex owns
     a row of ``W = 1 + (most degree rows at one vertex)`` slots, slot 0
@@ -160,8 +158,8 @@ class SystemIndex:
     cell ``(i, l)`` to the flat slot of ``i``'s last degree row at a level
     ``<= l`` (slot 0 if none); ``grid_weights`` holds ``w_l`` in every
     cell ``(i, l)`` (a same-shape product is cheaper than a broadcast
-    one at this size).  Every evaluator is deterministic given the same
-    iterate.
+    one at this size), and ``grid_row_offsets`` the flat index of cell
+    ``(i, 0)``.  Every evaluator is deterministic given the same iterate.
 
     The odd-set family (:attr:`odd_sets`) is enumerated on first read
     and cached, so a solve that never reads it, as one that takes only
@@ -188,7 +186,7 @@ class SystemIndex:
     vrow_level: np.ndarray = field(init=False)
     degree_rhs_outer: np.ndarray = field(init=False)
     degree_rhs_inner: np.ndarray = field(init=False)
-    vrow_price_cap: np.ndarray = field(init=False)
+    vrow_price_limit: np.ndarray = field(init=False)
     level_weights: np.ndarray = field(init=False)
     capacity: np.ndarray = field(init=False)
     level_capacity: np.ndarray = field(init=False)
@@ -196,13 +194,15 @@ class SystemIndex:
     slot_weights: np.ndarray = field(init=False)
     level_gather: np.ndarray = field(init=False)
     grid_weights: np.ndarray = field(init=False)
+    grid_row_offsets: np.ndarray = field(init=False)
 
     def __post_init__(self, enumerate_family: Callable[[Graph, float], OddSetFamily]) -> None:
         self._enumerate_family = enumerate_family
         lv = self.leveled
         eps = self.epsilon
+        n = lv.base.n
         n_levels = lv.L + 1
-        self.level_weights = np.array([lv.level_weight(k) for k in range(n_levels)])
+        self.level_weights = np.array(lv.level_weights)
         self.capacity = np.asarray(lv.base.b, dtype=float)
         self.level_capacity = np.outer(self.capacity, self.level_weights)
 
@@ -215,26 +215,22 @@ class SystemIndex:
         self.row_of_edge = np.full(lv.base.m, -1, dtype=np.int64)
         self.row_of_edge[self.row_edge] = np.arange(len(self.rows))
 
-        self.vrows = lv.vertex_rows()
-        vrows = np.array(self.vrows, dtype=np.int64).reshape(-1, 2)
-        self.vrow_vertex = vrows[:, 0]
-        self.vrow_level = vrows[:, 1]
+        # A row end's key is vertex * (L+1) + level: the sorted distinct
+        # keys are the degree rows, and the inverse maps each end to its row.
+        keys, self.end_vrow = np.unique(
+            (self.row_ends.T * n_levels + self.row_levels).ravel(), return_inverse=True
+        )
+        self.row_vrow = self.end_vrow.reshape(2, -1).T
+        self.vrow_vertex, self.vrow_level = np.divmod(keys, n_levels)
+        self.vrows = tuple(zip(self.vrow_vertex.tolist(), self.vrow_level.tolist()))
         vweights = self.level_weights[self.vrow_level]
         self.degree_rhs_outer = 3.0 * vweights
         self.degree_rhs_inner = (24.0 / eps + 24.0 / eps**2) * vweights
-        self.vrow_price_cap = (24.0 / eps) * vweights
-        # Degree rows are sorted by (vertex, level), so each row end's
-        # key vertex * (L+1) + level is found by binary search.
-        self.row_vrow = np.searchsorted(
-            self.vrow_vertex * n_levels + self.vrow_level,
-            self.row_ends * n_levels + self.row_levels[:, None],
-        )
-        self.end_vrow = self.row_vrow.T.ravel()
+        self.vrow_price_limit = (24.0 / eps) * vweights * (1.0 + CHECK_TOL)
 
         # Packed degree rows.  Rows of vertices below i have keys below
         # i * (L+1), so the count of keys <= a cell's key, less i's first
         # row, is the slot of i's last row at or below the cell's level.
-        n = lv.base.n
         counts = np.bincount(self.vrow_vertex, minlength=n)
         width = 1 + int(counts.max(initial=0))
         first = np.cumsum(counts) - counts
@@ -243,12 +239,12 @@ class SystemIndex:
         )
         self.slot_weights = np.zeros((n, width))
         self.slot_weights.ravel()[self.vrow_slot] = vweights
-        keys = self.vrow_vertex * n_levels + self.vrow_level
         cells = np.searchsorted(keys, np.arange(n * n_levels), side="right")
         self.level_gather = cells.reshape(n, n_levels) + (
             np.arange(n) * width - first
         )[:, None]
         self.grid_weights = np.tile(self.level_weights, (n, 1))
+        self.grid_row_offsets = np.arange(0, n * n_levels, n_levels)
 
     @cached_property
     def odd_sets(self) -> OddSetFamily:

@@ -410,8 +410,8 @@ def warm_start(monkeypatch, groups) -> None:
 def layered_dual_iterate(index, dual, share: float) -> sm.DualIterate:
     """``share`` times an exact layered dual, as an iterate of ``index``.
 
-    ``dual`` is ``ExactResult.layered_dual``.  Its ``x_i(k)`` fill the
-    degree rows (``index.vrows`` is ``LeveledGraph.vertex_rows()``), its
+    ``dual`` is ``ExactResult.layered_dual``.  Its ``x_i(k)``, keyed by
+    the ``(i, k)`` pairs of ``index.vrows``, fill the degree rows, its
     ``x_i`` the top prices, and each positive ``z_{U,l}`` the family row
     of ``U`` at level ``l``, in the dual's key order.
     """

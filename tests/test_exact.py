@@ -343,7 +343,7 @@ class TestExactLpValues:
         res = sm.exact_lp_values(g, EPS, include_layered=True)
         x_level, x_top, z = res.layered_dual
         lv = sm.discretize(g, EPS)
-        assert sorted(x_level) == list(lv.vertex_rows())
+        assert sorted(x_level) == list(sm.SystemIndex(lv, EPS).vrows)
         assert sorted(x_top) == list(range(g.n))
         eps = Fraction(EPS)
         bnorm = {mask: sum(g.b[i] for i in range(g.n) if mask >> i & 1) for mask, _lev in z}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sketchmatch as sm
 from sketchmatch import oracle
+from sketchmatch.sketch import prf_uniform
 from sketchmatch.oracle import (
     DualStep,
     PrimalCertificate,
@@ -476,6 +477,56 @@ class TestMaximalRounds:
         assert all(r >= 0 for r in rem)
         for _e, i, j in edges:
             assert rem[i] == 0 or rem[j] == 0  # no augmenting edge left
+
+    @staticmethod
+    def rounds_reference(n, edges, b, p, seed):
+        """The round loop with a capacity copy per attempt and a relisted live set per round."""
+        for attempt in range(oracle.MAX_RETRIES + 1):
+            rem, take, live, samples = list(b), {}, list(edges), []
+            for rnd in range(1, math.ceil(oracle.ROUNDS_MULT * p) + 1):
+                if not live:
+                    break
+                rate = oracle.SAMPLE_RATE_MULT * n ** (1.0 + 1.0 / p) / len(live)
+                sampled = live
+                if rate < 1.0:
+                    sampled = [
+                        t
+                        for t in live
+                        if prf_uniform(seed, "maximal", "", attempt, rnd, t[0]) < rate
+                    ]
+                samples.append(len(sampled))
+                for e, i, j in sampled:
+                    m = min(rem[i], rem[j])
+                    if m > 0:
+                        take[e] = take.get(e, 0) + m
+                        rem[i] -= m
+                        rem[j] -= m
+                live = [(e, i, j) for (e, i, j) in live if rem[i] > 0 and rem[j] > 0]
+            if not live:
+                return take, samples
+        raise RuntimeError("no attempt finished")
+
+    def test_rate_one_boundary(self, monkeypatch):
+        # At p = 2 a level on n = 81 vertices has rate 1 up to
+        # 4 * 81^1.5 = 2,916 live edges (K81 has 3,240).
+        n, p, seed = 81, 2.0, 0
+        assert oracle.SAMPLE_RATE_MULT * n ** (1.0 + 1.0 / p) == 2916
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        random.Random(0).shuffle(pairs)
+        edges = [(e, i, j) for e, (i, j) in enumerate(pairs[:2917])]
+        b = [1 + i % 3 for i in range(n)]
+        full = self.rounds_reference(n, edges[:2916], b, p, seed)
+        sampled = self.rounds_reference(n, edges, b, p, seed)
+        assert sampled[1][0] < 2917  # the first round dropped an edge
+
+        def no_draw(*_args):
+            raise AssertionError("a rate-1 round drew")
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "prf_uniform", no_draw)
+            assert maximal_bmatching_rounds(n, edges[:2916], b, p, seed) == full
+        assert full[1] == [2916]
+        assert maximal_bmatching_rounds(n, edges, b, p, seed) == sampled
 
 
 class TestInitialSolution:
