@@ -597,23 +597,24 @@ def offline_bmatching(
     ratios = {w: w.as_integer_ratio() for (_i, _j, w) in edges}
     denom = max((d for _num, d in ratios.values()), default=1)
     scaled_of = {w: num * (denom // d) for w, (num, d) in ratios.items()}
-    split, owner = [], []
-    for t, (i, j, w) in enumerate(edges):
-        scaled = scaled_of[w]
-        for a in range(first[i], first[i + 1]):
-            for c in range(first[j], first[j + 1]):
-                split.append((a, c, scaled))
-                owner.append(t)
+    split = [
+        (a, c, scaled_of[w])
+        for (i, j, w) in edges
+        for a in range(first[i], first[i + 1])
+        for c in range(first[j], first[j + 1])
+    ]
+    owner = [t for t, (i, j, _w) in enumerate(edges) for _ in range(copies[i] * copies[j])]
     mult = [0] * len(edges)
     for k in max_weight_matching(first[-1], split):
         mult[owner[k]] += 1
+    matched = [t for t, m in enumerate(mult) if m > 0]
     # Summed heaviest edge first (ties by ends) in plain float additions,
     # the order earlier reports used, so their rescaled weights keep
-    # their bits.
+    # their bits (an unmatched edge would add +0.0).
     weight = 0.0
-    for t in sorted(range(len(edges)), key=lambda t: (-edges[t][2], edges[t][:2])):
+    for t in sorted(matched, key=lambda t: (-edges[t][2], edges[t][:2])):
         weight += edges[t][2] * mult[t]
-    out = sorted((edges[t][0], edges[t][1], m) for t, m in enumerate(mult) if m > 0)
+    out = sorted((edges[t][0], edges[t][1], mult[t]) for t in matched)
     return BMatching(edges=tuple(out), weight=weight, exact=True)
 
 

@@ -216,10 +216,12 @@ class SystemIndex:
         self.row_of_edge[self.row_edge] = np.arange(len(self.rows))
 
         # A row end's key is vertex * (L+1) + level: the sorted distinct
-        # keys are the degree rows, and the inverse maps each end to its row.
-        keys, self.end_vrow = np.unique(
-            (self.row_ends.T * n_levels + self.row_levels).ravel(), return_inverse=True
-        )
+        # keys are the degree rows, and each end's rank among them is its
+        # row.  (np.unique would do the same, but under numpy 2.4 its first
+        # call in a process raises the peak RSS by about 0.5 MB.)
+        end_keys = (self.row_ends.T * n_levels + self.row_levels).ravel()
+        keys = np.array(sorted(set(end_keys.tolist())), dtype=np.int64)
+        self.end_vrow = np.searchsorted(keys, end_keys)
         self.row_vrow = self.end_vrow.reshape(2, -1).T
         self.vrow_vertex, self.vrow_level = np.divmod(keys, n_levels)
         self.vrows = tuple(zip(self.vrow_vertex.tolist(), self.vrow_level.tolist()))
@@ -239,7 +241,7 @@ class SystemIndex:
         )
         self.slot_weights = np.zeros((n, width))
         self.slot_weights.ravel()[self.vrow_slot] = vweights
-        cells = np.searchsorted(keys, np.arange(n * n_levels), side="right")
+        cells = np.cumsum(np.bincount(keys, minlength=n * n_levels))
         self.level_gather = cells.reshape(n, n_levels) + (
             np.arange(n) * width - first
         )[:, None]
