@@ -580,7 +580,7 @@ def offline_bmatching(
     split graph             V * E   exact harvest
     ======================  ======  ====================================
     K_256, b = 1            8.4e6   0.16 s, admitted
-    b = 1, m = 3n           3n^2    0.7 s at n = 1,000; admitted to 1,672
+    b = 1, m = 3n           3n^2    0.4 s at n = 1,000; admitted to 1,672
     triangle, b = 100       9.0e6   0.8-1.2 s, greedy
     triangle, b = 300       2.4e8   31 s, greedy
     ======================  ======  ====================================
@@ -692,7 +692,9 @@ def maximal_bmatching_rounds(
                     rem[i], rem[j] = rem_i - m, rem_j - m
             if rate >= 1.0:
                 return take, samples
-            live = [t for t in live if rem.get(t[1], b[t[1]]) > 0 and rem.get(t[2], b[t[2]]) > 0]
+            live = [
+                (e, i, j) for (e, i, j) in live if rem.get(i, b[i]) > 0 and rem.get(j, b[j]) > 0
+            ]
         if not live:
             return take, samples
     raise RuntimeError("maximal matching did not finish within its round budget")

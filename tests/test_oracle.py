@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import sketchmatch as sm
 from sketchmatch import oracle
-from sketchmatch.sketch import prf_uniform
 from sketchmatch.oracle import (
     DualStep,
     PrimalCertificate,
@@ -28,6 +27,7 @@ from sketchmatch.oracle import (
     offline_bmatching,
     verify_switch,
 )
+from sketchmatch.sketch import prf_uniform
 
 from conftest import EPS, set_z_prices, z_prices
 
