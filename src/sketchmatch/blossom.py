@@ -325,7 +325,8 @@ class _Search:
             for v in range(n):
                 if mate[v] == -1 and label[outer[v]] == FREE:
                     if outer[v] == v:
-                        # what assign(v, OUTER, -1) does to a lone vertex
+                        # assign(v, OUTER, -1) on a lone vertex, whose best
+                        # edge the reset above already cleared
                         label[v], label_end[v] = OUTER, -1
                         queue.append(v)
                     else:
