@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sketchmatch as sm
+from sketchmatch import cli
 
 from conftest import random_instance
 
@@ -68,3 +69,40 @@ def test_package_imports_no_test_only_dependency():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# sha256 of the stdout of the outputs that read refined deferred weights.
+# The K20 sparsify at xi = 0.99 has a value class of 190 >= k = 152 edges,
+# so it runs the forest path.
+PINNED_OUTPUTS = {
+    "sparsify/k20_xi0.99": "d462d43a903f5cb0730d7266ab6a765eeb8f641da8ffa7de13dc97f74eeb31eb",
+    "sparsify/k6_chi2": "f4380abaec038cd4feedbe18e5e3889e40557bc394872165e40079c46ede92b0",
+    "sparsifier_fidelity/n8_xi0.5_seeds5": (
+        "e5a31db4b620b9971e9e381cf14e1809713334bc8e14ffeb262a77a498cbfd0b"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n, flags, kept, space, pin",
+    [
+        (20, ["--xi", "0.99"], 190, 571, "sparsify/k20_xi0.99"),
+        (6, ["--chi", "2"], 15, 45, "sparsify/k6_chi2"),
+    ],
+)
+def test_deferred_sparsify_output_pinned(tmp_path, capsys, n, flags, kept, space, pin):
+    path = tmp_path / f"k{n}.txt"
+    path.write_text("".join(f"{i} {j} 1\n" for i in range(n) for j in range(i + 1, n)))
+    assert cli.main(["sparsify", "--input", str(path), "--deferred", *flags, "--json"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert (payload["kept_edges"], payload["space"]) == (kept, space)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[pin]
+
+
+def test_sparsifier_fidelity_rows_pinned(capsys):
+    fidelity = _load("sparsifier_fidelity")
+    assert fidelity.main(["--sizes", "8", "--xi", "0.5", "--seeds", "5", "--json"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS["sparsifier_fidelity/n8_xi0.5_seeds5"]
