@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = sm.SolverConfig(
         epsilon=args.epsilon, p=args.p, assert_mode=args.assert_mode
     )
-    floor = 1.0 - 14.0 * args.epsilon
+    floor = sm.ratio_floor_for(args.epsilon)
     rows = []
     t0 = time.monotonic()
     for s in range(args.count):

@@ -71,10 +71,10 @@ def main(argv: list[str] | None = None) -> int:
                     n, edges, weights, chi=args.chi, xi=xi, seed=seed
                 )
                 true_w = [true[e] for e in range(len(edges))]
-                got = sm.refine_deferred(sm.stored_sample(sk), np.array(true_w))
-                kept = np.flatnonzero(got)
+                entries = sk.entries
+                got = sm.refine_deferred(sk, np.array(true_w)[entries["edge"]])
                 dev = max_deviation(
-                    n, edges, true_w, [edges[e] for e in kept], got[kept].tolist()
+                    n, edges, true_w, entries[["i", "j"]].tolist(), got.tolist()
                 )
                 defer_pass += dev <= xi
             row = {

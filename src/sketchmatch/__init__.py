@@ -9,7 +9,14 @@ on desk-sized inputs.
 
 from __future__ import annotations
 
-from .driver import SolveReport, SolverConfig, round_cap_for, solve, space_cap_for
+from .driver import (
+    SolveReport,
+    SolverConfig,
+    ratio_floor_for,
+    round_cap_for,
+    solve,
+    space_cap_for,
+)
 from .exact import (
     brute_force_bmatching,
     check_dual_feasible,
@@ -46,7 +53,6 @@ from .sketch import (
     build_deferred,
     build_streaming_sparsifier,
     refine_deferred,
-    stored_sample,
 )
 from .system import DualIterate, SystemIndex, budget_value, convert_to_matching_dual
 
@@ -87,10 +93,10 @@ __all__ = [
     "load_graph",
     "matching_oracle",
     "offline_bmatching",
+    "ratio_floor_for",
     "refine_deferred",
     "round_cap_for",
     "solve",
     "space_cap_for",
-    "stored_sample",
     "verify_switch",
 ]

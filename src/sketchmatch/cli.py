@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .driver import SolverConfig, solve
+from .driver import SolverConfig, ratio_floor_for, solve
 from .exact import EXACT_LP_MAX_N, brute_force_bmatching, exact_lp_values
 from .graph import (
     Graph,
@@ -39,12 +39,7 @@ from .graph import (
     find_max_weight,
     load_graph,
 )
-from .sketch import (
-    build_deferred,
-    build_streaming_sparsifier,
-    refine_deferred,
-    stored_sample,
-)
+from .sketch import build_deferred, build_streaming_sparsifier, refine_deferred
 
 __all__ = ["build_parser", "main", "cli_main"]
 
@@ -104,10 +99,11 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     weights = [w for (_i, _j, w) in g.edges]
     if args.deferred:
         sk = build_deferred(g.n, pairs, weights, args.chi, args.xi, args.seed)
-        refined = refine_deferred(stored_sample(sk), np.asarray(weights, dtype=float))
+        entries = sk.entries
+        refined = refine_deferred(sk, np.asarray(weights, dtype=float)[entries["edge"]])
         kept = sorted(
-            (e, i, j, float(refined[e]))
-            for (e, i, j) in sk.entries[["edge", "i", "j"]].tolist()
+            (e, i, j, w)
+            for (e, i, j), w in zip(entries[["edge", "i", "j"]].tolist(), refined.tolist())
         )
         space = sk.space
         mode = "deferred"
@@ -177,7 +173,7 @@ def _check_matching_file(g: Graph, path: str, eps: float) -> tuple[dict, bool]:
         "exact_weight": exact_weight,
         "ratio": ratio,
         "feasible": feasible,
-        "meets_ratio_floor": ratio >= 1.0 - 14.0 * eps - 1e-9,
+        "meets_ratio_floor": ratio >= ratio_floor_for(eps) - 1e-9,
     }
     return payload, feasible and payload["meets_ratio_floor"]
 
@@ -199,8 +195,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     exact_weight, exact_edges = brute_force_bmatching(g)
     report = solve(g, _solver_config(args, assert_mode=True))
     ratio = report.weight / exact_weight if exact_weight > 0 else 1.0
+    floor = ratio_floor_for(eps)
     checks = {
-        "solver_vs_exact": ratio >= 1.0 - 14.0 * eps - 1e-9,
+        "solver_vs_exact": ratio >= floor - 1e-9,
         "rounds_within_cap": report.rounds <= report.round_cap,
         "space_within_cap": report.peak_space <= report.space_cap + 1e-9,
         "internal_checks": True,  # assert mode raised otherwise
@@ -210,7 +207,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "exact_weight": exact_weight,
         "exact_matching": [list(e) for e in exact_edges],
         "ratio": ratio,
-        "ratio_floor": 1.0 - 14.0 * eps,
+        "ratio_floor": floor,
         "rounds": report.rounds,
         "round_cap": report.round_cap,
         "peak_space": report.peak_space,
@@ -229,7 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines = [f"{'PASS' if v else 'FAIL'}  {name}" for name, v in sorted(checks.items())]
     lines.append(
         f"solver {report.weight:.6g} vs exact {exact_weight:.6g} "
-        f"(ratio {ratio:.4f}, floor {1.0 - 14.0 * eps:.4f})"
+        f"(ratio {ratio:.4f}, floor {floor:.4f})"
     )
     _emit(payload, args, "\n".join(lines))
     return 0 if ok else 1

@@ -15,14 +15,15 @@
    (``stop_reason``): snapshot the row multipliers, build the deferred
    sparsifiers of every populated level against them in one
    :func:`~sketchmatch.sketch.build_deferred` call on the stack of
-   per-level promise rows (one adaptive round of space), list their
-   stored entries once, as flat arrays of cover row, promise and keep
-   probability, harvest an integral
+   per-level promise rows (one adaptive round of space), look up the
+   cover row of each stored entry once, harvest an integral
    matching from the stored edges (computed once per distinct stored
    support and reused by later rounds and certificate lifts on the
    same support), then run a bounded number of multiplier refinements
-   — each refinement reads the current multipliers at the round's
-   flat sample and reweighs it in one array pass, asks the penalized
+   — each refinement reads the current multipliers at those rows,
+   refines the sketch's entries against them
+   (:func:`~sketchmatch.sketch.refine_deferred`, entry by entry) and
+   puts the results back at their rows, asks the penalized
    matching oracle for a step via the penalty search, and either
    blends the step into the dual point or raises the budget on a
    primal certificate.  The first super-round always runs.  A later one
@@ -58,7 +59,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import Graph, discretize, enumerate_small_odd_sets
+from .graph import Graph, _is_int, discretize, enumerate_small_odd_sets
 from .mwu import (
     CoveringState,
     covering_multipliers,
@@ -76,20 +77,22 @@ from .oracle import (
     matching_oracle,
     verify_switch,
 )
-from .sketch import RoundLedger, build_deferred, refine_deferred, stored_sample
+from .sketch import RoundLedger, build_deferred, refine_deferred
 from .system import SystemIndex
 
-__all__ = ["SolverConfig", "SolveReport", "solve", "round_cap_for", "space_cap_for"]
+__all__ = [
+    "SolverConfig",
+    "SolveReport",
+    "solve",
+    "ratio_floor_for",
+    "round_cap_for",
+    "space_cap_for",
+]
 
 # Cut-approximation parameter of the per-level deferred sketches.
 SKETCH_XI = 0.5
 # Primal certificates one refinement may answer before the solve fails.
 CERTIFICATE_RETRIES = 1000
-
-
-def _is_count(value: object) -> bool:
-    """An ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,10 @@ class SolverConfig:
             raise ValueError("epsilon must be in (0, 1/16]")
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ValueError("p must be a finite number at least 1")
-        if not _is_count(self.seed):
+        if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.max_rounds is not None and not (
-            _is_count(self.max_rounds) and self.max_rounds >= 1
+            _is_int(self.max_rounds) and self.max_rounds >= 1
         ):
             raise ValueError(f"max_rounds must be an integer at least 1, got {self.max_rounds!r}")
         if not (math.isfinite(self.space_mult) and self.space_mult > 0.0):
@@ -130,6 +133,11 @@ class SolverConfig:
 def round_cap_for(p: float, epsilon: float) -> int:
     """Guaranteed bound on adaptive sampling rounds."""
     return 8 * math.ceil(p / epsilon)
+
+
+def ratio_floor_for(epsilon: float) -> float:
+    """The guaranteed approximation ratio, ``1 - 14 epsilon``."""
+    return 1.0 - 14.0 * epsilon
 
 
 def space_cap_for(n: int, p: float, total_capacity: int, mult: float) -> float:
@@ -206,7 +214,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     # installed under it sees every enumeration a solve makes.
     index = SystemIndex(lv, eps, enumerate_small_odd_sets)
     n = g.n
-    b = g.b
     ledger = RoundLedger()
     round_cap = cfg.max_rounds if cfg.max_rounds is not None else round_cap_for(cfg.p, eps)
     space_cap = space_cap_for(n, cfg.p, g.B, cfg.space_mult)
@@ -291,9 +298,12 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             _check_space_cap(ledger, space_cap)
 
         # The round's stored entries and their cover rows are fixed;
-        # every refinement below reads the multipliers at them.
-        sample = stored_sample(sketch, index.row_of_edge)
-        stored = tuple(sorted(sample.edge_ids.tolist()))
+        # every refinement below reads the multipliers at those rows.  A
+        # retained edge is live in one level row only, so the rows are
+        # distinct.
+        edge_ids = sketch.entries["edge"]
+        rows = index.row_of_edge[edge_ids]
+        stored = tuple(sorted(edge_ids.tolist()))
         harvest = harvest_of(stored)
         harvest_final = harvest.exact and stored == retained
         if harvest.weight > best_matching.weight:
@@ -318,7 +328,8 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
             if state.lam >= state.target:
                 break
             u_now, _ = covering_multipliers(state.load, state.log_c, state.alpha, offset)
-            u_sparse = refine_deferred(sample, u_now)
+            u_sparse = np.zeros(len(u_now))
+            u_sparse[rows] = refine_deferred(sketch, u_now[rows])
 
             # The packing load has a positive row: lambda_0 > 0 (CoveringState
             # divides by it) prices every cover row at an end or on a set
@@ -384,7 +395,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         matching=best_matching.edges,
         weight=weight,
         rescaled_weight=best_matching.weight,
-        ratio_bound=1.0 - 14.0 * eps,
+        ratio_bound=ratio_floor_for(eps),
         rounds=ledger.n_rounds,
         peak_space=ledger.peak_space,
         round_cap=round_cap,

@@ -12,11 +12,12 @@ Two sparsifier flavors are provided:
   high probability (layered subsampling with union-find forest
   packings deciding each edge's sampling depth);
 - :func:`build_deferred` runs the same machinery on *promised* weights
-  and postpones the reweighting: the stored sample can later be
-  refined against any weight vector within a ``chi`` factor of the
-  promise.  One call takes a stack of promise rows, one seed per row,
-  and builds every row's sketch in one array pass; the solver builds
-  all weight levels of a round this way, one call per round.
+  and postpones the reweighting: :func:`refine_deferred` later
+  reweighs the stored entries against current weights, one value per
+  entry, as long as each lies within a ``chi`` factor of its promise.
+  One call takes a stack of promise rows, one seed per row, and builds
+  every row's sketch in one array pass; the solver builds all weight
+  levels of a round this way, one call per round.
 
 Both builds settle a dyadic value class of ``s < k`` edges (``k`` forests
 per layer, :func:`forest_count`) in closed form, without forests.  Let
@@ -50,7 +51,7 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +63,6 @@ __all__ = [
     "PROMISE_TOL",
     "RoundLedger",
     "Sparsifier",
-    "StoredSample",
     "UnionFind",
     "all_cut_values",
     "build_deferred",
@@ -71,7 +71,6 @@ __all__ = [
     "prf_u64",
     "prf_uniform",
     "refine_deferred",
-    "stored_sample",
 ]
 
 
@@ -411,6 +410,11 @@ DEFERRED_ENTRY = np.dtype(
 )
 
 
+# Relative slack on both ends of the promised band, for rounding in
+# the caller's multiplier arithmetic.
+PROMISE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class DeferredSketch:
     """Deferred sparsifiers: sampled on promised weights, refined later.
@@ -426,11 +430,22 @@ class DeferredSketch:
         Refinement weights must lie in ``[promise/chi, promise*chi]``.
     stored_total:
         Forest entries held while streaming, summed over the rows.
+    lo, hi:
+        Per entry, the ends of its promised band with :data:`PROMISE_TOL`
+        of slack, ``promise/chi * (1 - PROMISE_TOL)`` and
+        ``promise*chi * (1 + PROMISE_TOL)``; derived from ``entries``.
     """
 
     entries: np.ndarray
     chi: float
     stored_total: int
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        promise = self.entries["promise"]
+        object.__setattr__(self, "lo", promise / self.chi * (1.0 - PROMISE_TOL))
+        object.__setattr__(self, "hi", promise * self.chi * (1.0 + PROMISE_TOL))
 
     @property
     def space(self) -> int:
@@ -458,8 +473,8 @@ def build_deferred(
     construction on the promise values; the edge is stored with
     probability ``min(1, chi^2 * 2^-depth)``, with no draw when that is
     1.  Any later weight vector within a ``chi`` factor of the promise
-    can be refined against the stored sample (:func:`stored_sample`,
-    :func:`refine_deferred`), yielding a sparsifier for those weights.
+    can be refined against the stored entries, entry by entry
+    (:func:`refine_deferred`), yielding a sparsifier for those weights.
 
     Edges with zero promise carry no multiplier mass and are skipped.
 
@@ -511,93 +526,46 @@ def build_deferred(
     return DeferredSketch(entries=entries, chi=chi, stored_total=stored_total)
 
 
-# Relative slack on both ends of the promised band, for rounding in
-# the caller's multiplier arithmetic.
-PROMISE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class StoredSample:
-    """The stored entries of a deferred sketch, as flat arrays.
-
-    Entry ``t`` is edge ``edge_ids[t]``, whose weight is read from and
-    refined into position ``slots[t]`` of the caller's weight vector.
-    ``lo``/``hi`` are the ends of its promised band,
-    ``promise/chi * (1 - PROMISE_TOL)`` and ``promise*chi * (1 + PROMISE_TOL)``.
-    """
-
-    edge_ids: np.ndarray
-    slots: np.ndarray
-    promise: np.ndarray
-    p_keep: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    chi: float
-
-
-def stored_sample(sketch: DeferredSketch, slot_of: np.ndarray | None = None) -> StoredSample:
-    """List the stored entries of ``sketch`` once, for repeated refinement.
-
-    ``slot_of`` maps an edge id to its position in the weight vectors
-    :func:`refine_deferred` will read (``None``: the edge id itself).
-    The slots must be distinct.
-    """
-    chi = sketch.chi
-    edge_ids = sketch.entries["edge"].copy()
-    promise = sketch.entries["promise"].copy()
-    slots = edge_ids if slot_of is None else slot_of[edge_ids]
-    if (slots < 0).any() or len(set(slots.tolist())) != len(slots):
-        raise ValueError("every stored entry needs its own nonnegative slot")
-    return StoredSample(
-        edge_ids=edge_ids,
-        slots=slots,
-        promise=promise,
-        p_keep=sketch.entries["p_keep"].copy(),
-        lo=promise / chi * (1.0 - PROMISE_TOL),
-        hi=promise * chi * (1.0 + PROMISE_TOL),
-        chi=chi,
-    )
-
-
-def refine_deferred(sample: StoredSample, values: np.ndarray) -> np.ndarray:
-    """Refine a stored sample against current weights.
+def refine_deferred(sketch: DeferredSketch, values: np.ndarray) -> np.ndarray:
+    """Refine a deferred sketch's stored entries against current weights.
 
     Parameters
     ----------
-    sample:
-        Output of :func:`stored_sample`.
+    sketch:
+        Output of :func:`build_deferred`.
     values:
-        Current weight per slot.  A zero value means the edge has been
-        deleted; positive values must lie within the promised band
+        Current weight of each stored entry, in ``sketch.entries`` order.
+        A zero value means the edge has been deleted; positive values
+        must lie within the entry's promised band
         ``[promise/chi, promise*chi]``.
 
     Returns
     -------
     numpy.ndarray
-        A vector shaped like ``values``: ``value / keep_probability`` at
-        the slot of each stored edge (zero for a deleted one), zero
-        elsewhere.
+        ``value / keep_probability`` per entry (zero for a deleted edge).
 
     Raises
     ------
+    ValueError
+        If ``values`` does not hold one value per stored entry.
     PromiseViolationError
         If a positive value falls outside the promised band; the
-        message names the first such edge.
+        message names the first such entry's edge.
     """
-    v = values[sample.slots]
-    inside = (sample.lo <= v) & (v <= sample.hi)
+    entries = sketch.entries
+    if len(values) != len(entries):
+        raise ValueError(f"need one value per stored entry ({len(entries)}), got {len(values)}")
+    inside = (sketch.lo <= values) & (values <= sketch.hi)
     if not inside.all():
-        bad = np.flatnonzero(~inside & (v != 0.0))
+        bad = np.flatnonzero(~inside & (values != 0.0))
         if bad.size:
             t = int(bad[0])
-            e, sigma, chi = int(sample.edge_ids[t]), float(sample.promise[t]), sample.chi
+            e, sigma, chi = int(entries["edge"][t]), float(entries["promise"][t]), sketch.chi
             raise PromiseViolationError(
-                f"edge {e}: value {float(v[t])} outside promised band "
+                f"edge {e}: value {float(values[t])} outside promised band "
                 f"[{sigma / chi}, {sigma * chi}]"
             )
-    out = np.zeros(len(values))
-    out[sample.slots] = v / sample.p_keep
-    return out
+    return values / entries["p_keep"]
 
 
 # ---------------------------------------------------------------------------

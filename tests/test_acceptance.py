@@ -113,10 +113,10 @@ def test_criterion_3_sparsifier_cut_fidelity():
             }
             sk = sm.build_deferred(n, edges, promise, chi=chi, xi=0.25, seed=seed)
             true_w = [true[e] for e in range(len(edges))]
-            got = sm.refine_deferred(sm.stored_sample(sk), np.array(true_w))
-            kept = np.flatnonzero(got)
+            entries = sk.entries
+            got = sm.refine_deferred(sk, np.array(true_w)[entries["edge"]])
             base = all_cut_values(n, edges, true_w)
-            cuts = all_cut_values(n, [edges[e] for e in kept], got[kept].tolist())
+            cuts = all_cut_values(n, entries[["i", "j"]].tolist(), got.tolist())
             dev = float(np.max(np.abs(cuts - base) / base))
             adv_total += 1
             adv_pass += dev <= 0.25

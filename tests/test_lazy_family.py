@@ -16,26 +16,12 @@ import sketchmatch as sm
 from sketchmatch import driver
 
 from conftest import WARM_START_GRAPHS, oddset_wide_instance, random_instance, wide_random_instance
-from test_warm_start import warm_solve, without_harvest
+from test_warm_start import warm_run
 
 VERTEX_ONLY = [random_instance(1000 + s) for s in range(20)] + [
     oddset_wide_instance(0, 16),
     wide_random_instance(300),
 ]
-
-
-def count_enumerations(monkeypatch) -> list[int]:
-    """Wrap ``driver.enumerate_small_odd_sets``; the list collects each family's size."""
-    sizes: list[int] = []
-    real = driver.enumerate_small_odd_sets
-
-    def counting(g, epsilon):
-        family = real(g, epsilon)
-        sizes.append(len(family))
-        return family
-
-    monkeypatch.setattr(driver, "enumerate_small_odd_sets", counting)
-    return sizes
 
 
 @pytest.mark.parametrize("assert_mode", [False, True], ids=["plain", "assert"])
@@ -53,11 +39,9 @@ def test_vertex_only_solves_never_enumerate(monkeypatch, assert_mode):
 @pytest.mark.parametrize("harvest", [True, False], ids=["harvest", "no_harvest"])
 @pytest.mark.parametrize("lp_dual", [False, True], ids=["warm", "lp_dual"])
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
-def test_odd_step_solves_enumerate_once(monkeypatch, name, lp_dual, harvest):
-    if not harvest:
-        without_harvest(monkeypatch)
-    sizes = count_enumerations(monkeypatch)
-    report, counts = warm_solve(monkeypatch, name, lp_dual=lp_dual)
+def test_odd_step_solves_enumerate_once(name, lp_dual, harvest):
+    # the warm-start tests read the same solves, so each runs once
+    report, counts, sizes = warm_run(name, lp_dual=lp_dual, harvest=harvest)
     assert counts.get("odd", 0) > 0
     g, _groups = WARM_START_GRAPHS[name]
     assert sizes == [sm.count_small_odd_sets(g, report.config_echo["epsilon"])]

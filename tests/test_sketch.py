@@ -150,20 +150,20 @@ class TestDeferredSketch:
         edges = [(0, 1), (1, 2)]
         promise = [1.5, 2.5]
         sk = sm.build_deferred(3, edges, promise, chi=2.0, xi=0.25, seed=5)
-        out = sm.refine_deferred(sm.stored_sample(sk), np.array([1.5, 2.5]))
+        out = sm.refine_deferred(sk, np.array([1.5, 2.5]))
         assert out.tolist() == [1.5, 2.5]
 
     def test_refine_deletion(self):
         edges = [(0, 1), (1, 2)]
         sk = sm.build_deferred(3, edges, [1.0, 1.0], chi=2.0, xi=0.25, seed=5)
-        out = sm.refine_deferred(sm.stored_sample(sk), np.array([1.0, 0.0]))
+        out = sm.refine_deferred(sk, np.array([1.0, 0.0]))
         assert out.tolist() == [1.0, 0.0]
 
     def test_promise_violation_raises(self):
         edges = [(0, 1)]
         sk = sm.build_deferred(2, edges, [1.0], chi=2.0, xi=0.25, seed=5)
         with pytest.raises(PromiseViolationError, match="edge 0"):
-            sm.refine_deferred(sm.stored_sample(sk), np.array([5.0]))
+            sm.refine_deferred(sk, np.array([5.0]))
 
     def test_refine_matches_reference_on_built_sketches(self):
         rng = np.random.default_rng(3)
@@ -177,7 +177,7 @@ class TestDeferredSketch:
             assert len(sk.entries)
             values = promise * rng.uniform(1.0 / chi, chi, len(edges))
             values[rng.random(len(edges)) < 0.2] = 0.0
-            got = sm.refine_deferred(sm.stored_sample(sk), values)
+            got = _refine_by_edge(sk, values)
             want = refine_deferred_reference(sk, dict(enumerate(values.tolist())))
             assert _nonzero_map(got) == want
 
@@ -192,7 +192,7 @@ class TestDeferredSketch:
         for e, v in values.items():
             vec[e] = v
         vec[7] = 123.0  # not stored: never read
-        got = sm.refine_deferred(sm.stored_sample(sk), vec)
+        got = _refine_by_edge(sk, vec)
         want = refine_deferred_reference(sk, values)
         assert set(want) == {0, 1, 3, 4, 5}
         assert _nonzero_map(got) == want
@@ -212,16 +212,18 @@ class TestDeferredSketch:
             else:
                 vec[e] = np.nextafter(sigma * sk.chi * (1.0 + PROMISE_TOL), np.inf)
             with pytest.raises(PromiseViolationError, match=f"edge {e}:"):
-                sm.refine_deferred(sm.stored_sample(sk), vec)
+                sm.refine_deferred(sk, vec)
             with pytest.raises(PromiseViolationError, match=f"edge {e}:"):
                 refine_deferred_reference(sk, dict(enumerate(vec.tolist())))
 
-    def test_refine_several_sketches_through_slots(self):
-        # two rows' entries in one sketch, as a promise stack stores them
+    def test_refine_stacked_sketch_entry_by_entry(self):
+        # two rows' entries in one sketch, as a promise stack stores them;
+        # edges 0 and 3 are stored in both rows, under different promises
         a = _hand_sketch()
         b = sm.DeferredSketch(
             entries=np.array(
-                [(8, 0, 3, 3.0, 0.125, 4), (9, 1, 2, 5.0, 1.0, 0)], dtype=DEFERRED_ENTRY
+                [(0, 0, 1, 8.0, 0.125, 4), (3, 1, 2, 0.5, 1.0, 0), (9, 1, 2, 5.0, 1.0, 0)],
+                dtype=DEFERRED_ENTRY,
             ),
             chi=a.chi,
             stored_total=0,
@@ -229,31 +231,29 @@ class TestDeferredSketch:
         both = sm.DeferredSketch(
             entries=np.concatenate((a.entries, b.entries)), chi=a.chi, stored_total=0
         )
-        slot_of = np.array([9, 8, 7, 6, 5, 4, -1, -1, 1, 0])
-        sample = sm.stored_sample(both, slot_of)
-        values = {0: 2.0, 1: 3.0, 2: 1.5, 3: 1.0, 4: 7.0, 5: 6.0, 8: 2.5, 9: 0.0}
-        vec = np.zeros(10)
-        for e, v in values.items():
-            vec[slot_of[e]] = v
-        got = sm.refine_deferred(sample, vec)
-        want = refine_deferred_reference(a, values)
-        want.update(refine_deferred_reference(b, values))
-        assert {int(e): got[slot_of[e]] for e in want} == want
-        assert np.count_nonzero(got) == len(want)
+        values_a = {0: 2.0, 1: 3.0, 2: 1.5, 3: 1.0, 4: 7.0, 5: 6.0}
+        values_b = {0: 9.0, 3: 0.0, 9: 2.9}
+        vec = np.array(list(values_a.values()) + list(values_b.values()))
+        got = sm.refine_deferred(both, vec)
+        want_a = refine_deferred_reference(a, values_a)
+        want_b = refine_deferred_reference(b, values_b)
+        assert got[:6].tolist() == [want_a.get(e, 0.0) for e in values_a]
+        assert got[6:].tolist() == [want_b.get(e, 0.0) for e in values_b]
+        # 2.0 lies in row a's band for edge 0, [2/1.75, 2*1.75], but not in row b's
+        vec[6] = 2.0
+        with pytest.raises(PromiseViolationError, match="edge 0:"):
+            sm.refine_deferred(both, vec)
 
-    def test_stored_sample_rejects_unusable_listings(self):
-        a = _hand_sketch()
-        twice = sm.DeferredSketch(
-            entries=np.concatenate((a.entries, a.entries)), chi=a.chi, stored_total=0
-        )
-        with pytest.raises(ValueError, match="slot"):
-            sm.stored_sample(twice)
-        with pytest.raises(ValueError, match="slot"):
-            sm.stored_sample(a, np.array([0, 1, 2, 3, 4, -1]))
-        empty = sm.stored_sample(
-            sm.DeferredSketch(entries=np.array([], DEFERRED_ENTRY), chi=a.chi, stored_total=0)
-        )
-        assert sm.refine_deferred(empty, np.ones(3)).tolist() == [0.0, 0.0, 0.0]
+    def test_refine_needs_one_value_per_entry(self):
+        sk = _hand_sketch()
+        for size in (0, 5, 7):
+            with pytest.raises(ValueError, match="one value per stored entry"):
+                sm.refine_deferred(sk, np.ones(size))
+
+    def test_refine_empty_sketch(self):
+        empty = sm.DeferredSketch(entries=np.array([], DEFERRED_ENTRY), chi=2.0, stored_total=0)
+        out = sm.refine_deferred(empty, np.zeros(0))
+        assert out.shape == (0,) and out.dtype == np.float64
 
     def test_zero_promise_skipped(self):
         edges = [(0, 1), (1, 2)]
@@ -282,9 +282,9 @@ class TestDeferredSketch:
             }
             sk = sm.build_deferred(n, edges, promise, chi=chi, xi=xi, seed=seed)
             true_w = [true[e] for e in range(len(edges))]
-            out = sm.refine_deferred(sm.stored_sample(sk), np.array(true_w))
-            kept = np.flatnonzero(out)
-            dev = _cut_dev(n, edges, true_w, [edges[e] for e in kept], out[kept].tolist())
+            entries = sk.entries
+            out = sm.refine_deferred(sk, np.array(true_w)[entries["edge"]])
+            dev = _cut_dev(n, edges, true_w, entries[["i", "j"]].tolist(), out.tolist())
             if dev <= xi:
                 passing += 1
         assert passing >= 99
@@ -542,6 +542,14 @@ class TestRoundLedger:
     def test_record_before_round_raises(self):
         with pytest.raises(RuntimeError):
             sm.RoundLedger().record_space(1)
+
+
+def _refine_by_edge(sk: sm.DeferredSketch, vec: np.ndarray) -> np.ndarray:
+    """Refine a one-row sketch against a weight per edge id, placed back by edge id."""
+    edges = sk.entries["edge"]
+    out = np.zeros(len(vec))
+    out[edges] = sm.refine_deferred(sk, vec[edges])
+    return out
 
 
 def _nonzero_map(vec: np.ndarray) -> dict[int, float]:

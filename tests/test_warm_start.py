@@ -11,6 +11,8 @@ that returns met every contract.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 import sketchmatch as sm
@@ -39,33 +41,62 @@ def without_harvest(monkeypatch) -> None:
     )
 
 
+def count_enumerations(monkeypatch) -> list[int]:
+    """Wrap ``driver.enumerate_small_odd_sets``; the list collects each family's size."""
+    sizes: list[int] = []
+    real = driver.enumerate_small_odd_sets
+
+    def counting(g, epsilon):
+        family = real(g, epsilon)
+        sizes.append(len(family))
+        return family
+
+    monkeypatch.setattr(driver, "enumerate_small_odd_sets", counting)
+    return sizes
+
+
+@functools.cache
+def warm_run(
+    name: str, *, lp_dual: bool, harvest: bool
+) -> tuple[sm.SolveReport, dict[str, int], list[int]]:
+    """One warm solve per configuration, shared by every test that reads it.
+
+    Returns the report, the oracle's answer counts and the size of each
+    odd-set family the solve enumerated.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if not harvest:
+            without_harvest(mp)
+        sizes = count_enumerations(mp)
+        report, counts = warm_solve(mp, name, lp_dual=lp_dual)
+    return report, counts, sizes
+
+
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
-def test_warm_start_takes_odd_steps(monkeypatch, name):
-    report, counts = warm_solve(monkeypatch, name)
+def test_warm_start_takes_odd_steps(name):
+    report, counts, _sizes = warm_run(name, lp_dual=False, harvest=True)
     assert counts.get("odd", 0) > 0
     assert sum(counts.values()) == report.steps + report.certificates
     assert _matching_digest([report]) == PINNED_MATCHINGS[f"warm_start/{name}"]
 
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
-def test_warm_start_without_harvest_builds_certificates(monkeypatch, name):
-    without_harvest(monkeypatch)
-    report, counts = warm_solve(monkeypatch, name)
+def test_warm_start_without_harvest_builds_certificates(name):
+    report, counts, _sizes = warm_run(name, lp_dual=False, harvest=False)
     assert counts.get("odd", 0) > 0
     assert counts.get("certificate", 0) == report.certificates > 0
 
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
-def test_lp_dual_start_takes_odd_steps(monkeypatch, name):
-    report, counts = warm_solve(monkeypatch, name, lp_dual=True)
+def test_lp_dual_start_takes_odd_steps(name):
+    report, counts, _sizes = warm_run(name, lp_dual=True, harvest=True)
     assert counts.get("odd", 0) > 0
     assert sum(counts.values()) == report.steps + report.certificates
     assert _matching_digest([report]) == PINNED_MATCHINGS[f"warm_start/{name}"]
 
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
-def test_lp_dual_start_without_harvest_builds_certificates(monkeypatch, name):
-    without_harvest(monkeypatch)
-    report, counts = warm_solve(monkeypatch, name, lp_dual=True)
+def test_lp_dual_start_without_harvest_builds_certificates(name):
+    report, counts, _sizes = warm_run(name, lp_dual=True, harvest=False)
     assert counts.get("odd", 0) > 0
     assert counts.get("certificate", 0) == report.certificates > 0
