@@ -42,9 +42,9 @@
    level weights, together with the round/space ledger and traces.
 
 The dual coverage rows step through :class:`sketchmatch.mwu.CoveringState`,
-the same step rule :func:`sketchmatch.mwu.solve_covering` uses: phases
-are retuned once per super-round, and every accepted step is checked
-for width and drift on the exact row values of the blended iterate.
+the package's one covering engine: phases are retuned once per
+super-round, and every accepted step is checked for width and drift on
+the exact row values of the blended iterate.
 
 The number of refinements a single sketch build supports is limited by
 the multiplicative drift of the multipliers per accepted step; the

@@ -1,20 +1,18 @@
 """Multiplicative-weights covering engine, its step rule, and the penalty search.
 
-:class:`CoveringState` owns the row values of a covering run ``A x >= c``
-and the step rule that moves them: the phase rule that sets the step
-size and the width and drift checks on every accepted step.
-:func:`solve_covering` and the round-structured loop of
-:func:`sketchmatch.driver.solve` both step through it, so the rule
-exists once.
-
-:func:`solve_covering` drives an abstract covering feasibility problem
-``A x >= c`` over a convex set accessed only through an oracle: given
-row multipliers concentrated on the worst-covered rows, the oracle
-returns a candidate inside the set whose multiplier-weighted coverage
-beats the target, and the engine blends it into the running iterate.
-Phases tighten the step size as the worst coverage ratio grows;
-termination is at coverage ``1 - 3 eps`` or with the multipliers as an
-infeasibility certificate.
+:class:`CoveringState` is the one covering engine.  It owns the row
+values of a covering run ``A x >= c`` and the step rule that moves
+them: the phase rule that sets the multiplier exponent and the step
+size from the coverage at the start of the phase, and the width and
+drift checks on every accepted step.  The caller owns the iterate and
+the oracle.  Each step it retunes the phase, prices the rows with
+:func:`covering_multipliers` (concentrated on the worst-covered rows),
+asks its oracle for an answer whose multiplier-weighted coverage beats
+the target, blends the answer into its iterate with the state's step
+size and hands both row values to :meth:`CoveringState.advance`.  The
+run is done at coverage ``1 - 3 eps`` (:attr:`CoveringState.target`).
+The round-structured loop of :func:`sketchmatch.driver.solve` is the
+caller that ships.
 
 :func:`packing_multipliers` prices packing rows ``A x <= d``; the driver
 uses it for its degree rows.
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -38,20 +36,14 @@ from .oracle import DualStep, PrimalCertificate
 from .system import SystemIndex
 
 __all__ = [
-    "BudgetExceededError",
-    "CoveringOutcome",
-    "CoveringProblem",
     "CoveringState",
     "OracleContractError",
     "covering_multipliers",
-    "covering_step_budget",
     "lagrangian_search",
     "packing_multipliers",
-    "solve_covering",
 ]
 
 C_ALPHA = 4.0
-C_T = 64.0
 # Relative slack on the per-step drift bound ``eps``.
 DRIFT_TOL = 1e-9
 # Per-step slack of :meth:`CoveringState.lam_ceiling` for the float
@@ -63,12 +55,8 @@ MAX_PROBES = 64
 MIX_TOL = 1e-6
 
 
-class BudgetExceededError(RuntimeError):
-    """The engine ran past its guaranteed step budget."""
-
-
 class OracleContractError(RuntimeError):
-    """An oracle answer violated its width or margin contract."""
+    """An oracle answer left the width bound ``[0, rho c]``."""
 
 
 def covering_multipliers(
@@ -79,9 +67,9 @@ def covering_multipliers(
     ``load`` is ``A x / c`` and ``log_c`` is ``log(c)``, both held by
     :class:`CoveringState`.  Returns ``(u, log_u)`` where ``log_u`` is
     the raw log-domain value and ``u = exp(log_u - offset)``, the offset
-    defaulting to ``max(log_u)`` — the common factor is irrelevant to
-    every margin the engine checks, and the raw exponent can be far
-    below float range.
+    defaulting to ``max(log_u)`` — every margin a caller checks compares
+    two multiplier-weighted sums, so the common factor drops out, and
+    the raw exponent can be far below float range.
     """
     log_u = -alpha * load - log_c
     u = np.exp(log_u - (log_u.max() if offset is None else offset))
@@ -98,44 +86,6 @@ def packing_multipliers(
     log_z = alpha * load - log_d
     z = np.exp(log_z - log_z.max())
     return z, log_z
-
-
-def covering_step_budget(rho: float, eps: float, m: int, lambda0: float) -> int:
-    """Guaranteed accepted-step budget for :func:`solve_covering`."""
-    return math.ceil(
-        C_T * rho * (eps**-2 + math.log2(1.0 / lambda0)) * math.log(2.0 * m / eps)
-    )
-
-
-@dataclass
-class CoveringProblem:
-    """An abstract covering feasibility problem ``A x >= c`` over a set.
-
-    Attributes
-    ----------
-    c:
-        Positive row targets.
-    rho:
-        Width bound: every oracle answer ``y`` satisfies
-        ``0 <= (A y)_l <= rho * c_l`` (hard-checked).
-    x0:
-        Starting point inside the set with ``A x0 > 0`` on every row.
-    matvec:
-        Evaluates ``A x`` for an iterate.
-    combine:
-        ``(x, y, sigma) -> (1 - sigma) x + sigma y`` inside the set.
-    oracle:
-        Given normalized multipliers and the engine state, returns a
-        candidate with ``u . A y >= (1 - eps/2) u . c``, or ``None`` to
-        certify infeasibility.
-    """
-
-    c: np.ndarray
-    rho: float
-    x0: Any
-    matvec: Callable[[Any], np.ndarray]
-    combine: Callable[[Any, Any, float], Any]
-    oracle: Callable[[np.ndarray, "CoveringState"], Any | None]
 
 
 @dataclass
@@ -247,96 +197,6 @@ class CoveringState:
         self.lam = float(self.load.min())
         self.lam_max = max(self.lam_max, self.lam)
         self.steps += 1
-
-
-@dataclass
-class CoveringOutcome:
-    """Result of :func:`solve_covering`.
-
-    ``feasible`` with the final iterate at coverage ``>= 1 - 3 eps``,
-    or infeasible with the multipliers under which no oracle answer
-    exists.
-    """
-
-    feasible: bool
-    x: Any
-    ax: np.ndarray
-    lam: float
-    steps: int
-    phases: int
-    budget: int
-    infeasible_u: np.ndarray | None
-
-
-def solve_covering(problem: CoveringProblem, eps: float) -> CoveringOutcome:
-    """Run the covering engine to coverage ``1 - 3 eps`` or infeasibility.
-
-    Every step blends the oracle's answer into the iterate and evaluates
-    the blend with ``matvec``, so the outcome's ``ax`` and ``lam`` are
-    those of its ``x`` exactly.
-
-    Raises
-    ------
-    BudgetExceededError
-        If the number of accepted steps passes the guaranteed budget.
-    OracleContractError
-        If an oracle answer breaks the width or margin contract.
-    """
-    c = np.asarray(problem.c, dtype=float)
-    if not (c > 0).all():
-        raise ValueError("covering targets must be positive")
-    rho = float(problem.rho)
-    x = problem.x0
-    ax = np.asarray(problem.matvec(x), dtype=float)
-    if not (ax > 0).all():
-        raise ValueError("starting point must cover every row positively")
-    if (ax > rho * c * (1.0 + 1e-9)).any():
-        raise ValueError("starting point exceeds the width bound")
-    state = CoveringState(c=c, rho=rho, eps=eps, ax=ax)
-    budget = covering_step_budget(rho, eps, len(c), state.lam)
-
-    def outcome(infeasible_u: np.ndarray | None) -> CoveringOutcome:
-        return CoveringOutcome(
-            feasible=infeasible_u is None,
-            x=x,
-            ax=state.ax,
-            lam=state.lam,
-            steps=state.steps,
-            phases=state.phases,
-            budget=budget,
-            infeasible_u=infeasible_u,
-        )
-
-    while state.lam < state.target:
-        state.retune()
-        u, _log_u = covering_multipliers(state.load, state.log_c, state.alpha)
-        nz = u[u > 0.0]
-        floor = math.exp(-state.alpha * rho) * (c.min() / c.max())
-        if nz.size and nz.min() < floor * (1.0 - 1e-9):
-            raise AssertionError("multiplier fell below its guaranteed range")
-        answer = problem.oracle(u, state)
-        if answer is None:
-            return outcome(u.copy())
-        ay = np.asarray(problem.matvec(answer), dtype=float)
-        margin = float(u @ ay)
-        need = (1.0 - eps / 2.0) * float(u @ c)
-        if margin < need * (1.0 - 1e-9) - 1e-12:
-            raise OracleContractError(
-                f"oracle margin {margin} below target {need}"
-            )
-        # The step's gain: the oracle's coverage beats the current
-        # iterate's by a fixed fraction of the target.
-        implied = (1.0 + eps / 2.0) * float(u @ state.ax) + 0.5 * eps * float(u @ c)
-        if not (1.0 - eps / 2.0) * margin >= implied * (1.0 - 1e-9) - 1e-12:
-            raise AssertionError("step-gain inequality failed at an accepted step")
-        blended = problem.combine(x, answer, state.sigma)
-        state.advance(ay, np.asarray(problem.matvec(blended), dtype=float))
-        x = blended
-        if state.steps > budget:
-            raise BudgetExceededError(
-                f"covering did not converge within {budget} accepted steps"
-            )
-    return outcome(None)
 
 
 # ---------------------------------------------------------------------------

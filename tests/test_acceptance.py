@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import sketchmatch as sm
-from sketchmatch.mwu import CoveringProblem, solve_covering
+from sketchmatch.mwu import CoveringState, covering_multipliers
 from sketchmatch.oddsets import collect_violated_sets
 from sketchmatch.oracle import initial_solution
 from sketchmatch.sketch import all_cut_values, prf_u64
@@ -134,6 +135,7 @@ def test_criterion_3_sparsifier_cut_fidelity():
 def test_criterion_4_covering_engine_on_random_lps():
     rng = np.random.default_rng(2026)
     solved = 0
+    steps, idle = [], []
     for trial in range(10):
         m = int(rng.integers(2, 6))
         dim = int(rng.integers(2, 5))
@@ -146,30 +148,47 @@ def test_criterion_4_covering_engine_on_random_lps():
         )
         eps0 = float(rng.choice([0.1, 0.15, 0.2]))
 
-        def oracle(u, state, a=a, budget_sum=budget_sum):
+        def oracle(u, a=a, budget_sum=budget_sum):
             gains = a.T @ u
             y = np.zeros(a.shape[1])
             y[int(np.argmax(gains))] = budget_sum
             return y
 
-        problem = CoveringProblem(
-            c=c,
-            rho=rho,
-            x0=x_bar / 2.0,
-            matvec=lambda x, a=a: a @ x,
-            combine=lambda x, y, s: (1.0 - s) * x + s * y,
-            oracle=oracle,
+        x = x_bar / 2.0
+        state = CoveringState(c=c, rho=rho, eps=eps0, ax=a @ x)
+        # Step budget of the phase rule, in the Plotkin-Shmoys-Tardos form
+        # C_T rho (eps^-2 + log2(1/lambda_0)) ln(2m/eps), with C_T = 64.
+        budget = math.ceil(
+            64.0 * rho * (eps0**-2 + math.log2(1.0 / state.lam)) * math.log(2.0 * m / eps0)
         )
-        out = solve_covering(problem, eps0)
-        # per-step multiplier drift within e^{+-eps} is asserted inside
-        # the engine; reaching here means every step obeyed it
-        if out.feasible and out.lam >= 1.0 - 3.0 * eps0 and out.steps <= out.budget:
+        while state.lam < state.target:
+            state.retune()
+            u, _ = covering_multipliers(state.load, state.log_c, state.alpha)
+            floor = math.exp(-state.alpha * rho) * (c.min() / c.max())
+            assert u[u > 0.0].min() >= floor * (1.0 - 1e-9), "multiplier below its floor"
+            y = oracle(u)
+            ay = a @ y
+            margin, need = float(u @ ay), (1.0 - eps0 / 2.0) * float(u @ c)
+            assert margin >= need * (1.0 - 1e-9) - 1e-12, "oracle margin below target"
+            # the step's gain: the answer beats the iterate by a fixed share of the target
+            implied = (1.0 + eps0 / 2.0) * float(u @ state.ax) + 0.5 * eps0 * float(u @ c)
+            assert (1.0 - eps0 / 2.0) * margin >= implied * (1.0 - 1e-9) - 1e-12
+            x = (1.0 - state.sigma) * x + state.sigma * y
+            # advance checks the width and the per-step multiplier drift
+            state.advance(ay, a @ x)
+            assert state.steps <= budget, f"past the step budget {budget}"
+        steps.append(state.steps)
+        if state.steps == 0:
+            idle.append(f"LP {trial} (eps {eps0}, start {state.lam:.2f} >= {state.target:.2f})")
+        if state.lam >= state.target and state.steps <= budget:
             solved += 1
     ok = solved == 10
     _verdict(
         ok,
         "criterion 4: ten random covering LPs certify coverage 1 - 3 eps "
-        f"within the step budget with bounded per-step drift ({solved}/10)",
+        f"within the step budget with bounded per-step drift ({solved}/10; "
+        f"steps {steps}; {10 - len(idle)} take steps, and "
+        f"{', '.join(idle) or 'none'} start past the target)",
     )
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +83,53 @@ def test_star_import_resolves_every_export():
         names: dict[str, object] = {}
         exec(f"from {module} import *", names)
         assert set(importlib.import_module(module).__all__) <= set(names), module
+
+
+XREF = re.compile(r":(?:func|class|meth|data|attr):`~?([^`]+)`")
+
+
+def _has(obj, parts):
+    for part in parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _resolves(module, target):
+    """Sphinx's lookup of a cross-reference written in ``module``.
+
+    An absolute ``sketchmatch.`` name resolves through its longest
+    importable module prefix; any other name against the module's
+    globals, then against a class the module defines.
+    """
+    parts = target.split(".")
+    if parts[0] == "sketchmatch":
+        for cut in range(len(parts), 0, -1):
+            try:
+                base = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            return _has(base, parts[cut:])
+    classes = [
+        obj
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    ]
+    return any(_has(scope, parts) for scope in [module, *classes])
+
+
+def test_docstring_cross_references_resolve():
+    # a reference left to a deleted or renamed name fails here
+    missing, seen = [], 0
+    for path in sorted(Path(sm.__file__).parent.glob("*.py")):
+        name = "sketchmatch" if path.stem == "__init__" else f"sketchmatch.{path.stem}"
+        module = importlib.import_module(name)
+        for target in XREF.findall(path.read_text()):
+            seen += 1
+            if not _resolves(module, target):
+                missing.append(f"{name}: {target}")
+    assert seen and not missing, missing
 
 
 class TestSolve:

@@ -1,4 +1,4 @@
-"""Multiplicative-weights engines and the penalty search."""
+"""Multiplicative-weights engine and the penalty search."""
 
 from __future__ import annotations
 
@@ -13,14 +13,11 @@ from sketchmatch.mwu import (
     DRIFT_TOL,
     MAX_PROBES,
     ROUNDING_SLACK,
-    CoveringProblem,
     CoveringState,
     OracleContractError,
     covering_multipliers,
-    covering_step_budget,
     lagrangian_search,
     packing_multipliers,
-    solve_covering,
 )
 from sketchmatch.oracle import (
     DualStep,
@@ -72,110 +69,6 @@ class TestCoveringMultipliers:
         z, _ = packing_multipliers(np.array([0.0, 1.0]) / d, np.log(d), alpha=math.log(3.0))
         assert z[1] == pytest.approx(1.0)
         assert z[0] == pytest.approx(1.0 / 3.0)
-
-
-class TestStepBudgets:
-    def test_covering_formula(self):
-        got = covering_step_budget(2.0, 0.5, 1, 0.25)
-        assert got == math.ceil(64.0 * 2.0 * (4.0 + 2.0) * math.log(2.0 * 1 / 0.5))
-
-
-
-def _segment_problem(upper: float, rho: float = 2.0):
-    """Scalar covering problem over the segment [0, upper] vs target 1."""
-
-    def oracle(u, state):
-        # best point in the set under the current multipliers
-        if upper * u[0] >= (1.0 - 0.05) * u[0]:
-            return upper
-        return None
-
-    return CoveringProblem(
-        c=np.ones(1),
-        rho=rho,
-        x0=0.5,
-        matvec=lambda x: np.array([float(x)]),
-        combine=lambda x, y, s: (1.0 - s) * x + s * y,
-        oracle=oracle,
-    )
-
-
-class TestSolveCovering:
-    def test_feasible_segment(self):
-        out = solve_covering(_segment_problem(2.0), 0.1)
-        assert out.feasible
-        assert out.lam >= 1.0 - 3.0 * 0.1
-        assert out.steps <= out.budget
-        assert 0.0 <= out.x <= 2.0
-
-    def test_infeasible_segment_returns_witness(self):
-        out = solve_covering(_segment_problem(0.5), 0.1)
-        assert not out.feasible
-        u = out.infeasible_u
-        assert u is not None
-        # no point of [0, 0.5] meets the margin under the witness
-        assert 0.5 * u[0] < (1.0 - 0.05) * u[0]
-
-    def test_two_variable_three_row_instance(self):
-        # coverage over {x >= 0 : x1 + x2 <= 2}; optimum min-ratio is 1
-        c = np.ones(3)
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-
-        def oracle(u, state):
-            gains = a.T @ u  # pick the better extreme point (2,0) / (0,2)
-            y = np.zeros(2)
-            y[int(np.argmax(gains))] = 2.0
-            return y
-
-        problem = CoveringProblem(
-            c=c,
-            rho=2.0,
-            x0=np.array([0.5, 0.5]),
-            matvec=lambda x: a @ x,
-            combine=lambda x, y, s: (1.0 - s) * x + s * y,
-            oracle=oracle,
-        )
-        eps = 0.1
-        out = solve_covering(problem, eps)
-        assert out.feasible
-        assert out.lam >= 1.0 - 3.0 * eps
-        assert out.steps <= out.budget
-        assert out.x.sum() <= 2.0 + 1e-9
-        assert (out.x >= -1e-12).all()
-        assert out.phases >= 1
-        # the row values are the returned iterate's, exactly
-        assert np.array_equal(a @ out.x, out.ax)
-
-    def test_width_violation_raises(self):
-        problem = _segment_problem(2.0)
-        problem.oracle = lambda u, state: 5.0  # exceeds rho * c
-        with pytest.raises(OracleContractError):
-            solve_covering(problem, 0.1)
-
-    def test_margin_violation_raises(self):
-        problem = _segment_problem(2.0)
-        problem.oracle = lambda u, state: 0.1
-        with pytest.raises(OracleContractError):
-            solve_covering(problem, 0.1)
-
-    def test_bad_start_rejected(self):
-        problem = _segment_problem(2.0)
-        problem.x0 = 0.0
-        with pytest.raises(ValueError):
-            solve_covering(problem, 0.1)
-
-    @pytest.mark.parametrize(
-        "field, value, match",
-        [
-            ("c", np.zeros(1), "covering targets must be positive"),
-            ("x0", 2.5, "starting point exceeds the width bound"),
-        ],
-    )
-    def test_input_checks_raise(self, field, value, match):
-        problem = _segment_problem(2.0)
-        setattr(problem, field, value)
-        with pytest.raises(ValueError, match=match):
-            solve_covering(problem, 0.1)
 
 
 def _state(eps: float = 0.1, rho: float = 4.0) -> CoveringState:
