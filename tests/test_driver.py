@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchmatch as sm
-from sketchmatch.cli import main
+from sketchmatch.cli import build_parser, main
 from sketchmatch.driver import ContractViolation
 
 from conftest import (
@@ -984,3 +985,24 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert payload["weight"] == pytest.approx(9.0)
+
+    def test_readme_cli_block_flags_match_the_parser(self):
+        # every flag the README's usage block shows for a subcommand is one
+        # that subcommand's parser takes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command-line interface", 1)[1].split("```sh\n", 1)[1]
+        usage: dict[str, str] = {}
+        command = None
+        for line in block.split("```", 1)[0].splitlines():
+            if line.startswith("sketchmatch "):
+                command = line.split()[1]
+                usage[command] = line
+            elif command is not None:
+                usage[command] += line  # a continuation line
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(usage) == set(sub.choices)
+        for command, text in usage.items():
+            options = set(sub.choices[command]._option_string_actions)
+            flags = set(re.findall(r"--[a-z][a-z-]*", text))
+            assert flags and flags <= options, (command, sorted(flags - options))
