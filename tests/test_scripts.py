@@ -78,7 +78,7 @@ PINNED_OUTPUTS = {
     "sparsify/k20_xi0.99": "d462d43a903f5cb0730d7266ab6a765eeb8f641da8ffa7de13dc97f74eeb31eb",
     "sparsify/k6_chi2": "f4380abaec038cd4feedbe18e5e3889e40557bc394872165e40079c46ede92b0",
     "sparsifier_fidelity/n8_xi0.5_seeds5": (
-        "e5a31db4b620b9971e9e381cf14e1809713334bc8e14ffeb262a77a498cbfd0b"
+        "7ea032f64074cef546244380e3aa18d946a2fa35e557e95e42109a6a610872a9"
     ),
 }
 
