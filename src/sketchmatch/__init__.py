@@ -49,9 +49,7 @@ from .oracle import (
 from .sketch import (
     DeferredSketch,
     RoundLedger,
-    Sparsifier,
     build_deferred,
-    build_streaming_sparsifier,
     refine_deferred,
 )
 from .system import DualIterate, SystemIndex, budget_value, convert_to_matching_dual
@@ -71,13 +69,11 @@ __all__ = [
     "RoundLedger",
     "SolveReport",
     "SolverConfig",
-    "Sparsifier",
     "SystemIndex",
     "__version__",
     "brute_force_bmatching",
     "budget_value",
     "build_deferred",
-    "build_streaming_sparsifier",
     "check_dual_feasible",
     "check_dual_step",
     "check_primal_certificate",

@@ -3,8 +3,9 @@
 Four subcommands over a shared edge-list input format:
 
 - ``solve`` — run the approximate matching solver, print a report;
-- ``sparsify`` — build a cut sparsifier (streaming, or deferred against
-  the edge weights as promises) and print the kept edges;
+- ``sparsify`` — build a deferred cut sparsifier against the edge
+  weights as promises, refine it at those weights and print the kept
+  edges;
 - ``verify`` — run the solver with all internal checks on, compare it
   against the exact oracles, and report each verdict;
 - ``stats`` — summarize the instance and its discretization.
@@ -27,8 +28,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .driver import SolverConfig, ratio_floor_for, solve
 from .exact import EXACT_LP_MAX_N, brute_force_bmatching, exact_lp_values
 from .graph import (
@@ -39,7 +38,7 @@ from .graph import (
     find_max_weight,
     load_graph,
 )
-from .sketch import build_deferred, build_streaming_sparsifier, refine_deferred
+from .sketch import build_deferred, refine_deferred
 
 __all__ = ["build_parser", "main", "cli_main"]
 
@@ -97,38 +96,27 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     pairs = [(i, j) for (i, j, _w) in g.edges]
     weights = [w for (_i, _j, w) in g.edges]
-    if args.deferred:
-        sk = build_deferred(g.n, pairs, weights, args.chi, args.xi, args.seed)
-        entries = sk.entries
-        refined = refine_deferred(sk, np.asarray(weights, dtype=float)[entries["edge"]])
-        kept = sorted(
-            (e, i, j, w)
-            for (e, i, j), w in zip(entries[["edge", "i", "j"]].tolist(), refined.tolist())
-        )
-        space = sk.space
-        mode = "deferred"
-    else:
-        sp = build_streaming_sparsifier(g.n, pairs, weights, args.xi, args.seed)
-        kept = sorted(
-            (e, i, j, w)
-            for e, (i, j), w in zip(sp.edge_ids, sp.endpoints, sp.weights)
-        )
-        space = sp.stored_total
-        mode = "streaming"
+    sk = build_deferred(g.n, pairs, weights, args.chi, args.xi, args.seed)
+    entries = sk.entries
+    refined = refine_deferred(sk, entries["promise"])
+    kept = sorted(
+        (e, i, j, w)
+        for (e, i, j), w in zip(entries[["edge", "i", "j"]].tolist(), refined.tolist())
+    )
     payload = {
-        "mode": mode,
+        "mode": "deferred",
         "n": g.n,
         "input_edges": g.m,
         "kept_edges": len(kept),
-        "space": space,
+        "space": sk.space,
         "xi": args.xi,
-        "chi": args.chi if args.deferred else None,
+        "chi": args.chi,
         "seed": args.seed,
         "edges": [[i, j, w] for (_e, i, j, w) in kept],
     }
     human = (
-        f"{mode} sparsifier kept {len(kept)}/{g.m} edges "
-        f"(space {space}) at xi={args.xi:g}"
+        f"deferred sparsifier kept {len(kept)}/{g.m} edges "
+        f"(space {sk.space}) at xi={args.xi:g}"
     )
     _emit(payload, args, human)
     return 0
@@ -311,16 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_sp = sub.add_parser("sparsify", help="build a cut sparsifier")
+    p_sp = sub.add_parser(
+        "sparsify", help="build a deferred cut sparsifier and refine it at the edge weights"
+    )
     add_common(p_sp)
     p_sp.add_argument("--xi", type=float, default=0.25, help="cut accuracy")
     p_sp.add_argument(
-        "--chi", type=float, default=2.0, help="promise band for deferred mode"
-    )
-    p_sp.add_argument(
-        "--deferred",
-        action="store_true",
-        help="sample against promised weights, refine with the true ones",
+        "--chi", type=float, default=2.0, help="promise band of the deferred sketch"
     )
     p_sp.set_defaults(func=_cmd_sparsify)
 

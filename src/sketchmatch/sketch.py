@@ -1,25 +1,24 @@
-"""Sketching layer: cut sparsifiers, deferred sketches, and the round ledger.
+"""Sketching layer: deferred cut sparsifiers and the round ledger.
 
 All randomness is drawn from a keyed pseudorandom function (BLAKE2b
 with the seed as key), so every structure here is a deterministic
 function of its seed and its input stream — a requirement for
 reproducible solver reports.
 
-Two sparsifier flavors are provided:
+:func:`build_deferred` draws a subsample of the edges on *promised*
+weights (layered subsampling, with union-find forest packings deciding
+each edge's sampling depth) and postpones the reweighting:
+:func:`refine_deferred` later reweighs the stored entries against
+current weights, one value per entry, as long as each lies within a
+``chi`` factor of its promise, and every cut of the refined weights is
+preserved to a ``(1 +- xi)`` factor with high probability.  At
+``chi = 1``, refined at its promise, the sketch is a plain cut
+sparsifier of the promised weights.  One call takes a stack of promise
+rows, one seed per row, and builds every row's sketch in one array
+pass; the solver builds all weight levels of a round this way, one call
+per round.
 
-- :func:`build_streaming_sparsifier` reweights a subsample of the
-  edges so that every cut is preserved to a ``(1 +- xi)`` factor with
-  high probability (layered subsampling with union-find forest
-  packings deciding each edge's sampling depth);
-- :func:`build_deferred` runs the same machinery on *promised* weights
-  and postpones the reweighting: :func:`refine_deferred` later
-  reweighs the stored entries against current weights, one value per
-  entry, as long as each lies within a ``chi`` factor of its promise.
-  One call takes a stack of promise rows, one seed per row, and builds
-  every row's sketch in one array pass; the solver builds all weight
-  levels of a round this way, one call per round.
-
-Both builds settle a dyadic value class of ``s < k`` edges (``k`` forests
+The build settles a dyadic value class of ``s < k`` edges (``k`` forests
 per layer, :func:`forest_count`) in closed form, without forests.  Let
 ``deepest = floor(log2 s)`` and let ``md_e`` be edge ``e``'s membership
 depth, read from its layer draw.
@@ -30,7 +29,7 @@ depth, read from its layer draw.
   stores ``sum_e (min(md_e, deepest) + 1)`` entries.
 - For the same reason no insert reaches forest ``k`` of a layer, so the
   ``k``-th forest of layer 0 is empty and every member gets depth 0.
-  A deferred entry's keep probability is then ``min(1, chi^2) = 1``, and
+  An entry's keep probability is then ``min(1, chi^2) = 1``, and
   no store draw is taken.
 - A one-edge class has ``deepest = 0``, so its layer draw cannot matter
   and is not taken.
@@ -62,11 +61,9 @@ __all__ = [
     "PromiseViolationError",
     "PROMISE_TOL",
     "RoundLedger",
-    "Sparsifier",
     "UnionFind",
     "all_cut_values",
     "build_deferred",
-    "build_streaming_sparsifier",
     "forest_count",
     "prf_u64",
     "prf_uniform",
@@ -209,36 +206,8 @@ def forest_count(n: int, xi: float) -> int:
     return math.ceil(16.0 * math.log(n + 1) ** 2 / xi**2)
 
 
-@dataclass(frozen=True)
-class Sparsifier:
-    """A reweighted subsample of edges preserving cuts to ``1 +- xi``.
-
-    Attributes
-    ----------
-    n, xi, seed, k:
-        Construction parameters (``k`` = forests per layer).
-    edge_ids:
-        Indices into the caller's edge list, in stream order.
-    endpoints:
-        ``(i, j)`` per kept edge.
-    weights:
-        Reweighted edge weights ``w_e * 2^depth(e)``.
-    stored_total:
-        Total entries held across all forests while streaming (space).
-    """
-
-    n: int
-    xi: float
-    seed: int
-    k: int
-    edge_ids: tuple[int, ...]
-    endpoints: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...]
-    stored_total: int
-
-
 class _LayeredForests:
-    """Layered forest packings of one value class, for both sparsifier builds.
+    """Layered forest packings of one value class.
 
     Layer ``i`` sees each class edge independently with probability
     ``2^-i`` (nested across layers via one PRF draw per edge); ``k``
@@ -253,8 +222,8 @@ class _LayeredForests:
         self.k = k
         self.deepest = deepest
         self.forests: list[list[UnionFind]] = [[] for _ in range(deepest + 1)]
-        # The tag of each insert some forest stores, once per layer.
-        self.stored: list[int] = []
+        # Inserts some forest stored, counted once per layer.
+        self.stored = 0
 
     def _forest(self, layer: int, j: int) -> UnionFind:
         row = self.forests[layer]
@@ -262,12 +231,12 @@ class _LayeredForests:
             row.append(UnionFind(self.n))
         return row[j]
 
-    def insert(self, tag: int, i: int, j: int, membership_depth: int) -> None:
+    def insert(self, i: int, j: int, membership_depth: int) -> None:
         """Stream one edge with endpoints ``i``, ``j`` through its layers."""
         for layer in range(min(membership_depth, self.deepest) + 1):
             for f_idx in range(self.k):
                 if self._forest(layer, f_idx).union(i, j):
-                    self.stored.append(tag)
+                    self.stored += 1
                     break
 
     def final_depth(self, i: int, j: int) -> int:
@@ -290,8 +259,7 @@ def _stream_classes(
     values: np.ndarray,
     seeds: Sequence[int],
     k: int,
-    salt: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Run the layered forest construction on every value class of every row.
 
     Entry ``t`` is an edge with endpoints ``ends[t]`` and positive value
@@ -301,10 +269,10 @@ def _stream_classes(
     ``seeds[r]`` and drawn at the entry's position in its row.  ``k`` is
     the forest count per layer (:func:`forest_count`).
 
-    Returns ``(depth, md, stored, stored_total)``: per entry its depth,
-    its membership depth (the leading zero bits of its layer draw; 0 for
-    an entry alone in its class, which takes no draw) and whether some
-    forest stores it, and the forest entries of all rows together.
+    Returns ``(depth, stored_total)``: per entry its depth, and the
+    forest entries of all rows together.  An entry's membership depth is
+    the leading zero bits of its layer draw (0 for an entry alone in its
+    class, which takes no draw).
 
     A class of fewer than ``k`` entries is settled in closed form (see
     the module docstring), for all rows at once: every member has depth
@@ -330,67 +298,26 @@ def _stream_classes(
         bits = []
         for t, r in zip(drawn.tolist(), rows[drawn].tolist()):
             if r not in layer:
-                layer[r] = _prf_prefix(seeds[r], salt, "layer")
+                layer[r] = _prf_prefix(seeds[r], "deferred", "layer")
             bits.append(_prf_draw(layer[r], t - first[r]).bit_length())
         md[drawn] = 64 - np.array(bits)
     depth = np.zeros(total, dtype=np.int64)
-    stored = size < k
-    stored_total = int((np.minimum(md, deepest)[stored] + 1).sum())
-    for c in dict.fromkeys(key[~stored].tolist()):
+    closed = size < k
+    stored_total = int((np.minimum(md, deepest)[closed] + 1).sum())
+    for c in dict.fromkeys(key[~closed].tolist()):
         members = np.flatnonzero(key == c).tolist()
         pairs = ends[members].tolist()
         d = int(deepest[members[0]])
         lf = _LayeredForests(n, k, d)
         for t, (i, j) in zip(members, pairs):
-            lf.insert(t, i, j, int(md[t]))
+            lf.insert(i, j, int(md[t]))
         depth[members] = [lf.final_depth(i, j) for i, j in pairs]
         # Structural space bound: each forest holds at most n-1 edges.
         bound = k * (n - 1) * (d + 1)
-        if len(lf.stored) > bound:
-            raise AssertionError(f"a class stored {len(lf.stored)} > bound {bound}")
-        stored[lf.stored] = True
-        stored_total += len(lf.stored)
-    return depth, md, stored, stored_total
-
-
-def build_streaming_sparsifier(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    weights: Sequence[float],
-    xi: float,
-    seed: int,
-) -> Sparsifier:
-    """Build a cut sparsifier of a weighted graph in one pass.
-
-    Edges are bucketed by dyadic weight class; within a class, layer
-    ``i`` subsamples at rate ``2^-i`` and ``k = ceil(16 ln(n+1)^2/xi^2)``
-    union-find forests per layer retain connectivity witnesses.  A
-    retained edge whose subsampling survives its assigned depth is kept
-    with weight ``w_e * 2^depth``, which preserves every cut to a
-    ``(1 +- xi)`` factor with probability ``1 - O(1/n)``.
-    """
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must be in (0, 1), got {xi}")
-    w = np.asarray(weights, dtype=float)
-    bad = np.flatnonzero(~(w > 0.0))
-    if bad.size:
-        raise ValueError(f"weight must be positive, got {w[bad[0]]}")
-    k = forest_count(n, xi)
-    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    depth, md, stored, stored_total = _stream_classes(
-        n, ends, np.zeros(len(w), dtype=np.int64), w, (seed,), k, "plain"
-    )
-    kept = np.flatnonzero(stored & (md >= depth)).tolist()
-    return Sparsifier(
-        n=n,
-        xi=xi,
-        seed=seed,
-        k=k,
-        edge_ids=tuple(kept),
-        endpoints=tuple(edges[e] for e in kept),
-        weights=tuple((w[kept] * 2.0 ** depth[kept]).tolist()),
-        stored_total=stored_total,
-    )
+        if lf.stored > bound:
+            raise AssertionError(f"a class stored {lf.stored} > bound {bound}")
+        stored_total += lf.stored
+    return depth, stored_total
 
 
 class PromiseViolationError(RuntimeError):
@@ -500,9 +427,7 @@ def build_deferred(
     rows, edge_ids = np.nonzero(stack > 0.0)
     values = stack[rows, edge_ids]
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)[edge_ids]
-    depth, _md, _stored, stored_total = _stream_classes(
-        n, ends, rows, values, seeds, forest_count(n, xi), "deferred"
-    )
+    depth, stored_total = _stream_classes(n, ends, rows, values, seeds, forest_count(n, xi))
     p_keep = np.minimum(1.0, chi * chi * 2.0 ** -depth)
     entries = np.empty(len(rows), dtype=DEFERRED_ENTRY)
     entries["edge"] = edge_ids

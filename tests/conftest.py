@@ -125,34 +125,30 @@ def stream_classes_reference(
     weights: Sequence[float],
     k: int,
     seed: int,
-    salt: str,
-) -> tuple[list[int], set[int], int]:
+) -> tuple[list[int], int]:
     """All-forest layered construction, the reference for ``_stream_classes``.
 
     Streams every edge through ``k`` union-find forests per layer of its
     dyadic value class, whatever the class size, and draws from
-    ``prf_u64`` directly.  Returns ``(depth per edge, ids of the edges
-    some forest stores, stored total)``.
+    ``prf_u64`` directly.  Returns ``(depth per edge, stored total)``.
     """
     classes: dict[int, list[int]] = {}
     for e, w in enumerate(weights):
         classes.setdefault(math.frexp(w)[1] - 1, []).append(e)
     depth_of = [0] * len(edges)
-    stored_ids: set[int] = set()
     stored_total = 0
     for members in classes.values():
         deepest = int(math.floor(math.log2(len(members))))
         forests: list[list[UnionFind]] = [[] for _ in range(deepest + 1)]
         for e in members:
             i, j = edges[e]
-            r = prf_u64(seed, salt, "layer", e)
+            r = prf_u64(seed, "deferred", "layer", e)
             for layer in range(min(64 - r.bit_length(), deepest) + 1):
                 row = forests[layer]
                 for f in range(k):
                     if f == len(row):
                         row.append(UnionFind(n))
                     if row[f].union(i, j):
-                        stored_ids.add(e)
                         stored_total += 1
                         break
         for e in members:
@@ -165,7 +161,7 @@ def stream_classes_reference(
                 ),
                 deepest,
             )
-    return depth_of, stored_ids, stored_total
+    return depth_of, stored_total
 
 
 def build_deferred_reference(
@@ -179,8 +175,8 @@ def build_deferred_reference(
     """All-forest deferred build of one promise row, the reference for ``sm.build_deferred``."""
     k = forest_count(n, xi)
     live = [e for e in range(len(edges)) if promise[e] > 0.0]
-    depth_of, _stored, stored_total = stream_classes_reference(
-        n, [edges[e] for e in live], [promise[e] for e in live], k, seed, "deferred"
+    depth_of, stored_total = stream_classes_reference(
+        n, [edges[e] for e in live], [promise[e] for e in live], k, seed
     )
     entries = []
     for t, e in enumerate(live):
@@ -212,33 +208,6 @@ def build_deferred_stack_reference(
         entries=np.concatenate([sk.entries for sk in per_row] or [np.array([], DEFERRED_ENTRY)]),
         chi=chi,
         stored_total=sum(sk.stored_total for sk in per_row),
-    )
-
-
-def build_streaming_sparsifier_reference(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    weights: Sequence[float],
-    xi: float,
-    seed: int,
-) -> sm.Sparsifier:
-    """All-forest streaming build, the reference for ``sm.build_streaming_sparsifier``."""
-    k = forest_count(n, xi)
-    depth_of, stored_ids, stored_total = stream_classes_reference(
-        n, edges, weights, k, seed, "plain"
-    )
-    kept = [
-        e
-        for e in range(len(edges))
-        if e in stored_ids
-        and 64 - prf_u64(seed, "plain", "layer", e).bit_length() >= depth_of[e]
-    ]
-    return sm.Sparsifier(
-        n=n, xi=xi, seed=seed, k=k,
-        edge_ids=tuple(kept),
-        endpoints=tuple(edges[e] for e in kept),
-        weights=tuple(weights[e] * float(2 ** depth_of[e]) for e in kept),
-        stored_total=stored_total,
     )
 
 

@@ -830,7 +830,7 @@ class TestCli:
         assert code == 1
         assert "p must be a finite number" in capsys.readouterr().err
 
-    def test_sparsify_streaming(self, tmp_path, capsys):
+    def test_sparsify_keeps_a_spanning_structure(self, tmp_path, capsys):
         text = "\n".join(
             f"{i} {j} 1" for i in range(5) for j in range(i + 1, 5)
         )
@@ -842,10 +842,9 @@ class TestCli:
         assert payload["kept_edges"] >= 4  # spanning structure survives
 
     def test_sparsify_deferred(self, tmp_path, capsys):
+        # a bare sparsify builds the deferred sketch at its default chi
         path = _write_graph(tmp_path, text="0 1 2\n1 2 3\n")
-        code = main(
-            ["sparsify", "--input", path, "--deferred", "--chi", "2.0", "--json"]
-        )
+        code = main(["sparsify", "--input", path, "--json"])
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
@@ -855,7 +854,7 @@ class TestCli:
     @pytest.mark.parametrize("chi", ["nan", "inf"])
     def test_sparsify_deferred_non_finite_chi_exits_1(self, tmp_path, capsys, chi):
         path = _write_graph(tmp_path, text="0 1 2\n1 2 3\n")
-        code = main(["sparsify", "--input", path, "--deferred", "--chi", chi, "--json"])
+        code = main(["sparsify", "--input", path, "--chi", chi, "--json"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

@@ -93,7 +93,7 @@ PINNED_OUTPUTS = {
 def test_deferred_sparsify_output_pinned(tmp_path, capsys, n, flags, kept, space, pin):
     path = tmp_path / f"k{n}.txt"
     path.write_text("".join(f"{i} {j} 1\n" for i in range(n) for j in range(i + 1, n)))
-    assert cli.main(["sparsify", "--input", str(path), "--deferred", *flags, "--json"]) == 0
+    assert cli.main(["sparsify", "--input", str(path), *flags, "--json"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert (payload["kept_edges"], payload["space"]) == (kept, space)

@@ -1,4 +1,4 @@
-"""Sketching layer: PRFs, sparsifiers, deferred sketches, ledger."""
+"""Sketching layer: PRFs, deferred sketches, ledger."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from sketchmatch.sketch import (
 from conftest import (
     build_deferred_reference,
     build_deferred_stack_reference,
-    build_streaming_sparsifier_reference,
     refine_deferred_reference,
 )
 
@@ -80,20 +79,34 @@ def _cut_dev(n, edges_a, wa, edges_b, wb):
     return float(np.max(np.abs(cb[live] - ca[live]) / ca[live]))
 
 
+def _sparsify(n, edges, weights, xi, seed):
+    """The deferred sketch at ``chi = 1``, refined at its promise.
+
+    Returns its kept edge ids, their endpoints and their reweighted
+    weights: a cut sparsifier of ``weights``, built in one pass.
+    """
+    sk = sm.build_deferred(n, edges, weights, chi=1.0, xi=xi, seed=seed)
+    entries = sk.entries
+    got = sm.refine_deferred(sk, entries["promise"])
+    return entries["edge"].tolist(), entries[["i", "j"]].tolist(), got.tolist()
+
+
 class TestStreamingSparsifier:
+    """The one-pass cut sparsifier: the deferred sketch at ``chi = 1``."""
+
     def test_forest_identity(self):
         edges = [(0, 1), (1, 2), (2, 3)]
         weights = [2.0, 5.0, 0.5]
-        sp = sm.build_streaming_sparsifier(4, edges, weights, 0.25, seed=1)
-        assert sorted(sp.edge_ids) == [0, 1, 2]
-        kept = dict(zip(sp.edge_ids, sp.weights))
+        ids, _ends, kept_w = _sparsify(4, edges, weights, 0.25, seed=1)
+        assert sorted(ids) == [0, 1, 2]
+        kept = dict(zip(ids, kept_w))
         for e, w in enumerate(weights):
             assert kept[e] == pytest.approx(w)
 
     def test_single_edge(self):
-        sp = sm.build_streaming_sparsifier(2, [(0, 1)], [3.0], 0.25, seed=0)
-        assert list(sp.edge_ids) == [0]
-        assert sp.weights[0] == pytest.approx(3.0)
+        ids, _ends, kept_w = _sparsify(2, [(0, 1)], [3.0], 0.25, seed=0)
+        assert ids == [0]
+        assert kept_w[0] == pytest.approx(3.0)
 
     def test_k4_cut_fidelity(self):
         n = 4
@@ -101,10 +114,8 @@ class TestStreamingSparsifier:
         weights = [1.0] * len(edges)
         passing = 0
         for seed in range(100):
-            sp = sm.build_streaming_sparsifier(n, edges, weights, 0.25, seed=seed)
-            dev = _cut_dev(
-                n, edges, weights, list(sp.endpoints), list(sp.weights)
-            )
+            _ids, ends, kept_w = _sparsify(n, edges, weights, 0.25, seed=seed)
+            dev = _cut_dev(n, edges, weights, ends, kept_w)
             if dev <= 0.25:
                 passing += 1
         assert passing >= 99
@@ -113,10 +124,10 @@ class TestStreamingSparsifier:
         n, xi = 8, 0.5
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
         weights = [float(1 + (i * 7) % 13) for i in range(len(edges))]
-        sp = sm.build_streaming_sparsifier(n, edges, weights, xi, seed=3)
+        ids, _ends, _w = _sparsify(n, edges, weights, xi, seed=3)
         k = forest_count(n, xi)
         bound = k * (n - 1) * (math.log2(len(edges)) + 1)
-        assert len(sp.edge_ids) <= bound
+        assert len(ids) <= bound
 
     def test_forest_count_formula(self):
         assert forest_count(4, 0.25) == math.ceil(
@@ -300,13 +311,9 @@ class TestDeferredSketch:
         wb = [2.0 + (e % 2) for e in range(len(half_b))]
         passing = 0
         for seed in range(60):
-            sa = sm.build_streaming_sparsifier(n, half_a, wa, 0.3, seed=seed)
-            sb = sm.build_streaming_sparsifier(n, half_b, wb, 0.3, seed=seed + 7_000)
-            union_ends = list(sa.endpoints) + list(sb.endpoints)
-            union_w = list(sa.weights) + list(sb.weights)
-            dev = _cut_dev(
-                n, all_edges, wa + wb, union_ends, union_w
-            )
+            _a, ends_a, kept_a = _sparsify(n, half_a, wa, 0.3, seed=seed)
+            _b, ends_b, kept_b = _sparsify(n, half_b, wb, 0.3, seed=seed + 7_000)
+            dev = _cut_dev(n, all_edges, wa + wb, ends_a + ends_b, kept_a + kept_b)
             if dev <= 0.6:  # xi_a + xi_b in the worst case
                 passing += 1
         assert passing >= 58
@@ -349,13 +356,6 @@ class TestDeferredClosedForm:
         promise = _promises(rng, m, kind)
         got = sm.build_deferred(n, edges, promise, chi, xi, seed)
         _assert_same(got, build_deferred_reference(n, edges, promise, chi, xi, seed))
-        live = [(edges[e], p) for e, p in enumerate(promise) if p > 0.0]
-        if live:
-            pe, pw = [ed for ed, _p in live], [p for _ed, p in live]
-            _assert_same(
-                sm.build_streaming_sparsifier(n, pe, pw, xi, seed),
-                build_streaming_sparsifier_reference(n, pe, pw, xi, seed),
-            )
 
     @pytest.mark.parametrize("s", [19, 20, 21])
     @pytest.mark.parametrize("chi", [1.0, 1.5])
@@ -412,25 +412,6 @@ class TestDeferredClosedForm:
             (e, *edges[e], promise[e], 1.0, 0) for e in (0, 1, 3, 4)
         ]
         assert sk.stored_total == 4
-
-
-    def test_streaming_build_keys_no_prf_per_edge(self, monkeypatch):
-        # the kept-edge test reads the layer draws the class construction
-        # already took, so no edge is keyed through prf_u64 a second time
-        k20 = [(i, j) for i in range(20) for j in range(i + 1, 20)]
-        k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        cases = [
-            (20, k20, [1.0] * len(k20), 0.99, 3),  # one class of 190 >= k = 152
-            (6, k6, [1.0] * 9 + [2.5] * 5 + [7.0], 0.5, 8),  # closed-form classes
-        ]
-        want = [build_streaming_sparsifier_reference(*case) for case in cases]
-
-        def refuse(*_args):
-            raise AssertionError("prf_u64 called by the streaming build")
-
-        monkeypatch.setattr(sketch, "prf_u64", refuse)
-        for case, ref in zip(cases, want):
-            _assert_same(sm.build_streaming_sparsifier(*case), ref)
 
 
 class TestDeferredStack:
@@ -635,19 +616,14 @@ def _ledger_with_a_round() -> sm.RoundLedger:
             id="cuts_one_vertex",
         ),
         pytest.param(
-            lambda: sm.build_streaming_sparsifier(2, [(0, 1)], [1.0], xi=1.0, seed=0),
-            r"xi must be in \(0, 1\), got 1.0",
-            id="streaming_xi",
-        ),
-        pytest.param(
-            lambda: sm.build_streaming_sparsifier(2, [(0, 1)], [0.0], xi=0.5, seed=0),
-            "weight must be positive, got 0.0",
-            id="streaming_weight",
-        ),
-        pytest.param(
             lambda: sm.build_deferred(2, [(0, 1)], [1.0], chi=2.0, xi=0.0, seed=0),
             r"xi must be in \(0, 1\), got 0.0",
             id="deferred_xi",
+        ),
+        pytest.param(
+            lambda: sm.build_deferred(2, [(0, 1)], [1.0], chi=1.0, xi=1.0, seed=0),
+            r"xi must be in \(0, 1\), got 1.0",
+            id="deferred_xi_one",
         ),
         pytest.param(
             lambda: _ledger_with_a_round().record_space(-1),
