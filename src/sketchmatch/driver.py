@@ -309,12 +309,12 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         if harvest.weight > best_matching.weight:
             best_matching = harvest
         harvests += 1
-        # The harvested candidate set, the remembered matching, and the
-        # dual support (its nonzero prices) are all held across the
-        # round; charge them too.
+        # The harvested candidate set, the remembered matching (unless
+        # it is that harvest), and the dual support (its nonzero prices)
+        # are all held across the round; charge them too.
         ledger.record_space(
             len(harvest.edges)
-            + len(best_matching.edges)
+            + (len(best_matching.edges) if best_matching is not harvest else 0)
             + np.count_nonzero(it.x_level)
             + np.count_nonzero(it.x_top)
             + len(it.z_value)

@@ -409,6 +409,38 @@ class TestSolve:
         assert rep.matching == best.edges
         assert rep.rescaled_weight == best.weight
 
+    @pytest.mark.parametrize("graph", ["triangle", 1003])
+    def test_round_charges_its_harvest_once(self, monkeypatch, graph):
+        # the first solve round's harvest becomes the incumbent: the one
+        # matching is charged once, beside the start's dual support
+        from sketchmatch import driver
+        from sketchmatch.sketch import RoundLedger
+
+        charges, harvests, starts = [], [], []
+        real_record = RoundLedger.record_space
+
+        def record(ledger, count):
+            charges.append((ledger.n_rounds - 1, int(count)))
+            real_record(ledger, count)
+
+        monkeypatch.setattr(RoundLedger, "record_space", record)
+        real_extract, real_start = driver.extract_integral, driver.initial_solution
+        monkeypatch.setattr(
+            driver, "extract_integral", lambda *a: harvests.append(real_extract(*a)) or harvests[-1]
+        )
+        monkeypatch.setattr(
+            driver, "initial_solution", lambda *a, **k: starts.append(real_start(*a, **k)) or starts[-1]
+        )
+        g = triangle_paper() if graph == "triangle" else random_instance(graph)
+        rep = sm.solve(g, sm.SolverConfig())
+        ((it, _beta, _lam),) = starts
+        first = rep.rounds - len(rep.lambda_trace) + 1  # the first solve round
+        sketch_space, held = [c for r, c in charges if r == first]
+        support = np.count_nonzero(it.x_level) + np.count_nonzero(it.x_top) + len(it.z_value)
+        assert rep.matching == harvests[0].edges != ()
+        assert held == len(harvests[0].edges) + support
+        assert rep.round_spaces[first] == sketch_space + held
+
     def test_refined_multipliers_match_row_loop(self, monkeypatch):
         from sketchmatch import driver
         from sketchmatch.mwu import CoveringState, covering_multipliers
