@@ -138,7 +138,7 @@ def test_criterion_3_sparsifier_cut_fidelity():
 def test_criterion_4_covering_engine_on_random_lps():
     rng = np.random.default_rng(2026)
     solved = 0
-    steps, idle = [], []
+    steps, idle, reruns = [], [], []
     for trial in range(10):
         m = int(rng.integers(2, 6))
         dim = int(rng.integers(2, 5))
@@ -157,41 +157,54 @@ def test_criterion_4_covering_engine_on_random_lps():
             y[int(np.argmax(gains))] = budget_sum
             return y
 
-        x = x_bar / 2.0
-        state = CoveringState(c=c, rho=rho, eps=eps0, ax=a @ x)
-        # Step budget of the phase rule, in the Plotkin-Shmoys-Tardos form
-        # C_T rho (eps^-2 + log2(1/lambda_0)) ln(2m/eps), with C_T = 64.
-        budget = math.ceil(
-            64.0 * rho * (eps0**-2 + math.log2(1.0 / state.lam)) * math.log(2.0 * m / eps0)
-        )
-        while state.lam < state.target:
-            state.retune()
-            u, _ = covering_multipliers(state.load, state.log_c, state.alpha)
-            floor = math.exp(-state.alpha * rho) * (c.min() / c.max())
-            assert u[u > 0.0].min() >= floor * (1.0 - 1e-9), "multiplier below its floor"
-            y = oracle(u)
-            ay = a @ y
-            margin, need = float(u @ ay), (1.0 - eps0 / 2.0) * float(u @ c)
-            assert margin >= need * (1.0 - 1e-9) - 1e-12, "oracle margin below target"
-            # the step's gain: the answer beats the iterate by a fixed share of the target
-            implied = (1.0 + eps0 / 2.0) * float(u @ state.ax) + 0.5 * eps0 * float(u @ c)
-            assert (1.0 - eps0 / 2.0) * margin >= implied * (1.0 - 1e-9) - 1e-12
-            x = (1.0 - state.sigma) * x + state.sigma * y
-            # advance checks the width and the per-step multiplier drift
-            state.advance(ay, a @ x)
-            assert state.steps <= budget, f"past the step budget {budget}"
+        def run(x, a=a, c=c, rho=rho, eps0=eps0, oracle=oracle):
+            """Step from ``x`` to the target; returns the state and its step budget."""
+            state = CoveringState(c=c, rho=rho, eps=eps0, ax=a @ x)
+            # Step budget of the phase rule, in the Plotkin-Shmoys-Tardos form
+            # C_T rho (eps^-2 + log2(1/lambda_0)) ln(2m/eps), with C_T = 64.
+            budget = math.ceil(
+                64.0 * rho * (eps0**-2 + math.log2(1.0 / state.lam)) * math.log(2.0 * m / eps0)
+            )
+            while state.lam < state.target:
+                state.retune()
+                u, _ = covering_multipliers(state.load, state.log_c, state.alpha)
+                floor = math.exp(-state.alpha * rho) * (c.min() / c.max())
+                assert u[u > 0.0].min() >= floor * (1.0 - 1e-9), "multiplier below its floor"
+                y = oracle(u)
+                ay = a @ y
+                margin, need = float(u @ ay), (1.0 - eps0 / 2.0) * float(u @ c)
+                assert margin >= need * (1.0 - 1e-9) - 1e-12, "oracle margin below target"
+                # the step's gain: the answer beats the iterate by a fixed share of the target
+                implied = (1.0 + eps0 / 2.0) * float(u @ state.ax) + 0.5 * eps0 * float(u @ c)
+                assert (1.0 - eps0 / 2.0) * margin >= implied * (1.0 - 1e-9) - 1e-12
+                x = (1.0 - state.sigma) * x + state.sigma * y
+                # advance checks the width and the per-step multiplier drift
+                state.advance(ay, a @ x)
+                assert state.steps <= budget, f"past the step budget {budget}"
+            return state, budget
+
+        state, budget = run(x_bar / 2.0)
         steps.append(state.steps)
-        if state.steps == 0:
-            idle.append(f"LP {trial} (eps {eps0}, start {state.lam:.2f} >= {state.target:.2f})")
         if state.lam >= state.target and state.steps <= budget:
             solved += 1
+        if state.steps == 0:
+            idle.append(f"LP {trial} (eps {eps0}, start {state.lam:.2f} >= {state.target:.2f})")
+            # x_bar/8 covers every row at 1/8, and twice that is still
+            # below the target 1 - 3 eps = 0.4, so the run changes phase
+            state, budget = run(x_bar / 8.0)
+            assert state.lam >= state.target and state.phases >= 2, trial
+            reruns.append(
+                f"LP {trial} from x_bar/8: {state.steps} steps of {budget}, "
+                f"{state.phases} phases"
+            )
     ok = solved == 10
     _verdict(
         ok,
         "criterion 4: ten random covering LPs certify coverage 1 - 3 eps "
         f"within the step budget with bounded per-step drift ({solved}/10; "
         f"steps {steps}; {10 - len(idle)} take steps, and "
-        f"{', '.join(idle) or 'none'} start past the target)",
+        f"{', '.join(idle) or 'none'} start past the target; "
+        f"{'; '.join(reruns) or 'no rerun'})",
     )
 
 
