@@ -119,6 +119,25 @@ class CoveringState:
     ``(1 + kappa + ROUNDING_SLACK)^S``: that is :meth:`lam_ceiling`.
     The ceiling does not depend on ``sigma``: no step rule that keeps
     the drift check can beat it.
+
+    **Drift budget.**  The solver's rounds cap how far the multipliers
+    may drift.  A round of :func:`sketchmatch.driver.solve` promises
+    every multiplier within a factor ``gamma = max(n^(1/(2p)), 1 + eps)``
+    of its snapshot and runs ``ceil(ln gamma / eps)`` steps, each moving
+    a log-multiplier by at most ``eps``: about ``ln gamma`` nats a
+    round.  At ``n = 12``, ``p = 2``, ``eps = 1/16`` that is 0.62 nats
+    (10 steps), about 158 nats over the 255 rounds the default cap of
+    256 leaves after a one-round start.  One doubling of the coverage
+    from ``lam_t`` raises a row's load by ``lam_t`` and so moves its
+    log-multiplier by ``alpha lam_t = C_ALPHA ln(2m/eps) / eps`` nats:
+    about 430 at ``m = 26``, ``eps = 1/16``.  The ceiling is the ratio
+    of the two: ``kappa`` is ``eps`` over that cost, so ``S`` steps give
+    ``ln(lam_ceiling / lam_max) ~ S kappa``, the drift of ``S`` steps
+    over the cost of a doubling.  The 2,550 steps above, at
+    ``kappa = 0.000145``, give 0.37 (159 nats over 430): the coverage
+    can grow by a factor of at most 1.45 over the whole solve, short of
+    one doubling.  Only a smaller ``alpha`` (fewer nats per doubling)
+    or a wider band can raise that; a larger ``sigma`` cannot.
     """
 
     c: np.ndarray
