@@ -34,9 +34,12 @@ depth, read from its layer draw.
 - A one-edge class has ``deepest = 0``, so its layer draw cannot matter
   and is not taken.
 
-Forests still run for a class of ``k`` or more edges; at desk scale
-(``k`` = 422 at ``n = 12``, ``xi = 0.5``) that needs a graph far denser
-than the solver's levels hold.
+Forests still run for a class of ``k`` or more edges.  The solver
+sketches at ``xi = 0.5``, where ``k`` = 422 at ``n = 12``, far above
+the 66 edges of ``K12``; but a unit-weight complete graph puts all its
+edges in one promise class in the first solve round, and that class
+reaches ``k`` at ``K44`` (946 edges, ``k = 928``), though not at
+``K43`` (903 edges, ``k = 917``).
 
 The module imports nothing from the rest of the package: it works on
 edge lists and weight vectors.  The solver's check that the sketched

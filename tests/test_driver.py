@@ -409,6 +409,27 @@ class TestSolve:
         assert rep.matching == best.edges
         assert rep.rescaled_weight == best.weight
 
+    @pytest.mark.parametrize("assert_mode", [False, True])
+    @pytest.mark.parametrize("n, forests", [(43, 0), (44, 1)])
+    def test_dense_promise_class_runs_forests(self, monkeypatch, n, forests, assert_mode):
+        # unit K_n: every cover row gets the same promise, so the first
+        # solve round sketches one class of n(n-1)/2 edges, which reaches
+        # k = forest_count(n, SKETCH_XI) at n = 44 (946 >= 928) but not
+        # at n = 43 (903 < 917)
+        from sketchmatch import driver, sketch
+
+        made = []
+        real = sketch._LayeredForests
+        monkeypatch.setattr(sketch, "_LayeredForests", lambda *a: made.append(a) or real(*a))
+        g = sm.Graph(
+            n=n, edges=tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)), b=(1,) * n
+        )
+        rep = sm.solve(g, sm.SolverConfig(assert_mode=assert_mode))
+        k = sketch.forest_count(n, driver.SKETCH_XI)
+        assert (g.m >= k) == (forests == 1)
+        assert made == [(n, k, 9)] * forests  # 9 = floor(log2 m)
+        assert (rep.weight, rep.rounds) == (n // 2, 2)
+
     @pytest.mark.parametrize("graph", ["triangle", 1003])
     def test_round_charges_its_harvest_once(self, monkeypatch, graph):
         # the first solve round's harvest becomes the incumbent: the one
