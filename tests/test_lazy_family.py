@@ -41,7 +41,7 @@ def test_vertex_only_solves_never_enumerate(monkeypatch, assert_mode):
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
 def test_odd_step_solves_enumerate_once(name, lp_dual, harvest):
     # the warm-start tests read the same solves, so each runs once
-    report, counts, sizes = warm_run(name, lp_dual=lp_dual, harvest=harvest)
+    report, counts, sizes, _supports = warm_run(name, lp_dual=lp_dual, harvest=harvest)
     assert counts.get("odd", 0) > 0
     g, _groups = WARM_START_GRAPHS[name]
     assert sizes == [sm.count_small_odd_sets(g, report.config_echo["epsilon"])]

@@ -54,6 +54,19 @@ class TestMatchingOracleBranches:
         ok, report = check_primal_certificate(index, out)
         assert ok, report
 
+    @pytest.mark.parametrize("dropped", range(3))
+    def test_certificate_prices_only_sampled_rows(self, dropped):
+        # A row the round's sketch did not store has u = 0; the
+        # certificate's y is positive exactly where u is.
+        _g, _lv, index = _triangle()
+        u = np.ones(len(index.rows))
+        u[dropped] = 0.0
+        out = matching_oracle(index, u, np.ones(len(index.vrows)), 1e-4, 1.0)
+        assert isinstance(out, PrimalCertificate)
+        assert np.array_equal(out.y > 0.0, u > 0.0)
+        ok, report = check_primal_certificate(index, out)
+        assert ok, report
+
     def test_vertex_branch(self):
         _g, _lv, index = _triangle()
         u = np.ones(len(index.rows))

@@ -55,26 +55,55 @@ def count_enumerations(monkeypatch) -> list[int]:
     return sizes
 
 
+def record_certificate_supports(monkeypatch) -> list[tuple[list[int], list[int]]]:
+    """Wrap ``driver.build_deferred`` and ``driver.lagrangian_search``.
+
+    The list collects, per primal certificate, the sorted edges where its
+    ``y`` is positive and the sorted edges its round's sketch stored.
+    """
+    pairs: list[tuple[list[int], list[int]]] = []
+    stored: list[list[int]] = []
+    real_build, real_search = driver.build_deferred, driver.lagrangian_search
+
+    def building(*args, **kwargs):
+        sketch = real_build(*args, **kwargs)
+        stored[:] = [sorted(sketch.entries["edge"].tolist())]
+        return sketch
+
+    def searching(index, *args, **kwargs):
+        out = real_search(index, *args, **kwargs)
+        if isinstance(out, sm.PrimalCertificate):
+            pairs.append((sorted(index.row_edge[out.y > 0.0].tolist()), stored[0]))
+        return out
+
+    monkeypatch.setattr(driver, "build_deferred", building)
+    monkeypatch.setattr(driver, "lagrangian_search", searching)
+    return pairs
+
+
 @functools.cache
 def warm_run(
     name: str, *, lp_dual: bool, harvest: bool
-) -> tuple[sm.SolveReport, dict[str, int], list[int]]:
+) -> tuple[sm.SolveReport, dict[str, int], list[int], list[tuple[list[int], list[int]]]]:
     """One warm solve per configuration, shared by every test that reads it.
 
-    Returns the report, the oracle's answer counts and the size of each
-    odd-set family the solve enumerated.
+    Returns the report, the oracle's answer counts, the size of each
+    odd-set family the solve enumerated and, per primal certificate, its
+    support beside its round's stored edges
+    (:func:`record_certificate_supports`).
     """
     with pytest.MonkeyPatch.context() as mp:
         if not harvest:
             without_harvest(mp)
         sizes = count_enumerations(mp)
+        supports = record_certificate_supports(mp)
         report, counts = warm_solve(mp, name, lp_dual=lp_dual)
-    return report, counts, sizes
+    return report, counts, sizes, supports
 
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
 def test_warm_start_takes_odd_steps(name):
-    report, counts, _sizes = warm_run(name, lp_dual=False, harvest=True)
+    report, counts, _sizes, _supports = warm_run(name, lp_dual=False, harvest=True)
     assert counts.get("odd", 0) > 0
     assert sum(counts.values()) == report.steps + report.certificates
     assert _matching_digest([report]) == PINNED_MATCHINGS[f"warm_start/{name}"]
@@ -82,14 +111,14 @@ def test_warm_start_takes_odd_steps(name):
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
 def test_warm_start_without_harvest_builds_certificates(name):
-    report, counts, _sizes = warm_run(name, lp_dual=False, harvest=False)
+    report, counts, _sizes, _supports = warm_run(name, lp_dual=False, harvest=False)
     assert counts.get("odd", 0) > 0
     assert counts.get("certificate", 0) == report.certificates > 0
 
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
 def test_lp_dual_start_takes_odd_steps(name):
-    report, counts, _sizes = warm_run(name, lp_dual=True, harvest=True)
+    report, counts, _sizes, _supports = warm_run(name, lp_dual=True, harvest=True)
     assert counts.get("odd", 0) > 0
     assert sum(counts.values()) == report.steps + report.certificates
     assert _matching_digest([report]) == PINNED_MATCHINGS[f"warm_start/{name}"]
@@ -97,6 +126,20 @@ def test_lp_dual_start_takes_odd_steps(name):
 
 @pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
 def test_lp_dual_start_without_harvest_builds_certificates(name):
-    report, counts, _sizes = warm_run(name, lp_dual=True, harvest=False)
+    report, counts, _sizes, _supports = warm_run(name, lp_dual=True, harvest=False)
     assert counts.get("odd", 0) > 0
     assert counts.get("certificate", 0) == report.certificates > 0
+
+
+@pytest.mark.parametrize("lp_dual", [False, True], ids=["warm", "lp_dual"])
+@pytest.mark.parametrize("name", sorted(WARM_START_GRAPHS))
+def test_certificate_support_is_its_rounds_stored_edges(name, lp_dual):
+    # A certificate prices y = scale * u_sparse, which is positive exactly
+    # on the round's stored rows, so harvesting its support would only
+    # repeat the round's own harvest.  These rounds store every retained
+    # edge; test_oracle's test_certificate_prices_only_sampled_rows
+    # covers a row left out of the sample.
+    report, _counts, _sizes, supports = warm_run(name, lp_dual=lp_dual, harvest=False)
+    assert len(supports) == report.certificates > 0
+    for support, stored in supports:
+        assert support == stored
