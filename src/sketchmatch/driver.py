@@ -18,8 +18,8 @@
    per-level promise rows (one adaptive round of space), look up the
    cover row of each stored entry once, harvest an integral
    matching from the stored edges (computed once per distinct stored
-   support and reused by later rounds and certificate lifts on the
-   same support), then run a bounded number of multiplier refinements
+   support and reused by later rounds on the same support), then run
+   a bounded number of multiplier refinements
    — each refinement reads the current multipliers at those rows,
    refines the sketch's entries against them
    (:func:`~sketchmatch.sketch.refine_deferred`, entry by entry) and
@@ -35,9 +35,9 @@
    (:attr:`~sketchmatch.oracle.BMatching.exact`: a weighted blossom on
    the vertex-split graph, which every support gets whose split graph
    fits :data:`~sketchmatch.oracle.MAX_SPLIT_WORK`): it is then the
-   exact leveled optimum, and no later
-   round or certificate lift (a subset of those edges) can replace the
-   matching.  Otherwise the solve stops as ``"cannot_certify"``;
+   exact leveled optimum, and no later round (a subset of those edges)
+   can replace the matching.  Otherwise the solve stops as
+   ``"cannot_certify"``;
 4. report the best integral matching found, in original units and in
    level weights, together with the round/space ledger and traces.
 
@@ -245,20 +245,12 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     # The integral matching of each distinct support, harvested once per
     # solve: at desk scale every round stores the same support.
     harvested: dict[tuple[int, ...], BMatching] = {}
-
-    def harvest_of(support: tuple[int, ...]) -> BMatching:
-        if support not in harvested:
-            harvested[support] = extract_integral(lv, support)
-        return harvested[support]
-
     # When the last round's harvest is final (step 3 of the module
     # docstring), no later round can change the matching.
-    retained = tuple(sorted(index.row_edge.tolist()))
     harvest_final = False
 
     best_matching = BMatching(edges=(), weight=0.0)
     certificates = 0
-    harvests = 0
     lambda_trace = [lam0]
     beta_trace = [beta0]
     solve_round = 0
@@ -304,11 +296,12 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         edge_ids = sketch.entries["edge"]
         rows = index.row_of_edge[edge_ids]
         stored = tuple(sorted(edge_ids.tolist()))
-        harvest = harvest_of(stored)
-        harvest_final = harvest.exact and stored == retained
+        if stored not in harvested:
+            harvested[stored] = extract_integral(lv, stored)
+        harvest = harvested[stored]
+        harvest_final = harvest.exact and len(stored) == len(index.row_edge)
         if harvest.weight > best_matching.weight:
             best_matching = harvest
-        harvests += 1
         # The harvested candidate set, the remembered matching (unless
         # it is that harvest), and the dual support (its nonzero prices)
         # are all held across the round; charge them too.
@@ -354,10 +347,6 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
                         ok, rep = check_primal_certificate(index, out)
                         if not ok:
                             raise ContractViolation(f"certificate check failed: {rep}")
-                    support = index.row_edge[out.y > 0.0]
-                    lifted = harvest_of(tuple(sorted(support.tolist())))
-                    if lifted.weight > best_matching.weight:
-                        best_matching = lifted
                     beta *= 1.0 + eps
                     retries += 1
                     if retries > CERTIFICATE_RETRIES:
@@ -407,7 +396,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
         beta_final=beta,
         steps=state.steps,
         certificates=certificates,
-        harvests=harvests,
+        harvests=solve_round,
         lambda_trace=lambda_trace,
         beta_trace=beta_trace,
         round_spaces=[r["space"] for r in ledger.as_dict()["rounds"]],
