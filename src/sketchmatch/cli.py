@@ -72,7 +72,6 @@ def _solver_config(args: argparse.Namespace, assert_mode: bool) -> SolverConfig:
         p=args.p,
         seed=args.seed,
         max_rounds=args.max_rounds,
-        space_mult=args.space_mult,
         assert_mode=assert_mode,
     )
 
@@ -286,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="override the guaranteed round budget 8*ceil(p/epsilon)",
-        )
-        p.add_argument(
-            "--space-mult",
-            type=float,
-            default=16.0,
-            help="constant in the per-round space cap",
         )
 
     p_solve = sub.add_parser("solve", help="run the approximate solver")

@@ -93,6 +93,8 @@ __all__ = [
 SKETCH_XI = 0.5
 # Primal certificates one refinement may answer before the solve fails.
 CERTIFICATE_RETRIES = 1000
+# Constant factor of the per-round space cap (space_cap_for).
+SPACE_MULT = 16.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,6 @@ class SolverConfig:
     p: float = 2.0
     seed: int = 0
     max_rounds: int | None = None
-    space_mult: float = 16.0
     assert_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -126,8 +127,6 @@ class SolverConfig:
             _is_int(self.max_rounds) and self.max_rounds >= 1
         ):
             raise ValueError(f"max_rounds must be an integer at least 1, got {self.max_rounds!r}")
-        if not (math.isfinite(self.space_mult) and self.space_mult > 0.0):
-            raise ValueError("space_mult must be positive and finite")
 
 
 def round_cap_for(p: float, epsilon: float) -> int:
@@ -140,9 +139,9 @@ def ratio_floor_for(epsilon: float) -> float:
     return 1.0 - 14.0 * epsilon
 
 
-def space_cap_for(n: int, p: float, total_capacity: int, mult: float) -> float:
+def space_cap_for(n: int, p: float, total_capacity: int) -> float:
     """Guaranteed bound on per-round stored items."""
-    return mult * n ** (1.0 + 1.0 / p) * math.log2(total_capacity + 2)
+    return SPACE_MULT * n ** (1.0 + 1.0 / p) * math.log2(total_capacity + 2)
 
 
 @dataclass
@@ -216,7 +215,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     n = g.n
     ledger = RoundLedger()
     round_cap = cfg.max_rounds if cfg.max_rounds is not None else round_cap_for(cfg.p, eps)
-    space_cap = space_cap_for(n, cfg.p, g.B, cfg.space_mult)
+    space_cap = space_cap_for(n, cfg.p, g.B)
 
     it, beta0, lam0 = initial_solution(index, cfg.p, cfg.seed, ledger=ledger)
     if ledger.n_rounds >= round_cap:

@@ -202,9 +202,6 @@ class TestSolve:
             {"max_rounds": 0},
             {"max_rounds": -1},
             {"max_rounds": 1},  # the initial solution uses the only round
-            {"space_mult": 0.0},
-            {"space_mult": -1.0},
-            {"space_mult": math.inf},  # would switch the space cap off
             {"p": math.inf},
             {"p": math.nan},
             {"seed": 1.5},
@@ -217,9 +214,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             sm.solve(random_instance(1000), sm.SolverConfig(**kwargs))
 
-    def test_assert_mode_enforces_space_cap(self):
+    def test_assert_mode_enforces_space_cap(self, monkeypatch):
+        from sketchmatch import driver
+
+        monkeypatch.setattr(driver, "SPACE_MULT", 1e-3)
         g = random_instance(1000)
-        cfg = dict(space_mult=1e-3, max_rounds=4)
+        cfg = dict(max_rounds=4)
         plain = sm.solve(g, sm.SolverConfig(**cfg))
         assert plain.peak_space > plain.space_cap > 0.0
         with pytest.raises(ContractViolation, match="space cap"):
@@ -691,7 +691,7 @@ class TestSolve:
 
     def test_caps_formulas(self):
         assert sm.round_cap_for(2.0, EPS) == 8 * 32
-        got = sm.space_cap_for(10, 2.0, 20, 16.0)
+        got = sm.space_cap_for(10, 2.0, 20)
         want = 16.0 * 10 ** 1.5 * np.log2(22.0)
         assert got == pytest.approx(want)
 
