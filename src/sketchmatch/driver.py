@@ -226,9 +226,7 @@ def solve(g: Graph, config: SolverConfig | None = None) -> SolveReport:
     if cfg.assert_mode:
         _check_space_cap(ledger, space_cap)
     beta = beta0
-    state = CoveringState(
-        c=index.cover_rhs, rho=24.0 / eps + 24.0 / eps**2, eps=eps, ax=index.cover_values(it)
-    )
+    state = CoveringState(c=index.cover_rhs, rho=index.rho, eps=eps, ax=index.cover_values(it))
     gamma_drift = max(n ** (1.0 / (2.0 * cfg.p)), 1.0 + eps)
     inner_per_round = math.ceil(math.log(gamma_drift) / eps)
     edge_ends = np.array([(i, j) for (i, j, _w) in g.edges], dtype=np.int64).reshape(-1, 2)

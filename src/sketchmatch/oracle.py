@@ -210,7 +210,7 @@ def matching_oracle(
             raise AssertionError("vertex step does not meet the penalized target")
         if budget_value(index, it) > beta * (1.0 + CHECK_TOL):
             raise AssertionError("vertex step exceeds the budget")
-        if (it.x_level > index.vrow_price_limit).any():
+        if (it.x_level > index.level_price_limit[vl]).any():
             raise AssertionError("vertex price exceeds its width cap")
         return DualStep(it, "vertex", penalty, gamma, beta)
 
@@ -257,7 +257,7 @@ def matching_oracle(
             raise AssertionError("odd-set step does not meet the raised target")
         if budget_value(index, it) > (1.0 - eps / 4.0) * beta * (1.0 + CHECK_TOL):
             raise AssertionError("odd-set step exceeds the budget")
-        if (it.z_value > 24.0 / eps * w_of[z_level] * (1.0 + CHECK_TOL)).any():
+        if (it.z_value > index.level_price_limit[z_level]).any():
             raise AssertionError("odd-set price exceeds its width cap")
         cov = index.cover_values(it)
         deg = index.degree_values(it)
@@ -358,9 +358,9 @@ def check_dual_step(
     report["nonnegative"] = it.is_nonnegative(1e-12)
     report["price_shape"] = index.is_shaped(it, atol=1e-12)
     report["budget"] = budget_value(index, it) <= step.beta * (1.0 + tol)
-    report["x_caps"] = bool((it.x_level <= index.vrow_price_limit).all())
-    z_caps = 24.0 / eps * index.level_weights[it.z_level] * (1.0 + tol)
-    report["z_caps"] = bool((it.z_value <= z_caps).all())
+    caps = index.level_price_limit
+    report["x_caps"] = bool((it.x_level <= caps[index.vrow_level]).all())
+    report["z_caps"] = bool((it.z_value <= caps[it.z_level]).all())
     report["inner_rows"] = bool(
         (deg <= index.degree_rhs_inner * (1.0 + tol) + 1e-12).all()
     )

@@ -22,7 +22,8 @@ The rows are:
   with right-hand side ``(1+eps)^k``;
 - degree rows, one per ``(i, k)`` with level-``k`` edges at ``i``:
   ``2 x_i(k) + sum_{l <= k} sum_{U containing i} z_{U,l}`` with outer
-  bound ``3 (1+eps)^k`` and inner bound ``(24/eps + 24/eps^2) (1+eps)^k``;
+  bound ``3 (1+eps)^k`` and inner bound ``rho (1+eps)^k``, where the
+  width ``rho = 24/eps + 24/eps^2``;
 - shape rows ``x_i >= x_i(k)`` and nonnegativity.
 """
 
@@ -143,9 +144,11 @@ class SystemIndex:
     end), so each of its columns is contiguous; ``row_of_edge`` holds the
     cover row of an edge id (``-1``: dropped).  Degree rows (tuples
     ``(vertex, level)`` in ``vrows``) are the row ends' distinct
-    ``(vertex, level)`` pairs, sorted by vertex, then level;
-    ``vrow_price_limit`` is the width cap ``(24/eps) w_k`` of a degree
-    row's x price, times ``1 + CHECK_TOL``.  ``level_weights`` holds
+    ``(vertex, level)`` pairs, sorted by vertex, then level.  ``rho`` is
+    the width ``24/eps + 24/eps^2`` of the covering rows, and
+    ``level_price_limit`` the width cap ``(24/eps) w_k`` of a level-``k``
+    price (an x price of a degree row, or an odd-set price), times
+    ``1 + CHECK_TOL``.  ``level_weights`` holds
     ``(1+eps)^k`` for ``k = 0..L`` (the leveled graph's table),
     ``capacity`` the floats ``b_i`` and ``level_capacity`` their
     ``n x (L+1)`` products.
@@ -186,7 +189,8 @@ class SystemIndex:
     vrow_level: np.ndarray = field(init=False)
     degree_rhs_outer: np.ndarray = field(init=False)
     degree_rhs_inner: np.ndarray = field(init=False)
-    vrow_price_limit: np.ndarray = field(init=False)
+    rho: float = field(init=False)
+    level_price_limit: np.ndarray = field(init=False)
     level_weights: np.ndarray = field(init=False)
     capacity: np.ndarray = field(init=False)
     level_capacity: np.ndarray = field(init=False)
@@ -203,6 +207,8 @@ class SystemIndex:
         n = lv.base.n
         n_levels = lv.L + 1
         self.level_weights = np.array(lv.level_weights)
+        self.rho = 24.0 / eps + 24.0 / eps**2
+        self.level_price_limit = (24.0 / eps) * self.level_weights * (1.0 + CHECK_TOL)
         self.capacity = np.asarray(lv.base.b, dtype=float)
         self.level_capacity = np.outer(self.capacity, self.level_weights)
 
@@ -227,8 +233,7 @@ class SystemIndex:
         self.vrows = tuple(zip(self.vrow_vertex.tolist(), self.vrow_level.tolist()))
         vweights = self.level_weights[self.vrow_level]
         self.degree_rhs_outer = 3.0 * vweights
-        self.degree_rhs_inner = (24.0 / eps + 24.0 / eps**2) * vweights
-        self.vrow_price_limit = (24.0 / eps) * vweights * (1.0 + CHECK_TOL)
+        self.degree_rhs_inner = self.rho * vweights
 
         # Packed degree rows.  Rows of vertices below i have keys below
         # i * (L+1), so the count of keys <= a cell's key, less i's first
