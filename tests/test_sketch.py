@@ -384,6 +384,43 @@ class TestDeferredClosedForm:
             _assert_same(got, want)
         assert made == [(n, 152, 7)] * 2
 
+    def test_final_depth_takes_every_return(self, monkeypatch):
+        # 57 parallel (0, 1) edges and one (2, 3) edge form one class of
+        # k or more edges, so it streams through _LayeredForests.
+        n, xi = 4, 0.9
+        k = forest_count(n, xi)
+        assert k == 52
+        edges = [(0, 1)] * 57 + [(2, 3)]
+        promise = [1.0] * len(edges)
+        made = []
+        real = sketch._LayeredForests
+        monkeypatch.setattr(
+            sketch, "_LayeredForests", lambda *a: made.append(real(*a)) or made[-1]
+        )
+
+        got = sm.build_deferred(n, edges, promise, 1.0, xi, seed=3)
+        _assert_same(got, build_deferred_reference(n, edges, promise, 1.0, xi, 3))
+        (lf,) = made
+        # Layer 0 fills all k forests and the k-th still separates (2, 3);
+        # layer 1 never creates its k-th forest.
+        assert len(lf.forests[0]) == k and not lf.forests[0][k - 1].connected(2, 3)
+        assert len(lf.forests[1]) < k
+        depth = dict(zip(got.entries["edge"].tolist(), got.entries["depth"].tolist()))
+        assert len(depth) == 32 and set(depth.values()) == {0, 1}
+        assert depth[57] == 0
+
+        # With every draw 1, each insert enters every layer and each store
+        # draw keeps: every layer's k-th forest joins (0, 1), so those
+        # edges fall back to the deepest layer, floor(log2 58) = 5.
+        monkeypatch.setattr(sketch, "_prf_draw", lambda prefix, part: 1)
+        made.clear()
+        got = sm.build_deferred(n, edges, promise, 1.0, xi, seed=3)
+        (lf,) = made
+        assert lf.deepest == 5
+        assert all(len(row) == k and row[k - 1].connected(0, 1) for row in lf.forests)
+        assert got.entries["edge"].tolist() == list(range(58))
+        assert got.entries["depth"].tolist() == [5] * 57 + [0]
+
     def test_closed_form_stored_total(self):
         # a class of s < k edges stores sum_e (min(md_e, deepest) + 1)
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
