@@ -22,7 +22,7 @@ import sketchmatch as sm
 from sketchmatch.mwu import CoveringState, covering_multipliers
 from sketchmatch.oddsets import collect_violated_sets
 from sketchmatch.oracle import initial_solution
-from sketchmatch.sketch import all_cut_values, prf_u64
+from sketchmatch.sketch import all_cut_values, forest_count, prf_u64
 
 from conftest import (
     EPS,
@@ -126,12 +126,44 @@ def test_criterion_3_sparsifier_cut_fidelity():
             adv_pass += dev <= 0.25
     deferred_rate = adv_pass / adv_total
 
-    ok = promise_rate >= 0.99 and deferred_rate >= 0.99
+    # Parts (a) and (b) keep every edge of a complete graph at depth 0.
+    # Parallel copies of each pair of K4 form one dense class, which
+    # runs the forests and subsamples (some keep probability below 1) on
+    # every seed: chi = 1 at its promise, then chi = 2 adversarial.
+    n, xi = 4, 0.9
+    assert forest_count(n, xi) == 52
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    multi_pass = multi_total = subsampled = 0
+    for chi, copies in ((1.0, 70), (2.0, 100)):
+        edges = [pair for pair in pairs for _ in range(copies)]
+        for seed in range(25):
+            # chi^+-1 per edge: at chi = 1, the promise itself
+            true_w = [
+                chi if prf_u64(seed, "acc3", e) % 2 else 1.0 / chi for e in range(len(edges))
+            ]
+            sk = sm.build_deferred(n, edges, [1.0] * len(edges), chi=chi, xi=xi, seed=seed)
+            entries = sk.entries
+            got = sm.refine_deferred(sk, np.array(true_w)[entries["edge"]])
+            base = all_cut_values(n, edges, true_w)
+            cuts = all_cut_values(n, entries[["i", "j"]].tolist(), got.tolist())
+            dev = float(np.max(np.abs(cuts - base) / base))
+            multi_total += 1
+            multi_pass += dev <= xi
+            subsampled += bool((entries["p_keep"] < 1.0).any())
+    multi_rate = multi_pass / multi_total
+
+    ok = (
+        promise_rate >= 0.99
+        and deferred_rate >= 0.99
+        and multi_rate >= 0.99
+        and subsampled == multi_total
+    )
     _verdict(
         ok,
         "criterion 3: cut sparsifiers stay within 1 +- xi on at least 99% "
         f"of seeds (chi = 1 at its promise {promise_rate:.3f}, deferred adversarial "
-        f"{deferred_rate:.3f})",
+        f"{deferred_rate:.3f}, subsampled K4 multigraph {multi_rate:.3f} with "
+        f"{subsampled} of {multi_total} seeds subsampling)",
     )
 
 
