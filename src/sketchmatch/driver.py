@@ -18,10 +18,10 @@
    per-level promise rows (one adaptive round of space), look up the
    cover row of each stored entry once, harvest an integral
    matching from the stored edges (computed once per distinct stored
-   support and reused by later rounds on the same support), then run
-   a bounded number of multiplier refinements
-   — each refinement reads the current multipliers at those rows,
-   refines the sketch's entries against them
+   support and reused by later rounds on the same support), then run a
+   bounded number of multiplier refinements — each refinement reads
+   the current multipliers at those rows, refines the sketch's entries
+   against them
    (:func:`~sketchmatch.sketch.refine_deferred`, entry by entry) and
    puts the results back at their rows, asks the penalized
    matching oracle for a step via the penalty search, and either
