@@ -62,18 +62,18 @@ def record_certificate_supports(monkeypatch) -> list[tuple[list[int], list[int]]
     ``y`` is positive and the sorted edges its round's sketch stored.
     """
     pairs: list[tuple[list[int], list[int]]] = []
-    stored: list[list[int]] = []
+    stored: list[int] = []
     real_build, real_search = driver.build_deferred, driver.lagrangian_search
 
     def building(*args, **kwargs):
         sketch = real_build(*args, **kwargs)
-        stored[:] = [sorted(sketch.entries["edge"].tolist())]
+        stored[:] = sorted(sketch.entries["edge"].tolist())
         return sketch
 
     def searching(index, *args, **kwargs):
         out = real_search(index, *args, **kwargs)
         if isinstance(out, sm.PrimalCertificate):
-            pairs.append((sorted(index.row_edge[out.y > 0.0].tolist()), stored[0]))
+            pairs.append((sorted(index.row_edge[out.y > 0.0].tolist()), list(stored)))
         return out
 
     monkeypatch.setattr(driver, "build_deferred", building)
